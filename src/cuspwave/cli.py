@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -119,13 +120,6 @@ def _write_manifest(directory, command, cfg) -> None:
             fh.write("%s = %s\n" % (key, cfg[key]))
 
 
-def _threads(cfg) -> int:
-    if cfg.get("threads"):
-        return int(cfg["threads"])
-    env = os.environ.get("CUSPWAVE_THREADS")
-    return int(env) if env else 1
-
-
 def _build_grid(cfg) -> Grid:
     n = int(cfg["n"])
     return Grid(n, (int(cfg["N"]),) * n, float(cfg["L"]))
@@ -162,15 +156,13 @@ _SOLVE_SCHEMA = {
     "m": int, "m1": int, "m2": int, "n": int, "N": int, "L": float,
     "T": float, "n_t": int, "max_iters": int, "tol": float, "s_mon": float,
     "data": str, "data_dt": str, "data_2": str, "data_3": str,
-    "f_coefficients": str, "s_list": str, "out": str, "threads": int,
-    "seed": int,
+    "f_coefficients": str, "s_list": str, "out": str,
 }
 _SOLVE_DEFAULTS = {
     "m": 1, "m1": 2, "m2": 1, "n": 1, "N": 64, "L": np.pi, "T": 0.5,
     "n_t": 65, "max_iters": 40, "tol": 1e-10, "s_mon": 0.0,
     "data": "", "data_dt": "", "data_2": "", "data_3": "",
-    "f_coefficients": "", "s_list": "0", "out": "run", "threads": 0,
-    "seed": 0,
+    "f_coefficients": "", "s_list": "0", "out": "run",
 }
 
 
@@ -217,34 +209,41 @@ def cmd_solve(args) -> int:
 
 _PROBE_SCHEMA = {
     "traj": str, "m": int, "threshold": float, "depth": int, "s": float,
-    "fields": str, "out": str, "threads": int,
+    "fields": str, "out": str,
 }
 _PROBE_DEFAULTS = {
     "traj": "run", "m": 1, "threshold": 0.5, "depth": 1, "s": 0.0,
-    "fields": "V0", "out": "probe", "threads": 0,
+    "fields": "V0", "out": "probe",
 }
 
 
 def load_trajectory(directory) -> SpectralTrajectory:
-    """Rebuild a trajectory from an export directory's manifest."""
+    """Rebuild a trajectory from an export directory's manifest.
+
+    Only u is stored, so the loaded trajectory has dt = None.
+    """
     manifest = os.path.join(directory, "manifest.csv")
-    times, snaps = [], []
     with open(manifest, newline="") as fh:
-        for row in csv.DictReader(fh):
-            times.append(float(row["time"]))
-            snaps.append(load_field(os.path.join(directory, row["file"]),
-                                    space="spectral"))
-    if not snaps:
+        rows = list(csv.DictReader(fh))
+    if not rows:
         raise ParameterError("trajectory manifest %r is empty" % manifest)
-    grid = snaps[0].grid
-    zeros = [Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
-             for _ in snaps]
-    return SpectralTrajectory(grid, np.asarray(times), snaps, zeros)
+    grid = None
+    for i, row in enumerate(rows):
+        f = load_field(os.path.join(directory, row["file"]), space="spectral")
+        if grid is None:
+            grid = f.grid
+            u = np.empty((len(rows),) + grid.sizes, dtype=complex)
+        elif f.grid != grid:
+            raise GridMismatchError("%s: grid differs from the first snapshot"
+                                    % row["file"])
+        u[i] = f.values
+    return SpectralTrajectory(grid, [float(r["time"]) for r in rows], u)
 
 
 def _field_alphabet(text, m):
+    """Parse "V0,TDt,L[0,1]": commas inside brackets separate indices."""
     fields = []
-    for label in str(text).split(","):
+    for label in re.split(r",(?![^\[]*\])", str(text)):
         label = label.strip()
         if not label:
             continue
@@ -276,18 +275,21 @@ def cmd_probe(args) -> int:
 
 _RATES_SCHEMA = {
     "m": int, "s1": float, "N": int, "L": float, "t_lo": float,
-    "t_hi": float, "n_t": int, "width": float, "out": str, "threads": int,
+    "t_hi": float, "n_t": int, "width": float, "out": str,
 }
+# s1 unset means the critical index m / (2(m+2)); an explicit 0 stays 0
 _RATES_DEFAULTS = {
-    "m": 1, "s1": 0.0, "N": 1024, "L": np.pi, "t_lo": 0.3, "t_hi": 3.0,
-    "n_t": 17, "width": 0.5, "out": "rates", "threads": 0,
+    "m": 1, "s1": None, "N": 1024, "L": np.pi, "t_lo": 0.3, "t_hi": 3.0,
+    "n_t": 17, "width": 0.5, "out": "rates",
 }
 
 
 def cmd_rates(args) -> int:
     cfg = _resolve(args, _RATES_SCHEMA, _RATES_DEFAULTS)
     m = int(cfg["m"])
-    s1 = float(cfg["s1"]) or m / (2 * (m + 2))
+    if cfg["s1"] is None:
+        cfg["s1"] = m / (2 * (m + 2))
+    s1 = float(cfg["s1"])
     entry = estimate_catalog(m, s1)[0]
     grid = Grid(1, (int(cfg["N"]),), float(cfg["L"]))
     x = grid.coords()[0]
@@ -297,9 +299,7 @@ def cmd_rates(args) -> int:
                          int(cfg["n_t"]))
     traj = solve_homogeneous(m, phi, _zero_field(grid),
                              np.concatenate(([0.0], times)))
-    norms = [sobolev_norm(traj.snapshots[i + 1], s1 + 1.0)
-             for i in range(len(times))]
-    fit = fit_power_law(times, norms)
+    fit = fit_power_law(times, sobolev_norm(traj, s1 + 1.0)[1:])
     out = str(cfg["out"])
     _write_manifest(out, "rates", cfg)
     export_fit_csv(os.path.join(out, "fits.csv"), [entry], [fit])
@@ -308,8 +308,8 @@ def cmd_rates(args) -> int:
 
 # -- opalg ----------------------------------------------------------------
 
-_OPALG_SCHEMA = {"m": int, "n": int, "pair": str, "out": str, "threads": int}
-_OPALG_DEFAULTS = {"m": 1, "n": 2, "pair": "", "out": "", "threads": 0}
+_OPALG_SCHEMA = {"m": int, "n": int, "pair": str, "out": str}
+_OPALG_DEFAULTS = {"m": 1, "n": 2, "pair": "", "out": ""}
 
 
 def cmd_opalg(args) -> int:
@@ -325,7 +325,7 @@ def cmd_opalg(args) -> int:
     else:
         selector = int(cfg["m"])
     CoeffContext(int(cfg["n"]))  # validate the dimension before working
-    rows = catalog_verify(selector, int(cfg["n"]), threads=_threads(cfg))
+    rows = catalog_verify(selector, int(cfg["n"]))
     out = str(cfg["out"]).strip()
     writer = csv.writer(sys.stdout)
     lines = [["name", "status", "residual_terms", "expected", "ok", "detail"]]
@@ -352,9 +352,9 @@ def cmd_opalg(args) -> int:
 # -- data -----------------------------------------------------------------
 
 _DATA_SCHEMA = {"spec": str, "n": int, "N": int, "L": float, "out": str,
-                "preview": int, "threads": int}
+                "preview": int}
 _DATA_DEFAULTS = {"spec": "", "n": 1, "N": 64, "L": np.pi, "out": "data",
-                  "preview": 0, "threads": 0}
+                  "preview": 0}
 
 
 def cmd_data(args) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, ParseError
-from .spectral import Field, Grid, dft_forward, hilbert_transform_1d
+from .spectral import Field, Grid, dft_forward
 
 
 def bump(r, width, amplitude=1.0, center=0.0):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.integrate import cumulative_simpson as _cumulative_simpson
 
 from .errors import GridMismatchError, ParameterError, QuadratureError
 from .propagator import sample_arrays
@@ -27,18 +26,31 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def cumulative_simpson(y, *, x, axis=0, initial=0.0):
-    """Composite-Simpson running integral that is safe for complex input.
+def cumulative_simpson(y, times) -> np.ndarray:
+    """Running composite-Simpson integral of y along axis 0, zero at times[0].
 
-    scipy's implementation silently drops imaginary parts in one of its
-    correction steps, so integrate real and imaginary parts separately.
+    The time grid must be uniform with an odd number of nodes.  Each
+    two-step panel is split at its middle node, the first half weighted
+    h/12 * (5, 8, -1) and the second h/12 * (-1, 8, 5), which is the rule
+    scipy's cumulative_simpson applies on a uniform grid.
     """
     y = np.asarray(y)
-    if np.iscomplexobj(y):
-        re = _cumulative_simpson(y.real, x=x, axis=axis, initial=initial)
-        im = _cumulative_simpson(y.imag, x=x, axis=axis, initial=initial)
-        return re + 1j * im
-    return _cumulative_simpson(y, x=x, axis=axis, initial=initial)
+    times = np.asarray(times, dtype=float)
+    n = len(times)
+    if y.shape[0] != n:
+        raise ParameterError(f"y has {y.shape[0]} rows for {n} times")
+    if n < 3 or n % 2 == 0:
+        raise QuadratureError(f"Simpson needs an odd number of at least 3 times, got {n}")
+    steps = np.diff(times)
+    h = steps[0]
+    if np.max(np.abs(steps - h)) > 1e-10 * h:
+        raise QuadratureError("Simpson needs a uniform time grid")
+    a, b, c = y[:-2:2], y[1:-1:2], y[2::2]
+    parts = np.empty(y.shape, dtype=np.result_type(y, float))
+    parts[0] = 0.0
+    parts[1::2] = h / 12 * (5 * a + 8 * b - c)
+    parts[2::2] = h / 12 * (-a + 8 * b + 5 * c)
+    return np.cumsum(parts, axis=0)
 
 
 _TABLE_CACHE = {}
@@ -72,11 +84,9 @@ def solve_homogeneous(m: int, phi1: Field, phi2: Field, times) -> SpectralTrajec
             raise ParameterError("solve_homogeneous expects spectral data")
     times = _check_times(times)
     v1, v2, dt_v1, dt_v2 = propagator_table(m, times, grid.xi_norm())
-    snaps, dts = [], []
-    for i in range(len(times)):
-        snaps.append(Field(grid, v1[i] * phi1.values + v2[i] * phi2.values, "spectral"))
-        dts.append(Field(grid, dt_v1[i] * phi1.values + dt_v2[i] * phi2.values, "spectral"))
-    return SpectralTrajectory(grid, times, snaps, dts)
+    return SpectralTrajectory(grid, times,
+                              v1 * phi1.values + v2 * phi2.values,
+                              dt_v1 * phi1.values + dt_v2 * phi2.values)
 
 
 def duhamel(m: int, forcing: SpectralTrajectory) -> SpectralTrajectory:
@@ -87,19 +97,11 @@ def duhamel(m: int, forcing: SpectralTrajectory) -> SpectralTrajectory:
     factors because the kernel vanishes on the diagonal.
     """
     times = _check_times(forcing.times)
-    if len(times) < 3:
-        raise QuadratureError("duhamel needs at least 3 time points for Simpson")
-    grid = forcing.grid
-    rho = grid.xi_norm()
-    v1, v2, dt_v1, dt_v2 = propagator_table(m, times, rho)
-    f_hat = np.stack([s.values for s in forcing.snapshots])
-    i1 = cumulative_simpson(v1 * f_hat, x=times, axis=0, initial=0.0)
-    i2 = cumulative_simpson(v2 * f_hat, x=times, axis=0, initial=0.0)
-    snaps, dts = [], []
-    for i in range(len(times)):
-        snaps.append(Field(grid, v2[i] * i1[i] - v1[i] * i2[i], "spectral"))
-        dts.append(Field(grid, dt_v2[i] * i1[i] - dt_v1[i] * i2[i], "spectral"))
-    return SpectralTrajectory(grid, times, snaps, dts)
+    v1, v2, dt_v1, dt_v2 = propagator_table(m, times, forcing.grid.xi_norm())
+    i1 = cumulative_simpson(v1 * forcing.u, times)
+    i2 = cumulative_simpson(v2 * forcing.u, times)
+    return SpectralTrajectory(forcing.grid, times,
+                              v2 * i1 - v1 * i2, dt_v2 * i1 - dt_v1 * i2)
 
 
 def solve_inhomogeneous(m: int, phi1: Field, phi2: Field,
@@ -108,11 +110,7 @@ def solve_inhomogeneous(m: int, phi1: Field, phi2: Field,
     par = duhamel(m, forcing)
     if hom.grid != par.grid:
         raise GridMismatchError("data and forcing grids differ")
-    snaps = [Field(hom.grid, a.values + b.values, "spectral")
-             for a, b in zip(hom.snapshots, par.snapshots)]
-    dts = [Field(hom.grid, a.values + b.values, "spectral")
-           for a, b in zip(hom.dt_snapshots, par.dt_snapshots)]
-    return SpectralTrajectory(hom.grid, hom.times, snaps, dts)
+    return SpectralTrajectory(hom.grid, hom.times, hom.u + par.u, hom.dt + par.dt)
 
 
 def rk4_oracle(m: int, phi1: Field, phi2: Field,
@@ -143,7 +141,7 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field,
         if forcing.grid != grid:
             raise GridMismatchError("forcing grid differs from data grid")
         f_times = forcing.times
-        f_vals = np.stack([s.values for s in forcing.snapshots])
+        f_vals = forcing.u
 
         def f_at(t):
             i = np.searchsorted(f_times, t) - 1
@@ -158,8 +156,9 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field,
 
     u = phi1.values.astype(complex).copy()
     v = phi2.values.astype(complex).copy()
-    snaps = [Field(grid, u.copy(), "spectral")]
-    dts = [Field(grid, v.copy(), "spectral")]
+    u_out = np.empty((len(times),) + grid.sizes, dtype=complex)
+    dt_out = np.empty_like(u_out)
+    u_out[0], dt_out[0] = u, v
 
     def acc(t, u):
         return -np.clip(t, 0.0, None) ** m * rho2 * u + f_at(t)
@@ -175,9 +174,8 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field,
             u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
             v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
             t += h
-        snaps.append(Field(grid, u.copy(), "spectral"))
-        dts.append(Field(grid, v.copy(), "spectral"))
-    return SpectralTrajectory(grid, times, snaps, dts)
+        u_out[i + 1], dt_out[i + 1] = u, v
+    return SpectralTrajectory(grid, times, u_out, dt_out)
 
 
 def relative_l2_distance(a: SpectralTrajectory, b: SpectralTrajectory, t: float) -> float:
@@ -192,12 +190,13 @@ def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
 
     os.makedirs(directory, exist_ok=True)
     manifest = os.path.join(directory, "manifest.csv")
+    norms = [sobolev_norm(traj, s) for s in s_list]
     with open(manifest, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "file"] + [f"h{s}" for s in s_list])
         for i, t in enumerate(traj.times):
             name = f"snapshot_{i:05d}.cwgrid"
-            save_field(os.path.join(directory, name), traj.snapshots[i])
-            norms = [sobolev_norm(traj.snapshots[i], s) for s in s_list]
-            w.writerow([repr(float(t)), name] + [repr(v) for v in norms])
+            save_field(os.path.join(directory, name),
+                       Field(traj.grid, traj.u[i], "spectral"))
+            w.writerow([repr(float(t)), name] + [repr(float(v[i])) for v in norms])
     return manifest

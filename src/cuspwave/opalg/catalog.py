@@ -12,7 +12,6 @@ solving for those coefficients exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..errors import ParameterError
@@ -648,7 +647,7 @@ def _negative_control(ctx, m):
                          expected="nonzero")
 
 
-def catalog_verify(m, n, threads=None):
+def catalog_verify(m, n):
     """Verify the identity catalog; returns a list of CatalogRow.
 
     The first argument is either a single integer exponent, which runs
@@ -681,16 +680,9 @@ def catalog_verify(m, n, threads=None):
         tail = _abstract_rows(ctx) if n >= 2 else []
         tail = tail + [_negative_control(ctx, m)]
 
-    def run(job):
-        return job[1]()
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
     rows = []
-    for result in results:
+    for _, job in jobs:
+        result = job()
         if isinstance(result, list):
             rows.extend(result)
         else:

@@ -14,7 +14,7 @@ from itertools import product
 from .coeff import CoeffContext, CoeffExpr
 
 __all__ = ["DiffOp", "compose", "commutator", "verify_identity",
-           "solve_in_span", "span_decompose"]
+           "span_decompose"]
 
 
 def _apply_derivs(coeff, gamma):
@@ -194,67 +194,6 @@ def verify_identity(lhs, rhs):
     return residual.is_zero(), residual, len(residual.terms)
 
 
-def solve_in_span(target, basis):
-    """Write target as a left-coefficient combination of basis operators.
-
-    Returns the list of CoeffExpr weights if target lies in the span of
-    the given operators over the coefficient field, or None otherwise.
-    Solved by Gaussian elimination on the coefficients of each derivative
-    multi-index.
-    """
-    if not basis:
-        return [] if target.is_zero() else None
-    ctx = target.ctx
-    indices = set(target.terms)
-    for op in basis:
-        indices.update(op.terms)
-    indices = sorted(indices)
-    zero = ctx.zero()
-    rows = []
-    for idx in indices:
-        row = [op.terms.get(idx, zero) for op in basis]
-        row.append(target.terms.get(idx, zero))
-        rows.append(row)
-
-    ncols = len(basis)
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = None
-        for k in range(pivot_row, len(rows)):
-            if not rows[k][col].is_zero():
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [entry / lead for entry in rows[pivot_row]]
-        for k in range(len(rows)):
-            if k == pivot_row or rows[k][col].is_zero():
-                continue
-            factor = rows[k][col]
-            rows[k] = [a - factor * b
-                       for a, b in zip(rows[k], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-
-    # rows below the pivot block must have vanishing right-hand side
-    for k in range(pivot_row, len(rows)):
-        if not rows[k][-1].is_zero():
-            return None
-    solution = [zero] * ncols
-    for row_i, col in enumerate(pivots):
-        solution[col] = rows[row_i][-1]
-    # verify, since free columns were set to zero
-    combo = DiffOp.zero(ctx)
-    for weight, op in zip(solution, basis):
-        combo = combo + op.scaled(weight)
-    if not (combo - target).is_zero():
-        return None
-    return solution
-
-
 def span_decompose(target, basis):
     """Solve target = sum w_j basis_j and describe the ambiguity.
 
@@ -263,6 +202,8 @@ def span_decompose(target, basis):
     span all weight vectors that combine to the zero operator, so a
     weight is uniquely determined exactly when its component vanishes in
     every null vector.  Returns (None, None) when no solution exists.
+    Solved by Gauss-Jordan elimination on the coefficients of each
+    derivative multi-index.
     """
     if not basis:
         return ([], []) if target.is_zero() else (None, None)
@@ -301,12 +242,14 @@ def span_decompose(target, basis):
         pivots.append(col)
         pivot_row += 1
 
+    # rows below the pivot block must have vanishing right-hand side
     for k in range(pivot_row, len(rows)):
         if not rows[k][-1].is_zero():
             return None, None
     solution = [zero] * ncols
     for row_i, col in enumerate(pivots):
         solution[col] = rows[row_i][-1]
+    # verify, since free columns were set to zero
     combo = DiffOp.zero(ctx)
     for weight, op in zip(solution, basis):
         combo = combo + op.scaled(weight)

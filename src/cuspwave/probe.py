@@ -121,7 +121,8 @@ class VectorFieldId:
 
     def terms(self, n: int):
         """List of (coefficient(t, coords) -> array, slot) with slot either
-        an axis index or 't'."""
+        an axis index or 't'.  t is a scalar or an array of shape
+        (n_t, 1, ..., 1); the coefficient broadcasts against grid.sizes."""
         m = self.m
         if self.name == "V0":
             return [(lambda t, c: 2.0 * t, "t")] + [
@@ -157,7 +158,7 @@ class VectorFieldId:
                 (lambda t, c: c[0] - sgn * 2.0 / (m + 2) * t ** ((m + 2) / 2), 0)
             ]
         # N4
-        return [(lambda t, c: np.full_like(c[0], t ** ((m + 2) / 2)), 0)]
+        return [(lambda t, c: t ** ((m + 2) / 2), 0)]
 
 
 def _time_derivative(stack: np.ndarray, h: float) -> np.ndarray:
@@ -197,28 +198,23 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
             f"{fid.label()} carries a negative power of t and needs t_floor > 0"
         )
 
+    # fields singular at t = 0 act only from the first time >= t_floor on
+    start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
+    t = times[start:].reshape((-1,) + (1,) * grid.n)
+    u = Field(grid, traj.u[start:], "spectral")
     coords = grid.coords()
     terms = fid.terms(grid.n)
-    phys = np.stack([dft_inverse(s).values for s in traj.snapshots])
-    needs_dt = any(slot == "t" for _, slot in terms)
-    dt_phys = _time_derivative(phys, h) if needs_dt else None
+    if any(slot == "t" for _, slot in terms):
+        dt_phys = _time_derivative(dft_inverse(traj.as_field()).values, h)[start:]
 
-    out = np.zeros_like(phys)
-    for i, t in enumerate(times):
-        if fid.singular_at_zero and t < t_floor:
-            continue
-        for coeff, slot in terms:
-            if slot == "t":
-                out[i] += coeff(t, coords) * dt_phys[i]
-            else:
-                d = dft_inverse(
-                    spectral_derivative(traj.snapshots[i], slot)
-                ).values
-                out[i] += coeff(t, coords) * d
-    snaps = [dft_forward(Field(grid, out[i])) for i in range(len(times))]
-    dt_out = _time_derivative(out, h)
-    dts = [dft_forward(Field(grid, dt_out[i])) for i in range(len(times))]
-    return SpectralTrajectory(grid, times, snaps, dts)
+    out = np.zeros_like(traj.u)
+    for coeff, slot in terms:
+        if slot == "t":
+            d = dt_phys
+        else:
+            d = dft_inverse(spectral_derivative(u, slot)).values
+        out[start:] += coeff(t, coords) * d
+    return SpectralTrajectory(grid, times, dft_forward(Field(grid, out)).values)
 
 
 def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
@@ -236,10 +232,7 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     keep = traj.times >= t_floor
 
     def sup_norm(tr):
-        return max(
-            sobolev_norm(tr.snapshots[i], s)
-            for i in range(len(tr.times)) if keep[i]
-        )
+        return float(np.max(sobolev_norm(tr, s)[keep]))
 
     table = {"": sup_norm(traj)}
     level = {(): traj}
@@ -259,7 +252,8 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
 
 
 def gradient_magnitude(snapshot: Field) -> np.ndarray:
-    total = np.zeros(snapshot.grid.sizes)
+    """|grad u| in physical space, per time level for a stacked Field."""
+    total = np.zeros(snapshot.values.shape)
     for axis in range(snapshot.grid.n):
         d = dft_inverse(spectral_derivative(snapshot, axis)).values
         total += np.abs(d) ** 2
@@ -272,21 +266,19 @@ def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
     Returns a list of (t, coordinates tuple, strength) records.
     """
     grid = traj.grid
-    points = []
-    for i, t in enumerate(traj.times):
-        mag = gradient_magnitude(traj.snapshots[i])
-        peak = float(np.max(mag))
-        if peak <= 0:
-            continue
-        is_max = np.ones(grid.sizes, dtype=bool)
-        for axis in range(grid.n):
-            is_max &= mag >= np.roll(mag, 1, axis=axis)
-            is_max &= mag >= np.roll(mag, -1, axis=axis)
-        is_max &= mag > threshold * peak
-        for idx in np.argwhere(is_max):
-            xs = tuple(float(grid.axis_coords(a)[idx[a]]) for a in range(grid.n))
-            points.append((float(t), xs, float(mag[tuple(idx)])))
-    return points
+    mag = gradient_magnitude(traj.as_field())
+    peak = np.max(mag, axis=grid.axes, keepdims=True)
+    is_max = mag > threshold * peak
+    for axis in grid.axes:
+        is_max &= mag >= np.roll(mag, 1, axis=axis)
+        is_max &= mag >= np.roll(mag, -1, axis=axis)
+    coords = [grid.axis_coords(a) for a in range(grid.n)]
+    return [
+        (float(traj.times[idx[0]]),
+         tuple(float(coords[a][i]) for a, i in enumerate(idx[1:])),
+         float(mag[tuple(idx)]))
+        for idx in np.argwhere(is_max)
+    ]
 
 
 # rate fitting --------------------------------------------------------------

@@ -44,6 +44,10 @@ class NonlinearitySpec:
     kind "polynomial" carries coefficients c_k for sum c_k u^k; kind
     "tabulated-smooth" wraps an arbitrary callable (t, coords, u) -> array.
     growth_exponent is carried for diagnostics only.
+
+    evaluate receives a whole trajectory at once: t has shape
+    (n_t, 1, ..., 1), coords is one array of shape grid.sizes per axis,
+    and u has shape (n_t, *grid.sizes); the result has the shape of u.
     """
 
     kind: str = "polynomial"
@@ -85,6 +89,8 @@ class PicardConfig:
             raise ParameterError("horizon T must be positive")
         if self.n_t < 9 or self.n_t % 2 == 0:
             raise ParameterError("n_t must be odd and at least 9")
+        if self.max_iters < 1:
+            raise ParameterError("max_iters must be at least 1")
         if not self.tol > 0:
             raise ParameterError("tolerance must be positive")
 
@@ -123,40 +129,27 @@ class PicardReport:
 
 
 def _sup_norm_distance(a: SpectralTrajectory, b: SpectralTrajectory, s: float) -> float:
-    return max(
-        sobolev_norm(Field(a.grid, fa.values - fb.values, "spectral"), s)
-        for fa, fb in zip(a.snapshots, b.snapshots)
-    )
-
-
-def _zero_trajectory(grid, times) -> SpectralTrajectory:
-    z = [Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
-         for _ in times]
-    return SpectralTrajectory(grid, times, list(z), list(z))
+    return float(np.max(sobolev_norm(Field(a.grid, a.u - b.u, "spectral"), s)))
 
 
 def evaluate_forcing(f: NonlinearitySpec, traj: SpectralTrajectory,
                      offset: SpectralTrajectory | None = None,
                      subtract_at_zero: bool = False) -> SpectralTrajectory:
-    """Trajectory of f(t, x, u) snapshots, dealiased, in spectral space.
+    """Trajectory of f(t, x, u), dealiased, in spectral space.
 
     With subtract_at_zero the value f(t, x, 0) is removed, which is the
     nonlinear increment the third-order fixed point iterates on.
     """
     grid = traj.grid
     coords = grid.coords()
-    snaps = []
-    for i, t in enumerate(traj.times):
-        u = traj.snapshots[i].values
-        if offset is not None:
-            u = u + offset.snapshots[i].values
-        u_phys = dft_inverse(Field(grid, u, "spectral")).values
-        vals = f.evaluate(t, coords, u_phys)
-        if subtract_at_zero:
-            vals = vals - f.evaluate(t, coords, np.zeros_like(u_phys))
-        snaps.append(dealias(dft_forward(Field(grid, vals))))
-    z = [Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral") for _ in traj.times]
-    return SpectralTrajectory(grid, traj.times, snaps, z)
+    t = traj.times.reshape((-1,) + (1,) * grid.n)
+    u = traj.u if offset is None else traj.u + offset.u
+    u_phys = dft_inverse(Field(grid, u, "spectral")).values
+    vals = f.evaluate(t, coords, u_phys)
+    if subtract_at_zero:
+        vals = vals - f.evaluate(t, coords, np.zeros_like(u_phys))
+    f_hat = dealias(dft_forward(Field(grid, vals))).values
+    return SpectralTrajectory(grid, traj.times, f_hat)
 
 
 def _picard(apply_map, initial: SpectralTrajectory, cfg: PicardConfig):
@@ -175,20 +168,6 @@ def _picard(apply_map, initial: SpectralTrajectory, cfg: PicardConfig):
     return w, report
 
 
-def _superpose(a: SpectralTrajectory, *others) -> SpectralTrajectory:
-    snaps = [f.values.copy() for f in a.snapshots]
-    dts = [f.values.copy() for f in a.dt_snapshots]
-    for b in others:
-        for i in range(len(snaps)):
-            snaps[i] += b.snapshots[i].values
-            dts[i] += b.dt_snapshots[i].values
-    return SpectralTrajectory(
-        a.grid, a.times,
-        [Field(a.grid, v, "spectral") for v in snaps],
-        [Field(a.grid, v, "spectral") for v in dts],
-    )
-
-
 def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                        cfg: PicardConfig):
     """Fixed point of w -> Duhamel(m, f(u_hom + w)) around the linear flow."""
@@ -203,8 +182,9 @@ def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
     def step(w):
         return duhamel(m, evaluate_forcing(f, w, offset=u_hom))
 
-    w, report = _picard(step, _zero_trajectory(u_hom.grid, times), cfg)
-    return _superpose(u_hom, w), report
+    zero = SpectralTrajectory(u_hom.grid, times, np.zeros_like(u_hom.u))
+    w, report = _picard(step, zero, cfg)
+    return SpectralTrajectory(u_hom.grid, times, u_hom.u + w.u, u_hom.dt + w.dt), report
 
 
 def apply_E(m: int, g: SpectralTrajectory) -> SpectralTrajectory:
@@ -213,12 +193,8 @@ def apply_E(m: int, g: SpectralTrajectory) -> SpectralTrajectory:
     E(g)(t) solves d_t (d_t^2 - t^m Lap) v = g with zero data: first
     integrate g cumulatively in t, then apply the second-order kernel.
     """
-    g_vals = np.stack([s.values for s in g.snapshots])
-    big_g = cumulative_simpson(g_vals, x=g.times, axis=0)
-    snaps = [Field(g.grid, big_g[i], "spectral") for i in range(len(g.times))]
-    z = [Field(g.grid, np.zeros(g.grid.sizes, dtype=complex), "spectral")
-         for _ in g.times]
-    return duhamel(m, SpectralTrajectory(g.grid, g.times, snaps, z))
+    big_g = cumulative_simpson(g.u, g.times)
+    return duhamel(m, SpectralTrajectory(g.grid, g.times, big_g))
 
 
 def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
@@ -234,23 +210,18 @@ def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
     grid = phi0.grid
     u1 = solve_homogeneous(m, phi0, phi1, times)
 
-    base = evaluate_forcing(f, _zero_trajectory(grid, times))
-    base_vals = np.stack([s.values for s in base.snapshots])
-    accum = cumulative_simpson(base_vals, x=times, axis=0)
-    forcing2 = SpectralTrajectory(
-        grid, times,
-        [Field(grid, phi2.values + accum[i], "spectral") for i in range(len(times))],
-        base.dt_snapshots,
-    )
-    u2 = duhamel(m, forcing2)
-    background = _superpose(u1, u2)
+    zero = SpectralTrajectory(grid, times, np.zeros_like(u1.u))
+    accum = cumulative_simpson(evaluate_forcing(f, zero).u, times)
+    u2 = duhamel(m, SpectralTrajectory(grid, times, phi2.values + accum))
+    background = SpectralTrajectory(grid, times, u1.u + u2.u, u1.dt + u2.dt)
 
     def step(w):
         return apply_E(m, evaluate_forcing(f, w, offset=background,
                                            subtract_at_zero=True))
 
-    w, report = _picard(step, _zero_trajectory(grid, times), cfg)
-    return _superpose(background, w), report
+    w, report = _picard(step, zero, cfg)
+    return SpectralTrajectory(grid, times, background.u + w.u,
+                              background.dt + w.dt), report
 
 
 def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
@@ -266,15 +237,14 @@ def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
         raise ParameterError("the factored solver needs distinct orders m1 != m2")
     require_same_grid(psi0, psi1, psi2, psi3)
     times = cfg.times()
-    grid = psi0.grid
     v1 = solve_homogeneous(m1, psi2, psi3, times)
 
     def step(u):
         v2 = duhamel(m1, evaluate_forcing(f, u))
-        return solve_inhomogeneous(m2, psi0, psi1, _superpose(v1, v2))
+        return solve_inhomogeneous(
+            m2, psi0, psi1, SpectralTrajectory(v1.grid, times, v1.u + v2.u))
 
-    u, report = _picard(step, _zero_trajectory(grid, times), cfg)
-    return u, report
+    return _picard(step, SpectralTrajectory(v1.grid, times, np.zeros_like(v1.u)), cfg)
 
 
 def measure_contraction(step, w_a: SpectralTrajectory, w_b: SpectralTrajectory,

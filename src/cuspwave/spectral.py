@@ -3,13 +3,16 @@
 The convention throughout: integer wavenumbers k (numpy fft ordering) map to
 continuous frequencies xi = pi * k / L, and the DFT is orthonormal so Parseval
 holds without extra factors.  Physical norms carry the cell measure (2L/N)^n.
+Transforms, derivatives and norms act on the trailing (spatial) axes only, so
+they apply unchanged to a Field stacked over a leading time axis.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,20 +59,35 @@ class Grid:
         s = self.sizes[axis]
         return np.pi / self.L * np.fft.fftfreq(s, d=1.0 / s)
 
+    @cached_property
+    def _xi(self):
+        mesh = np.meshgrid(*(self.axis_xi(a) for a in range(self.n)), indexing="ij")
+        norm = np.sqrt(sum(x * x for x in mesh))
+        for a in (*mesh, norm):
+            a.flags.writeable = False
+        return tuple(mesh), norm
+
     def xi_mesh(self):
-        return np.meshgrid(*(self.axis_xi(a) for a in range(self.n)), indexing="ij")
+        """Frequency meshgrid, one array per axis; built once, read-only."""
+        return self._xi[0]
 
     def xi_norm(self) -> np.ndarray:
-        """|xi| on the spectral grid."""
-        out = np.zeros(self.sizes)
-        for x in self.xi_mesh():
-            out += x * x
-        return np.sqrt(out)
+        """|xi| on the spectral grid; built once, read-only."""
+        return self._xi[1]
+
+    @property
+    def axes(self) -> tuple:
+        """The spatial axes of an array whose trailing shape is sizes."""
+        return tuple(range(-self.n, 0))
 
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples on a grid, in either physical or spectral space."""
+    """Complex samples on a grid, in either physical or spectral space.
+
+    values has shape grid.sizes, or (n_t, *grid.sizes) for a stack of time
+    levels.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -79,7 +97,7 @@ class Field:
         if self.space not in ("physical", "spectral"):
             raise ParameterError(f"space must be physical or spectral, got {self.space!r}")
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.sizes:
+        if vals.shape[vals.ndim - self.grid.n:] != self.grid.sizes:
             vals = vals.reshape(self.grid.sizes)
         object.__setattr__(self, "values", vals)
 
@@ -89,17 +107,25 @@ class Field:
 
 @dataclass
 class SpectralTrajectory:
-    """Time-indexed spectral snapshots of u and of its time derivative."""
+    """Spectral samples of u, and of d_t u when a solver produces it.
+
+    u and dt are complex arrays of shape (n_t, *grid.sizes), one row per
+    entry of times; dt is None when the time derivative is not known.
+    """
 
     grid: Grid
     times: np.ndarray
-    snapshots: list
-    dt_snapshots: list
+    u: np.ndarray
+    dt: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if not (len(self.times) == len(self.snapshots) == len(self.dt_snapshots)):
-            raise ParameterError("times, snapshots, dt_snapshots must have equal length")
+        shape = (len(self.times),) + self.grid.sizes
+        self.u = np.asarray(self.u, dtype=complex)
+        if self.dt is not None:
+            self.dt = np.asarray(self.dt, dtype=complex)
+        if self.u.shape != shape or (self.dt is not None and self.dt.shape != shape):
+            raise ParameterError(f"u and dt must have shape {shape}")
         if len(self.times) and self.times[0] != 0.0:
             raise ParameterError("trajectory times must start at 0")
         if np.any(np.diff(self.times) <= 0):
@@ -109,7 +135,11 @@ class SpectralTrajectory:
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
             raise DomainError(f"no snapshot at t={t}; nearest is {self.times[i]}")
-        return self.snapshots[i]
+        return Field(self.grid, self.u[i], "spectral")
+
+    def as_field(self) -> Field:
+        """u as one spectral Field stacked over the time axis."""
+        return Field(self.grid, self.u, "spectral")
 
 
 def _require_space(f: Field, space: str) -> None:
@@ -127,23 +157,35 @@ def require_same_grid(*fields) -> Grid:
 
 def dft_forward(f: Field) -> Field:
     _require_space(f, "physical")
-    return f.copy_with(np.fft.fftn(f.values, norm="ortho"), "spectral")
+    return f.copy_with(np.fft.fftn(f.values, axes=f.grid.axes, norm="ortho"), "spectral")
 
 
 def dft_inverse(f: Field) -> Field:
     _require_space(f, "spectral")
-    return f.copy_with(np.fft.ifftn(f.values, norm="ortho"), "physical")
+    return f.copy_with(np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho"), "physical")
 
 
-def l2_norm(f: Field) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell_measure))
+def _weighted_norm(f: Field, w):
+    """sqrt(sum w |values|^2 * cell): a float, or one per time level."""
+    out = np.sqrt(np.sum(w * np.abs(f.values) ** 2, axis=f.grid.axes)
+                  * f.grid.cell_measure)
+    return float(out) if out.ndim == 0 else out
 
 
-def sobolev_norm(f: Field, s: float) -> float:
-    """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2)."""
+def l2_norm(f: Field):
+    return _weighted_norm(f, 1.0)
+
+
+def sobolev_norm(f, s: float):
+    """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2).
+
+    f is a spectral Field (one float, or one per time level of a stacked
+    Field) or a SpectralTrajectory (an array with one norm per time).
+    """
+    if isinstance(f, SpectralTrajectory):
+        f = f.as_field()
     _require_space(f, "spectral")
-    w = (1.0 + f.grid.xi_norm() ** 2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(f.values) ** 2) * f.grid.cell_measure))
+    return _weighted_norm(f, (1.0 + f.grid.xi_norm() ** 2) ** s)
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
@@ -187,6 +229,8 @@ _MAGIC = b"CWGRID1"
 
 def save_field(path, f: Field) -> None:
     """Write the self-describing little-endian binary layout."""
+    if f.values.shape != f.grid.sizes:
+        raise ParameterError("save_field writes a single time level")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", f.grid.n))

@@ -150,9 +150,8 @@ def test_solver_matches_rk4_oracle(m, family):
     spec_traj = solve_homogeneous(m, phi, zero_field(grid), times)
     oracle = rk4_oracle(m, phi, zero_field(grid), None, times)
     for i in (128, 256):
-        diff = np.linalg.norm(spec_traj.snapshots[i].values
-                              - oracle.snapshots[i].values)
-        ref = np.linalg.norm(oracle.snapshots[i].values)
+        diff = np.linalg.norm(spec_traj.u[i] - oracle.u[i])
+        ref = np.linalg.norm(oracle.u[i])
         assert diff / ref <= 1e-6
 
 
@@ -168,7 +167,7 @@ def test_high_frequency_ring_rate(m, s1, t_lo, t_hi):
     ts = np.geomspace(t_lo, t_hi, 17)
     traj = solve_homogeneous(m, ring, zero_field(grid),
                              np.concatenate(([0.0], ts)))
-    norms = [sobolev_norm(traj.snapshots[i + 1], s1) for i in range(len(ts))]
+    norms = [sobolev_norm(traj.snapshot_at(t), s1) for t in ts]
     fit = fit_power_law(ts, norms)
     expected = -s1 * (m + 2) / 2
     assert abs(fit.exponent - expected) / abs(expected) <= 0.10
@@ -182,11 +181,11 @@ def test_zero_mode_exactness():
     cfg = PicardConfig(T=1.0, n_t=129, max_iters=20, tol=1e-12, s_mon=0.0)
     f6 = NonlinearitySpec(kind="polynomial", coefficients=(6.0,))
     traj, _ = solve_third_order(1, f6, z, z, z, cfg)
-    u0 = dft_inverse(traj.snapshots[-1]).values.real.mean()
+    u0 = dft_inverse(traj.snapshot_at(1.0)).values.real.mean()
     assert abs(u0 - 1.0) <= 1e-8  # u(t) = t^3 at t = 1
     f24 = NonlinearitySpec(kind="polynomial", coefficients=(24.0,))
     traj, _ = solve_fourth_order(2, 1, f24, z, z, z, z, cfg)
-    u0 = dft_inverse(traj.snapshots[-1]).values.real.mean()
+    u0 = dft_inverse(traj.snapshot_at(1.0)).values.real.mean()
     assert abs(u0 - 1.0) <= 1e-7  # u(t) = t^4 at t = 1
 
 
@@ -217,7 +216,7 @@ def test_fourth_order_factorization_residual():
                                  z, z, z, cfg)
     # even-index subsampling keeps the running-Simpson odd-point wiggle
     # out of the twice-differenced stencil
-    U = np.stack([s.values for s in traj.snapshots])[::2]
+    U = traj.u[::2]
     t = traj.times[::2]
     h = t[1] - t[0]
     xi2 = grid.xi_norm()**2
@@ -246,7 +245,7 @@ def test_ridge_positions_and_quiet_region(cusp_run):
     for target in (-2.0 / 3.0, 0.0, 2.0 / 3.0):
         nearest = min(abs(p[1][0] - target) for p in points)
         assert nearest <= 2 * dx
-    mag = gradient_magnitude(traj.snapshots[-1])
+    mag = gradient_magnitude(traj.snapshot_at(1.0))
     surfaces = [CharSurface("GammaPM", m=1, sign="+"),
                 CharSurface("GammaPM", m=1, sign="-"),
                 CharSurface("Gamma0")]
@@ -288,8 +287,8 @@ def test_log_squared_bound_and_boundedness():
                                     AngularTerm(3, 0.7, 0.4)))
     phi = dft_forward(make_a2(spec, grid2))
     traj = solve_homogeneous(1, phi, phi, np.concatenate(([0.0], ts)))
-    maxes = np.array([np.abs(dft_inverse(traj.snapshots[i + 1]).values).max()
-                      for i in range(len(ts))])
+    maxes = np.array([np.abs(dft_inverse(traj.snapshot_at(t)).values).max()
+                      for t in ts])
     data_max = np.abs(dft_inverse(phi).values).max()
     ratio = max(mx / (1.0 + abs(np.log(t)))**2 for t, mx in zip(ts, maxes))
     assert ratio <= 10.0 * data_max
@@ -300,8 +299,8 @@ def test_log_squared_bound_and_boundedness():
     grid1 = Grid(1, (512,), np.pi)
     traj1 = solve_homogeneous(1, jump_data(grid1), zero_field(grid1),
                               np.concatenate(([0.0], ts)))
-    maxes1 = [np.abs(dft_inverse(traj1.snapshots[i + 1]).values).max()
-              for i in range(len(ts))]
+    maxes1 = [np.abs(dft_inverse(traj1.snapshot_at(t)).values).max()
+              for t in ts]
     data_max1 = np.abs(dft_inverse(jump_data(grid1)).values).max()
     assert max(maxes1) <= 3.0 * data_max1
 
@@ -311,7 +310,7 @@ def test_log_squared_bound_and_boundedness():
 @pytest.mark.parametrize("n", [1, 2])
 def test_symbolic_catalog_all_orders(n):
     for m in range(1, 9):
-        rows = catalog_verify(m, n, threads=4)
+        rows = catalog_verify(m, n)
         control = [r for r in rows if r.expected == "nonzero"]
         assert control and all(r.ok for r in control)
         checked = [r for r in rows if r.expected == "zero"]
@@ -322,7 +321,7 @@ def test_symbolic_catalog_all_orders(n):
 @pytest.mark.parametrize("pair", [(2, 1), (3, 1), (4, 2)])
 def test_symbolic_catalog_mixed_pairs(pair):
     for n in (1, 2):
-        rows = catalog_verify(pair, n, threads=2)
+        rows = catalog_verify(pair, n)
         assert rows and all(r.ok for r in rows)
 
 
@@ -340,8 +339,8 @@ def test_conormal_discriminator(cusp_run):
         keep = traj.times >= 4 * h
         d11[N] = max(
             sobolev_norm(spectral_derivative(
-                spectral_derivative(traj.snapshots[i], 0), 0), s)
-            for i in range(len(traj.times)) if keep[i])
+                spectral_derivative(traj.snapshot_at(t), 0), 0), s)
+            for t in traj.times[keep])
     for word in tables[512]:
         assert tables[1024][word] / tables[512][word] < 50.0
     assert d11[1024] / d11[512] >= 10.0

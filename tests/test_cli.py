@@ -8,9 +8,11 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
-from cuspwave.cli import main
+from cuspwave.cli import load_trajectory, main
+from cuspwave.errors import GridMismatchError
 
 
 @pytest.fixture()
@@ -93,7 +95,7 @@ class TestReproducibility:
             out = str(tmp_path / tag)
             assert main(["solve", "second", "--m", "1", "--N", "32",
                          "--n-t", "9", "--T", "0.3", "--data", smooth_spec,
-                         "--f-coefficients", "0,0,1", "--seed", "7",
+                         "--f-coefficients", "0,0,1",
                          "--out", out]) == 0
             outs.append(out)
         assert filecmp.cmp(os.path.join(outs[0], "manifest.csv"),
@@ -119,6 +121,42 @@ class TestProbeAndRates:
         assert "V0" in scan and "TDt" in scan
         assert os.path.exists(os.path.join(probe_dir, "ridge.csv"))
         assert os.path.exists(os.path.join(probe_dir, "ridge.csv.gp"))
+
+    def test_probe_accepts_bracketed_field_indices(self, tmp_path,
+                                                    smooth_spec):
+        run_dir = str(tmp_path / "run")
+        assert main(["solve", "linear", "--n", "2", "--N", "16",
+                     "--n-t", "9", "--data", smooth_spec,
+                     "--out", run_dir]) == 0
+        probe_dir = str(tmp_path / "probe")
+        assert main(["probe", "--traj", run_dir, "--out", probe_dir,
+                     "--fields", "V0,L[0,1]"]) == 0
+        scan = open(os.path.join(probe_dir, "scan.csv")).read()
+        assert "L[0,1]" in scan
+
+    def test_loaded_trajectory_has_no_time_derivative(self, tmp_path,
+                                                      smooth_spec):
+        run_dir = str(tmp_path / "run")
+        main(["solve", "linear", "--m", "1", "--N", "32", "--n-t", "9",
+              "--data", smooth_spec, "--out", run_dir])
+        traj = load_trajectory(run_dir)
+        assert traj.dt is None
+        assert traj.u.shape == (9, 32)
+        # a snapshot on another grid is rejected, not stacked
+        from cuspwave.spectral import Field, Grid, save_field
+
+        save_field(os.path.join(run_dir, "snapshot_00003.cwgrid"),
+                   Field(Grid(1, (32,), 1.0), np.zeros(32)))
+        with pytest.raises(GridMismatchError):
+            load_trajectory(run_dir)
+
+    def test_rates_explicit_zero_s1_is_kept(self, tmp_path):
+        out = str(tmp_path / "rates")
+        assert main(["rates", "--m", "1", "--N", "256", "--s1", "0",
+                     "--t-lo", "0.4", "--t-hi", "3.0", "--n-t", "9",
+                     "--out", out]) == 0
+        rows = open(os.path.join(out, "fits.csv")).read().splitlines()
+        assert float(rows[1].split(",")[1]) == 0.0
 
     def test_rates_fit_matches_expected_exponent(self, tmp_path):
         out = str(tmp_path / "rates")

@@ -28,11 +28,9 @@ def zero_field(grid):
 
 
 def constant_forcing(grid, times, value=1.0):
-    f = Field(grid, np.full(grid.sizes, 0j), "spectral")
-    vals = np.zeros(grid.sizes, dtype=complex)
-    vals[(0,) * grid.n] = value
-    f = Field(grid, vals, "spectral")
-    return SpectralTrajectory(grid, times, [f] * len(times), [zero_field(grid)] * len(times))
+    vals = np.zeros((len(times),) + grid.sizes, dtype=complex)
+    vals[(slice(None),) + (0,) * grid.n] = value
+    return SpectralTrajectory(grid, times, vals)
 
 
 def test_homogeneous_zero_mode():
@@ -45,11 +43,11 @@ def test_homogeneous_zero_mode():
     tr = solve_homogeneous(1, phi1, phi2, times)
     # V2(t, 0) = t so the zero mode is 2t
     for i, t in enumerate(times):
-        assert tr.snapshots[i].values[0] == pytest.approx(2.0 * t)
-        assert tr.dt_snapshots[i].values[0] == pytest.approx(2.0)
+        assert tr.u[i][0] == pytest.approx(2.0 * t)
+        assert tr.dt[i][0] == pytest.approx(2.0)
     tr2 = solve_homogeneous(1, phi2, phi1, times)
     for i in range(len(times)):
-        assert tr2.snapshots[i].values[0] == pytest.approx(2.0)
+        assert tr2.u[i][0] == pytest.approx(2.0)
 
 
 def test_data_reproduced_at_zero():
@@ -57,8 +55,8 @@ def test_data_reproduced_at_zero():
     phi1 = gaussian_field(g)
     phi2 = gaussian_field(g, 0.3)
     tr = solve_homogeneous(2, phi1, phi2, np.linspace(0, 1, 9))
-    assert np.array_equal(tr.snapshots[0].values, phi1.values)
-    assert np.array_equal(tr.dt_snapshots[0].values, phi2.values)
+    assert np.array_equal(tr.u[0], phi1.values)
+    assert np.array_equal(tr.dt[0], phi2.values)
 
 
 def test_duhamel_zero_mode_quadratic():
@@ -67,24 +65,24 @@ def test_duhamel_zero_mode_quadratic():
     tr = duhamel(1, constant_forcing(g, times))
     # at xi = 0 the response to F=1 is t^2/2, and Simpson is exact on it
     for i, t in enumerate(times):
-        assert tr.snapshots[i].values[0] == pytest.approx(t * t / 2, abs=1e-12)
-        assert tr.dt_snapshots[i].values[0] == pytest.approx(t, abs=1e-12)
+        assert tr.u[i][0] == pytest.approx(t * t / 2, abs=1e-12)
+        assert tr.dt[i][0] == pytest.approx(t, abs=1e-12)
 
 
 def test_duhamel_zero_forcing():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 9)
-    z = zero_field(g)
-    tr = duhamel(2, SpectralTrajectory(g, times, [z] * 9, [z] * 9))
-    for s in tr.snapshots:
-        assert np.all(s.values == 0)
+    z = np.zeros((9, 16), dtype=complex)
+    tr = duhamel(2, SpectralTrajectory(g, times, z))
+    for s in tr.u:
+        assert np.all(s == 0)
 
 
 def test_duhamel_needs_three_points():
     g = Grid(1, (16,), 2.0)
-    z = zero_field(g)
+    z = np.zeros((2, 16), dtype=complex)
     with pytest.raises(QuadratureError):
-        duhamel(1, SpectralTrajectory(g, [0.0, 1.0], [z, z], [z, z]))
+        duhamel(1, SpectralTrajectory(g, [0.0, 1.0], z))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -104,9 +102,7 @@ def test_single_mode_forcing_matches_rk4():
     times = np.linspace(0, 1, 257)
     vals = np.zeros(64, dtype=complex)
     vals[5] = 1.0
-    f = Field(g, vals, "spectral")
-    forcing = SpectralTrajectory(g, times, [f] * len(times),
-                                 [zero_field(g)] * len(times))
+    forcing = SpectralTrajectory(g, times, np.tile(vals, (len(times), 1)))
     spec_tr = duhamel(1, forcing)
     rk_tr = rk4_oracle(1, zero_field(g), zero_field(g), forcing, times)
     assert relative_l2_distance(spec_tr, rk_tr, 1.0) < 1e-6
@@ -121,8 +117,7 @@ def test_inhomogeneous_superposition():
     hom = solve_homogeneous(2, phi1, phi2, times)
     par = duhamel(2, forcing)
     for i in (0, 16, 32):
-        assert np.allclose(full.snapshots[i].values,
-                           hom.snapshots[i].values + par.snapshots[i].values)
+        assert np.allclose(full.u[i], hom.u[i] + par.u[i])
     rk = rk4_oracle(2, phi1, phi2, forcing, times)
     assert relative_l2_distance(full, rk, 1.0) < 1e-6
 
@@ -137,7 +132,7 @@ def test_rk4_convergence_order():
     ref = rk4_oracle(1, phi1, zero_field(g), None, times, substeps=4096)
     for n in (64, 128, 256):
         tr = rk4_oracle(1, phi1, zero_field(g), None, times, substeps=n)
-        errs.append(abs(tr.snapshots[-1].values[3] - ref.snapshots[-1].values[3]))
+        errs.append(abs(tr.u[-1][3] - ref.u[-1][3]))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert order[0] == pytest.approx(4.0, abs=0.2)
     assert order[1] == pytest.approx(4.0, abs=0.2)
@@ -184,8 +179,8 @@ def test_zero_data_gain_rate(m):
     for t in ts:
         tau = np.linspace(0.0, t, 257)
         v1, v2, _, _ = sample_arrays(m, tau[:, None], rho[None, :])
-        i1 = cumulative_simpson(v1, x=tau, axis=0, initial=0.0)[-1]
-        i2 = cumulative_simpson(v2, x=tau, axis=0, initial=0.0)[-1]
+        i1 = cumulative_simpson(v1, tau)[-1]
+        i2 = cumulative_simpson(v2, tau)[-1]
         u_hat = (v2[-1] * i1 - v1[-1] * i2) * f_hat
         w = (1 + rho**2) ** (s + p3)
         norms.append(np.sqrt(np.trapezoid(w * np.abs(u_hat) ** 2, rho)))
@@ -212,4 +207,25 @@ def test_export_trajectory(tmp_path):
     assert len(rows) == 6
     from cuspwave.spectral import load_field
     f0 = load_field(tmp_path / "run" / "snapshot_00000.cwgrid", "spectral")
-    assert np.array_equal(f0.values, tr.snapshots[0].values)
+    assert np.array_equal(f0.values, tr.u[0])
+
+
+def test_cumulative_simpson_matches_scipy():
+    from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 1.7, 33)
+    y = rng.standard_normal((33, 5, 4)) + 1j * rng.standard_normal((33, 5, 4))
+    ours = cumulative_simpson(y, times)
+    ref = (scipy_cumulative_simpson(y.real, x=times, axis=0, initial=0.0)
+           + 1j * scipy_cumulative_simpson(y.imag, x=times, axis=0, initial=0.0))
+    assert ours.shape == y.shape
+    assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_cumulative_simpson_rejects_bad_grids():
+    y = np.ones(9)
+    with pytest.raises(QuadratureError):
+        cumulative_simpson(y, np.array([0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9]))
+    with pytest.raises(QuadratureError):
+        cumulative_simpson(y[:8], np.linspace(0.0, 1.0, 8))

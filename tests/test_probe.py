@@ -30,10 +30,10 @@ def make_trajectory(grid, times, func):
     snaps, dts = [], []
     eps = 1e-6
     for t in times:
-        snaps.append(dft_forward(Field(grid, func(t, *coords))))
+        snaps.append(dft_forward(Field(grid, func(t, *coords))).values)
         dts.append(dft_forward(Field(
-            grid, (func(t + eps, *coords) - func(t - eps, *coords)) / (2 * eps))))
-    return SpectralTrajectory(grid, times, snaps, dts)
+            grid, (func(t + eps, *coords) - func(t - eps, *coords)) / (2 * eps))).values)
+    return SpectralTrajectory(grid, times, np.stack(snaps), np.stack(dts))
 
 
 def test_surface_distances():
@@ -78,7 +78,7 @@ def test_scaling_field_on_power_of_t():
     tr = make_trajectory(g, times, lambda t, x: np.full_like(x, t**3))
     out = apply_vector_field(VectorFieldId("V0", m=1), tr)
     mid = 16
-    got = out.snapshots[mid].values[0].real / np.sqrt(32)
+    got = out.u[mid][0].real / np.sqrt(32)
     assert got == pytest.approx(6.0 * times[mid] ** 3, rel=1e-6)
 
 
@@ -87,7 +87,7 @@ def test_tdt_on_t_squared():
     times = np.linspace(0, 1, 33)
     tr = make_trajectory(g, times, lambda t, x: np.full_like(x, t * t))
     out = apply_vector_field(VectorFieldId("TDt"), tr)
-    got = out.snapshots[-1].values[0].real / np.sqrt(32)
+    got = out.u[-1][0].real / np.sqrt(32)
     assert got == pytest.approx(2.0, rel=1e-8)
 
 
@@ -97,8 +97,8 @@ def test_rotation_annihilates_radial():
     tr = make_trajectory(
         g, times, lambda t, x, y: np.exp(-4 * (x**2 + y**2)) * (1 + t))
     out = apply_vector_field(VectorFieldId("L", (0, 1)), tr)
-    base = np.max(np.abs(tr.snapshots[-1].values))
-    assert np.max(np.abs(out.snapshots[-1].values)) < 1e-10 * base
+    base = np.max(np.abs(tr.u[-1]))
+    assert np.max(np.abs(out.u[-1])) < 1e-10 * base
 
 
 def test_linearity():
@@ -112,7 +112,7 @@ def test_linearity():
     za = apply_vector_field(fid, tr_a)
     zb = apply_vector_field(fid, tr_b)
     zab = apply_vector_field(fid, tr_ab)
-    diff = zab.snapshots[8].values - 2 * za.snapshots[8].values + 3 * zb.snapshots[8].values
+    diff = zab.u[8] - 2 * za.u[8] + 3 * zb.u[8]
     assert np.max(np.abs(diff)) < 1e-10
 
 
@@ -141,8 +141,8 @@ def test_tangency_smoke():
         z = apply_vector_field(fid, tr)
         i = 48  # away from both time-grid ends and the Vbar t-floor
         j = int(np.argmin(np.abs(x - c * times[i] ** ((m + 2) / 2))))
-        z_phys = dft_inverse(z.snapshots[i]).values
-        dx_phys = dft_inverse(dx.snapshots[i]).values
+        z_phys = dft_inverse(z.snapshot_at(times[i])).values
+        dx_phys = dft_inverse(dx.snapshot_at(times[i])).values
         assert abs(z_phys[j]) < 0.05 * np.max(np.abs(dx_phys)), fid.label()
 
 
@@ -153,8 +153,8 @@ def test_vbar_floor_handling():
     fid = VectorFieldId("Vbar", (0,), m=1)
     out = apply_vector_field(fid, tr)
     h = times[1] - times[0]
-    assert np.all(out.snapshots[2].values == 0)  # below 4 dt
-    assert np.any(out.snapshots[10].values != 0)
+    assert np.all(out.u[2] == 0)  # below 4 dt
+    assert np.any(out.u[10] != 0)
     with pytest.raises(DomainError) as ei:
         apply_vector_field(fid, tr, t_floor=0.0)
     assert "Vbar" in str(ei.value)

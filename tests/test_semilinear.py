@@ -30,6 +30,11 @@ def zero_field(grid):
     return Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
 
 
+def zero_trajectory(grid, times):
+    zeros = np.zeros((len(times),) + grid.sizes, dtype=complex)
+    return SpectralTrajectory(grid, times, zeros)
+
+
 def rk4_system(rhs, y0, t_end, n_steps):
     y = [v.astype(complex).copy() for v in y0]
     h = t_end / n_steps
@@ -54,7 +59,7 @@ def test_zero_nonlinearity_is_linear_flow():
     from cuspwave.linear_solver import solve_homogeneous
 
     hom = solve_homogeneous(1, gaussian_field(g), zero_field(g), cfg.times())
-    assert np.allclose(tr.snapshots[-1].values, hom.snapshots[-1].values)
+    assert np.allclose(tr.u[-1], hom.u[-1])
 
 
 def test_constant_source_zero_mode():
@@ -66,7 +71,7 @@ def test_constant_source_zero_mode():
     require_converged(rep)
     # physical constant c transforms to a pure zero mode; u_hat(0) = c_hat t^2/2
     c_hat = np.sqrt(16) * c  # orthonormal DFT of a constant
-    assert tr.snapshots[-1].values[0] == pytest.approx(c_hat / 2, rel=1e-10)
+    assert tr.u[-1][0] == pytest.approx(c_hat / 2, rel=1e-10)
 
 
 def test_second_order_matches_rk4():
@@ -86,7 +91,7 @@ def test_second_order_matches_rk4():
         return [v, -(t * rho2 + 1.0) * u]
 
     u_ref, _ = rk4_system(rhs, [phi0.values, np.zeros(64, dtype=complex)], 0.5, 4000)
-    err = np.linalg.norm(tr.snapshots[-1].values - u_ref) / np.linalg.norm(u_ref)
+    err = np.linalg.norm(tr.u[-1] - u_ref) / np.linalg.norm(u_ref)
     assert err < 1e-5
 
 
@@ -95,12 +100,11 @@ def test_apply_E_cubic():
     times = np.linspace(0, 1, 33)
     vals = np.zeros(16, dtype=complex)
     vals[0] = 6.0
-    const = Field(g, vals, "spectral")
-    traj = SpectralTrajectory(g, times, [const] * 33, [zero_field(g)] * 33)
+    traj = SpectralTrajectory(g, times, np.tile(vals, (33, 1)))
     out = apply_E(1, traj)
     # zero mode: d_t^3 u = 6 with zero data gives t^3, Simpson-exact
     for i, t in enumerate(times):
-        assert out.snapshots[i].values[0] == pytest.approx(t**3, abs=1e-12)
+        assert out.u[i][0] == pytest.approx(t**3, abs=1e-12)
 
 
 def test_apply_E_single_mode_oracle():
@@ -109,8 +113,7 @@ def test_apply_E_single_mode_oracle():
     vals = np.zeros(32, dtype=complex)
     vals[4] = 1.0
     mode = Field(g, vals, "spectral")
-    traj = SpectralTrajectory(g, times, [mode] * len(times),
-                              [zero_field(g)] * len(times))
+    traj = SpectralTrajectory(g, times, np.tile(vals, (len(times), 1)))
     out = apply_E(1, traj)
 
     rho2 = g.xi_norm() ** 2
@@ -121,7 +124,7 @@ def test_apply_E_single_mode_oracle():
 
     z = np.zeros(32, dtype=complex)
     u_ref, _, _ = rk4_system(rhs, [z, z, z], 0.8, 4000)
-    err = abs(out.snapshots[-1].values[4] - u_ref[4]) / abs(u_ref[4])
+    err = abs(out.u[-1][4] - u_ref[4]) / abs(u_ref[4])
     assert err < 1e-5
 
 
@@ -132,7 +135,7 @@ def test_third_order_polynomial_exact():
     tr, rep = solve_third_order(1, f, zero_field(g), zero_field(g), zero_field(g), cfg)
     require_converged(rep)
     # f identically 6 gives u(t, x) = t^3; check at the final time t=1
-    u_phys = dft_inverse(tr.snapshots[-1]).values.real
+    u_phys = dft_inverse(tr.snapshot_at(cfg.T)).values.real
     assert np.max(np.abs(u_phys - 1.0)) < 1e-9
 
 
@@ -148,7 +151,7 @@ def test_third_order_linear_reduction():
     tr, _ = solve_third_order(2, f, phi0, phi1, phi2, cfg)
     t = 1.0
     expected = 3.0 + (-1.5) * t + 1.5 * t * t / 2
-    assert tr.snapshots[-1].values[0] == pytest.approx(expected, abs=1e-10)
+    assert tr.u[-1][0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_third_order_quadratic_matches_rk4():
@@ -170,7 +173,7 @@ def test_third_order_quadratic_matches_rk4():
 
     z = np.zeros(n, dtype=complex)
     u_ref, _, _ = rk4_system(rhs, [phi0.values, z, z], 0.4, 2000)
-    err = np.linalg.norm(tr.snapshots[-1].values - u_ref) / np.linalg.norm(u_ref)
+    err = np.linalg.norm(tr.u[-1] - u_ref) / np.linalg.norm(u_ref)
     assert err < 1e-4
 
 
@@ -181,7 +184,7 @@ def test_fourth_order_polynomial_exact():
     z = zero_field(g)
     tr, rep = solve_fourth_order(2, 1, f, z, z, z, z, cfg)
     require_converged(rep)
-    u_phys = dft_inverse(tr.snapshots[-1]).values.real
+    u_phys = dft_inverse(tr.snapshot_at(cfg.T)).values.real
     assert np.max(np.abs(u_phys - 1.0)) < 1e-8
 
 
@@ -195,7 +198,7 @@ def test_fourth_order_zero_f_reduces():
     from cuspwave.linear_solver import solve_homogeneous
 
     hom = solve_homogeneous(1, psi0, psi1, cfg.times())
-    err = np.linalg.norm(tr.snapshots[-1].values - hom.snapshots[-1].values)
+    err = np.linalg.norm(tr.u[-1] - hom.u[-1])
     assert err < 1e-9
 
 
@@ -219,7 +222,7 @@ def test_fourth_order_matches_rk4():
 
     zv = np.zeros(32, dtype=complex)
     u_ref = rk4_system(rhs, [psi0.values, zv, zv, zv], 0.5, 4000)[0]
-    err = np.linalg.norm(tr.snapshots[-1].values - u_ref) / np.linalg.norm(u_ref)
+    err = np.linalg.norm(tr.u[-1] - u_ref) / np.linalg.norm(u_ref)
     assert err < 1e-4
 
 
@@ -240,10 +243,11 @@ def test_fixed_point_residual():
     require_converged(rep)
     # re-applying the map moves the converged iterate by at most 2 tol
     from cuspwave.linear_solver import solve_homogeneous
-    from cuspwave.semilinear import _sup_norm_distance, _superpose
+    from cuspwave.semilinear import _sup_norm_distance
 
     hom = solve_homogeneous(1, phi0, zero_field(g), cfg.times())
-    again = _superpose(hom, duhamel(1, evaluate_forcing(f, tr)))
+    par = duhamel(1, evaluate_forcing(f, tr))
+    again = SpectralTrajectory(g, hom.times, hom.u + par.u)
     assert _sup_norm_distance(again, tr, 0.0) <= 2 * cfg.tol
 
 
@@ -256,7 +260,7 @@ def test_time_refinement_order():
         cfg = PicardConfig(T=0.5, n_t=n_t, tol=1e-13)
         tr, rep = solve_second_order(1, f, phi0, zero_field(g), cfg)
         require_converged(rep)
-        finals.append(tr.snapshots[-1].values)
+        finals.append(tr.u[-1])
     d1 = np.linalg.norm(finals[1] - finals[0])
     d2 = np.linalg.norm(finals[2] - finals[1])
     assert np.log2(d1 / d2) >= 3.5
@@ -271,21 +275,20 @@ def test_contraction_shrinks_with_horizon():
         cfg = PicardConfig(T=T, n_t=33)
         times = cfg.times()
         from cuspwave.linear_solver import solve_homogeneous
-        from cuspwave.semilinear import _zero_trajectory
 
         hom = solve_homogeneous(1, phi0, zero_field(g), times)
 
         def step(w):
             return duhamel(1, evaluate_forcing(f, w, offset=hom))
 
-        w_a = _zero_trajectory(g, times)
+        w_a = zero_trajectory(g, times)
         w_b = step(w_a)
         ratios.append(measure_contraction(step, w_a, w_b))
     assert ratios[1] < ratios[0] < 1.0
     # identical iterates have no defined ratio
     with pytest.raises(ConvergenceError):
         cfg = PicardConfig(T=0.2, n_t=33)
-        w = step(_zero_trajectory(g, cfg.times()))
+        w = step(zero_trajectory(g, cfg.times()))
         measure_contraction(step, w, w)
 
 
@@ -310,6 +313,8 @@ def test_config_validation():
         PicardConfig(n_t=7)
     with pytest.raises(ParameterError):
         PicardConfig(tol=0.0)
+    with pytest.raises(ParameterError):
+        PicardConfig(max_iters=0)
     with pytest.raises(ParameterError):
         NonlinearitySpec("weird")
     with pytest.raises(ParameterError):

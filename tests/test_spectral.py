@@ -142,15 +142,19 @@ def test_dealias():
 
 def test_trajectory_validation():
     g = Grid(1, (8,), 1.0)
-    f = dft_forward(random_field(g))
+    f = dft_forward(random_field(g)).values
+    two = np.stack([f, f])
     with pytest.raises(ParameterError):
-        SpectralTrajectory(g, [0.0, 1.0], [f], [f])
+        SpectralTrajectory(g, [0.0, 1.0], f[None], f[None])
     with pytest.raises(ParameterError):
-        SpectralTrajectory(g, [0.1, 1.0], [f, f], [f, f])
+        SpectralTrajectory(g, [0.0, 1.0], two, f[None])
     with pytest.raises(ParameterError):
-        SpectralTrajectory(g, [0.0, 0.0], [f, f], [f, f])
-    tr = SpectralTrajectory(g, [0.0, 0.5], [f, f], [f, f])
-    assert tr.snapshot_at(0.5) is tr.snapshots[1]
+        SpectralTrajectory(g, [0.1, 1.0], two, two)
+    with pytest.raises(ParameterError):
+        SpectralTrajectory(g, [0.0, 0.0], two, two)
+    tr = SpectralTrajectory(g, [0.0, 0.5], two, two)
+    snap = tr.snapshot_at(0.5)
+    assert snap.space == "spectral" and np.array_equal(snap.values, tr.u[1])
     with pytest.raises(DomainError):
         tr.snapshot_at(0.3)
 
@@ -170,6 +174,8 @@ def test_binary_roundtrip(tmp_path):
     back = load_field(p)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+    with pytest.raises(ParameterError):
+        save_field(p, Field(g, np.stack([f.values, f.values])))
     # magic check
     (tmp_path / "bad.cwgrid").write_bytes(b"NOTMAGIC" + b"\0" * 64)
     with pytest.raises(DomainError):
@@ -187,3 +193,27 @@ def test_csv_export(tmp_path):
     i, re, im = rows[4].split(",")
     assert int(i) == 3
     assert float(re) == f.values[3].real
+
+
+def test_stacked_field_matches_per_snapshot():
+    g = Grid(2, (8, 16), 2.0)
+    stack = np.stack([random_field(g, seed).values for seed in range(5)])
+    spec = dft_forward(Field(g, stack))
+    for i in range(5):
+        one = dft_forward(Field(g, stack[i]))
+        assert np.array_equal(spec.values[i], one.values)
+        assert np.array_equal(dft_inverse(spec).values[i], dft_inverse(one).values)
+        assert sobolev_norm(spec, 1.5)[i] == pytest.approx(sobolev_norm(one, 1.5),
+                                                           rel=1e-14)
+        assert l2_norm(spec)[i] == pytest.approx(l2_norm(one), rel=1e-14)
+    tr = SpectralTrajectory(g, np.arange(5.0), spec.values)
+    assert np.array_equal(sobolev_norm(tr, 1.5), sobolev_norm(spec, 1.5))
+
+
+def test_frequency_tables_built_once_and_read_only():
+    g = Grid(2, (8, 16), 2.0)
+    assert g.xi_norm() is g.xi_norm()
+    assert g.xi_mesh()[1] is g.xi_mesh()[1]
+    with pytest.raises(ValueError):
+        g.xi_norm()[0, 0] = 1.0
+    assert Grid(2, (8, 16), 2.0) == g
