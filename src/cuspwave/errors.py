@@ -6,7 +6,7 @@ class CuspwaveError(Exception):
 
 
 class ParameterError(CuspwaveError):
-    """Invalid parameters (bad Kummer pair, m1 == m2, unsupported m/n, ...)."""
+    """Invalid parameters (m1 == m2, unsupported m/n, ...)."""
 
 
 class AccuracyError(CuspwaveError):

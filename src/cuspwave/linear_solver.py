@@ -60,16 +60,19 @@ _TABLE_CACHE_LIMIT = 8
 def propagator_table(m: int, times, rho: np.ndarray):
     """(v1, v2, dt_v1, dt_v2) arrays of shape (n_times,) + rho.shape, cached.
 
-    Picard iteration calls the linear solvers many times on one fixed
-    (m, time grid, frequency set), so the table is memoised on those keys.
+    The pair depends on xi only through rho = |xi|, so it is evaluated once
+    per distinct rho (radial shell) and gathered back onto the grid.  Picard
+    iteration calls the linear solvers many times on one fixed (m, time
+    grid, frequency set), so the table is memoised on those keys.
     """
     times = np.asarray(times, dtype=float)
     key = (m, times.tobytes(), rho.shape, rho.tobytes())
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
-    t = times.reshape((-1,) + (1,) * rho.ndim)
-    table = sample_arrays(m, t, rho[None, ...])
+    shells, where = np.unique(rho, return_inverse=True)
+    where = where.reshape(rho.shape)
+    table = tuple(a[:, where] for a in sample_arrays(m, times[:, None], shells[None, :]))
     if len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
     _TABLE_CACHE[key] = table

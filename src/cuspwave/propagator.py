@@ -1,8 +1,16 @@
 """Per-frequency fundamental pair of d_t^2 + t^m rho^2 on the Fourier side.
 
-V1 and V2 are the solutions normalized to data (1, 0) and (0, 1) at t=0;
-both are real combinations e^(-z/2) Phi(a, b; z) with the purely
-imaginary argument z = (4i/(m+2)) t^((m+2)/2) rho.
+V1 and V2 are the solutions normalized to data (1, 0) and (0, 1) at t=0.
+With nu = 1/(m+2) and phi = 2 t^((m+2)/2) rho/(m+2) they are real Bessel
+functions (the Kummer-Bessel relation of DLMF 13.6 for Phi(a, 2a; 2i phi)):
+
+    V1 = Gamma(1-nu) (phi/2)^nu J_{-nu}(phi)
+    V2 = t Gamma(1+nu) (phi/2)^(-nu) J_nu(phi)
+
+and the time derivatives follow from d/dphi [phi^(-mu) J_mu] =
+-phi^(-mu) J_{mu+1} with dphi/dt = t^(m/2) rho.  The pair depends on the
+frequency only through rho = |xi|, so a grid table is evaluated once per
+radial shell (see linear_solver.propagator_table).
 """
 
 from __future__ import annotations
@@ -10,14 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, jv
 
 from .errors import DomainError, ParameterError
-from .kummer import (
-    kummer_m_array,
-    kummer_m_dz_array,
-    params_v1,
-    params_v2,
-)
 
 
 @dataclass(frozen=True)
@@ -27,55 +30,50 @@ class PropagatorSample:
     m: int
     t: float
     rho: float
-    v1: complex
-    v2: complex
-    dt_v1: complex
-    dt_v2: complex
+    v1: float
+    v2: float
+    dt_v1: float
+    dt_v2: float
 
-    def wronskian(self) -> complex:
+    def wronskian(self) -> float:
         return self.v1 * self.dt_v2 - self.v2 * self.dt_v1
 
 
 def _check_args(m: int, t, rho) -> None:
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ParameterError(f"degeneracy order m must be a positive integer, got {m!r}")
-    if np.any(np.asarray(t) < 0):
-        raise DomainError("t must be nonnegative")
-    if np.any(np.asarray(rho) < 0):
-        raise DomainError("rho must be nonnegative")
+    for name, x in (("t", t), ("rho", rho)):
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise DomainError(f"{name} must be finite")
+        if np.any(x < 0):
+            raise DomainError(f"{name} must be nonnegative")
 
 
 def sample_arrays(m: int, t, rho):
-    """Vectorised (v1, v2, dt_v1, dt_v2) over broadcastable t, rho arrays."""
+    """Vectorised real (v1, v2, dt_v1, dt_v2) over broadcastable t, rho arrays."""
     _check_args(m, t, rho)
-    t = np.asarray(t, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    t, rho = np.broadcast_arrays(t, rho)
-
-    p1 = params_v1(m)
-    p2 = params_v2(m)
-    half = 0.5 * (m + 2)
-    z = (4j / (m + 2)) * t**half * rho
-    dz_dt = 2j * t ** (0.5 * m) * rho
-
-    phi1 = kummer_m_array(p1, z)
-    phi2 = kummer_m_array(p2, z)
-    dphi1 = kummer_m_dz_array(p1, z)
-    dphi2 = kummer_m_dz_array(p2, z)
-
-    damp = np.exp(-0.5 * z)
-    v1 = damp * phi1
-    v2 = t * damp * phi2
-    dt_v1 = damp * (dphi1 - 0.5 * phi1) * dz_dt
-    dt_v2 = damp * phi2 + t * damp * (dphi2 - 0.5 * phi2) * dz_dt
-
-    # rho = 0 (or t = 0) degenerates to the exact pair (1, t)
-    zero = z == 0
+    t, rho = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(rho, dtype=float))
+    nu = 1.0 / (m + 2)
+    s = t ** (0.5 * (m + 2)) * rho
+    phi = 2 * nu * s
+    # rho = 0 or t = 0 gives the exact pair (1, t), and so does phi below the
+    # smallest normal double, to double precision; jv underflows there.
+    # phi = 1 keeps the discarded values finite
+    zero = phi < np.finfo(float).tiny
+    phi = np.where(zero, 1.0, phi)
+    up = gamma(1 - nu) * (0.5 * phi) ** nu
+    down = gamma(1 + nu) * (0.5 * phi) ** -nu
+    j = jv(nu, phi)
+    v1 = up * jv(-nu, phi)
+    v2 = t * down * j
+    dt_v1 = -up * jv(1 - nu, phi) * t ** (0.5 * m) * rho
+    dt_v2 = down * (j - s * jv(1 + nu, phi))
     if np.any(zero):
-        v1 = np.where(zero, 1.0 + 0j, v1)
-        v2 = np.where(zero, t + 0j, v2)
-        dt_v1 = np.where(zero, 0j, dt_v1)
-        dt_v2 = np.where(zero, 1.0 + 0j, dt_v2)
+        v1 = np.where(zero, 1.0, v1)
+        v2 = np.where(zero, t, v2)
+        dt_v1 = np.where(zero, 0.0, dt_v1)
+        dt_v2 = np.where(zero, 1.0, dt_v2)
     return v1, v2, dt_v1, dt_v2
 
 
@@ -86,10 +84,10 @@ def sample(m: int, t: float, rho: float) -> PropagatorSample:
         m=m,
         t=float(t),
         rho=float(rho),
-        v1=complex(v1),
-        v2=complex(v2),
-        dt_v1=complex(dt_v1),
-        dt_v2=complex(dt_v2),
+        v1=float(v1),
+        v2=float(v2),
+        dt_v1=float(dt_v1),
+        dt_v2=float(dt_v2),
     )
 
 

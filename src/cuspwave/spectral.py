@@ -236,10 +236,7 @@ def save_field(path, f: Field) -> None:
         fh.write(struct.pack("<I", f.grid.n))
         fh.write(struct.pack(f"<{f.grid.n}I", *f.grid.sizes))
         fh.write(struct.pack("<d", f.grid.L))
-        inter = np.empty(f.values.size * 2)
-        inter[0::2] = f.values.real.ravel()
-        inter[1::2] = f.values.imag.ravel()
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
 
 
 def load_field(path, space: str = "physical") -> Field:
@@ -253,10 +250,10 @@ def load_field(path, space: str = "physical") -> Field:
         sizes = struct.unpack(f"<{n}I", fh.read(4 * n))
         (L,) = struct.unpack("<d", fh.read(8))
         count = int(np.prod(sizes))
-        raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
-        if raw.size != 2 * count:
+        payload = fh.read(16 * count)
+        if len(payload) != 16 * count:
             raise DomainError(f"{path}: truncated sample payload")
-    vals = raw[0::2] + 1j * raw[1::2]
+    vals = np.frombuffer(payload, dtype="<c16").astype(complex)
     return Field(Grid(n, tuple(sizes), L), vals.reshape(sizes), space)
 
 

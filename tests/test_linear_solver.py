@@ -195,6 +195,13 @@ def test_propagator_table_cached():
     a = propagator_table(1, times, g.xi_norm())
     b = propagator_table(1, times, g.xi_norm())
     assert a[0] is b[0]
+    # evaluated once per radial shell |xi| and gathered back onto the grid
+    g2 = Grid(2, (16, 8), 2.0)
+    table = propagator_table(2, times, g2.xi_norm())
+    direct = sample_arrays(2, times[:, None, None], g2.xi_norm()[None])
+    for got, ref in zip(table, direct):
+        assert got.shape == (9, 16, 8)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
 
 
 def test_export_trajectory(tmp_path):

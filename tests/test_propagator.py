@@ -1,7 +1,11 @@
-"""Fundamental-pair sampler checked against two independent oracles:
-a per-mode RK4 integration of u'' + t^m rho^2 u = 0 and the Bessel-J
-closed form for V1."""
+"""Fundamental-pair sampler checked against three independent oracles:
+a per-mode RK4 integration of u'' + t^m rho^2 u = 0, the Bessel-J
+closed form for V1, and the confluent hypergeometric form
+e^(-z/2) Phi(a, 2a; z) evaluated by mpmath at 60 digits."""
 
+import tracemalloc
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma, jv
@@ -122,3 +126,91 @@ def test_argument_validation():
         sample(1, -0.5, 1.0)
     with pytest.raises(DomainError):
         sample(1, 0.5, -1.0)
+    for t, rho in ((np.nan, 1.0), (0.5, np.inf), (np.inf, 0.0), (0.5, np.nan)):
+        with pytest.raises(DomainError):
+            sample(1, t, rho)
+    with pytest.raises(DomainError):
+        sample_arrays(2, np.array([0.1, np.nan]), 3.0)
+    with pytest.raises(DomainError):
+        ode_residual(1, np.inf, 1.0)
+
+
+# --- the confluent form, V = e^(-z/2) Phi(a, 2a; z) with z = 2i phi -----------
+#
+# V1 has a = m/(2(m+2)) and V2/t has a = (m+4)/(2(m+2)); the argument is
+# z = (4i/(m+2)) t^((m+2)/2) rho.  The oracle is mpmath's hyp1f1 at 60 digits,
+# evaluated at the exact double (t, rho) the sampler receives.
+
+mp.mp.dps = 60
+
+# imaginary-axis arguments z = iy, including both sides of |z| = 8 and 40,
+# where a series/quadrature/asymptotic evaluator switches method
+AXIS = [0.0, 4 / 3, -4 / 3, 5.0, 7.9, 8.1, 12.0, 25.0, 39.9, 40.1, 60.0, 100.0,
+        1e4, -25.0, -100.0, 8 - 1e-6, 8 + 1e-6, 40 - 1e-6, 40 + 1e-6]
+
+
+def _confluent(m, t, rho, y):
+    """(V1, V2/t, dt_V1, dt_V2) from hyp1f1, on the lower half axis if y < 0.
+
+    dPhi/dz = (a/b) Phi(a+1, b+1; z), which is Phi(a+1, 2a+1; z)/2 here.
+    """
+    sign = -1 if y < 0 else 1
+    tt, rr = mp.mpf(t), mp.mpf(rho)
+    z = sign * 4j / (m + 2) * tt ** (mp.mpf(m + 2) / 2) * rr
+    dz_dt = sign * 2j * tt ** (mp.mpf(m) / 2) * rr
+    out = []
+    for a in (mp.mpf(m) / (2 * (m + 2)), mp.mpf(m + 4) / (2 * (m + 2))):
+        damp, f = mp.exp(-z / 2), mp.hyp1f1(a, 2 * a, z)
+        df = mp.hyp1f1(a + 1, 2 * a + 1, z) / 2
+        out.append((damp * f, damp * (df - f / 2) * dz_dt))
+    (v1, dt_v1), (w2, dw2) = out
+    return v1, w2, dt_v1, w2 + tt * dw2
+
+
+def _axis_points(m):
+    for t in (1.0, 0.37):
+        for y in AXIS:
+            yield t, abs(y) * (m + 2) / (4 * t ** ((m + 2) / 2)), y
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_against_mpmath_on_axis(m):
+    for t, rho, y in _axis_points(m):
+        s = sample(m, t, rho)
+        v1, w2, dt_v1, dt_v2 = (complex(x) for x in _confluent(m, t, rho, y))
+        assert abs(s.v1 - v1) <= 1e-12 * max(1.0, abs(v1)), (t, rho, s.v1, v1)
+        assert abs(s.v2 / t - w2) <= 1e-12 * max(1.0, abs(w2)), (t, rho, s.v2, w2)
+        # a derivative's size is set by omega = t^(m/2) rho times that of V,
+        # so compare it at that envelope
+        omega = t ** (m / 2) * rho
+        for got, ref in ((s.dt_v1, dt_v1), (s.dt_v2, dt_v2)):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref), omega), (t, rho, got, ref)
+
+
+def test_pair_is_real_on_axis():
+    # e^(-z/2) Phi(a, 2a; z) is real on the imaginary axis, which is what
+    # lets the sampler return float64 arrays
+    for m in (1, 2, 8):
+        for t, rho, y in _axis_points(m):
+            for ref in _confluent(m, t, rho, y):
+                assert abs(ref.imag) <= 1e-40 * max(1.0, abs(ref)), (m, t, rho, ref)
+    t = np.linspace(0.0, 1.0, 5)[:, None]
+    for arr in sample_arrays(3, t, np.array([0.0, 2.0, 50.0])):
+        assert arr.dtype == np.float64
+    assert isinstance(sample(1, 0.5, 3.0).wronskian(), float)
+
+
+def test_table_memory_is_bounded():
+    # a (points x nodes) complex work array once made long solves run out
+    # of memory; the closed form needs a few float arrays per point
+    t = np.linspace(0.0, 1.0, 65)
+    rho = np.linspace(0.0, 30.0, 400)
+    sample_arrays(1, t[:, None], rho[None, :])  # warm the scipy ufuncs
+    tracemalloc.start()
+    try:
+        out = sample_arrays(1, t[:, None], rho[None, :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[0].shape == (65, 400)
+    assert peak / (65 * 400) <= 256

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,28 @@ def test_binary_roundtrip(tmp_path):
     (tmp_path / "bad.cwgrid").write_bytes(b"NOTMAGIC" + b"\0" * 64)
     with pytest.raises(DomainError):
         load_field(tmp_path / "bad.cwgrid")
+
+
+def test_binary_layout(tmp_path):
+    # CWGRID1: magic, <u4 dimension, <u4 sizes, <f8 L, then re/im as
+    # interleaved <f8 in C order
+    g = Grid(2, (8, 16), 1.5)
+    vals = random_field(Grid(2, (16, 8), 1.5), 3).values.T  # not C-contiguous
+    inter = np.empty(2 * vals.size)
+    inter[0::2] = vals.real.ravel()
+    inter[1::2] = vals.imag.ravel()
+    header = b"CWGRID1" + struct.pack("<I", 2) + struct.pack("<2I", 8, 16) \
+        + struct.pack("<d", 1.5)
+    p = tmp_path / "f.cwgrid"
+    save_field(p, Field(g, vals))
+    assert p.read_bytes() == header + inter.astype("<f8").tobytes()
+    back = load_field(p, "spectral")
+    assert np.array_equal(back.values, vals) and back.space == "spectral"
+    back.values[0, 0] = 0.0  # a writable copy, not a view of the file
+    for cut in (16, 5):
+        (tmp_path / "short.cwgrid").write_bytes(p.read_bytes()[:-cut])
+        with pytest.raises(DomainError):
+            load_field(tmp_path / "short.cwgrid")
 
 
 def test_csv_export(tmp_path):
