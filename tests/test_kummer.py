@@ -1,155 +1,86 @@
-"""Confluent hypergeometric evaluator checked against an independent
-high-precision oracle (mpmath at 60 digits)."""
+"""The confluent hypergeometric function Phi(a, 2a; z) on the imaginary axis,
+as the propagator realises it, checked against an independent high-precision
+oracle (mpmath at 60 digits).
 
+V1 is e^(-z/2) Phi(a, 2a; z) with a = m/(2(m+2)) and V2/t is the same with
+a = (m+4)/(2(m+2)), where z = (4i/(m+2)) t^((m+2)/2) rho.  The propagator
+evaluates the pair only there (z = iy), so that is where Phi is checked."""
+
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from cuspwave.errors import DomainError, ParameterError
-from cuspwave.kummer import (
-    SERIES_RADIUS,
-    Z_SWITCH,
-    KummerParams,
-    asymptotic_magnitude,
-    kummer_m,
-    kummer_m_array,
-    kummer_m_dz,
-    params_v1,
-    params_v2,
-)
+from cuspwave.propagator import sample
 
 mp.mp.dps = 60
 
 
-def _oracle(p: KummerParams, z: complex) -> complex:
+@dataclass(frozen=True)
+class KummerParams:
+    """Phi(a, b; z) with b = 2a, tied to the member of the pair it gives."""
+
+    a: Fraction
+    b: Fraction
+    m: int = field(repr=False)
+    which: str = field(repr=False)
+
+
+def params_v1(m: int) -> KummerParams:
+    a = Fraction(m, 2 * (m + 2))
+    return KummerParams(a, 2 * a, m, "v1")
+
+
+def params_v2(m: int) -> KummerParams:
+    a = Fraction(m + 4, 2 * (m + 2))
+    return KummerParams(a, 2 * a, m, "v2")
+
+
+def _oracle(p: KummerParams, z) -> complex:
     a = mp.mpf(p.a.numerator) / p.a.denominator
     b = mp.mpf(p.b.numerator) / p.b.denominator
     return complex(mp.hyp1f1(a, b, mp.mpc(z)))
 
 
+def _phi_from_propagator(p: KummerParams, y: float):
+    """(Phi(a, 2a; iy) rebuilt from the propagator at t = 1, and that exact z).
+
+    e^(-z/2) Phi(a, 2a; z) is real and even on the imaginary axis, so a
+    negative y uses the sample at |y|.
+    """
+    rho = abs(y) * (p.m + 2) / 4
+    z = mp.mpc(0, np.sign(y) * 4 * mp.mpf(rho) / (p.m + 2))
+    s = sample(p.m, 1.0, rho)
+    v = s.v1 if p.which == "v1" else s.v2
+    return complex(mp.exp(z / 2)) * v, z
+
+
 FAMILY = [params_v1(m) for m in (1, 2, 3, 4, 8)] + [params_v2(m) for m in (1, 2, 3, 4, 8)]
 
-POINTS = [
-    0.0 + 0j,
-    1.0 + 0j,
-    4j / 3,
-    -4j / 3,
-    5j,
-    7.9j,
-    8.1j,
-    12j,
-    25j,
-    39.9j,
-    40.1j,
-    60j,
-    100j,
-    1e4j,
-    -25j,
-    -100j,
-    30 * np.exp(0.7j),
-    2.0 - 3.0j,
-]
+# imaginary parts of z = iy, including both sides of |z| = 8 and 40, where a
+# series/quadrature/asymptotic evaluator of Phi would switch method
+AXIS = [0.0, 4 / 3, -4 / 3, 5.0, 7.9, 8.1, 12.0, 25.0, 39.9, 40.1, 60.0, 100.0,
+        1e4, -25.0, -100.0]
 
 
 @pytest.mark.parametrize("p", FAMILY, ids=str)
 def test_against_mpmath(p):
-    for z in POINTS:
-        got = kummer_m(p, complex(z))
+    for y in AXIS:
+        got, z = _phi_from_propagator(p, y)
         ref = _oracle(p, z)
-        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (p, z, got, ref)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (p, y, got, ref)
 
 
 def test_pinned_value_a_sixth():
-    # Phi(1/6, 1/3; 4i/3) computed once with mpmath at 60 digits
+    # Phi(1/6, 1/3; 4i/3) computed with mpmath at 60 digits; V1 at m = 1,
+    # t = 1, rho = 1 is e^(-2i/3) times it
     p = params_v1(1)
     ref = _oracle(p, 4j / 3)
-    got = kummer_m(p, 4j / 3)
-    assert abs(got - ref) < 1e-13
-    # the e^{-z/2} combination is real on the imaginary axis
-    val = np.exp(-2j / 3) * got
+    val = np.exp(-2j / 3) * ref
+    # the e^(-z/2) combination is real on the imaginary axis
     assert abs(val.imag) < 1e-13
-
-
-def test_conjugation_symmetry():
-    # real a, b imply Phi(conj z) = conj Phi(z)
-    for p in FAMILY[:4]:
-        for z in (3j, 20j, 80j, 1.0 + 9j):
-            assert kummer_m(p, np.conj(z)) == pytest.approx(
-                np.conj(kummer_m(p, z)), rel=1e-13, abs=1e-13
-            )
-
-
-def test_regime_seams():
-    # both methods at a switch radius must meet the accuracy target
-    for p in FAMILY:
-        for r0 in (SERIES_RADIUS, Z_SWITCH):
-            for z in ((r0 - 1e-6) * 1j, (r0 + 1e-6) * 1j):
-                got = kummer_m(p, z)
-                ref = _oracle(p, z)
-                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (p, z)
-
-
-def test_derivative_contiguous():
-    # dPhi/dz = (a/b) Phi(a+1, b+1; z); check against central differences
-    p = params_v2(3)
-    for z in (0.5j, 6j, 20j, 55j):
-        h = 1e-5
-        fd = (kummer_m(p, z + h) - kummer_m(p, z - h)) / (2 * h)
-        assert abs(kummer_m_dz(p, z) - fd) < 1e-7 * max(1.0, abs(fd))
-
-
-def test_ode_residual():
-    # z Phi'' + (b - z) Phi' - a Phi = 0, second derivative by stencil
-    p = params_v1(2)
-    af, bf = p.af, p.bf
-    for z in (3j, 15j, 70j):
-        h = 1e-4
-        f = [kummer_m(p, z + k * h) for k in (-1, 0, 1)]
-        d1 = (f[2] - f[0]) / (2 * h)
-        d2 = (f[2] - 2 * f[1] + f[0]) / (h * h)
-        res = z * d2 + (bf - z) * d1 - af * f[1]
-        scale = max(abs(z * d2), abs(af * f[1]), 1.0)
-        assert abs(res) < 1e-6 * scale
-
-
-def test_vectorised_matches_scalar():
-    p = params_v1(4)
-    z = np.array([0j, 2j, 9j, 30j, 90j, -30j])
-    vals = kummer_m_array(p, z)
-    for zi, vi in zip(z, vals):
-        assert vi == pytest.approx(kummer_m(p, complex(zi)), rel=1e-14, abs=1e-300)
-
-
-def test_asymptotic_magnitude():
-    from scipy.special import gamma
-
-    p = params_v1(1)
-    z = 500j
-    pred = asymptotic_magnitude(p, z)
-    ref = abs(gamma(p.bf) / gamma(p.bf - p.af)) * abs(z) ** (-p.af)
-    assert pred == pytest.approx(ref, rel=1e-12)
-    assert abs(kummer_m(p, z)) <= 2.5 * pred
-    with pytest.raises(DomainError):
-        asymptotic_magnitude(p, 3j)
-
-
-def test_parameter_validation():
-    with pytest.raises(ParameterError):
-        KummerParams(Fraction(1, 2), Fraction(0))
-    with pytest.raises(ParameterError):
-        KummerParams(Fraction(1, 2), Fraction(-3))
-    with pytest.raises(DomainError):
-        kummer_m(params_v1(1), complex(np.nan))
-
-
-def test_family_parameters():
-    p = params_v1(2)
-    assert p.a == Fraction(1, 4) and p.b == Fraction(1, 2)
-    q = params_v2(2)
-    assert q.a == Fraction(3, 4) and q.b == Fraction(3, 2)
-    # b = 2a throughout
-    for m in range(1, 9):
-        assert params_v1(m).b == 2 * params_v1(m).a
-        assert params_v2(m).b == 2 * params_v2(m).a
+    assert abs(sample(1, 1.0, 1.0).v1 - val.real) < 1e-13
+    got, _ = _phi_from_propagator(p, 4 / 3)
+    assert abs(got - ref) < 1e-13
