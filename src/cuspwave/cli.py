@@ -24,7 +24,6 @@ from .errors import (
     AccuracyError,
     ConvergenceError,
     CuspwaveError,
-    DomainError,
     GridMismatchError,
     ParameterError,
     ParseError,
@@ -38,7 +37,7 @@ from .initial_data import (
     parse_data_spec,
 )
 from .linear_solver import export_trajectory, solve_homogeneous
-from .opalg import CoeffContext, catalog_verify
+from .opalg import catalog_verify
 from .probe import (
     VectorFieldId,
     conormal_scan,
@@ -71,8 +70,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_CONFIG_ERRORS = (ParameterError, ParseError, DomainError, GridMismatchError,
-                  FileNotFoundError, NotADirectoryError, ValueError)
+_CONFIG_ERRORS = (CuspwaveError, FileNotFoundError, NotADirectoryError,
+                  ValueError)
 _NUMERIC_ERRORS = (ConvergenceError, AccuracyError, QuadratureError)
 
 
@@ -313,8 +312,6 @@ _OPALG_DEFAULTS = {"m": 1, "n": 2, "pair": "", "out": ""}
 
 
 def cmd_opalg(args) -> int:
-    if args.action != "verify":
-        raise ParameterError("unknown opalg action %r" % args.action)
     cfg = _resolve(args, _OPALG_SCHEMA, _OPALG_DEFAULTS)
     pair = str(cfg["pair"]).strip()
     if pair:
@@ -324,7 +321,6 @@ def cmd_opalg(args) -> int:
         selector = (int(parts[0]), int(parts[1]))
     else:
         selector = int(cfg["m"])
-    CoeffContext(int(cfg["n"]))  # validate the dimension before working
     rows = catalog_verify(selector, int(cfg["n"]))
     out = str(cfg["out"]).strip()
     writer = csv.writer(sys.stdout)
@@ -429,13 +425,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except _NUMERIC_ERRORS as exc:  # CuspwaveErrors too: catch them first
         _emit_error(exc)
         return EXIT_NUMERIC
     except _CONFIG_ERRORS as exc:
-        _emit_error(exc)
-        return EXIT_CONFIG
-    except CuspwaveError as exc:
         _emit_error(exc)
         return EXIT_CONFIG
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from ..errors import ParameterError
 from .coeff import CoeffContext
-from .diffop import DiffOp, commutator, compose, span_decompose
+from .diffop import DiffOp, commutator, compose, span_decompose, \
+    verify_identity
 
 __all__ = ["CatalogRow", "catalog_verify"]
 
@@ -55,10 +56,6 @@ def _Q(ctx, k):
     return compose(dt, dt) - _lap(ctx).scaled(ctx.t_pow(2 * k))
 
 
-def _P1(ctx, m):
-    return compose(DiffOp.dt(ctx), _Q(ctx, m))
-
-
 def _V0(ctx, k):
     out = DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t())
     for i in range(1, ctx.n + 1):
@@ -73,18 +70,22 @@ def _Vbar(ctx, k, i):
             ctx.rational(k + 2) * ctx.x(i) * ctx.t_pow(-k))
 
 
-def _L(ctx, i, j):
-    return DiffOp.dx(ctx, j).scaled(ctx.x(i)) \
-        - DiffOp.dx(ctx, i).scaled(ctx.x(j))
+def _Vbars(ctx, k):
+    """[None, Vbar_1, .., Vbar_n], indexed by coordinate."""
+    return [None] + [_Vbar(ctx, k, i) for i in range(1, ctx.n + 1)]
+
+
+def _rotations(ctx):
+    """The rotation fields L_ij = x_i*Dj - x_j*Di, every pair i != j."""
+    n, X = ctx.n, ctx.x
+    return {(i, j): DiffOp.dx(ctx, j).scaled(X(i))
+            - DiffOp.dx(ctx, i).scaled(X(j))
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
 
 
 def _Vhalf(ctx, k):
     return DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t()) \
         + DiffOp.dx(ctx, 1).scaled(ctx.rational(k + 2) * ctx.x(1))
-
-
-def _R(ctx, l):
-    return DiffOp.dx(ctx, l)
 
 
 def _TDt(ctx):
@@ -129,9 +130,9 @@ def _M4(ctx, m):
 
 
 def _residual_row(name, lhs, rhs, expected="zero", detail=""):
-    residual = lhs - rhs
-    status = "zero" if residual.is_zero() else "nonzero"
-    return CatalogRow(name, status, len(residual.terms), expected, detail)
+    holds, _, terms = verify_identity(lhs, rhs)
+    return CatalogRow(name, "zero" if holds else "nonzero", terms,
+                      expected, detail)
 
 
 def _cone_rows(ctx, m):
@@ -139,196 +140,131 @@ def _cone_rows(ctx, m):
     n = ctx.n
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
     k = m
-    Q = _Q(ctx, k)
-    P1 = _P1(ctx, m)
-    V0 = _V0(ctx, k)
-    lap = _lap(ctx)
+    zero = DiffOp.zero(ctx)
     dt = DiffOp.dt(ctx)
+    lap = _lap(ctx)
+    Q = _Q(ctx, k)
+    P1 = compose(dt, Q)
+    V0 = _V0(ctx, k)
     tdt = _TDt(ctx)
-    jobs = []
+    vbars = _Vbars(ctx, k)
+    L = _rotations(ctx)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
-    jobs.append(("[Q, V0] = 4 Q",
-                 lambda: _residual_row("[Q, V0] = 4 Q",
-                                       commutator(Q, V0), Q.scaled(4))))
+    rows = [_residual_row("[Q, V0] = 4 Q", commutator(Q, V0), Q.scaled(4))]
     for l in range(1, n + 1):
-        def job(l=l):
-            vb = _Vbar(ctx, k, l)
-            rhs = Q.scaled(rat(-k * (k + 2)) * X(l) * tp(-k - 2)) \
-                + vb.scaled(rat(k * (k + 2), 4) * tp(-4))
-            return _residual_row("[Q, Vbar%d] = lower order" % l,
-                                 commutator(Q, vb), rhs)
-        jobs.append(("[Q, Vbar%d]" % l, job))
+        rhs = Q.scaled(rat(-k * (k + 2)) * X(l) * tp(-k - 2)) \
+            + vbars[l].scaled(rat(k * (k + 2), 4) * tp(-4))
+        rows.append(_residual_row("[Q, Vbar%d] = lower order" % l,
+                                  commutator(Q, vbars[l]), rhs))
+    for i, j in pairs:
+        rows.append(_residual_row("[Q, L%d%d] = 0" % (i, j),
+                                  commutator(Q, L[i, j]), zero))
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            def job(i=i, j=j):
-                return _residual_row("[Q, L%d%d] = 0" % (i, j),
-                                     commutator(Q, _L(ctx, i, j)),
-                                     DiffOp.zero(ctx))
-            jobs.append(("[Q, L%d%d]" % (i, j), job))
-    for i in range(1, n + 1):
-        def job(i=i):
-            return _residual_row("[V0, Vbar%d] = 0" % i,
-                                 commutator(V0, _Vbar(ctx, k, i)),
-                                 DiffOp.zero(ctx))
-        jobs.append(("[V0, Vbar%d]" % i, job))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            def job(i=i, j=j):
-                return _residual_row("[V0, L%d%d] = 0" % (i, j),
-                                     commutator(V0, _L(ctx, i, j)),
-                                     DiffOp.zero(ctx))
-            jobs.append(("[V0, L%d%d]" % (i, j), job))
-            def job2(i=i, j=j):
-                return _residual_row(
-                    "[Vbar%d, L%d%d] = Vbar%d" % (i, i, j, j),
-                    commutator(_Vbar(ctx, k, i), _L(ctx, i, j)),
-                    _Vbar(ctx, k, j))
-            jobs.append(("[Vbar%d, L%d%d]" % (i, i, j), job2))
-            def job3(i=i, j=j):
-                return _residual_row(
-                    "[Vbar%d, L%d%d] = -Vbar%d" % (j, i, j, i),
-                    commutator(_Vbar(ctx, k, j), _L(ctx, i, j)),
-                    -_Vbar(ctx, k, i))
-            jobs.append(("[Vbar%d, L%d%d]" % (j, i, j), job3))
-            def job4(i=i, j=j):
-                vi = _Vbar(ctx, k, i)
-                vj = _Vbar(ctx, k, j)
-                rhs = _L(ctx, i, j).scaled(rat(2 * (k + 1) * (k + 2))) \
-                    + vi.scaled(rat(k * (k + 2), 2) * X(j) * tp(-k - 2)) \
-                    - vj.scaled(rat(k * (k + 2), 2) * X(i) * tp(-k - 2))
-                return _residual_row(
-                    "[Vbar%d, Vbar%d] = rotation + lower order" % (i, j),
-                    commutator(vi, vj), rhs)
-            jobs.append(("[Vbar%d, Vbar%d]" % (i, j), job4))
+        rows.append(_residual_row("[V0, Vbar%d] = 0" % i,
+                                  commutator(V0, vbars[i]), zero))
+    for i, j in pairs:
+        vi, vj, lij = vbars[i], vbars[j], L[i, j]
+        rhs = lij.scaled(rat(2 * (k + 1) * (k + 2))) \
+            + vi.scaled(rat(k * (k + 2), 2) * X(j) * tp(-k - 2)) \
+            - vj.scaled(rat(k * (k + 2), 2) * X(i) * tp(-k - 2))
+        rows += [
+            _residual_row("[V0, L%d%d] = 0" % (i, j),
+                          commutator(V0, lij), zero),
+            _residual_row("[Vbar%d, L%d%d] = Vbar%d" % (i, i, j, j),
+                          commutator(vi, lij), vj),
+            _residual_row("[Vbar%d, L%d%d] = -Vbar%d" % (j, i, j, i),
+                          commutator(vj, lij), -vi),
+            _residual_row(
+                "[Vbar%d, Vbar%d] = rotation + lower order" % (i, j),
+                commutator(vi, vj), rhs),
+        ]
     if n == 3:
         for (l, i, j) in ((3, 1, 2), (2, 1, 3), (1, 2, 3)):
-            def job(l=l, i=i, j=j):
-                return _residual_row(
-                    "[Vbar%d, L%d%d] = 0" % (l, i, j),
-                    commutator(_Vbar(ctx, k, l), _L(ctx, i, j)),
-                    DiffOp.zero(ctx))
-            jobs.append(("[Vbar%d, L%d%d]" % (l, i, j), job))
-        def job():
-            return _residual_row(
-                "[L12, L13] = L32",
-                commutator(_L(ctx, 1, 2), _L(ctx, 1, 3)), _L(ctx, 3, 2))
-        jobs.append(("[L12, L13]", job))
-    jobs.append(("[P1, V0]",
-                 lambda: _residual_row("[P1, V0] = 6 P1",
-                                       commutator(P1, V0), P1.scaled(6))))
+            rows.append(_residual_row("[Vbar%d, L%d%d] = 0" % (l, i, j),
+                                      commutator(vbars[l], L[i, j]), zero))
+        rows.append(_residual_row("[L12, L13] = L32",
+                                  commutator(L[1, 2], L[1, 3]), L[3, 2]))
+    rows.append(_residual_row("[P1, V0] = 6 P1", commutator(P1, V0),
+                              P1.scaled(6)))
+    for i, j in pairs:
+        rows.append(_residual_row("[P1, L%d%d] = 0" % (i, j),
+                                  commutator(P1, L[i, j]), zero))
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            def job(i=i, j=j):
-                return _residual_row("[P1, L%d%d] = 0" % (i, j),
-                                     commutator(P1, _L(ctx, i, j)),
-                                     DiffOp.zero(ctx))
-            jobs.append(("[P1, L%d%d]" % (i, j), job))
-    for i in range(1, n + 1):
-        def job(i=i):
-            di = DiffOp.dx(ctx, i)
-            rhs = P1.scaled(rat(-3 * m * (m + 2), 2) * X(i) * tp(-m - 2)) \
-                + compose(Q, di).scaled(rat(m + 2) * tp(m)) \
-                + compose(dt, dt).scaled(
-                    rat(3 * m * (m + 2) ** 2, 4) * X(i) * tp(-m - 4)) \
-                + lap.scaled(
-                    rat(-m * (m + 2) ** 2, 2) * X(i) * tp(m - 4)) \
-                + compose(dt, di).scaled(rat(m * (m + 2), 2) * tp(m - 2)) \
-                + di.scaled(rat(m * (m * m - 4), 4) * tp(m - 4)) \
-                + dt.scaled(rat(-m * (m + 2) ** 2 * (m + 4), 8)
-                            * X(i) * tp(-m - 6))
-            return _residual_row(
-                "[P1, Vbar%d] = singular expansion" % i,
-                commutator(P1, _Vbar(ctx, m, i)), rhs,
-                detail="the mixed Dt*D%d term enters with a plus sign; "
-                       "the source display flips it" % i)
-        jobs.append(("[P1, Vbar%d]" % i, job))
+        di = DiffOp.dx(ctx, i)
+        rhs = P1.scaled(rat(-3 * m * (m + 2), 2) * X(i) * tp(-m - 2)) \
+            + compose(Q, di).scaled(rat(m + 2) * tp(m)) \
+            + compose(dt, dt).scaled(
+                rat(3 * m * (m + 2) ** 2, 4) * X(i) * tp(-m - 4)) \
+            + lap.scaled(rat(-m * (m + 2) ** 2, 2) * X(i) * tp(m - 4)) \
+            + compose(dt, di).scaled(rat(m * (m + 2), 2) * tp(m - 2)) \
+            + di.scaled(rat(m * (m * m - 4), 4) * tp(m - 4)) \
+            + dt.scaled(rat(-m * (m + 2) ** 2 * (m + 4), 8)
+                        * X(i) * tp(-m - 6))
+        rows.append(_residual_row(
+            "[P1, Vbar%d] = singular expansion" % i,
+            commutator(P1, vbars[i]), rhs,
+            detail="the mixed Dt*D%d term enters with a plus sign; "
+                   "the source display flips it" % i))
 
-    def job_p1_tdt():
-        rhs = P1.scaled(3) \
-            + compose(dt, lap).scaled(rat(m + 2) * tp(2 * m)) \
-            + lap.scaled(rat(m * (m + 2)) * tp(2 * m - 2))
-        return _residual_row(
-            "[P1, t*Dt] = 3 P1 + lower order",
-            commutator(P1, tdt), rhs,
-            detail="middle term carries t^m; the source display "
-                   "omits that factor")
-    jobs.append(("[P1, t*Dt]", job_p1_tdt))
-    jobs.append(("[t*Dt, V0]",
-                 lambda: _residual_row("[t*Dt, V0] = 0",
-                                       commutator(tdt, V0),
-                                       DiffOp.zero(ctx))))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            def job(i=i, j=j):
-                return _residual_row("[t*Dt, L%d%d] = 0" % (i, j),
-                                     commutator(tdt, _L(ctx, i, j)),
-                                     DiffOp.zero(ctx))
-            jobs.append(("[t*Dt, L%d%d]" % (i, j), job))
-    return jobs
+    rhs = P1.scaled(3) \
+        + compose(dt, lap).scaled(rat(m + 2) * tp(2 * m)) \
+        + lap.scaled(rat(m * (m + 2)) * tp(2 * m - 2))
+    rows.append(_residual_row(
+        "[P1, t*Dt] = 3 P1 + lower order", commutator(P1, tdt), rhs,
+        detail="middle term carries t^m; the source display "
+               "omits that factor"))
+    rows.append(_residual_row("[t*Dt, V0] = 0", commutator(tdt, V0), zero))
+    for i, j in pairs:
+        rows.append(_residual_row("[t*Dt, L%d%d] = 0" % (i, j),
+                                  commutator(tdt, L[i, j]), zero))
+    return rows
 
 
 def _plane_rows(ctx, m):
     """Commutator table for the cusp-plane (half-space) alphabet."""
     n = ctx.n
     rat, tp = ctx.rational, ctx.t_pow
+    zero = DiffOp.zero(ctx)
+    dt = DiffOp.dt(ctx)
     Q = _Q(ctx, m)
-    P1 = _P1(ctx, m)
+    P1 = compose(dt, Q)
     V = _Vhalf(ctx, m)
     vbar1 = _Vbar(ctx, m, 1)
-    dt = DiffOp.dt(ctx)
-    jobs = []
-    jobs.append(("[V, Vbar1]",
-                 lambda: _residual_row("[V, Vbar1] = 0",
-                                       commutator(V, vbar1),
-                                       DiffOp.zero(ctx))))
+    R = {l: DiffOp.dx(ctx, l) for l in range(2, n + 1)}
+
+    rows = [_residual_row("[V, Vbar1] = 0", commutator(V, vbar1), zero)]
     for l in range(2, n + 1):
-        def job(l=l):
-            return _residual_row(
-                "[V, R%d] = 0" % l, commutator(V, _R(ctx, l)),
-                DiffOp.zero(ctx),
+        rows += [
+            _residual_row(
+                "[V, R%d] = 0" % l, commutator(V, R[l]), zero,
                 detail="the slanted scaling field moves only the first "
                        "coordinate, so transverse translations commute; "
-                       "the source table lists a spurious -(m+2) R%d" % l)
-        jobs.append(("[V, R%d]" % l, job))
-        def job2(l=l):
-            return _residual_row("[Vbar1, R%d] = 0" % l,
-                                 commutator(vbar1, _R(ctx, l)),
-                                 DiffOp.zero(ctx))
-        jobs.append(("[Vbar1, R%d]" % l, job2))
-        def job3(l=l):
-            return _residual_row("[P1, R%d] = 0" % l,
-                                 commutator(P1, _R(ctx, l)),
-                                 DiffOp.zero(ctx))
-        jobs.append(("[P1, R%d]" % l, job3))
-        def job4(l=l):
-            return _residual_row("[Q, R%d] = 0" % l,
-                                 commutator(Q, _R(ctx, l)),
-                                 DiffOp.zero(ctx))
-        jobs.append(("[Q, R%d]" % l, job4))
+                       "the source table lists a spurious -(m+2) R%d" % l),
+            _residual_row("[Vbar1, R%d] = 0" % l,
+                          commutator(vbar1, R[l]), zero),
+            _residual_row("[P1, R%d] = 0" % l, commutator(P1, R[l]), zero),
+            _residual_row("[Q, R%d] = 0" % l, commutator(Q, R[l]), zero),
+        ]
 
-    def job_p1_v():
-        rhs = P1.scaled(6)
-        for i in range(2, n + 1):
-            ri2 = compose(_R(ctx, i), _R(ctx, i))
-            rhs = rhs + compose(dt, ri2).scaled(
-                rat(2 * (m + 2)) * tp(2 * m)) \
-                + ri2.scaled(rat(2 * m * (m + 2)) * tp(2 * m - 2))
-        return _residual_row("[P1, V] = 6 P1 + transverse terms",
-                             commutator(P1, V), rhs)
-    jobs.append(("[P1, V]", job_p1_v))
-
-    def job_q_v():
-        rhs = Q.scaled(4)
-        for i in range(2, n + 1):
-            rhs = rhs + compose(_R(ctx, i), _R(ctx, i)).scaled(
-                rat(2 * (m + 2)) * tp(2 * m))
-        detail = "" if n == 1 else \
-            "the clean 4 Q law holds only in one space dimension; " \
-            "transverse second derivatives survive otherwise"
-        return _residual_row("[Q, V] = 4 Q + transverse terms",
-                             commutator(Q, V), rhs, detail=detail)
-    jobs.append(("[Q, V]", job_q_v))
-    return jobs
+    rhs_p1 = P1.scaled(6)
+    rhs_q = Q.scaled(4)
+    for l in range(2, n + 1):
+        rl2 = compose(R[l], R[l])
+        rhs_p1 = rhs_p1 \
+            + compose(dt, rl2).scaled(rat(2 * (m + 2)) * tp(2 * m)) \
+            + rl2.scaled(rat(2 * m * (m + 2)) * tp(2 * m - 2))
+        rhs_q = rhs_q + rl2.scaled(rat(2 * (m + 2)) * tp(2 * m))
+    detail = "" if n == 1 else \
+        "the clean 4 Q law holds only in one space dimension; " \
+        "transverse second derivatives survive otherwise"
+    rows += [
+        _residual_row("[P1, V] = 6 P1 + transverse terms",
+                      commutator(P1, V), rhs_p1),
+        _residual_row("[Q, V] = 4 Q + transverse terms",
+                      commutator(Q, V), rhs_q, detail=detail),
+    ]
+    return rows
 
 
 def _plane_square_rows(ctx, m):
@@ -340,72 +276,63 @@ def _plane_square_rows(ctx, m):
     V = _Vhalf(ctx, m)
     V2 = compose(V, V)
     sumR2 = DiffOp.zero(ctx)
-    for i in range(2, n + 1):
-        sumR2 = sumR2 + compose(_R(ctx, i), _R(ctx, i))
+    for l in range(2, n + 1):
+        sumR2 = sumR2 + compose(DiffOp.dx(ctx, l), DiffOp.dx(ctx, l))
     D = rat((m + 2) ** 2) * X(1) ** 2 - rat(4) * tp(2 * m + 4)
-    jobs = []
 
-    def job_m1():
-        M1 = _M1(ctx)
-        body = Q.scaled(rat((m + 2) ** 2) * X(1) ** 4) \
-            + V2.scaled(X(1) ** 2 * tp(2 * m)) \
-            - compose(M1, V).scaled(rat(4) * X(1) * tp(2 * m + 2)) \
-            + sumR2.scaled(rat((m + 2) ** 2) * X(1) ** 4 * tp(2 * m)) \
-            - V.scaled(rat(m + 2) * X(1) ** 2 * tp(2 * m)) \
-            + M1.scaled(rat(2 * (m + 4)) * X(1) * tp(2 * m + 2))
-        return _residual_row("plane square: (x1*Dt)^2",
-                             compose(M1, M1), body.scaled(one / D))
-    jobs.append(("plane square 1", job_m1))
+    M1 = _M1(ctx)
+    body = Q.scaled(rat((m + 2) ** 2) * X(1) ** 4) \
+        + V2.scaled(X(1) ** 2 * tp(2 * m)) \
+        - compose(M1, V).scaled(rat(4) * X(1) * tp(2 * m + 2)) \
+        + sumR2.scaled(rat((m + 2) ** 2) * X(1) ** 4 * tp(2 * m)) \
+        - V.scaled(rat(m + 2) * X(1) ** 2 * tp(2 * m)) \
+        + M1.scaled(rat(2 * (m + 4)) * X(1) * tp(2 * m + 2))
+    rows = [_residual_row("plane square: (x1*Dt)^2",
+                          compose(M1, M1), body.scaled(one / D))]
 
     for branch, tag in ((1, "+"), (-1, "-")):
-        def job_m2(branch=branch, tag=tag):
-            M2 = _M2(ctx, m, branch)
-            shift = rat(2 * branch, m + 2) * tp(m + 2)
-            low = X(1) - shift
-            high = X(1) + shift
-            rhs = (Q.scaled(rat(4) * tp(4)) - V2
-                   + sumR2.scaled(rat(4) * tp(2 * m + 4))
-                   + V.scaled(rat(2))).scaled(
-                       low / (rat((m + 2) ** 2) * high)) \
-                + compose(M2, V).scaled(
-                    rat(2) * X(1) / (rat(m + 2) * high)) \
-                - M2.scaled(rat(2) * (X(1) - rat(branch) * tp(m + 2))
-                            / (rat(m + 2) * high))
-            return _residual_row(
-                "plane square: branch %s slanted field" % tag,
-                compose(M2, M2), rhs,
-                detail="the zeroth-order numerator subtracts the "
-                       "branch shift; the source display adds it")
-        jobs.append(("plane square 2%s" % tag, job_m2))
+        M2 = _M2(ctx, m, branch)
+        shift = rat(2 * branch, m + 2) * tp(m + 2)
+        low = X(1) - shift
+        high = X(1) + shift
+        rhs = (Q.scaled(rat(4) * tp(4)) - V2
+               + sumR2.scaled(rat(4) * tp(2 * m + 4))
+               + V.scaled(rat(2))).scaled(
+                   low / (rat((m + 2) ** 2) * high)) \
+            + compose(M2, V).scaled(
+                rat(2) * X(1) / (rat(m + 2) * high)) \
+            - M2.scaled(rat(2) * (X(1) - rat(branch) * tp(m + 2))
+                        / (rat(m + 2) * high))
+        rows.append(_residual_row(
+            "plane square: branch %s slanted field" % tag,
+            compose(M2, M2), rhs,
+            detail="the zeroth-order numerator subtracts the "
+                   "branch shift; the source display adds it"))
 
-    def job_m3():
-        M3 = _TDt(ctx)
-        body = Q.scaled(rat((m + 2) ** 2) * X(1) ** 2 * tp(4)) \
-            + V2.scaled(tp(2 * m + 4)) \
-            - compose(M3, V).scaled(rat(4) * tp(2 * m + 4)) \
-            + sumR2.scaled(rat((m + 2) ** 2) * X(1) ** 2 * tp(2 * m + 4)) \
-            - V.scaled(rat(m + 2) * tp(2 * m + 4)) \
-            + M3.scaled(rat((m + 2) ** 2) * X(1) ** 2
-                        + rat(2 * (m + 2)) * tp(2 * m + 4))
-        return _residual_row("plane square: (t*Dt)^2",
-                             compose(M3, M3), body.scaled(one / D))
-    jobs.append(("plane square 3", job_m3))
+    M3 = _TDt(ctx)
+    body = Q.scaled(rat((m + 2) ** 2) * X(1) ** 2 * tp(4)) \
+        + V2.scaled(tp(2 * m + 4)) \
+        - compose(M3, V).scaled(rat(4) * tp(2 * m + 4)) \
+        + sumR2.scaled(rat((m + 2) ** 2) * X(1) ** 2 * tp(2 * m + 4)) \
+        - V.scaled(rat(m + 2) * tp(2 * m + 4)) \
+        + M3.scaled(rat((m + 2) ** 2) * X(1) ** 2
+                    + rat(2 * (m + 2)) * tp(2 * m + 4))
+    rows.append(_residual_row("plane square: (t*Dt)^2",
+                              compose(M3, M3), body.scaled(one / D)))
 
-    def job_m4():
-        M4 = _M4(ctx, m)
-        body = Q.scaled(rat(4) * tp(2 * m + 8)) \
-            - V2.scaled(tp(2 * m + 4)) \
-            + compose(M4, V).scaled(rat(2 * (m + 2)) * X(1) * tp(m + 2)) \
-            + sumR2.scaled(rat(4) * tp(4 * m + 8)) \
-            + V.scaled(rat(2) * tp(2 * m + 4)) \
-            - M4.scaled(rat((m + 2) * (m + 4)) * X(1) * tp(m + 2))
-        return _residual_row(
-            "plane square: (t^((m+2)/2)*D1)^2",
-            compose(M4, M4), body.scaled(one / D),
-            detail="the zeroth-order weight is (m+2)(m+4); the source "
-                   "display prints 3(m+2)^2")
-    jobs.append(("plane square 4", job_m4))
-    return jobs
+    M4 = _M4(ctx, m)
+    body = Q.scaled(rat(4) * tp(2 * m + 8)) \
+        - V2.scaled(tp(2 * m + 4)) \
+        + compose(M4, V).scaled(rat(2 * (m + 2)) * X(1) * tp(m + 2)) \
+        + sumR2.scaled(rat(4) * tp(4 * m + 8)) \
+        + V.scaled(rat(2) * tp(2 * m + 4)) \
+        - M4.scaled(rat((m + 2) * (m + 4)) * X(1) * tp(m + 2))
+    rows.append(_residual_row(
+        "plane square: (t^((m+2)/2)*D1)^2",
+        compose(M4, M4), body.scaled(one / D),
+        detail="the zeroth-order weight is (m+2)(m+4); the source "
+               "display prints 3(m+2)^2"))
+    return rows
 
 
 _DECOMP_DETAIL = (
@@ -417,7 +344,8 @@ _DECOMP_DETAIL = (
     "tabulated weights are not consistent in any gauge")
 
 
-def _square_decomp_row(name, ctx, m, Nf, i, c_expected, vbars):
+def _square_decomp_row(name, Nf, i, c_expected, Q, V0, vbars, L,
+                       sum_vbar2):
     """Check the square of a normal field against its operator alphabet.
 
     The products of two alphabet fields satisfy linear relations, so the
@@ -426,13 +354,9 @@ def _square_decomp_row(name, ctx, m, Nf, i, c_expected, vbars):
     the one weight that every solution must share: the coefficient of
     x_i times the normal field composed with the anisotropic scaling.
     """
+    ctx = Nf.ctx
     n = ctx.n
     X = ctx.x
-    Q = _Q(ctx, m)
-    V0 = _V0(ctx, m)
-    sum_vbar2 = DiffOp.zero(ctx)
-    for j in range(1, n + 1):
-        sum_vbar2 = sum_vbar2 + compose(vbars[j], vbars[j])
     mixed_v0 = DiffOp.zero(ctx)
     mixed_n = DiffOp.zero(ctx)
     rotated = DiffOp.zero(ctx)
@@ -440,8 +364,7 @@ def _square_decomp_row(name, ctx, m, Nf, i, c_expected, vbars):
         mixed_v0 = mixed_v0 + compose(V0, vbars[kk]).scaled(X(kk))
         mixed_n = mixed_n + compose(Nf, vbars[kk]).scaled(X(kk))
         if kk != i:
-            rotated = rotated + compose(
-                vbars[i], _L(ctx, i, kk)).scaled(X(kk))
+            rotated = rotated + compose(vbars[i], L[i, kk]).scaled(X(kk))
     basis = [Q, compose(V0, V0), compose(Nf, V0).scaled(X(i)),
              sum_vbar2, mixed_v0, mixed_n, rotated, V0, Nf] \
         + [vbars[j] for j in range(1, n + 1) if j != i]
@@ -464,170 +387,131 @@ def _cone_square_rows(ctx, m):
     r = ctx.r()
     Q = _Q(ctx, m)
     V0 = _V0(ctx, m)
-    vbars = [None] + [_Vbar(ctx, m, i) for i in range(1, n + 1)]
+    vbars = _Vbars(ctx, m)
+    L = _rotations(ctx)
     sum_vbar2 = DiffOp.zero(ctx)
     for j in range(1, n + 1):
         sum_vbar2 = sum_vbar2 + compose(vbars[j], vbars[j])
+    alphabet = (Q, V0, vbars, L, sum_vbar2)
+    N10 = _N1_0(ctx)
+    N30 = _TDt(ctx)
     E = rat(4) * tp(2 * m + 4) - rat((m + 2) ** 2) * r ** 2
     Dp = -one * E
-    jobs = []
+    # rot[i] = sum over kk != i of x_kk * L_i,kk
+    rot = [None]
+    for i in range(1, n + 1):
+        rot.append(DiffOp.zero(ctx))
+        for kk in range(1, n + 1):
+            if kk != i:
+                rot[i] = rot[i] + L[i, kk].scaled(X(kk))
 
-    def job_38():
-        N10 = _N1_0(ctx)
-        body = Q.scaled(rat(-4) * r ** 2 * tp(2 * m + 4)) \
-            - sum_vbar2.scaled(r ** 2 * tp(2 * m)) \
-            + compose(N10, V0).scaled(rat(4) * r * tp(2 * m + 2)) \
-            + V0.scaled(rat(m + 2) * r ** 2 * tp(2 * m)) \
-            + N10.scaled(rat(2 * (m + 2) * (n - 1) - 8)
-                         * tp(2 * m + 2) * r
-                         - rat(m * (m + 2) ** 2, 2) * r ** 3 * tp(-2))
-        return _residual_row("cone square: (r*Dt)^2",
-                             compose(N10, N10), body.scaled(one / E))
-    jobs.append(("cone square vertex", job_38))
+    body = Q.scaled(rat(-4) * r ** 2 * tp(2 * m + 4)) \
+        - sum_vbar2.scaled(r ** 2 * tp(2 * m)) \
+        + compose(N10, V0).scaled(rat(4) * r * tp(2 * m + 2)) \
+        + V0.scaled(rat(m + 2) * r ** 2 * tp(2 * m)) \
+        + N10.scaled(rat(2 * (m + 2) * (n - 1) - 8)
+                     * tp(2 * m + 2) * r
+                     - rat(m * (m + 2) ** 2, 2) * r ** 3 * tp(-2))
+    rows = [_residual_row("cone square: (r*Dt)^2",
+                          compose(N10, N10), body.scaled(one / E))]
 
     for i in range(1, n + 1):
-        def job_39(i=i):
-            N1i = _N1(ctx, m, i)
-            c1 = rat(2 * (m + 2)) * tp(m) * r / Dp
-            return _square_decomp_row(
+        N1i = _N1(ctx, m, i)
+        N2i = _N2(ctx, m, i)
+        c1 = rat(2 * (m + 2)) * tp(m) * r / Dp
+        u = r - rat(2, m + 2) * tp(m + 2)
+        c2 = rat(2 * (m + 2)) * u / Dp
+        rhs_a = V0.scaled(rat(2) * tp(m + 2) * X(i)
+                          / (rat(m + 2) * r ** 2)) \
+            + N10.scaled(X(i) * Dp
+                         / (rat(m + 2) * r ** 3 * tp(m))) \
+            - rot[i].scaled(rat(2) * tp(m + 2) / r ** 2)
+        rhs_b = V0.scaled(rat(m + 2) * X(i) / (rat(2) * tp(m + 2))) \
+            + N1i.scaled(E / (rat(2) * tp(2 * m + 2) * r)) \
+            - rot[i].scaled(rat((m + 2) ** 2, 2) / tp(m + 2))
+        body = V0.scaled(rat(m + 2) * X(i)) \
+            - N2i.scaled(rat(m + 2) * (rat(m + 2) * r
+                                       + rat(2) * tp(m + 2))) \
+            - rot[i].scaled(rat((m + 2) ** 2))
+        rows += [
+            _square_decomp_row(
                 "cone square: (t^(m/2)*r*D%d)^2 modulo admissible "
-                "terms" % i, ctx, m, N1i, i, c1, vbars)
-        jobs.append(("cone square 1-%d" % i, job_39))
-
-        def job_310(i=i):
-            N10 = _N1_0(ctx)
-            N1i = _N1(ctx, m, i)
-            lhs = vbars[i]
-            rhs_a = V0.scaled(rat(2) * tp(m + 2) * X(i)
-                              / (rat(m + 2) * r ** 2)) \
-                + N10.scaled(X(i) * (-one * E)
-                             / (rat(m + 2) * r ** 3 * tp(m)))
-            rhs_b = V0.scaled(rat(m + 2) * X(i) / (rat(2) * tp(m + 2))) \
-                + N1i.scaled(E / (rat(2) * tp(2 * m + 2) * r))
-            for kk in range(1, n + 1):
-                if kk == i:
-                    continue
-                rhs_a = rhs_a - _L(ctx, i, kk).scaled(
-                    rat(2) * tp(m + 2) * X(kk) / r ** 2)
-                rhs_b = rhs_b - _L(ctx, i, kk).scaled(
-                    rat((m + 2) ** 2, 2) * X(kk) / tp(m + 2))
-            row1 = _residual_row("cone elimination: Vbar%d via vertex "
-                                 "normal field" % i, lhs, rhs_a)
-            row2 = _residual_row(
+                "terms" % i, N1i, i, c1, *alphabet),
+            _residual_row("cone elimination: Vbar%d via vertex "
+                          "normal field" % i, vbars[i], rhs_a),
+            _residual_row(
                 "cone elimination: Vbar%d via scaled gradient" % i,
-                lhs, rhs_b,
+                vbars[i], rhs_b,
                 detail="the gradient-field weight divides by "
                        "2 t^(m+1) r; the source display drops the "
-                       "2 t^((m+2)/2) part of that divisor")
-            return [row1, row2]
-        jobs.append(("cone elimination 1-%d" % i, job_310))
-
-        def job_311(i=i):
-            N2i = _N2(ctx, m, i)
-            u = r - rat(2, m + 2) * tp(m + 2)
-            c2 = rat(2 * (m + 2)) * u / Dp
-            return _square_decomp_row(
+                       "2 t^((m+2)/2) part of that divisor"),
+            _square_decomp_row(
                 "cone square: slanted normal field %d modulo "
-                "admissible terms" % i, ctx, m, N2i, i, c2, vbars)
-        jobs.append(("cone square 2-%d" % i, job_311))
-
-        def job_312(i=i):
-            N2i = _N2(ctx, m, i)
-            body = V0.scaled(rat(m + 2) * X(i)) \
-                - N2i.scaled(rat(m + 2) * (rat(m + 2) * r
-                                           + rat(2) * tp(m + 2)))
-            for kk in range(1, n + 1):
-                if kk != i:
-                    body = body - _L(ctx, i, kk).scaled(
-                        rat((m + 2) ** 2) * X(kk))
-            return _residual_row(
+                "admissible terms" % i, N2i, i, c2, *alphabet),
+            _residual_row(
                 "cone elimination: Vbar%d via slanted normal field" % i,
-                vbars[i], body.scaled(one / (rat(2) * tp(m + 2))))
-        jobs.append(("cone elimination 2-%d" % i, job_312))
+                vbars[i], body.scaled(one / (rat(2) * tp(m + 2)))),
+        ]
 
-    def job_313():
-        N30 = _TDt(ctx)
-        body = Q.scaled(rat(-4) * tp(2 * m + 8)) \
-            - sum_vbar2.scaled(tp(2 * m + 4)) \
-            + compose(N30, V0).scaled(rat(4) * tp(2 * m + 4)) \
-            + V0.scaled(rat(m + 2) * tp(2 * m + 4)) \
-            + N30.scaled(rat(2 * (n - 1) * (m + 2) - 4) * tp(2 * m + 4)
-                         - rat((m + 2) ** 3, 2) * r ** 2)
-        return _residual_row(
-            "cone square: (t*Dt)^2",
-            compose(N30, N30), body.scaled(one / E),
-            detail="zeroth-order weight corrected: -4 t^(m+2) joins the "
-                   "first bracket and the radial bracket carries "
-                   "(m+2)^3/2")
-    jobs.append(("cone square 3", job_313))
+    body = Q.scaled(rat(-4) * tp(2 * m + 8)) \
+        - sum_vbar2.scaled(tp(2 * m + 4)) \
+        + compose(N30, V0).scaled(rat(4) * tp(2 * m + 4)) \
+        + V0.scaled(rat(m + 2) * tp(2 * m + 4)) \
+        + N30.scaled(rat(2 * (n - 1) * (m + 2) - 4) * tp(2 * m + 4)
+                     - rat((m + 2) ** 3, 2) * r ** 2)
+    rows.append(_residual_row(
+        "cone square: (t*Dt)^2",
+        compose(N30, N30), body.scaled(one / E),
+        detail="zeroth-order weight corrected: -4 t^(m+2) joins the "
+               "first bracket and the radial bracket carries "
+               "(m+2)^3/2"))
 
     for i in range(1, n + 1):
-        def job_314(i=i):
-            N30 = _TDt(ctx)
-            rhs = V0.scaled(rat(2) * tp(m + 2) * X(i)
-                            / (rat(m + 2) * r ** 2)) \
-                + N30.scaled(X(i) * (-one * E)
-                             / (rat(m + 2) * r ** 2 * tp(m + 2)))
-            for kk in range(1, n + 1):
-                if kk != i:
-                    rhs = rhs - _L(ctx, i, kk).scaled(
-                        rat(2) * tp(m + 2) * X(kk) / r ** 2)
-            return _residual_row(
+        N4i = _N4(ctx, m, i)
+        c4 = rat(2 * (m + 2)) * tp(m + 2) / Dp
+        rhs_3 = V0.scaled(rat(2) * tp(m + 2) * X(i)
+                          / (rat(m + 2) * r ** 2)) \
+            + N30.scaled(X(i) * Dp
+                         / (rat(m + 2) * r ** 2 * tp(m + 2))) \
+            - rot[i].scaled(rat(2) * tp(m + 2) / r ** 2)
+        rhs_4 = V0.scaled(rat(m + 2) * X(i) / (rat(2) * tp(m + 2))) \
+            + N4i.scaled(E / (rat(2) * tp(2 * m + 4))) \
+            - rot[i].scaled(rat((m + 2) ** 2, 2) / tp(m + 2))
+        rows += [
+            _residual_row(
                 "cone elimination: Vbar%d via time scaling field" % i,
-                vbars[i], rhs)
-        jobs.append(("cone elimination 3-%d" % i, job_314))
-
-        def job_315(i=i):
-            N4i = _N4(ctx, m, i)
-            c4 = rat(2 * (m + 2)) * tp(m + 2) / Dp
-            return _square_decomp_row(
+                vbars[i], rhs_3),
+            _square_decomp_row(
                 "cone square: (t^((m+2)/2)*D%d)^2 modulo admissible "
-                "terms" % i, ctx, m, N4i, i, c4, vbars)
-        jobs.append(("cone square 4-%d" % i, job_315))
-
-        def job_316(i=i):
-            N4i = _N4(ctx, m, i)
-            rhs = V0.scaled(rat(m + 2) * X(i) / (rat(2) * tp(m + 2))) \
-                + N4i.scaled(E / (rat(2) * tp(2 * m + 4)))
-            for kk in range(1, n + 1):
-                if kk != i:
-                    rhs = rhs - _L(ctx, i, kk).scaled(
-                        rat((m + 2) ** 2, 2) * X(kk) / tp(m + 2))
-            return _residual_row(
+                "terms" % i, N4i, i, c4, *alphabet),
+            _residual_row(
                 "cone elimination: Vbar%d via time-power gradient" % i,
-                vbars[i], rhs,
+                vbars[i], rhs_4,
                 detail="the gradient-field weight divides by "
                        "2 t^(m+2); the source display drops the "
-                       "2 t^((m+2)/2) part of that divisor")
-        jobs.append(("cone elimination 4-%d" % i, job_316))
-    return jobs
+                       "2 t^((m+2)/2) part of that divisor"),
+        ]
+    return rows
 
 
-def _mixed_rows(ctx, m1, m2):
+def _mixed_row(ctx, m1, m2):
     """Cross-exponent relation between the two scaling fields."""
     n = ctx.n
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
     r2 = ctx.r() ** 2 if n >= 2 else X(1) ** 2
     D = rat((m2 + 2) ** 2) * r2 - rat(4) * tp(2 * m2 + 4)
-    jobs = []
-
-    def job():
-        lhs = _V0(ctx, m1)
-        rhs = _V0(ctx, m2) \
-            + _V0(ctx, m2).scaled(rat((m1 - m2) * (m2 + 2)) * r2 / D)
-        for kk in range(1, n + 1):
-            rhs = rhs - _Vbar(ctx, m2, kk).scaled(
-                rat(2 * (m1 - m2)) * tp(m2 + 2) * X(kk) / D)
-        return _residual_row(
-            "scaling field at exponent %d via exponent %d alphabet"
-            % (m1, m2), lhs, rhs,
-            detail="coefficients carry the exponent gap %d"
-                   % (m1 - m2))
-    jobs.append(("mixed %d,%d" % (m1, m2), job))
-    return jobs
+    V0_2 = _V0(ctx, m2)
+    rhs = V0_2 + V0_2.scaled(rat((m1 - m2) * (m2 + 2)) * r2 / D)
+    for kk in range(1, n + 1):
+        rhs = rhs - _Vbar(ctx, m2, kk).scaled(
+            rat(2 * (m1 - m2)) * tp(m2 + 2) * X(kk) / D)
+    return _residual_row(
+        "scaling field at exponent %d via exponent %d alphabet"
+        % (m1, m2), _V0(ctx, m1), rhs,
+        detail="coefficients carry the exponent gap %d" % (m1 - m2))
 
 
-def _abstract_rows(ctx):
+def _abstract_rows():
     rows = []
     for label in ("vertex normal field", "slanted normal field",
                   "time scaling field", "time-power gradient"):
@@ -666,25 +550,11 @@ def catalog_verify(m, n):
                 raise ParameterError("exponents must be integers in 1..8")
         if m1 == m2:
             raise ParameterError("the two exponents must differ")
-        if m1 < m2:
-            m1, m2 = m2, m1
-        jobs = _mixed_rows(ctx, m1, m2)
-        tail = []
-    else:
-        if not isinstance(m, int) or not 1 <= m <= 8:
-            raise ParameterError("exponent must be an integer in 1..8")
-        jobs = _cone_rows(ctx, m) + _plane_rows(ctx, m) \
-            + _plane_square_rows(ctx, m)
-        if n >= 2:
-            jobs = jobs + _cone_square_rows(ctx, m)
-        tail = _abstract_rows(ctx) if n >= 2 else []
-        tail = tail + [_negative_control(ctx, m)]
-
-    rows = []
-    for _, job in jobs:
-        result = job()
-        if isinstance(result, list):
-            rows.extend(result)
-        else:
-            rows.append(result)
-    return rows + tail
+        return [_mixed_row(ctx, max(m1, m2), min(m1, m2))]
+    if not isinstance(m, int) or not 1 <= m <= 8:
+        raise ParameterError("exponent must be an integer in 1..8")
+    rows = _cone_rows(ctx, m) + _plane_rows(ctx, m) \
+        + _plane_square_rows(ctx, m)
+    if n >= 2:
+        rows += _cone_square_rows(ctx, m) + _abstract_rows()
+    return rows + [_negative_control(ctx, m)]

@@ -43,7 +43,6 @@ class NonlinearitySpec:
 
     kind "polynomial" carries coefficients c_k for sum c_k u^k; kind
     "tabulated-smooth" wraps an arbitrary callable (t, coords, u) -> array.
-    growth_exponent is carried for diagnostics only.
 
     evaluate receives a whole trajectory at once: t has shape
     (n_t, 1, ..., 1), coords is one array of shape grid.sizes per axis,
@@ -53,15 +52,12 @@ class NonlinearitySpec:
     kind: str = "polynomial"
     coefficients: tuple = ()
     evaluate_fn: object = None
-    growth_exponent: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("polynomial", "tabulated-smooth"):
             raise ParameterError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "tabulated-smooth" and self.evaluate_fn is None:
             raise ParameterError("tabulated-smooth nonlinearity needs evaluate_fn")
-        if self.growth_exponent < 0:
-            raise ParameterError("growth exponent must be nonnegative")
 
     def evaluate(self, t, coords, u):
         if self.kind == "polynomial":

@@ -212,6 +212,18 @@ def test_catalog_rejects_bad_parameters():
         catalog_verify((1, 2, 3), 2)
 
 
+def test_catalog_row_counts():
+    # pinned so that a dropped row fails; n == 3 adds the
+    # [Vbar_l, L_ij] = 0 and [L12, L13] = L32 rows
+    assert len(catalog_verify(1, 1)) == 16
+    assert len(catalog_verify(2, 2)) == 52
+    assert len(catalog_verify((3, 1), 2)) == 1
+    rows = catalog_verify(1, 3)
+    assert len(rows) == 85
+    for row in rows:
+        assert row.ok, row.name
+
+
 def test_catalog_serial_runs_agree():
     first = catalog_verify(2, 2)
     second = catalog_verify(2, 2)

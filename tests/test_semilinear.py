@@ -157,7 +157,7 @@ def test_third_order_linear_reduction():
 def test_third_order_quadratic_matches_rk4():
     g = Grid(1, (64,), 4.0)
     cfg = PicardConfig(T=0.4, n_t=129, tol=1e-12)
-    f = NonlinearitySpec("polynomial", (0.0, 0.0, 1.0), growth_exponent=2.0)
+    f = NonlinearitySpec("polynomial", (0.0, 0.0, 1.0))
     phi0 = gaussian_field(g, amp=0.2)
     tr, rep = solve_third_order(1, f, phi0, zero_field(g), zero_field(g), cfg)
     require_converged(rep)
