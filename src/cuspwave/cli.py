@@ -37,7 +37,6 @@ from .initial_data import (
     parse_data_spec,
 )
 from .linear_solver import export_trajectory, solve_homogeneous
-from .opalg import catalog_verify
 from .probe import (
     VectorFieldId,
     conormal_scan,
@@ -312,6 +311,9 @@ _OPALG_DEFAULTS = {"m": 1, "n": 2, "pair": "", "out": ""}
 
 
 def cmd_opalg(args) -> int:
+    # imported here so that the numeric commands do not load sympy
+    from .opalg import catalog_verify
+
     cfg = _resolve(args, _OPALG_SCHEMA, _OPALG_DEFAULTS)
     pair = str(cfg["pair"]).strip()
     if pair:

@@ -345,7 +345,7 @@ _DECOMP_DETAIL = (
 
 
 def _square_decomp_row(name, Nf, i, c_expected, Q, V0, vbars, L,
-                       sum_vbar2):
+                       sum_vbar2, v0_sq, mixed_v0):
     """Check the square of a normal field against its operator alphabet.
 
     The products of two alphabet fields satisfy linear relations, so the
@@ -357,15 +357,13 @@ def _square_decomp_row(name, Nf, i, c_expected, Q, V0, vbars, L,
     ctx = Nf.ctx
     n = ctx.n
     X = ctx.x
-    mixed_v0 = DiffOp.zero(ctx)
     mixed_n = DiffOp.zero(ctx)
     rotated = DiffOp.zero(ctx)
     for kk in range(1, n + 1):
-        mixed_v0 = mixed_v0 + compose(V0, vbars[kk]).scaled(X(kk))
         mixed_n = mixed_n + compose(Nf, vbars[kk]).scaled(X(kk))
         if kk != i:
             rotated = rotated + compose(vbars[i], L[i, kk]).scaled(X(kk))
-    basis = [Q, compose(V0, V0), compose(Nf, V0).scaled(X(i)),
+    basis = [Q, v0_sq, compose(Nf, V0).scaled(X(i)),
              sum_vbar2, mixed_v0, mixed_n, rotated, V0, Nf] \
         + [vbars[j] for j in range(1, n + 1) if j != i]
     target = compose(Nf, Nf)
@@ -390,9 +388,11 @@ def _cone_square_rows(ctx, m):
     vbars = _Vbars(ctx, m)
     L = _rotations(ctx)
     sum_vbar2 = DiffOp.zero(ctx)
+    mixed_v0 = DiffOp.zero(ctx)
     for j in range(1, n + 1):
         sum_vbar2 = sum_vbar2 + compose(vbars[j], vbars[j])
-    alphabet = (Q, V0, vbars, L, sum_vbar2)
+        mixed_v0 = mixed_v0 + compose(V0, vbars[j]).scaled(X(j))
+    alphabet = (Q, V0, vbars, L, sum_vbar2, compose(V0, V0), mixed_v0)
     N10 = _N1_0(ctx)
     N30 = _TDt(ctx)
     E = rat(4) * tp(2 * m + 4) - rat((m + 2) ** 2) * r ** 2

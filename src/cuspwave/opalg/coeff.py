@@ -57,9 +57,12 @@ class CoeffContext:
         return CoeffExpr(self, self.field.one)
 
     def rational(self, p, q=1):
+        # a reduced fraction with a positive denominator is a normal form
         value = Fraction(p, q)
-        elem = self.field.one * QQ(value.numerator, value.denominator)
-        return CoeffExpr(self, elem)
+        ring = self.poly_ring
+        elem = self.field.raw_new(ring.ground_new(value.numerator),
+                                  ring.ground_new(value.denominator))
+        return CoeffExpr(self, elem, reduce=False)
 
     def t_pow(self, half_exponent):
         """t raised to half_exponent/2, encoded as a power of h."""
@@ -86,41 +89,43 @@ class CoeffContext:
 
     def _reduce_poly(self, p):
         """Rewrite powers of r via r**2 -> sum of x_i**2."""
-        if self.r_index is None:
-            return p
-        ring = self.poly_ring
-        out = ring.zero
         idx = self.r_index
-        for monom, coeff in p.terms():
+        if idx is None or all(monom[idx] < 2 for monom in p):
+            return p
+        out = self.poly_ring.zero
+        zero = self.poly_ring.domain.zero
+        for monom, coeff in p.items():
             e = monom[idx]
             if e < 2:
-                out = out + ring.from_dict({monom: coeff})
+                out[monom] = out.get(monom, zero) + coeff
                 continue
-            base = list(monom)
-            base[idx] = e % 2
-            out = out + ring.from_dict({tuple(base): coeff}) \
-                * self._sum_x2_poly ** (e // 2)
+            base = monom[:idx] + (e % 2,) + monom[idx + 1:]
+            for m2, c2 in (self._sum_x2_poly ** (e // 2)).items():
+                key = tuple(a + b for a, b in zip(base, m2))
+                out[key] = out.get(key, zero) + coeff * c2
+        out.strip_zero()
         return out
 
     def _split_r(self, p):
         """Decompose p = a + b*r with a, b free of r."""
-        ring = self.poly_ring
         idx = self.r_index
-        a = ring.zero
-        b = ring.zero
-        for monom, coeff in p.terms():
+        a = self.poly_ring.zero
+        b = self.poly_ring.zero
+        for monom, coeff in p.items():
             if monom[idx] == 0:
-                a = a + ring.from_dict({monom: coeff})
+                a[monom] = coeff
             else:
-                base = list(monom)
-                base[idx] = 0
-                b = b + ring.from_dict({tuple(base): coeff})
+                b[monom[:idx] + (0,) + monom[idx + 1:]] = coeff
         return a, b
 
-    def normalize(self, frac):
-        """Return the normal form of a raw fraction-field element."""
-        num = self._reduce_poly(frac.numer)
-        den = self._reduce_poly(frac.denom)
+    def normal(self, num, den):
+        """Return the normal form of num/den, for polynomials num, den.
+
+        The one gcd of the normal form is the closing cancel, so callers
+        pass the pair uncancelled.
+        """
+        num = self._reduce_poly(num)
+        den = self._reduce_poly(den)
         if self.r_index is not None:
             a, b = self._split_r(den)
             if b:
@@ -130,7 +135,11 @@ class CoeffContext:
         num, den = num.cancel(den)
         if den.LC < 0:
             num, den = -num, -den
-        return self.field.new(num, den)
+        return self.field.raw_new(num, den)
+
+    def normalize(self, frac):
+        """Return the normal form of a raw fraction-field element."""
+        return self.normal(frac.numer, frac.denom)
 
 
 class CoeffExpr:
@@ -153,11 +162,22 @@ class CoeffExpr:
             return self.ctx.rational(other)
         return NotImplemented
 
+    def _new(self, num, den):
+        return CoeffExpr(self.ctx, self.ctx.normal(num, den), reduce=False)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CoeffExpr(self.ctx, self.frac + other.frac)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        a, b = self.frac, other.frac
+        if a.denom == b.denom:
+            return self._new(a.numer + b.numer, a.denom)
+        return self._new(a.numer * b.denom + b.numer * a.denom,
+                         a.denom * b.denom)
 
     __radd__ = __add__
 
@@ -165,19 +185,21 @@ class CoeffExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CoeffExpr(self.ctx, self.frac - other.frac)
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CoeffExpr(self.ctx, other.frac - self.frac)
+        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CoeffExpr(self.ctx, self.frac * other.frac)
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        a, b = self.frac, other.frac
+        return self._new(a.numer * b.numer, a.denom * b.denom)
 
     __rmul__ = __mul__
 
@@ -187,7 +209,10 @@ class CoeffExpr:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero coefficient")
-        return CoeffExpr(self.ctx, self.frac / other.frac)
+        if self.is_zero():
+            return self
+        a, b = self.frac, other.frac
+        return self._new(a.numer * b.denom, a.denom * b.numer)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -207,14 +232,17 @@ class CoeffExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.frac - other.frac).numer == 0 or \
-            self.ctx.normalize(self.frac - other.frac).numer == 0
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash((id(self.ctx), self.frac))
 
     def is_zero(self):
-        return self.frac.numer == 0
+        return not self.frac.numer
+
+    def size(self):
+        """Number of numerator plus denominator terms."""
+        return len(self.frac.numer) + len(self.frac.denom)
 
     # -- derivations -----------------------------------------------------
 

@@ -203,7 +203,8 @@ def span_decompose(target, basis):
     weight is uniquely determined exactly when its component vanishes in
     every null vector.  Returns (None, None) when no solution exists.
     Solved by Gauss-Jordan elimination on the coefficients of each
-    derivative multi-index.
+    derivative multi-index, pivoting in each column on the entry with
+    the fewest terms.
     """
     if not basis:
         return ([], []) if target.is_zero() else (None, None)
@@ -223,13 +224,12 @@ def span_decompose(target, basis):
     pivot_row = 0
     pivots = []
     for col in range(ncols):
-        pivot = None
-        for k in range(pivot_row, len(rows)):
-            if not rows[k][col].is_zero():
-                pivot = k
-                break
-        if pivot is None:
+        # the sparsest live entry keeps the fill-in, and so the gcds, small
+        live = [k for k in range(pivot_row, len(rows))
+                if not rows[k][col].is_zero()]
+        if not live:
             continue
+        pivot = min(live, key=lambda k: rows[k][col].size())
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
         lead = rows[pivot_row][col]
         rows[pivot_row] = [entry / lead for entry in rows[pivot_row]]

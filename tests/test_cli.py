@@ -7,10 +7,13 @@ bit-for-bit reproducibility of CSV artifacts.
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cuspwave
 from cuspwave.cli import load_trajectory, main
 from cuspwave.errors import GridMismatchError
 
@@ -206,3 +209,16 @@ class TestData:
         text = capsys.readouterr().out
         assert "family = smooth" in text
         assert "l2 = " in text
+
+
+def test_cli_import_does_not_load_sympy():
+    # only `opalg verify` needs sympy; the numeric commands must not pay
+    # for importing it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cuspwave.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, cuspwave.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

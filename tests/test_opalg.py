@@ -13,6 +13,7 @@ from cuspwave.opalg import (
     to_source,
     verify_identity,
 )
+from cuspwave.opalg import catalog
 from cuspwave.opalg.diffop import span_decompose
 
 
@@ -55,6 +56,41 @@ def test_coeff_half_powers(ctx2):
     h = ctx2.t_pow(1)
     assert h * h == ctx2.t()
     assert ctx2.t_pow(3).dt() == ctx2.rational(3, 2) * ctx2.t_pow(1)
+
+
+def _sample_coeffs(ctx):
+    """Normal-form coefficients, with quotients by r where n >= 2."""
+    h, t, x1 = ctx.h(), ctx.t(), ctx.x(1)
+    out = [ctx.zero(), ctx.one(), ctx.rational(-3, 2), x1, ctx.t_pow(-3),
+           (x1 + ctx.rational(2) * t) / (x1 - h), x1 ** 2 / (t + 1)]
+    if ctx.n >= 2:
+        r, x2 = ctx.r(), ctx.x(2)
+        out += [r, (x1 + r) / (x1 - r), x2 * r / (t - r),
+                ctx.rational(5, 3) / (r + h), r ** 3 - x2 * t]
+    if ctx.n == 3:
+        out.append(ctx.x(3) * ctx.r() / (ctx.x(3) + h))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coeff_ops_match_field_arithmetic(n):
+    # sympy's own field operators, then one normalisation, are the oracle
+    ctx = CoeffContext(n)
+    samples = _sample_coeffs(ctx)
+    for c in samples:
+        oracle = ctx.normalize(c.frac)
+        assert (c.frac.numer, c.frac.denom) == (oracle.numer, oracle.denom)
+    ops = [(lambda a, b: a + b), (lambda a, b: a - b),
+           (lambda a, b: a * b), (lambda a, b: a / b)]
+    for a in samples:
+        for b in samples:
+            for k, op in enumerate(ops):
+                if k == 3 and b.is_zero():
+                    continue
+                got = op(a, b).frac
+                want = ctx.normalize(op(a.frac, b.frac))
+                assert got.numer == want.numer, (k, a, b)
+                assert got.denom == want.denom, (k, a, b)
 
 
 def test_radial_generator_requires_two_dimensions():
@@ -222,6 +258,32 @@ def test_catalog_row_counts():
     assert len(rows) == 85
     for row in rows:
         assert row.ok, row.name
+
+
+def test_catalog_span_solutions_are_exact(monkeypatch):
+    systems = []
+
+    def recording(target, basis):
+        weights, nulls = span_decompose(target, basis)
+        systems.append((target, basis, weights, nulls))
+        return weights, nulls
+
+    monkeypatch.setattr(catalog, "span_decompose", recording)
+    rows = catalog_verify(2, 2)
+    assert all(row.ok for row in rows)
+    assert len(systems) == 6
+    for target, basis, weights, nulls in systems:
+        assert weights is not None
+        combo = DiffOp.zero(target.ctx)
+        for w, op in zip(weights, basis):
+            combo = combo + op.scaled(w)
+        assert (combo - target).is_zero()
+        for vec in nulls:
+            assert not all(v.is_zero() for v in vec)
+            combo = DiffOp.zero(target.ctx)
+            for v, op in zip(vec, basis):
+                combo = combo + op.scaled(v)
+            assert combo.is_zero()
 
 
 def test_catalog_serial_runs_agree():
