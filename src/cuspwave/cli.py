@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from .errors import (
-    AccuracyError,
     ConvergenceError,
     CuspwaveError,
     GridMismatchError,
@@ -50,6 +49,7 @@ from .probe import (
 from .semilinear import (
     NonlinearitySpec,
     PicardConfig,
+    require_converged,
     solve_fourth_order,
     solve_second_order,
     solve_third_order,
@@ -71,12 +71,20 @@ EXIT_VERIFY = 4
 
 _CONFIG_ERRORS = (CuspwaveError, FileNotFoundError, NotADirectoryError,
                   ValueError)
-_NUMERIC_ERRORS = (ConvergenceError, AccuracyError, QuadratureError)
+_NUMERIC_ERRORS = (ConvergenceError, QuadratureError)
 
 
 def _emit_error(exc) -> None:
-    """One JSON-lines record per failure, on stderr."""
+    """One JSON-lines record per failure, on stderr.
+
+    A ConvergenceError that carries its Picard report adds the iteration
+    count and the iterate distances.
+    """
     record = {"error": type(exc).__name__, "message": str(exc)}
+    report = getattr(exc, "report", None)
+    if report is not None:
+        record["iterations"] = report.iterations
+        record["distances"] = list(report.iterate_distances)
     sys.stderr.write(json.dumps(record) + "\n")
 
 
@@ -197,9 +205,7 @@ def cmd_solve(args) -> int:
     export_trajectory(out, traj, s_list=_parse_s_list(cfg))
     if report is not None:
         report.write_manifest(os.path.join(out, "picard.csv"))
-        if not report.converged:
-            raise ConvergenceError(
-                "iteration stalled after %d steps" % report.iterations)
+        require_converged(report)
     return EXIT_OK
 
 

@@ -9,19 +9,6 @@ class ParameterError(CuspwaveError):
     """Invalid parameters (m1 == m2, unsupported m/n, ...)."""
 
 
-class AccuracyError(CuspwaveError):
-    """A numerical routine failed to reach its accuracy target.
-
-    Carries the partial value and the number of terms/steps consumed so
-    callers can diagnose near-misses.
-    """
-
-    def __init__(self, message, partial=None, terms=None):
-        super().__init__(message)
-        self.partial = partial
-        self.terms = terms
-
-
 class DomainError(CuspwaveError):
     """Input outside the operation's domain (t < 0, wrong dimension, ...)."""
 

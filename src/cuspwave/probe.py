@@ -120,45 +120,51 @@ class VectorFieldId:
         return f"{self.name}[{idx}]" if idx else self.name
 
     def terms(self, n: int):
-        """List of (coefficient(t, coords) -> array, slot) with slot either
-        an axis index or 't'.  t is a scalar or an array of shape
-        (n_t, 1, ..., 1); the coefficient broadcasts against grid.sizes."""
+        """List of (time_factor(t), coord_axis, slot) triples.
+
+        Each term is time_factor(t) * x_{coord_axis} * d_slot, with
+        coord_axis None when the term has no x factor and slot either an
+        axis index or 't'.  t is an array of shape (n_t, 1, ..., 1);
+        time_factor returns a scalar or an array that broadcasts against
+        it.
+        """
         m = self.m
         if self.name == "V0":
-            return [(lambda t, c: 2.0 * t, "t")] + [
-                (lambda t, c, i=i: (m + 2) * c[i], i) for i in range(n)
+            return [(lambda t: 2.0 * t, None, "t")] + [
+                (lambda t: m + 2.0, i, i) for i in range(n)
             ]
         if self.name == "Vbar":
             l = self.indices[0]
             if not 0 <= l < n:
                 raise ParameterError(f"Vbar axis {l} out of range for n={n}")
             return [
-                (lambda t, c: 2.0 * t ** (m / 2 + 1), l),
-                (lambda t, c: (m + 2) * c[l] * t ** (-m / 2), "t"),
+                (lambda t: 2.0 * t ** (m / 2 + 1), None, l),
+                (lambda t: (m + 2) * t ** (-m / 2), l, "t"),
             ]
         if self.name == "L":
             i, j = self.indices
             if not (0 <= i < n and 0 <= j < n):
                 raise ParameterError(f"L axes {self.indices} out of range for n={n}")
-            return [(lambda t, c: c[i], j), (lambda t, c: -c[j], i)]
+            return [(lambda t: 1.0, i, j), (lambda t: -1.0, j, i)]
         if self.name == "Vhalf":
-            return [(lambda t, c: 2.0 * t, "t"), (lambda t, c: (m + 2) * c[0], 0)]
+            return [(lambda t: 2.0 * t, None, "t"), (lambda t: m + 2.0, 0, 0)]
         if self.name in ("TDt", "N3"):
-            return [(lambda t, c: t, "t")]
+            return [(lambda t: t, None, "t")]
         if self.name == "Rl":
             l = self.indices[0]
             if not 0 <= l < n:
                 raise ParameterError(f"Rl axis {l} out of range for n={n}")
-            return [(lambda t, c: np.ones_like(c[0]), l)]
+            return [(lambda t: 1.0, None, l)]
         if self.name == "N1":
-            return [(lambda t, c: c[0], "t")]
+            return [(lambda t: 1.0, 0, "t")]
         if self.name == "N2":
             sgn = float(self.indices[0])
             return [
-                (lambda t, c: c[0] - sgn * 2.0 / (m + 2) * t ** ((m + 2) / 2), 0)
+                (lambda t: 1.0, 0, 0),
+                (lambda t: -sgn * 2.0 / (m + 2) * t ** ((m + 2) / 2), None, 0),
             ]
         # N4
-        return [(lambda t, c: t ** ((m + 2) / 2), 0)]
+        return [(lambda t: t ** ((m + 2) / 2), None, 0)]
 
 
 def _time_derivative(stack: np.ndarray, h: float) -> np.ndarray:
@@ -175,24 +181,60 @@ def _time_derivative(stack: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+class _Jet:
+    """The derivatives of one trajectory, each computed once when a field
+    first needs it and then shared by every field applied to it.
+
+    spectral(slot) is d_slot u in spectral space: for 't' the 4th-order
+    time difference of u (memoised; it commutes with the spatial FFT), for
+    an axis the multiplier i xi (not memoised).  physical(slot) is one
+    dft_inverse of it, memoised per slot.
+    """
+
+    def __init__(self, traj: SpectralTrajectory):
+        h = np.diff(traj.times)
+        if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
+            raise DomainError("apply_vector_field needs a uniform time grid")
+        self.traj = traj
+        self.h = float(h[0])
+        self._dt = None
+        self._physical = {}
+
+    def spectral(self, slot) -> np.ndarray:
+        if slot != "t":
+            return spectral_derivative(self.traj.as_field(), slot).values
+        if self._dt is None:
+            self._dt = _time_derivative(self.traj.u, self.h)
+        return self._dt
+
+    def physical(self, slot) -> np.ndarray:
+        if slot not in self._physical:
+            self._physical[slot] = dft_inverse(
+                Field(self.traj.grid, self.spectral(slot), "spectral")).values
+        return self._physical[slot]
+
+
 def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
                        t_floor: float | None = None) -> SpectralTrajectory:
     """Z u on the trajectory's own (t, x) grid.
 
-    Spatial derivatives are spectral, the time derivative is a 4th-order
-    finite difference, and coefficients multiply pointwise in physical
-    space.  Fields with a t^(-m/2) coefficient are evaluated only for
+    Spatial derivatives are spectral and the time derivative is a
+    4th-order finite difference.  A term without an x factor (such as
+    2t dt in V0, 2 t^(m/2+1) d_l in Vbar, TDt, N3, N4 and Rl) acts in
+    spectral space as one multiply.  The terms with an x factor multiply
+    pointwise in physical space and are summed there, which costs one
+    dft_forward per field.  traj is a SpectralTrajectory or the derivative
+    jet of one; conormal_scan passes a jet so that all fields applied to
+    one input share one dft_inverse per derivative slot.
+
+    Fields with a t^(-m/2) coefficient are evaluated only for
     t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
     Passing t_floor = 0 for such a field raises a domain error.
     """
-    grid = traj.grid
-    times = traj.times
-    h = np.diff(times)
-    if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
-        raise DomainError("apply_vector_field needs a uniform time grid")
-    h = float(h[0])
+    jet = traj if isinstance(traj, _Jet) else _Jet(traj)
+    grid, times = jet.traj.grid, jet.traj.times
     if t_floor is None:
-        t_floor = 4.0 * h
+        t_floor = 4.0 * jet.h
     if fid.singular_at_zero and t_floor <= 0:
         raise DomainError(
             f"{fid.label()} carries a negative power of t and needs t_floor > 0"
@@ -201,20 +243,21 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     # fields singular at t = 0 act only from the first time >= t_floor on
     start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
-    u = Field(grid, traj.u[start:], "spectral")
-    coords = grid.coords()
     terms = fid.terms(grid.n)
-    if any(slot == "t" for _, slot in terms):
-        dt_phys = _time_derivative(dft_inverse(traj.as_field()).values, h)[start:]
-
-    out = np.zeros_like(traj.u)
-    for coeff, slot in terms:
-        if slot == "t":
-            d = dt_phys
-        else:
-            d = dft_inverse(spectral_derivative(u, slot)).values
-        out[start:] += coeff(t, coords) * d
-    return SpectralTrajectory(grid, times, dft_forward(Field(grid, out)).values)
+    weighted = [term for term in terms if term[1] is not None]
+    if weighted:
+        coords = grid.coords()
+        phys = np.zeros_like(jet.traj.u)
+        for time_factor, axis, slot in weighted:
+            phys[start:] += time_factor(t) * coords[axis] * jet.physical(slot)[start:]
+        out = dft_forward(Field(grid, phys)).values
+        del phys
+    else:
+        out = np.zeros_like(jet.traj.u)
+    for time_factor, axis, slot in terms:
+        if axis is None:
+            out[start:] += time_factor(t) * jet.spectral(slot)[start:]
+    return SpectralTrajectory(grid, times, out)
 
 
 def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
@@ -222,7 +265,11 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     """Sup-in-t H^s norms of Z_1 ... Z_k u over all words up to the depth.
 
     Returns a dict mapping word labels (comma-joined field labels, '' for
-    the empty word) to the sup norm over snapshots with t >= t_floor.
+    the empty word) to the sup norm over snapshots with t >= t_floor,
+    ordered by word length.  Words are computed depth first: each input
+    gets one derivative jet that all fields share, a word of the last
+    depth is kept only as its norm, and a shorter word is released once
+    its extensions are scanned.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
@@ -234,17 +281,25 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     def sup_norm(tr):
         return float(np.max(sobolev_norm(tr, s)[keep]))
 
-    table = {"": sup_norm(traj)}
-    level = {(): traj}
-    for _ in range(depth):
-        nxt = {}
-        for word, tr in level.items():
-            for fid in fields:
-                new_word = word + (fid,)
-                applied = apply_vector_field(fid, tr, t_floor=t_floor)
-                nxt[new_word] = applied
-                table[",".join(f.label() for f in new_word)] = sup_norm(applied)
-        level = nxt
+    def label(word):
+        return ",".join(f.label() for f in word)
+
+    table = dict.fromkeys(
+        label(word) for k in range(depth + 1)
+        for word in itertools.product(fields, repeat=k))
+    table[""] = sup_norm(traj)
+
+    def scan(jet, word):
+        for fid in fields:
+            longer = word + (fid,)
+            applied = apply_vector_field(fid, jet, t_floor=t_floor)
+            table[label(longer)] = sup_norm(applied)
+            if len(longer) < depth:
+                scan(_Jet(applied), longer)
+            del applied
+
+    if depth:
+        scan(_Jet(traj), ())
     return table
 
 

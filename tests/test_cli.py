@@ -4,6 +4,7 @@ Covers exit codes, manifest echoing, JSON-lines error records and
 bit-for-bit reproducibility of CSV artifacts.
 """
 
+import csv
 import filecmp
 import json
 import os
@@ -66,6 +67,10 @@ class TestExitCodes:
         assert code == 3
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConvergenceError"
+        with open(tmp_path / "stall" / "picard.csv", newline="") as fh:
+            distances = [float(r["distance"]) for r in csv.DictReader(fh)]
+        assert record["iterations"] == len(distances) == 3
+        assert record["distances"] == distances
 
 
 class TestManifests:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,15 @@ from cuspwave.probe import (
     ridge_extract,
     surface_distance,
 )
-from cuspwave.spectral import Field, Grid, SpectralTrajectory, dft_forward
+from cuspwave.spectral import (
+    Field,
+    Grid,
+    SpectralTrajectory,
+    dft_forward,
+    dft_inverse,
+    sobolev_norm,
+    spectral_derivative,
+)
 
 
 def make_trajectory(grid, times, func):
@@ -245,3 +255,161 @@ def test_exports(tmp_path):
     fits = [EstimateFit(e.exponent, 1.0, 0.0) for e in cat]
     export_fit_csv(tmp_path / "fits.csv", cat, fits)
     assert len((tmp_path / "fits.csv").read_text().strip().splitlines()) == len(cat) + 1
+
+
+# reference: Z u applied term by term in physical space --------------------
+
+
+def _reference_terms(fid, n):
+    """(coefficient(t, coords), slot) pairs of each field, written out."""
+    m = fid.m
+    if fid.name == "V0":
+        return [(lambda t, c: 2.0 * t, "t")] + [
+            (lambda t, c, i=i: (m + 2) * c[i], i) for i in range(n)]
+    if fid.name == "Vbar":
+        l = fid.indices[0]
+        return [(lambda t, c: 2.0 * t ** (m / 2 + 1), l),
+                (lambda t, c: (m + 2) * c[l] * t ** (-m / 2), "t")]
+    if fid.name == "L":
+        i, j = fid.indices
+        return [(lambda t, c: c[i], j), (lambda t, c: -c[j], i)]
+    if fid.name == "Vhalf":
+        return [(lambda t, c: 2.0 * t, "t"), (lambda t, c: (m + 2) * c[0], 0)]
+    if fid.name in ("TDt", "N3"):
+        return [(lambda t, c: t, "t")]
+    if fid.name == "Rl":
+        return [(lambda t, c: np.ones_like(c[0]), fid.indices[0])]
+    if fid.name == "N1":
+        return [(lambda t, c: c[0], "t")]
+    if fid.name == "N2":
+        sgn = float(fid.indices[0])
+        return [(lambda t, c: c[0] - sgn * 2.0 / (m + 2) * t ** ((m + 2) / 2), 0)]
+    return [(lambda t, c: t ** ((m + 2) / 2), 0)]  # N4
+
+
+def _reference_time_derivative(stack, h):
+    nt = stack.shape[0]
+    out = np.empty_like(stack)
+    out[2:-2] = (-stack[4:] + 8 * stack[3:-1] - 8 * stack[1:-3] + stack[:-4]) / (12 * h)
+    fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+    for i in (0, 1):
+        out[i] = sum(c * stack[i + k] for k, c in enumerate(fwd))
+        out[nt - 1 - i] = -sum(c * stack[nt - 1 - i - k] for k, c in enumerate(fwd))
+    return out
+
+
+def _reference_apply(fid, traj, t_floor=None):
+    """Every term's derivative through its own inverse FFT, the t-slot by
+    differencing u in physical space, one forward FFT per field."""
+    grid, times = traj.grid, traj.times
+    h = float(times[1] - times[0])
+    if t_floor is None:
+        t_floor = 4.0 * h
+    start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
+    t = times[start:].reshape((-1,) + (1,) * grid.n)
+    u = Field(grid, traj.u[start:], "spectral")
+    coords = grid.coords()
+    dt_phys = _reference_time_derivative(
+        dft_inverse(traj.as_field()).values, h)[start:]
+    out = np.zeros_like(traj.u)
+    for coeff, slot in _reference_terms(fid, grid.n):
+        if slot == "t":
+            d = dt_phys
+        else:
+            d = dft_inverse(spectral_derivative(u, slot)).values
+        out[start:] += coeff(t, coords) * d
+    return SpectralTrajectory(grid, times, dft_forward(Field(grid, out)).values)
+
+
+def _busy_trajectory(n, N, n_t):
+    """A drifting bump with a t-dependent ripple: every slot is non-zero."""
+    g = Grid(n, (N,) * n, 2.0)
+    c = g.coords()
+    times = np.linspace(0.0, 1.0, n_t)
+    u = np.stack([
+        dft_forward(Field(g, np.exp(-sum((x - 0.3 * t) ** 2 for x in c)) * (1 + t * t)
+                          + 0.1 * np.sin(c[0]) * t ** 3)).values
+        for t in times])
+    return SpectralTrajectory(g, times, u)
+
+
+def _alphabet(n, m):
+    fields = [VectorFieldId("V0", m=m), VectorFieldId("Vhalf", m=m),
+              VectorFieldId("TDt", m=m), VectorFieldId("N1", m=m),
+              VectorFieldId("N2", (1,), m=m), VectorFieldId("N2", (-1,), m=m),
+              VectorFieldId("N3", m=m), VectorFieldId("N4", m=m)]
+    fields += [VectorFieldId("Vbar", (l,), m=m) for l in range(n)]
+    fields += [VectorFieldId("Rl", (l,), m=m) for l in range(n)]
+    if n > 1:
+        fields.append(VectorFieldId("L", (0, n - 1), m=m))
+    return fields
+
+
+_SIZES = {1: 64, 2: 32, 3: 16}
+
+
+@pytest.mark.parametrize("t_floor", [None, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_vector_field_matches_reference(n, t_floor):
+    tr = _busy_trajectory(n, _SIZES[n], 17)
+    for m in (1, 2):
+        for fid in _alphabet(n, m):
+            got = apply_vector_field(fid, tr, t_floor=t_floor).u
+            ref = _reference_apply(fid, tr, t_floor=t_floor).u
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+                (m, fid.label())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conormal_scan_matches_reference(n):
+    # a depth-2 word differences twice in t, which scales round-off by about
+    # 1/h^2, so the time grid stays coarse enough for a 1e-12 comparison
+    tr = _busy_trajectory(n, _SIZES[n], 9)
+    fields = [VectorFieldId("V0", m=1), VectorFieldId("Vbar", (n - 1,), m=1),
+              VectorFieldId("N1", m=1), VectorFieldId("N2", (-1,), m=1),
+              VectorFieldId("Rl", (0,), m=1)]
+    if n > 1:
+        fields.append(VectorFieldId("L", (0, 1), m=1))
+    table = conormal_scan(tr, fields, depth=2, s=0.5)
+    keep = tr.times >= 4.0 * (tr.times[1] - tr.times[0])
+    level1 = {f.label(): _reference_apply(f, tr) for f in fields}
+    level2 = {a + "," + f.label(): _reference_apply(f, z)
+              for a, z in level1.items() for f in fields}
+    expected = {"": tr, **level1, **level2}
+    assert list(table) == list(expected)  # words by length, as they always were
+    for word, ref in expected.items():
+        want = float(np.max(sobolev_norm(ref, 0.5)[keep]))
+        assert table[word] == pytest.approx(want, rel=1e-12, abs=0.0), word
+
+
+_PROBE_2D_FIELDS = [VectorFieldId("V0"), VectorFieldId("TDt"),
+                    VectorFieldId("Vbar", (0,)), VectorFieldId("Rl", (1,))]
+
+
+def test_scan_transform_count(monkeypatch):
+    # the probe-2d alphabet: one inverse FFT per derivative slot per input
+    # (d0, d1, dt) and one forward FFT per x-weighted field (V0, Vbar)
+    import cuspwave.probe as probe
+
+    calls = []
+    for name in ("dft_inverse", "dft_forward"):
+        real = getattr(probe, name)
+        monkeypatch.setattr(probe, name,
+                            lambda f, real=real, name=name: calls.append(name) or real(f))
+    tr = _busy_trajectory(2, 16, 9)
+    conormal_scan(tr, _PROBE_2D_FIELDS, depth=2, s=0.0)
+    assert len(calls) <= 25
+
+
+def test_scan_memory_is_bounded():
+    # one input and its jet, one first-level word and its jet, and the word
+    # being built; the last-level words are reduced to their norms
+    tr = _busy_trajectory(2, 32, 33)
+    conormal_scan(tr, _PROBE_2D_FIELDS, depth=1, s=0.0)  # warm the grid caches
+    tracemalloc.start()
+    try:
+        conormal_scan(tr, _PROBE_2D_FIELDS, depth=2, s=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * tr.u.nbytes
