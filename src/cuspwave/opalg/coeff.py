@@ -141,6 +141,35 @@ class CoeffContext:
         """Return the normal form of a raw fraction-field element."""
         return self.normal(frac.numer, frac.denom)
 
+    def combination_is_zero(self, pairs):
+        """Whether sum(a * b for a, b in pairs) is exactly zero.
+
+        The products stay unreduced, grouped by denominator; the lcm of
+        the distinct denominators is the only gcd work.  Denominators are
+        r-free and nonzero, and Q[h, x][r]/(r**2 - sum x_i**2) is an
+        integral domain for n >= 2, so scaling by the lcm keeps zero and
+        nonzero apart, and the reduced numerator a + b*r vanishes exactly
+        when the sum does.
+        """
+        groups = {}
+        for a, b in pairs:
+            if a.is_zero() or b.is_zero():
+                continue
+            fa, fb = a.frac, b.frac
+            den = fa.denom * fb.denom
+            num = fa.numer * fb.numer
+            groups[den] = groups[den] + num if den in groups else num
+        if not groups:
+            return True
+        dens = list(groups)
+        common = dens[0]
+        for den in dens[1:]:
+            common = common.lcm(den)
+        total = self.poly_ring.zero
+        for den, num in groups.items():
+            total += num * common.exquo(den) if den != common else num
+        return not self._reduce_poly(total)
+
 
 class CoeffExpr:
     """One element of the coefficient field, in normal form."""
@@ -246,24 +275,30 @@ class CoeffExpr:
 
     # -- derivations -----------------------------------------------------
 
+    # The derivations build one numerator/denominator pair and normalise
+    # once; the denominator d of a normal form is r-free.
+
     def dt(self):
         """Derivative in t, via d/dt = (2h)**-1 d/dh."""
         ctx = self.ctx
-        raw = self.frac.diff(ctx._h) / (2 * ctx._h)
-        return CoeffExpr(ctx, raw)
+        n, d = self.frac.numer, self.frac.denom
+        h = ctx.poly_ring.gens[0]
+        return self._new(n.diff(h) * d - n * d.diff(h), 2 * h * d ** 2)
 
     def dx(self, i):
         """Derivative in x_i, with the chain rule through r = |x|."""
         ctx = self.ctx
         if not 1 <= i <= ctx.n:
             raise ParameterError("coordinate index %d out of range" % i)
-        raw = self.frac.diff(ctx._x[i - 1])
-        if ctx._r is not None:
-            # x_i / r equals x_i * r / (x1**2 + ... + xn**2)
-            sum_x2 = sum(xj ** 2 for xj in ctx._x)
-            raw = raw + self.frac.diff(ctx._r) * ctx._x[i - 1] \
-                * ctx._r / sum_x2
-        return CoeffExpr(ctx, raw)
+        n, d = self.frac.numer, self.frac.denom
+        xi = ctx.poly_ring.gens[i]
+        num = n.diff(xi) * d - n * d.diff(xi)
+        if ctx.r_index is None:
+            return self._new(num, d ** 2)
+        # x_i / r equals x_i * r / (x1**2 + ... + xn**2)
+        sum_x2, r = ctx._sum_x2_poly, ctx._r_poly
+        return self._new(num * sum_x2 + n.diff(r) * xi * r * d,
+                         d ** 2 * sum_x2)
 
     def __repr__(self):
         return "CoeffExpr(%s)" % (self.frac,)

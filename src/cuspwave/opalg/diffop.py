@@ -205,6 +205,16 @@ def span_decompose(target, basis):
     Solved by Gauss-Jordan elimination on the coefficients of each
     derivative multi-index, pivoting in each column on the entry with
     the fewest terms.
+
+    The solution is then checked exactly against the original equations,
+    one multi-index at a time, by ``CoeffContext.combination_is_zero``:
+    the products w_j * B_j[idx] and -target[idx] stay unreduced, are
+    brought over the lcm of their distinct denominators and summed, and
+    the numerator, reduced by r**2 = sum x_i**2, must be the zero
+    polynomial.  The denominators are r-free and nonzero, and for n >= 2
+    the ring Q[h, x][r]/(r**2 - sum x_i**2) has no zero divisors (sum
+    x_i**2 is not a square), so the test is exact: it neither accepts a
+    nonzero residual nor rejects a zero one.
     """
     if not basis:
         return ([], []) if target.is_zero() else (None, None)
@@ -249,12 +259,15 @@ def span_decompose(target, basis):
     solution = [zero] * ncols
     for row_i, col in enumerate(pivots):
         solution[col] = rows[row_i][-1]
-    # verify, since free columns were set to zero
-    combo = DiffOp.zero(ctx)
-    for weight, op in zip(solution, basis):
-        combo = combo + op.scaled(weight)
-    if not (combo - target).is_zero():
-        return None, None
+    # verify on the original equations, since free columns were set to zero
+    minus_one = ctx.rational(-1)
+    for idx in indices:
+        pairs = [(w, op.terms[idx]) for w, op in zip(solution, basis)
+                 if idx in op.terms]
+        if idx in target.terms:
+            pairs.append((minus_one, target.terms[idx]))
+        if not ctx.combination_is_zero(pairs):
+            return None, None
     one = ctx.one()
     null_vectors = []
     for free_col in (c for c in range(ncols) if c not in pivots):

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from sympy.polys.rings import PolyElement
+
 from cuspwave.errors import ParameterError, ParseError
 from cuspwave.opalg import (
     CoeffContext,
+    CoeffExpr,
     DiffOp,
     catalog_verify,
     commutator,
@@ -91,6 +94,82 @@ def test_coeff_ops_match_field_arithmetic(n):
                 want = ctx.normalize(op(a.frac, b.frac))
                 assert got.numer == want.numer, (k, a, b)
                 assert got.denom == want.denom, (k, a, b)
+
+
+def _field_dt(ctx, frac):
+    h = ctx.field.gens[0]
+    return ctx.normalize(frac.diff(h) / (2 * h))
+
+
+def _field_dx(ctx, frac, i):
+    gens = ctx.field.gens
+    raw = frac.diff(gens[i])
+    if ctx.n >= 2:
+        r = gens[ctx.n + 1]
+        sum_x2 = sum(xj ** 2 for xj in gens[1:ctx.n + 1])
+        raw = raw + frac.diff(r) * gens[i] * r / sum_x2
+    return ctx.normalize(raw)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coeff_derivatives_match_field_arithmetic(n):
+    # sympy's field operators, then one normalisation, are the oracle
+    ctx = CoeffContext(n)
+    for c in _sample_coeffs(ctx):
+        cases = [(c.dt(), _field_dt(ctx, c.frac))]
+        cases += [(c.dx(i), _field_dx(ctx, c.frac, i))
+                  for i in range(1, n + 1)]
+        for k, (got, want) in enumerate(cases):
+            assert got.frac.numer == want.numer, (k, c)
+            assert got.frac.denom == want.denom, (k, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_combination_is_zero(n):
+    ctx = CoeffContext(n)
+    samples = _sample_coeffs(ctx)
+    one, minus_one = ctx.one(), ctx.rational(-1)
+    eps = ctx.rational(1, 10 ** 6)
+    x1, h, t = ctx.x(1), ctx.h(), ctx.t()
+    mixed = list(zip(samples, reversed(samples)))
+    mixed_sum = sum(a * b for a, b in mixed)
+    square = [(x1, x1), (minus_one, x1 ** 2)]
+    if n >= 2:
+        # vanishes only through r**2 = x1**2 + x2**2 (+ x3**2)
+        square = [(ctx.r(), ctx.r())] + [(-ctx.x(i), ctx.x(i))
+                                         for i in range(1, n + 1)]
+    shared = [(one / (x1 - h), one / (t + 1)),
+              (-one / (t + 1), one / (x1 - h))]
+    cases = [
+        ([], True),
+        ([(ctx.zero(), x1)], True),
+        (square, True),
+        (square + [(eps, one)], False),
+        (shared, True),
+        (shared + [(eps, one / (t + 1))], False),
+        (mixed + [(minus_one, mixed_sum)], True),
+        (mixed + [(minus_one, mixed_sum), (eps, x1 / (x1 - h))], False),
+        (mixed, False),
+    ]
+    for pairs, expected in cases:
+        got = ctx.combination_is_zero(pairs)
+        assert got == sum((a * b for a, b in pairs), ctx.zero()).is_zero()
+        assert got is expected
+
+
+def test_span_check_rejects_wrong_weights(ctx2, monkeypatch):
+    dt, d1 = DiffOp.dt(ctx2), DiffOp.dx(ctx2, 1)
+    basis = [dt, d1, DiffOp.identity(ctx2), dt + d1]
+    target = dt.scaled(ctx2.rational(3)) + d1.scaled(ctx2.x(1)) \
+        + DiffOp.from_coeff(ctx2.r())
+    assert span_decompose(target, basis)[0] is not None
+    # every pivot normalisation comes out off by 1/10**6; only the closing
+    # check can notice, since no equation is left below the pivot block
+    real = CoeffExpr.__truediv__
+    eps = ctx2.rational(1, 10 ** 6)
+    monkeypatch.setattr(CoeffExpr, "__truediv__",
+                        lambda a, b: real(a, b) + eps)
+    assert span_decompose(target, basis) == (None, None)
 
 
 def test_radial_generator_requires_two_dimensions():
@@ -284,6 +363,19 @@ def test_catalog_span_solutions_are_exact(monkeypatch):
             for v, op in zip(vec, basis):
                 combo = combo + op.scaled(v)
             assert combo.is_zero()
+
+
+def test_catalog_gcd_count(monkeypatch):
+    # the gcd work of catalog_verify(2, 2): one cancel per normal form and
+    # the lcms of the closing span checks
+    calls = []
+    for name in ("cancel", "lcm"):
+        real = getattr(PolyElement, name)
+        monkeypatch.setattr(PolyElement, name,
+                            lambda f, g, real=real, name=name:
+                            calls.append(name) or real(f, g))
+    catalog_verify(2, 2)
+    assert len(calls) <= 7000, len(calls)
 
 
 def test_catalog_serial_runs_agree():
