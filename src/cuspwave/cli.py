@@ -244,8 +244,11 @@ def load_trajectory(directory) -> SpectralTrajectory:
     return SpectralTrajectory(grid, [float(r["time"]) for r in rows], u)
 
 
-def _field_alphabet(text, m):
-    """Parse "V0,TDt,L[0,1]": commas inside brackets separate indices."""
+def _field_alphabet(text, m, n):
+    """Parse "V0,TDt,L[0,1]": commas inside brackets separate indices.
+
+    Every field is checked against the spatial dimension n.
+    """
     fields = []
     for label in re.split(r",(?![^\[]*\])", str(text)):
         label = label.strip()
@@ -256,7 +259,9 @@ def _field_alphabet(text, m):
             indices = tuple(int(v) for v in rest.rstrip("]").split(",") if v)
         else:
             name, indices = label, ()
-        fields.append(VectorFieldId(name, indices, m))
+        fid = VectorFieldId(name, indices, m)
+        fid.terms(n)
+        fields.append(fid)
     if not fields:
         raise ParameterError("empty vector field alphabet")
     return fields
@@ -265,12 +270,15 @@ def _field_alphabet(text, m):
 def cmd_probe(args) -> int:
     cfg = _resolve(args, _PROBE_SCHEMA, _PROBE_DEFAULTS)
     traj = load_trajectory(str(cfg["traj"]))
+    fields = _field_alphabet(cfg["fields"], int(cfg["m"]), traj.grid.n)
+    # nothing is written until the ridge and the scan (which checks the
+    # depth) have both succeeded
+    points = ridge_extract(traj, threshold=float(cfg["threshold"]))
+    table = conormal_scan(traj, fields, depth=int(cfg["depth"]),
+                          s=float(cfg["s"]))
     out = str(cfg["out"])
     _write_manifest(out, "probe", cfg)
-    points = ridge_extract(traj, threshold=float(cfg["threshold"]))
     export_ridge_csv(os.path.join(out, "ridge.csv"), points)
-    table = conormal_scan(traj, _field_alphabet(cfg["fields"], int(cfg["m"])),
-                          depth=int(cfg["depth"]), s=float(cfg["s"]))
     export_scan_csv(os.path.join(out, "scan.csv"), table, float(cfg["s"]))
     return EXIT_OK
 
@@ -294,6 +302,8 @@ def cmd_rates(args) -> int:
     if cfg["s1"] is None:
         cfg["s1"] = m / (2 * (m + 2))
     s1 = float(cfg["s1"])
+    if not float(cfg["width"]) > 0:
+        raise ParameterError("rates needs a positive --width")
     entry = estimate_catalog(m, s1)[0]
     grid = Grid(1, (int(cfg["N"]),), float(cfg["L"]))
     x = grid.coords()[0]

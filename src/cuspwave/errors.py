@@ -30,7 +30,7 @@ class ConvergenceError(CuspwaveError):
 
 
 class ParseError(CuspwaveError):
-    """DSL syntax error with position information."""
+    """Config-file or data-spec syntax error with position information."""
 
     def __init__(self, message, line=None, column=None, expected=None):
         super().__init__(message)

@@ -181,12 +181,6 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field,
     return SpectralTrajectory(grid, times, u_out, dt_out)
 
 
-def relative_l2_distance(a: SpectralTrajectory, b: SpectralTrajectory, t: float) -> float:
-    fa = a.snapshot_at(t).values
-    fb = b.snapshot_at(t).values
-    return float(np.linalg.norm(fa - fb) / max(np.linalg.norm(fb), 1e-300))
-
-
 def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
     """Write one grid file per snapshot plus a CSV manifest of H^s norms."""
     import os

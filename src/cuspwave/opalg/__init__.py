@@ -1,13 +1,12 @@
 """Exact operator algebra in (t, x1..xn) with square-root generators
-h = t^(1/2) and r = |x| (the latter for n >= 2), plus a small operator
-DSL and the symbolic identity catalog."""
+h = t^(1/2) and r = |x| (the latter for n >= 2), and the symbolic
+identity catalog."""
 
 from .coeff import CoeffContext, CoeffExpr
 from .diffop import DiffOp, commutator, compose, verify_identity
-from .parse import parse, to_source
 from .catalog import catalog_verify, CatalogRow
 
 __all__ = [
     "CoeffContext", "CoeffExpr", "DiffOp", "commutator", "compose",
-    "verify_identity", "parse", "to_source", "catalog_verify", "CatalogRow",
+    "verify_identity", "catalog_verify", "CatalogRow",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 from itertools import product
 
-from .coeff import CoeffContext, CoeffExpr
+from .coeff import CoeffExpr
 
 __all__ = ["DiffOp", "compose", "commutator", "verify_identity",
            "span_decompose"]

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -351,6 +351,8 @@ def fit_power_law(ts, values) -> EstimateFit:
     values = np.asarray(values, dtype=float)
     if len(ts) < 5:
         raise DomainError("fit_power_law needs at least 5 samples")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))):
+        raise DomainError("fit_power_law needs finite inputs")
     if np.any(ts <= 0) or np.any(values <= 0):
         raise DomainError("fit_power_law needs positive inputs")
     lx, ly = np.log(ts), np.log(values)
@@ -361,44 +363,22 @@ def fit_power_law(ts, values) -> EstimateFit:
     return EstimateFit(float(slope), r2, float(intercept))
 
 
-# threshold catalog ---------------------------------------------------------
-
-
-def p1_threshold(m: int, p: float) -> float:
-    return min((p * (m + 8) - 4) / (2 * p * (m + 2)), 1.0)
-
-
-def p2_threshold(m: int, p: float) -> float:
-    return min(2 * (p - 1) / (p * (m + 2)), m / (2 * (m + 2)))
-
-
-def p3_threshold(m: int) -> float:
-    return min((m + 8) / (2 * (m + 2)), 1.0)
-
-
-def p4_threshold(m: int) -> float:
-    return min(2 / (m + 2), m / (2 * (m + 2)))
+# rate catalog --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     lemma: str
     exponent: float
-    window: tuple = (1e-3, 1e-1)
     tolerance: float = 0.15
 
 
-def estimate_catalog(m: int, s1: float | None = None, p: float = 2.0):
-    """Closed-form rate exponents for concrete (m, s1, p)."""
+def estimate_catalog(m: int, s1: float | None = None):
+    """Closed-form rate exponents for concrete (m, s1)."""
     if s1 is None:
         s1 = m / (2 * (m + 2))
     return [
         CatalogEntry("homogeneous-derivative-loss", -s1 * (m + 2) / 2, tolerance=0.10),
-        CatalogEntry("zero-data-gain", 2.0 - (1.0 / (m + 2)) * (m + 2) / 2),
-        CatalogEntry("threshold-p1", p1_threshold(m, p)),
-        CatalogEntry("threshold-p2", p2_threshold(m, p)),
-        CatalogEntry("threshold-p3", p3_threshold(m)),
-        CatalogEntry("threshold-p4", p4_threshold(m)),
     ]
 
 

@@ -243,16 +243,6 @@ def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
     return _picard(step, SpectralTrajectory(v1.grid, times, np.zeros_like(v1.u)), cfg)
 
 
-def measure_contraction(step, w_a: SpectralTrajectory, w_b: SpectralTrajectory,
-                        s_mon: float = 0.0) -> float:
-    """||step(w_a) - step(w_b)|| / ||w_a - w_b|| in the monitoring norm."""
-    den = _sup_norm_distance(w_a, w_b, s_mon)
-    if den == 0.0:
-        raise ConvergenceError("contraction ratio undefined for identical iterates")
-    num = _sup_norm_distance(step(w_a), step(w_b), s_mon)
-    return num / den
-
-
 def require_converged(report: PicardReport) -> None:
     if not report.converged:
         raise ConvergenceError(

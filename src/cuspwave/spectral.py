@@ -9,7 +9,6 @@ they apply unchanged to a Field stacked over a leading time axis.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,17 +164,6 @@ def dft_inverse(f: Field) -> Field:
     return f.copy_with(np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho"), "physical")
 
 
-def _weighted_norm(f: Field, w):
-    """sqrt(sum w |values|^2 * cell): a float, or one per time level."""
-    out = np.sqrt(np.sum(w * np.abs(f.values) ** 2, axis=f.grid.axes)
-                  * f.grid.cell_measure)
-    return float(out) if out.ndim == 0 else out
-
-
-def l2_norm(f: Field):
-    return _weighted_norm(f, 1.0)
-
-
 def sobolev_norm(f, s: float):
     """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2).
 
@@ -185,7 +173,10 @@ def sobolev_norm(f, s: float):
     if isinstance(f, SpectralTrajectory):
         f = f.as_field()
     _require_space(f, "spectral")
-    return _weighted_norm(f, (1.0 + f.grid.xi_norm() ** 2) ** s)
+    w = (1.0 + f.grid.xi_norm() ** 2) ** s
+    out = np.sqrt(np.sum(w * np.abs(f.values) ** 2, axis=f.grid.axes)
+                  * f.grid.cell_measure)
+    return float(out) if out.ndim == 0 else out
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
@@ -194,22 +185,6 @@ def spectral_derivative(f: Field, axis: int) -> Field:
         raise ParameterError(f"axis {axis} out of range for n={f.grid.n}")
     xi = f.grid.xi_mesh()[axis]
     return f.copy_with(1j * xi * f.values)
-
-
-def laplacian(f: Field) -> Field:
-    _require_space(f, "spectral")
-    return f.copy_with(-(f.grid.xi_norm() ** 2) * f.values)
-
-
-def hilbert_transform_1d(f: Field) -> Field:
-    """Periodic Hilbert transform: multiplier -i*sign(xi), zero on the mean."""
-    if f.grid.n != 1:
-        raise DomainError("hilbert_transform_1d requires a one-dimensional grid")
-    phys = f.space == "physical"
-    g = dft_forward(f) if phys else f
-    mult = -1j * np.sign(g.grid.axis_xi(0))
-    out = g.copy_with(mult * g.values)
-    return dft_inverse(out) if phys else out
 
 
 def dealias(f: Field) -> Field:
@@ -255,13 +230,3 @@ def load_field(path, space: str = "physical") -> Field:
             raise DomainError(f"{path}: truncated sample payload")
     vals = np.frombuffer(payload, dtype="<c16").astype(complex)
     return Field(Grid(n, tuple(sizes), L), vals.reshape(sizes), space)
-
-
-def export_csv(path, f: Field) -> None:
-    """Index coordinates plus re/im columns, one row per sample."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"i{a}" for a in range(f.grid.n)] + ["re", "im"])
-        for idx in np.ndindex(*f.grid.sizes):
-            v = f.values[idx]
-            w.writerow(list(idx) + [repr(float(v.real)), repr(float(v.imag))])

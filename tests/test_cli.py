@@ -142,6 +142,21 @@ class TestProbeAndRates:
         scan = open(os.path.join(probe_dir, "scan.csv")).read()
         assert "L[0,1]" in scan
 
+    @pytest.mark.parametrize("bad", [["--fields", "L[0,5]"],
+                                     ["--fields", "Vbar"],
+                                     ["--depth", "3"]])
+    def test_probe_rejects_bad_alphabet_or_depth_before_writing(
+            self, tmp_path, smooth_spec, bad):
+        run_dir = str(tmp_path / "run")
+        assert main(["solve", "linear", "--n", "2", "--N", "16",
+                     "--n-t", "9", "--data", smooth_spec,
+                     "--out", run_dir]) == 0
+        probe_dir = tmp_path / "probe"
+        probe_dir.mkdir()
+        assert main(["probe", "--traj", run_dir, "--out", str(probe_dir)]
+                    + bad) == 2
+        assert os.listdir(probe_dir) == []
+
     def test_loaded_trajectory_has_no_time_derivative(self, tmp_path,
                                                       smooth_spec):
         run_dir = str(tmp_path / "run")
@@ -165,6 +180,14 @@ class TestProbeAndRates:
                      "--out", out]) == 0
         rows = open(os.path.join(out, "fits.csv")).read().splitlines()
         assert float(rows[1].split(",")[1]) == 0.0
+
+    def test_rates_rejects_zero_width(self, tmp_path, capsys):
+        out = tmp_path / "rates"
+        assert main(["rates", "--N", "8", "--width", "0",
+                     "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParameterError"
+        assert not out.exists()
 
     def test_rates_fit_matches_expected_exponent(self, tmp_path):
         out = str(tmp_path / "rates")

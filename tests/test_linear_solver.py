@@ -9,7 +9,6 @@ from cuspwave.linear_solver import (
     duhamel,
     export_trajectory,
     propagator_table,
-    relative_l2_distance,
     rk4_oracle,
     solve_homogeneous,
     solve_inhomogeneous,
@@ -25,6 +24,11 @@ def gaussian_field(grid, width=0.5):
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
+
+
+def relative_l2_distance(a, b, t):
+    fa, fb = a.snapshot_at(t).values, b.snapshot_at(t).values
+    return np.linalg.norm(fa - fb) / np.linalg.norm(fb)
 
 
 def constant_forcing(grid, times, value=1.0):

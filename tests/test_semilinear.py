@@ -11,7 +11,6 @@ from cuspwave.semilinear import (
     PicardReport,
     apply_E,
     evaluate_forcing,
-    measure_contraction,
     require_converged,
     solve_fourth_order,
     solve_second_order,
@@ -28,11 +27,6 @@ def gaussian_field(grid, amp=1.0, width=0.5):
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
-
-
-def zero_trajectory(grid, times):
-    zeros = np.zeros((len(times),) + grid.sizes, dtype=complex)
-    return SpectralTrajectory(grid, times, zeros)
 
 
 def rk4_system(rhs, y0, t_end, n_steps):
@@ -264,32 +258,6 @@ def test_time_refinement_order():
     d1 = np.linalg.norm(finals[1] - finals[0])
     d2 = np.linalg.norm(finals[2] - finals[1])
     assert np.log2(d1 / d2) >= 3.5
-
-
-def test_contraction_shrinks_with_horizon():
-    g = Grid(1, (32,), 4.0)
-    f = NonlinearitySpec("polynomial", (0.0, 1.0))
-    phi0 = gaussian_field(g)
-    ratios = []
-    for T in (0.4, 0.2):
-        cfg = PicardConfig(T=T, n_t=33)
-        times = cfg.times()
-        from cuspwave.linear_solver import solve_homogeneous
-
-        hom = solve_homogeneous(1, phi0, zero_field(g), times)
-
-        def step(w):
-            return duhamel(1, evaluate_forcing(f, w, offset=hom))
-
-        w_a = zero_trajectory(g, times)
-        w_b = step(w_a)
-        ratios.append(measure_contraction(step, w_a, w_b))
-    assert ratios[1] < ratios[0] < 1.0
-    # identical iterates have no defined ratio
-    with pytest.raises(ConvergenceError):
-        cfg = PicardConfig(T=0.2, n_t=33)
-        w = step(zero_trajectory(g, cfg.times()))
-        measure_contraction(step, w, w)
 
 
 def test_nonconvergence_reported_honestly():
