@@ -29,6 +29,8 @@ class CoeffContext:
         if n not in (1, 2, 3):
             raise ParameterError("space dimension must be 1, 2 or 3")
         self.n = n
+        # (normal form, multi-index) -> derivative, filled by diffop.compose
+        self.derivatives = {}
         names = ["h"] + ["x%d" % i for i in range(1, n + 1)]
         if n >= 2:
             names.append("r")

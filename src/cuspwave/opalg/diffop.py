@@ -18,13 +18,23 @@ __all__ = ["DiffOp", "compose", "commutator", "verify_identity",
 
 
 def _apply_derivs(coeff, gamma):
-    """Apply Dt**gamma[0] * prod_i Di**gamma[i] to a coefficient."""
-    out = coeff
-    for _ in range(gamma[0]):
-        out = out.dt()
-    for i in range(1, len(gamma)):
-        for _ in range(gamma[i]):
-            out = out.dx(i)
+    """Apply Dt**gamma[0] * prod_i Di**gamma[i] to a coefficient.
+
+    Each result is kept on the coefficient's context, keyed by the normal
+    form and the multi-index, so compose builds any one derivative once.
+    """
+    if not any(gamma):
+        return coeff
+    key = (coeff.frac, gamma)
+    out = coeff.ctx.derivatives.get(key)
+    if out is None:
+        out = coeff
+        for _ in range(gamma[0]):
+            out = out.dt()
+        for i in range(1, len(gamma)):
+            for _ in range(gamma[i]):
+                out = out.dx(i)
+        coeff.ctx.derivatives[key] = out
     return out
 
 

@@ -167,13 +167,25 @@ class VectorFieldId:
         return [(lambda t: t ** ((m + 2) / 2), None, 0)]
 
 
-def _time_derivative(stack: np.ndarray, h: float) -> np.ndarray:
-    """4th-order finite differences along axis 0 on a uniform grid."""
+def _time_derivative(stack: np.ndarray, h: float, out: np.ndarray,
+                     work: np.ndarray) -> np.ndarray:
+    """4th-order finite differences along axis 0 on a uniform grid.
+
+    The result goes to out; work is scratch of the same shape.  The
+    interior stencil (-u[i+2] + 8 u[i+1] - 8 u[i-1] + u[i-2]) / 12h is
+    evaluated term by term in that order, in place.
+    """
     nt = stack.shape[0]
-    if nt < 5:
-        raise DomainError("need at least 5 snapshots for 4th-order time differences")
-    out = np.empty_like(stack)
-    out[2:-2] = (-stack[4:] + 8 * stack[3:-1] - 8 * stack[1:-3] + stack[:-4]) / (12 * h)
+    if nt < 6:
+        raise DomainError("need at least 6 snapshots for 4th-order time differences")
+    mid, eight = out[2:-2], work[2:-2]
+    np.negative(stack[4:], out=mid)
+    np.multiply(8, stack[3:-1], out=eight)
+    mid += eight
+    np.multiply(8, stack[1:-3], out=eight)
+    mid -= eight
+    mid += stack[:-4]
+    mid /= 12 * h
     fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
     for i in (0, 1):
         out[i] = sum(c * stack[i + k] for k, c in enumerate(fwd))
@@ -181,60 +193,112 @@ def _time_derivative(stack: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-class _Jet:
-    """The derivatives of one trajectory, each computed once when a field
-    first needs it and then shared by every field applied to it.
+def _weigh(factor, coord: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
+    """out = (factor * coord) * src.  A factor that varies in t is
+    multiplied by coord one time level at a time, so that no product of
+    the trajectory's size is allocated."""
+    if np.ndim(factor) == 0:
+        np.multiply(factor * coord, src, out=out)
+        return
+    for f, s, o in zip(factor, src, out):
+        np.multiply(f * coord, s, out=o)
 
-    spectral(slot) is d_slot u in spectral space: for 't' the 4th-order
-    time difference of u (memoised; it commutes with the spatial FFT), for
-    an axis the multiplier i xi (not memoised).  physical(slot) is one
-    dft_inverse of it, memoised per slot.
+
+class _Level:
+    """The input of the fields at one depth of a workspace: its word u (the
+    trajectory itself at depth 0), the 4th-order time difference dt of u
+    when a field reads the t slot, the physical derivatives of the slots
+    that two or more x-weighted terms of the alphabet read, and dest, the
+    array that receives Z u."""
+
+    __slots__ = ("ws", "u", "dt", "kept", "dest")
+
+    def __init__(self, ws, u, dt, kept):
+        self.ws, self.u, self.dt, self.kept, self.dest = ws, u, dt, kept, None
+
+
+class _Workspace:
+    """The arrays of a vector-field scan, allocated once and reused for
+    every word.
+
+    levels[k] holds the input at depth k; the words of depth 1 .. depth-1
+    live in their level's u and are written there as the previous level's
+    dest.  acc sums the x-weighted terms of one field in physical space;
+    the last level transforms it in place and keeps its word there.
+    Every derivative that no level keeps streams through scratch, which
+    also serves the time differences.
     """
 
-    def __init__(self, traj: SpectralTrajectory):
+    def __init__(self, traj: SpectralTrajectory, fields, depth: int):
         h = np.diff(traj.times)
         if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
             raise DomainError("apply_vector_field needs a uniform time grid")
-        self.traj = traj
-        self.h = float(h[0])
-        self._dt = None
-        self._physical = {}
+        grid = traj.grid
+        self.grid, self.times, self.h = grid, traj.times, float(h[0])
+        self.coords = grid.coords()
+        terms = [term for fid in fields for term in fid.terms(grid.n)]
+        weighted_slots = [slot for _, axis, slot in terms if axis is not None]
+        shared = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
+        reads_t = any(slot == "t" for _, _, slot in terms)
 
-    def spectral(self, slot) -> np.ndarray:
-        if slot != "t":
-            return spectral_derivative(self.traj.as_field(), slot).values
-        if self._dt is None:
-            self._dt = _time_derivative(self.traj.u, self.h)
-        return self._dt
+        def new():
+            return np.empty_like(traj.u)
 
-    def physical(self, slot) -> np.ndarray:
-        if slot not in self._physical:
-            self._physical[slot] = dft_inverse(
-                Field(self.traj.grid, self.spectral(slot), "spectral")).values
-        return self._physical[slot]
+        self.acc, self.scratch = new(), new()
+        self.levels = [
+            _Level(self, traj.u if k == 0 else new(), new() if reads_t else None,
+                   {slot: new() for slot in shared})
+            for k in range(depth)]
+        for below, above in zip(self.levels, self.levels[1:]):
+            below.dest = above.u
+        self.levels[-1].dest = self.acc
+        self.refresh(0)
+
+    def refresh(self, k: int) -> None:
+        """Recompute level k's dt and kept derivatives from its word."""
+        level = self.levels[k]
+        if level.dt is not None:
+            _time_derivative(level.u, self.h, level.dt, self.scratch)
+        for slot, buf in level.kept.items():
+            self.physical(level, slot, buf)
+
+    def physical(self, level: _Level, slot, out: np.ndarray) -> np.ndarray:
+        """d_slot u of the level in physical space, written into out."""
+        if slot == "t":
+            src = Field(self.grid, level.dt, "spectral")
+        else:
+            src = spectral_derivative(Field(self.grid, level.u, "spectral"), slot, out=out)
+        return dft_inverse(src, out=out).values
 
 
-def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
-                       t_floor: float | None = None) -> SpectralTrajectory:
+def apply_vector_field(fid: VectorFieldId, traj, t_floor: float | None = None
+                       ) -> SpectralTrajectory:
     """Z u on the trajectory's own (t, x) grid.
 
     Spatial derivatives are spectral and the time derivative is a
-    4th-order finite difference.  A term without an x factor (such as
-    2t dt in V0, 2 t^(m/2+1) d_l in Vbar, TDt, N3, N4 and Rl) acts in
-    spectral space as one multiply.  The terms with an x factor multiply
-    pointwise in physical space and are summed there, which costs one
-    dft_forward per field.  traj is a SpectralTrajectory or the derivative
-    jet of one; conormal_scan passes a jet so that all fields applied to
-    one input share one dft_inverse per derivative slot.
+    4th-order finite difference, which needs a uniform grid of at least 6
+    times.  A term without an x factor (such as 2t dt in V0, 2 t^(m/2+1)
+    d_l in Vbar, TDt, N3, N4 and Rl) acts in spectral space as one
+    multiply.  The terms with an x factor multiply pointwise in physical
+    space and are summed there, which costs one dft_inverse per term (or
+    per kept slot) and one dft_forward per field.
+
+    traj is a SpectralTrajectory or a level of conormal_scan's workspace.
+    A trajectory gets a workspace of one level, which allocates the
+    result, one scratch array and, when the field reads the t slot, one
+    time difference, each the size of the trajectory.  A level writes Z u
+    into its dest array, which the next application at that level
+    overwrites.
 
     Fields with a t^(-m/2) coefficient are evaluated only for
     t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
     Passing t_floor = 0 for such a field raises a domain error.
     """
-    jet = traj if isinstance(traj, _Jet) else _Jet(traj)
-    grid, times = jet.traj.grid, jet.traj.times
+    level = traj if isinstance(traj, _Level) else _Workspace(traj, [fid], 1).levels[0]
+    ws, dest = level.ws, level.dest
+    grid, times = ws.grid, ws.times
     if t_floor is None:
-        t_floor = 4.0 * jet.h
+        t_floor = 4.0 * ws.h
     if fid.singular_at_zero and t_floor <= 0:
         raise DomainError(
             f"{fid.label()} carries a negative power of t and needs t_floor > 0"
@@ -243,21 +307,31 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     # fields singular at t = 0 act only from the first time >= t_floor on
     start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
+    scratch = ws.scratch[start:]
     terms = fid.terms(grid.n)
     weighted = [term for term in terms if term[1] is not None]
     if weighted:
-        coords = grid.coords()
-        phys = np.zeros_like(jet.traj.u)
+        acc = ws.acc
+        acc.fill(0)
         for time_factor, axis, slot in weighted:
-            phys[start:] += time_factor(t) * coords[axis] * jet.physical(slot)[start:]
-        out = dft_forward(Field(grid, phys)).values
-        del phys
+            phys = level.kept.get(slot)
+            if phys is None:
+                phys = ws.physical(level, slot, ws.scratch)
+            _weigh(time_factor(t), ws.coords[axis], phys[start:], scratch)
+            acc[start:] += scratch
+        dft_forward(Field(grid, acc), out=dest)
     else:
-        out = np.zeros_like(jet.traj.u)
+        dest.fill(0)
     for time_factor, axis, slot in terms:
         if axis is None:
-            out[start:] += time_factor(t) * jet.spectral(slot)[start:]
-    return SpectralTrajectory(grid, times, out)
+            if slot == "t":
+                spectral = level.dt[start:]
+            else:
+                spectral = spectral_derivative(
+                    Field(grid, level.u[start:], "spectral"), slot, out=scratch).values
+            np.multiply(time_factor(t), spectral, out=scratch)
+            dest[start:] += scratch
+    return SpectralTrajectory(grid, times, dest)
 
 
 def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
@@ -266,13 +340,20 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
 
     Returns a dict mapping word labels (comma-joined field labels, '' for
     the empty word) to the sup norm over snapshots with t >= t_floor,
-    ordered by word length.  Words are computed depth first: each input
-    gets one derivative jet that all fields share, a word of the last
-    depth is kept only as its norm, and a shorter word is released once
-    its extensions are scanned.
+    ordered by word length.  Words are computed depth first by
+    apply_vector_field in one workspace, allocated per scan and
+    overwritten word after word: per depth below the last one word (the
+    trajectory itself at depth 0) and its time difference, plus one
+    physical derivative for each slot that two or more x-weighted terms of
+    the alphabet read; one accumulator, in which the last depth's words
+    are transformed and reduced to their norms; and one scratch array.
+    At depth 2 without shared slots that is five arrays the size of the
+    trajectory.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
+    if not np.isfinite(s):
+        raise ParameterError(f"scan needs a finite Sobolev index, got s={s}")
     h = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else 0.0
     if t_floor is None:
         t_floor = 4.0 * h
@@ -289,17 +370,18 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
         for word in itertools.product(fields, repeat=k))
     table[""] = sup_norm(traj)
 
-    def scan(jet, word):
+    def scan(k, word):
         for fid in fields:
             longer = word + (fid,)
-            applied = apply_vector_field(fid, jet, t_floor=t_floor)
+            applied = apply_vector_field(fid, ws.levels[k], t_floor=t_floor)
             table[label(longer)] = sup_norm(applied)
             if len(longer) < depth:
-                scan(_Jet(applied), longer)
-            del applied
+                ws.refresh(k + 1)
+                scan(k + 1, longer)
 
     if depth:
-        scan(_Jet(traj), ())
+        ws = _Workspace(traj, fields, depth)
+        scan(0, ())
     return table
 
 
@@ -320,6 +402,8 @@ def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
 
     Returns a list of (t, coordinates tuple, strength) records.
     """
+    if not np.isfinite(threshold):
+        raise ParameterError(f"ridge threshold must be finite, got {threshold}")
     grid = traj.grid
     mag = gradient_magnitude(traj.as_field())
     peak = np.max(mag, axis=grid.axes, keepdims=True)

@@ -154,14 +154,19 @@ def require_same_grid(*fields) -> Grid:
     return g
 
 
-def dft_forward(f: Field) -> Field:
+def dft_forward(f: Field, out: np.ndarray | None = None) -> Field:
+    """Orthonormal DFT of the spatial axes; out (which may be f.values)
+    receives the result instead of a new array."""
     _require_space(f, "physical")
-    return f.copy_with(np.fft.fftn(f.values, axes=f.grid.axes, norm="ortho"), "spectral")
+    return f.copy_with(
+        np.fft.fftn(f.values, axes=f.grid.axes, norm="ortho", out=out), "spectral")
 
 
-def dft_inverse(f: Field) -> Field:
+def dft_inverse(f: Field, out: np.ndarray | None = None) -> Field:
+    """Inverse of dft_forward, with the same out."""
     _require_space(f, "spectral")
-    return f.copy_with(np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho"), "physical")
+    return f.copy_with(
+        np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho", out=out), "physical")
 
 
 def sobolev_norm(f, s: float):
@@ -174,17 +179,21 @@ def sobolev_norm(f, s: float):
         f = f.as_field()
     _require_space(f, "spectral")
     w = (1.0 + f.grid.xi_norm() ** 2) ** s
-    out = np.sqrt(np.sum(w * np.abs(f.values) ** 2, axis=f.grid.axes)
-                  * f.grid.cell_measure)
+    # w * |v|^2 in one real array, squared and weighted in place
+    density = np.abs(f.values)
+    np.square(density, out=density)
+    density *= w
+    out = np.sqrt(np.sum(density, axis=f.grid.axes) * f.grid.cell_measure)
     return float(out) if out.ndim == 0 else out
 
 
-def spectral_derivative(f: Field, axis: int) -> Field:
+def spectral_derivative(f: Field, axis: int, out: np.ndarray | None = None) -> Field:
+    """i xi_axis * f; out, as in dft_forward, receives the result."""
     _require_space(f, "spectral")
     if not 0 <= axis < f.grid.n:
         raise ParameterError(f"axis {axis} out of range for n={f.grid.n}")
     xi = f.grid.xi_mesh()[axis]
-    return f.copy_with(1j * xi * f.values)
+    return f.copy_with(np.multiply(1j * xi, f.values, out=out))
 
 
 def dealias(f: Field) -> Field:

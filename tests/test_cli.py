@@ -157,6 +157,57 @@ class TestProbeAndRates:
                     + bad) == 2
         assert os.listdir(probe_dir) == []
 
+    @pytest.mark.parametrize("bad", [["--s", "nan"], ["--s", "inf"],
+                                     ["--threshold", "nan"],
+                                     ["--threshold", "inf"]])
+    def test_probe_rejects_non_finite_before_writing(self, tmp_path,
+                                                     smooth_spec, capsys, bad):
+        run_dir = str(tmp_path / "run")
+        assert main(["solve", "linear", "--N", "16", "--n-t", "9",
+                     "--data", smooth_spec, "--out", run_dir]) == 0
+        probe_dir = tmp_path / "probe"
+        probe_dir.mkdir()
+        assert main(["probe", "--traj", run_dir, "--out", str(probe_dir)]
+                    + bad) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParameterError"
+        assert os.listdir(probe_dir) == []
+
+    @staticmethod
+    def _write_trajectory(directory, n_t):
+        """A hand-written n_t-level 1-D trajectory: save_field + manifest."""
+        from cuspwave.spectral import Field, Grid, save_field
+
+        os.makedirs(directory)
+        grid = Grid(1, (16,), 2.0)
+        x = grid.coords()[0]
+        with open(os.path.join(directory, "manifest.csv"), "w",
+                  newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["time", "file"])
+            for i in range(n_t):
+                name = "snapshot_%05d.cwgrid" % i
+                values = np.fft.fft(np.exp(-x ** 2) * (1 + 0.1 * i), norm="ortho")
+                save_field(os.path.join(directory, name),
+                           Field(grid, values, "spectral"))
+                w.writerow([repr(0.1 * i), name])
+
+    def test_probe_needs_six_time_levels(self, tmp_path, capsys):
+        # the one-sided 4th-order rows read six levels
+        for n_t, code in ((5, 2), (6, 0)):
+            run_dir = str(tmp_path / ("run%d" % n_t))
+            self._write_trajectory(run_dir, n_t)
+            probe_dir = tmp_path / ("probe%d" % n_t)
+            probe_dir.mkdir()
+            assert main(["probe", "--traj", run_dir, "--out", str(probe_dir),
+                         "--fields", "V0,TDt"]) == code
+            if code:
+                err = capsys.readouterr().err.strip().splitlines()[-1]
+                assert json.loads(err)["error"] == "DomainError"
+                assert os.listdir(probe_dir) == []
+            else:
+                assert "TDt" in (probe_dir / "scan.csv").read_text()
+
     def test_loaded_trajectory_has_no_time_derivative(self, tmp_path,
                                                       smooth_spec):
         run_dir = str(tmp_path / "run")

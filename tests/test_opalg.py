@@ -230,6 +230,26 @@ def test_scaling_law(ctx2):
     assert residual.is_zero()
 
 
+def test_compose_derives_each_coefficient_once(monkeypatch):
+    # the derivatives compose needs are kept on the context, so a second
+    # product of the same operators differentiates nothing
+    ctx = CoeffContext(2)
+    dt, d1, d2 = DiffOp.dt(ctx), DiffOp.dx(ctx, 1), DiffOp.dx(ctx, 2)
+    Q = compose(dt, dt) - (compose(d1, d1) + compose(d2, d2)).scaled(ctx.t())
+    V0 = dt.scaled(ctx.t() * 2) + (d1.scaled(ctx.x(1)) + d2.scaled(ctx.x(2))).scaled(3)
+    calls = []
+    for name in ("dt", "dx"):
+        real = getattr(CoeffExpr, name)
+        monkeypatch.setattr(CoeffExpr, name,
+                            lambda self, *args, real=real:
+                            calls.append(args) or real(self, *args))
+    first = commutator(Q, V0)
+    assert calls
+    made = len(calls)
+    assert commutator(Q, V0) == first
+    assert len(calls) == made
+
+
 def test_solve_in_span(ctx2):
     dt = DiffOp.dt(ctx2)
     d1 = DiffOp.dx(ctx2, 1)

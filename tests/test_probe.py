@@ -385,34 +385,106 @@ def test_conormal_scan_matches_reference(n):
         assert table[word] == pytest.approx(want, rel=1e-12, abs=0.0), word
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scan_words_equal_fresh_applications(n):
+    # the scan overwrites its buffers word after word; every norm must be
+    # the one of the same word built by fresh one-field applications
+    tr = _busy_trajectory(n, _SIZES[n] // 2, 9)
+    fields = [VectorFieldId("V0"), VectorFieldId("TDt"),
+              VectorFieldId("Vbar", (0,)), VectorFieldId("N2", (1,)),
+              VectorFieldId("Rl", (n - 1,))]
+    if n > 1:
+        fields.append(VectorFieldId("L", (0, 1)))
+    table = conormal_scan(tr, fields, depth=2, s=0.5)
+    keep = tr.times >= 4.0 * (tr.times[1] - tr.times[0])
+
+    def sup(z):
+        return float(np.max(sobolev_norm(z, 0.5)[keep]))
+
+    for a in fields:
+        za = apply_vector_field(a, tr)
+        assert table[a.label()] == sup(za)
+        for b in fields:
+            assert table[a.label() + "," + b.label()] \
+                == sup(apply_vector_field(b, za))
+
+
 _PROBE_2D_FIELDS = [VectorFieldId("V0"), VectorFieldId("TDt"),
                     VectorFieldId("Vbar", (0,)), VectorFieldId("Rl", (1,))]
+# V0 and L[0,1] both read d0 and d1 with an x factor
+_SHARED_FIELDS = [VectorFieldId("V0"), VectorFieldId("L", (0, 1)),
+                  VectorFieldId("Vbar", (0,))]
 
 
-def test_scan_transform_count(monkeypatch):
-    # the probe-2d alphabet: one inverse FFT per derivative slot per input
-    # (d0, d1, dt) and one forward FFT per x-weighted field (V0, Vbar)
+def _count_transforms(monkeypatch, fields):
+    """Every dft_inverse and dft_forward of a depth-2 2-D scan."""
     import cuspwave.probe as probe
 
     calls = []
     for name in ("dft_inverse", "dft_forward"):
         real = getattr(probe, name)
-        monkeypatch.setattr(probe, name,
-                            lambda f, real=real, name=name: calls.append(name) or real(f))
-    tr = _busy_trajectory(2, 16, 9)
-    conormal_scan(tr, _PROBE_2D_FIELDS, depth=2, s=0.0)
-    assert len(calls) <= 25
+        monkeypatch.setattr(
+            probe, name,
+            lambda f, out=None, real=real, name=name:
+            calls.append(name) or real(f, out=out))
+    conormal_scan(_busy_trajectory(2, 16, 9), fields, depth=2, s=0.0)
+    return len(calls)
 
 
-def test_scan_memory_is_bounded():
-    # one input and its jet, one first-level word and its jet, and the word
-    # being built; the last-level words are reduced to their norms
+def test_scan_transform_count(monkeypatch):
+    # the probe-2d alphabet: one inverse FFT per derivative slot per input
+    # (d0, d1, dt) and one forward FFT per x-weighted field (V0, Vbar)
+    assert _count_transforms(monkeypatch, _PROBE_2D_FIELDS) <= 25
+
+
+def test_scan_transform_count_with_shared_slots(monkeypatch):
+    # each input keeps d0 and d1 in physical space: 3 inverse FFTs (d0, d1,
+    # dt) and 3 forward FFTs (V0, L, Vbar) for the trajectory and each of its
+    # 3 first words
+    assert _count_transforms(monkeypatch, _SHARED_FIELDS) == 24
+
+
+def _scan_peak(fields):
+    """Peak traced bytes of a depth-2 2-D scan over the trajectory's bytes."""
     tr = _busy_trajectory(2, 32, 33)
-    conormal_scan(tr, _PROBE_2D_FIELDS, depth=1, s=0.0)  # warm the grid caches
+    conormal_scan(tr, fields, depth=1, s=0.0)  # warm the grid caches
     tracemalloc.start()
     try:
-        conormal_scan(tr, _PROBE_2D_FIELDS, depth=2, s=0.0)
+        conormal_scan(tr, fields, depth=2, s=0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 15 * tr.u.nbytes
+    return peak / tr.u.nbytes
+
+
+def test_scan_memory_is_bounded():
+    # the time difference of the input, one first-level word and its time
+    # difference, the accumulator, the scratch array and the norm's real
+    # temporary: about 5.7 trajectories
+    assert _scan_peak(_PROBE_2D_FIELDS) <= 8
+
+
+def test_scan_memory_with_shared_slots():
+    # plus d0 and d1 kept in physical space at both levels
+    assert _scan_peak(_SHARED_FIELDS) <= 8 + 2 * 2
+
+
+@pytest.mark.parametrize("n_t, ok", [(5, False), (6, True)])
+def test_time_derivative_needs_six_levels(n_t, ok):
+    tr = _busy_trajectory(1, 16, n_t)
+    if not ok:
+        with pytest.raises(DomainError, match="6 snapshots"):
+            apply_vector_field(VectorFieldId("TDt"), tr)
+        return
+    got = apply_vector_field(VectorFieldId("TDt"), tr).u
+    ref = _reference_apply(VectorFieldId("TDt"), tr).u
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_scan_rejects_non_finite_index():
+    tr = _busy_trajectory(1, 16, 9)
+    for s in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            conormal_scan(tr, _PROBE_2D_FIELDS[:2], depth=1, s=s)
+        with pytest.raises(ParameterError):
+            ridge_extract(tr, threshold=s)
