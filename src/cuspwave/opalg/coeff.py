@@ -29,8 +29,8 @@ class CoeffContext:
         if n not in (1, 2, 3):
             raise ParameterError("space dimension must be 1, 2 or 3")
         self.n = n
-        # (normal form, multi-index) -> derivative, filled by diffop.compose
-        self.derivatives = {}
+        # (normal form, multi-index) -> CoeffExpr, kept by CoeffExpr.derivative
+        self._derivatives = {}
         names = ["h"] + ["x%d" % i for i in range(1, n + 1)]
         if n >= 2:
             names.append("r")
@@ -301,6 +301,27 @@ class CoeffExpr:
         sum_x2, r = ctx._sum_x2_poly, ctx._r_poly
         return self._new(num * sum_x2 + n.diff(r) * xi * r * d,
                          d ** 2 * sum_x2)
+
+    def derivative(self, gamma):
+        """Dt**gamma[0] * prod_i Di**gamma[i] applied to this coefficient.
+
+        Each result is kept on the context, keyed by the normal form and
+        the multi-index, so any one derivative is built once.
+        """
+        if not any(gamma):
+            return self
+        memo = self.ctx._derivatives
+        key = (self.frac, tuple(gamma))
+        out = memo.get(key)
+        if out is None:
+            out = self
+            for _ in range(gamma[0]):
+                out = out.dt()
+            for i in range(1, len(gamma)):
+                for _ in range(gamma[i]):
+                    out = out.dx(i)
+            memo[key] = out
+        return out
 
     def __repr__(self):
         return "CoeffExpr(%s)" % (self.frac,)

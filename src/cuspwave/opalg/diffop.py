@@ -17,27 +17,6 @@ __all__ = ["DiffOp", "compose", "commutator", "verify_identity",
            "span_decompose"]
 
 
-def _apply_derivs(coeff, gamma):
-    """Apply Dt**gamma[0] * prod_i Di**gamma[i] to a coefficient.
-
-    Each result is kept on the coefficient's context, keyed by the normal
-    form and the multi-index, so compose builds any one derivative once.
-    """
-    if not any(gamma):
-        return coeff
-    key = (coeff.frac, gamma)
-    out = coeff.ctx.derivatives.get(key)
-    if out is None:
-        out = coeff
-        for _ in range(gamma[0]):
-            out = out.dt()
-        for i in range(1, len(gamma)):
-            for _ in range(gamma[i]):
-                out = out.dx(i)
-        coeff.ctx.derivatives[key] = out
-    return out
-
-
 class DiffOp:
     """A polynomial differential operator over a coefficient context."""
 
@@ -178,7 +157,7 @@ def compose(first, second):
                 weight = 1
                 for a, g in zip(alpha, gamma):
                     weight *= comb(a, g)
-                deriv = _apply_derivs(d, gamma)
+                deriv = d.derivative(gamma)
                 if deriv.is_zero():
                     continue
                 coeff = c * deriv

@@ -204,75 +204,64 @@ def _weigh(factor, coord: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
         np.multiply(f * coord, s, out=o)
 
 
-class _Level:
-    """The input of the fields at one depth of a workspace: its word u (the
-    trajectory itself at depth 0), the 4th-order time difference dt of u
-    when a field reads the t slot, the physical derivatives of the slots
-    that two or more x-weighted terms of the alphabet read, and dest, the
-    array that receives Z u."""
+class _Level(SpectralTrajectory):
+    """A word of a vector-field scan, held in buffers that later words
+    overwrite.
 
-    __slots__ = ("ws", "u", "dt", "kept", "dest")
-
-    def __init__(self, ws, u, dt, kept):
-        self.ws, self.u, self.dt, self.kept, self.dest = ws, u, dt, kept, None
-
-
-class _Workspace:
-    """The arrays of a vector-field scan, allocated once and reused for
-    every word.
-
-    levels[k] holds the input at depth k; the words of depth 1 .. depth-1
-    live in their level's u and are written there as the previous level's
-    dest.  acc sums the x-weighted terms of one field in physical space;
-    the last level transforms it in place and keeps its word there.
-    Every derivative that no level keeps streams through scratch, which
-    also serves the time differences.
+    Besides the word u (the trajectory itself at depth 0) it holds
+    time_diff, the 4th-order time difference of u when a field reads the
+    t slot; kept, the physical derivatives of the slots that two or more
+    x-weighted terms of the alphabet read; dest, which receives Z u (the
+    next level's word, or the scan's last buffer); and scratch, through
+    which every other derivative and product streams and which all
+    levels of a scan share.
     """
 
-    def __init__(self, traj: SpectralTrajectory, fields, depth: int):
-        h = np.diff(traj.times)
-        if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
-            raise DomainError("apply_vector_field needs a uniform time grid")
-        grid = traj.grid
-        self.grid, self.times, self.h = grid, traj.times, float(h[0])
-        self.coords = grid.coords()
-        terms = [term for fid in fields for term in fid.terms(grid.n)]
-        weighted_slots = [slot for _, axis, slot in terms if axis is not None]
-        shared = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
-        reads_t = any(slot == "t" for _, _, slot in terms)
+    def __init__(self, traj: SpectralTrajectory, u, dest, scratch, h: float,
+                 reads_t: bool, shared):
+        super().__init__(traj.grid, traj.times, u)
+        self.dest, self.scratch, self.h = dest, scratch, h
+        self.time_diff = np.empty_like(u) if reads_t else None
+        self.kept = {slot: np.empty_like(u) for slot in shared}
 
-        def new():
-            return np.empty_like(traj.u)
+    def refresh(self) -> None:
+        """Recompute time_diff and the kept derivatives from the word."""
+        if self.time_diff is not None:
+            _time_derivative(self.u, self.h, self.time_diff, self.scratch)
+        for slot, buf in self.kept.items():
+            self.physical(slot, buf)
 
-        self.acc, self.scratch = new(), new()
-        self.levels = [
-            _Level(self, traj.u if k == 0 else new(), new() if reads_t else None,
-                   {slot: new() for slot in shared})
-            for k in range(depth)]
-        for below, above in zip(self.levels, self.levels[1:]):
-            below.dest = above.u
-        self.levels[-1].dest = self.acc
-        self.refresh(0)
-
-    def refresh(self, k: int) -> None:
-        """Recompute level k's dt and kept derivatives from its word."""
-        level = self.levels[k]
-        if level.dt is not None:
-            _time_derivative(level.u, self.h, level.dt, self.scratch)
-        for slot, buf in level.kept.items():
-            self.physical(level, slot, buf)
-
-    def physical(self, level: _Level, slot, out: np.ndarray) -> np.ndarray:
-        """d_slot u of the level in physical space, written into out."""
+    def physical(self, slot, out: np.ndarray) -> np.ndarray:
+        """d_slot u in physical space, written into out."""
         if slot == "t":
-            src = Field(self.grid, level.dt, "spectral")
+            src = Field(self.grid, self.time_diff, "spectral")
         else:
-            src = spectral_derivative(Field(self.grid, level.u, "spectral"), slot, out=out)
+            src = spectral_derivative(self.as_field(), slot, out=out)
         return dft_inverse(src, out=out).values
 
 
-def apply_vector_field(fid: VectorFieldId, traj, t_floor: float | None = None
-                       ) -> SpectralTrajectory:
+def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
+    """The levels of a scan of fields to the given depth over traj, each
+    array allocated once, with level 0 refreshed.  Level k writes into
+    level k+1's word; the last level writes into one more array, in which
+    it sums its x-weighted terms and transforms them in place."""
+    h = np.diff(traj.times)
+    if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
+        raise DomainError("apply_vector_field needs a uniform time grid")
+    terms = [term for fid in fields for term in fid.terms(traj.grid.n)]
+    weighted_slots = [slot for _, axis, slot in terms if axis is not None]
+    shared = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
+    reads_t = any(slot == "t" for _, _, slot in terms)
+    words = [traj.u] + [np.empty_like(traj.u) for _ in range(depth)]
+    scratch = np.empty_like(traj.u)
+    levels = [_Level(traj, words[k], words[k + 1], scratch, float(h[0]),
+                     reads_t, shared) for k in range(depth)]
+    levels[0].refresh()
+    return levels
+
+
+def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
+                       t_floor: float | None = None) -> SpectralTrajectory:
     """Z u on the trajectory's own (t, x) grid.
 
     Spatial derivatives are spectral and the time derivative is a
@@ -280,25 +269,21 @@ def apply_vector_field(fid: VectorFieldId, traj, t_floor: float | None = None
     times.  A term without an x factor (such as 2t dt in V0, 2 t^(m/2+1)
     d_l in Vbar, TDt, N3, N4 and Rl) acts in spectral space as one
     multiply.  The terms with an x factor multiply pointwise in physical
-    space and are summed there, which costs one dft_inverse per term (or
-    per kept slot) and one dft_forward per field.
-
-    traj is a SpectralTrajectory or a level of conormal_scan's workspace.
-    A trajectory gets a workspace of one level, which allocates the
-    result, one scratch array and, when the field reads the t slot, one
-    time difference, each the size of the trajectory.  A level writes Z u
-    into its dest array, which the next application at that level
-    overwrites.
+    space and are summed there, in the result's array, which costs one
+    dft_inverse per term and one in-place dft_forward per field.  Besides
+    the result, the call allocates one scratch array and, when the field
+    reads the t slot, one time difference, each the size of the
+    trajectory.  The words of conormal_scan come with these arrays
+    already made, and their results overwrite the scan's next word.
 
     Fields with a t^(-m/2) coefficient are evaluated only for
     t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
     Passing t_floor = 0 for such a field raises a domain error.
     """
-    level = traj if isinstance(traj, _Level) else _Workspace(traj, [fid], 1).levels[0]
-    ws, dest = level.ws, level.dest
-    grid, times = ws.grid, ws.times
+    level = traj if isinstance(traj, _Level) else _levels(traj, [fid], 1)[0]
+    grid, times, dest = level.grid, level.times, level.dest
     if t_floor is None:
-        t_floor = 4.0 * ws.h
+        t_floor = 4.0 * level.h
     if fid.singular_at_zero and t_floor <= 0:
         raise DomainError(
             f"{fid.label()} carries a negative power of t and needs t_floor > 0"
@@ -307,25 +292,23 @@ def apply_vector_field(fid: VectorFieldId, traj, t_floor: float | None = None
     # fields singular at t = 0 act only from the first time >= t_floor on
     start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
-    scratch = ws.scratch[start:]
+    scratch = level.scratch[start:]
+    coords = grid.coords()
     terms = fid.terms(grid.n)
+    dest.fill(0)
     weighted = [term for term in terms if term[1] is not None]
     if weighted:
-        acc = ws.acc
-        acc.fill(0)
         for time_factor, axis, slot in weighted:
             phys = level.kept.get(slot)
             if phys is None:
-                phys = ws.physical(level, slot, ws.scratch)
-            _weigh(time_factor(t), ws.coords[axis], phys[start:], scratch)
-            acc[start:] += scratch
-        dft_forward(Field(grid, acc), out=dest)
-    else:
-        dest.fill(0)
+                phys = level.physical(slot, level.scratch)
+            _weigh(time_factor(t), coords[axis], phys[start:], scratch)
+            dest[start:] += scratch
+        dft_forward(Field(grid, dest), out=dest)
     for time_factor, axis, slot in terms:
         if axis is None:
             if slot == "t":
-                spectral = level.dt[start:]
+                spectral = level.time_diff[start:]
             else:
                 spectral = spectral_derivative(
                     Field(grid, level.u[start:], "spectral"), slot, out=scratch).values
@@ -341,14 +324,14 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     Returns a dict mapping word labels (comma-joined field labels, '' for
     the empty word) to the sup norm over snapshots with t >= t_floor,
     ordered by word length.  Words are computed depth first by
-    apply_vector_field in one workspace, allocated per scan and
-    overwritten word after word: per depth below the last one word (the
-    trajectory itself at depth 0) and its time difference, plus one
-    physical derivative for each slot that two or more x-weighted terms of
-    the alphabet read; one accumulator, in which the last depth's words
-    are transformed and reduced to their norms; and one scratch array.
+    apply_vector_field, in arrays allocated once per scan and overwritten
+    word after word: per depth below the last one word (the trajectory
+    itself at depth 0) and its time difference, plus one physical
+    derivative for each slot that two or more x-weighted terms of the
+    alphabet read; one array for the last depth's words, which are summed,
+    transformed and reduced to their norms there; and one scratch array.
     At depth 2 without shared slots that is five arrays the size of the
-    trajectory.
+    trajectory, besides the trajectory itself.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
@@ -373,14 +356,14 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     def scan(k, word):
         for fid in fields:
             longer = word + (fid,)
-            applied = apply_vector_field(fid, ws.levels[k], t_floor=t_floor)
+            applied = apply_vector_field(fid, levels[k], t_floor=t_floor)
             table[label(longer)] = sup_norm(applied)
             if len(longer) < depth:
-                ws.refresh(k + 1)
+                levels[k + 1].refresh()
                 scan(k + 1, longer)
 
     if depth:
-        ws = _Workspace(traj, fields, depth)
+        levels = _levels(traj, fields, depth)
         scan(0, ())
     return table
 
