@@ -1,13 +1,16 @@
 """Exact coefficient arithmetic for degenerate-operator identities.
 
-Coefficients live in the fraction field QQ(h, x1..xn, r) subject to the
+Coefficients live in the fraction field Q(h, x1..xn, r) subject to the
 algebraic relation r**2 = x1**2 + ... + xn**2, where h = t**(1/2) carries
 the half-integer time powers.  Every element is kept in a normal form:
-the radical r appears to degree at most one in the numerator, the
-denominator is r-free (rationalized by the r-conjugate), and the leading
-denominator coefficient is positive.  In one space dimension the radical
-generator is omitted, since adjoining r with r**2 = x1**2 would create
-zero divisors.
+a numerator and a denominator in Z[h, x1..xn, r] with no common factor
+(their integer contents included), the radical r to degree at most one
+in the numerator, the denominator r-free (rationalized by the
+r-conjugate) and its leading coefficient positive.  The field is built
+over the ground ring ZZ, so all coefficient arithmetic is on Python
+ints; a rational constant p/q is the pair (p, q).  In one space
+dimension the radical generator is omitted, since adjoining r with
+r**2 = x1**2 would create zero divisors.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from ..errors import ParameterError
 
-from sympy import QQ
+from sympy import ZZ
 from sympy.polys.fields import field
 
 __all__ = ["CoeffContext", "CoeffExpr"]
@@ -34,7 +37,7 @@ class CoeffContext:
         names = ["h"] + ["x%d" % i for i in range(1, n + 1)]
         if n >= 2:
             names.append("r")
-        unpacked = field(",".join(names), QQ)
+        unpacked = field(",".join(names), ZZ)
         self.field = unpacked[0]
         gens = unpacked[1:]
         self._h = gens[0]
@@ -147,11 +150,12 @@ class CoeffContext:
         """Whether sum(a * b for a, b in pairs) is exactly zero.
 
         The products stay unreduced, grouped by denominator; the lcm of
-        the distinct denominators is the only gcd work.  Denominators are
-        r-free and nonzero, and Q[h, x][r]/(r**2 - sum x_i**2) is an
-        integral domain for n >= 2, so scaling by the lcm keeps zero and
-        nonzero apart, and the reduced numerator a + b*r vanishes exactly
-        when the sum does.
+        the distinct denominators is the only gcd work.  Numerators and
+        denominators are integer polynomials, the denominators r-free and
+        nonzero, and Z[h, x][r]/(r**2 - sum x_i**2) is an integral domain
+        for n >= 2 (sum x_i**2 is not a square), so scaling by the lcm
+        keeps zero and nonzero apart, and the reduced numerator a + b*r
+        vanishes exactly when the sum does.
         """
         groups = {}
         for a, b in pairs:

@@ -196,22 +196,24 @@ def span_decompose(target, basis):
     the fewest terms.
 
     The solution is then checked exactly against the original equations,
-    one multi-index at a time, by ``CoeffContext.combination_is_zero``:
-    the products w_j * B_j[idx] and -target[idx] stay unreduced, are
-    brought over the lcm of their distinct denominators and summed, and
-    the numerator, reduced by r**2 = sum x_i**2, must be the zero
-    polynomial.  The denominators are r-free and nonzero, and for n >= 2
-    the ring Q[h, x][r]/(r**2 - sum x_i**2) has no zero divisors (sum
-    x_i**2 is not a square), so the test is exact: it neither accepts a
-    nonzero residual nor rejects a zero one.
+    one multi-index at a time.  The weights are first brought over one
+    denominator for the whole system: L_w, the lcm of the distinct
+    denominators of the nonzero weights, and each w_j becomes the
+    polynomial w_j * L_w over 1.  Each equation is then checked as
+    sum (w_j L_w) * B_j[idx] - L_w * target[idx] = 0 by
+    ``CoeffContext.combination_is_zero``: the products stay unreduced,
+    are brought over the lcm of their distinct denominators, which now
+    come from the basis and the target alone, and summed, and the
+    numerator, reduced by r**2 = sum x_i**2, must be the zero
+    polynomial.  L_w and every denominator are r-free nonzero integer
+    polynomials, and for n >= 2 the ring Z[h, x][r]/(r**2 - sum x_i**2)
+    has no zero divisors (sum x_i**2 is not a square), so the test is
+    exact: it neither accepts a nonzero residual nor rejects a zero one.
     """
     if not basis:
         return ([], []) if target.is_zero() else (None, None)
     ctx = target.ctx
-    indices = set(target.terms)
-    for op in basis:
-        indices.update(op.terms)
-    indices = sorted(indices)
+    indices = _indices(target, basis)
     zero = ctx.zero()
     rows = []
     for idx in indices:
@@ -249,14 +251,8 @@ def span_decompose(target, basis):
     for row_i, col in enumerate(pivots):
         solution[col] = rows[row_i][-1]
     # verify on the original equations, since free columns were set to zero
-    minus_one = ctx.rational(-1)
-    for idx in indices:
-        pairs = [(w, op.terms[idx]) for w, op in zip(solution, basis)
-                 if idx in op.terms]
-        if idx in target.terms:
-            pairs.append((minus_one, target.terms[idx]))
-        if not ctx.combination_is_zero(pairs):
-            return None, None
+    if not _reproduces(target, basis, solution):
+        return None, None
     one = ctx.one()
     null_vectors = []
     for free_col in (c for c in range(ncols) if c not in pivots):
@@ -266,3 +262,37 @@ def span_decompose(target, basis):
             vec[col] = -rows[row_i][free_col]
         null_vectors.append(vec)
     return solution, null_vectors
+
+
+def _indices(target, basis):
+    """The derivative multi-indices of the span system, sorted."""
+    indices = set(target.terms)
+    for op in basis:
+        indices.update(op.terms)
+    return sorted(indices)
+
+
+def _reproduces(target, basis, weights):
+    """Whether sum w_j * basis_j equals target exactly; see span_decompose."""
+    ctx = target.ctx
+    ring = ctx.poly_ring
+    dens = list(dict.fromkeys(w.frac.denom for w in weights
+                              if not w.is_zero()))
+    lcm_w = dens[0] if dens else ring.one
+    for den in dens[1:]:
+        lcm_w = lcm_w.lcm(den)
+
+    def over_one(poly):
+        return CoeffExpr(ctx, ctx.field.raw_new(poly, ring.one), reduce=False)
+
+    scaled = [over_one(w.frac.numer * lcm_w.exquo(w.frac.denom))
+              for w in weights]
+    minus_lcm = over_one(-lcm_w)
+    for idx in _indices(target, basis):
+        pairs = [(w, op.terms[idx]) for w, op in zip(scaled, basis)
+                 if idx in op.terms]
+        if idx in target.terms:
+            pairs.append((minus_lcm, target.terms[idx]))
+        if not ctx.combination_is_zero(pairs):
+            return False
+    return True

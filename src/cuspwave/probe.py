@@ -374,10 +374,13 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
 def gradient_magnitude(snapshot: Field) -> np.ndarray:
     """|grad u| in physical space, per time level for a stacked Field."""
     total = np.zeros(snapshot.values.shape)
+    # every derivative is taken and inverted in the one complex buffer d
+    d = np.empty(snapshot.values.shape, dtype=complex)
     for axis in range(snapshot.grid.n):
-        d = dft_inverse(spectral_derivative(snapshot, axis)).values
+        spectral_derivative(snapshot, axis, out=d)
+        dft_inverse(snapshot.copy_with(d), out=d)
         total += np.abs(d) ** 2
-    return np.sqrt(total)
+    return np.sqrt(total, out=total)
 
 
 def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
@@ -392,8 +395,14 @@ def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
     peak = np.max(mag, axis=grid.axes, keepdims=True)
     is_max = mag > threshold * peak
     for axis in grid.axes:
-        is_max &= mag >= np.roll(mag, 1, axis=axis)
-        is_max &= mag >= np.roll(mag, -1, axis=axis)
+        # each point against both periodic neighbours, on views of mag: the
+        # interior pairs, then the pair that wraps; axes count from the end
+        rest = (slice(None),) * (-1 - axis)
+        for left, right in ((slice(None, -1), slice(1, None)),
+                            (slice(-1, None), slice(0, 1))):
+            left, right = (..., left) + rest, (..., right) + rest
+            is_max[left] &= mag[left] >= mag[right]
+            is_max[right] &= mag[right] >= mag[left]
     coords = [grid.axis_coords(a) for a in range(grid.n)]
     return [
         (float(traj.times[idx[0]]),

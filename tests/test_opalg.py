@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sympy import QQ, ZZ
 from sympy.polys.rings import PolyElement
 
 from cuspwave.errors import ParameterError
@@ -14,8 +15,8 @@ from cuspwave.opalg import (
     compose,
     verify_identity,
 )
-from cuspwave.opalg import catalog
-from cuspwave.opalg.diffop import span_decompose
+from cuspwave.opalg import catalog, coeff
+from cuspwave.opalg.diffop import _reproduces, span_decompose
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,41 @@ def test_coeff_ops_match_field_arithmetic(n):
                 assert got.denom == want.denom, (k, a, b)
 
 
+def _terms(poly):
+    """monomial -> (numerator, denominator) of each coefficient."""
+    return {monom: (int(c.numerator), int(c.denominator))
+            for monom, c in poly.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coeff_ops_match_rational_ground_field(n, monkeypatch):
+    # the same normal forms from a context built over QQ, whose cancel
+    # clears denominators and returns to QQ around every gcd
+    ctx = CoeffContext(n)
+    assert ctx.poly_ring.domain == ZZ and ctx.field.domain == ZZ
+    monkeypatch.setattr(coeff, "ZZ", QQ)
+    qq = CoeffContext(n)
+    assert qq.poly_ring.domain == QQ
+
+    def same(got, want, *label):
+        assert _terms(got.frac.numer) == _terms(want.frac.numer), label
+        assert _terms(got.frac.denom) == _terms(want.frac.denom), label
+
+    ops = [(lambda a, b: a + b), (lambda a, b: a - b),
+           (lambda a, b: a * b), (lambda a, b: a / b)]
+    pairs = list(zip(_sample_coeffs(ctx), _sample_coeffs(qq)))
+    for a, qa in pairs:
+        same(a, qa)
+        same(a.dt(), qa.dt(), "dt", a)
+        for i in range(1, n + 1):
+            same(a.dx(i), qa.dx(i), "dx", i, a)
+        for b, qb in pairs:
+            for k, op in enumerate(ops):
+                if k == 3 and b.is_zero():
+                    continue
+                same(op(a, b), op(qa, qb), k, a, b)
+
+
 def _field_dt(ctx, frac):
     h = ctx.field.gens[0]
     return ctx.normalize(frac.diff(h) / (2 * h))
@@ -168,6 +204,31 @@ def test_span_check_rejects_wrong_weights(ctx2, monkeypatch):
     monkeypatch.setattr(CoeffExpr, "__truediv__",
                         lambda a, b: real(a, b) + eps)
     assert span_decompose(target, basis) == (None, None)
+
+
+def test_span_check_scales_weights_over_one_denominator(ctx2):
+    # weights over distinct non-trivial denominators: two coprime ones, which
+    # share no factor with the basis denominators, and their product
+    x1, h, t, r = ctx2.x(1), ctx2.h(), ctx2.t(), ctx2.r()
+    one = ctx2.one()
+    dt, d1 = DiffOp.dt(ctx2), DiffOp.dx(ctx2, 1)
+    basis = [dt.scaled(r / (x1 + t)), d1 + dt.scaled(x1),
+             DiffOp.identity(ctx2).scaled(one / (h + 1))]
+    weights = [one / (x1 - h), r / (t + 1), x1 / ((x1 - h) * (t + 1))]
+    target = DiffOp.zero(ctx2)
+    for w, op in zip(weights, basis):
+        target = target + op.scaled(w)
+    got, nulls = span_decompose(target, basis)
+    assert got is not None and nulls == []
+    assert all((a - b).is_zero() for a, b in zip(got, weights))
+    assert _reproduces(target, basis, weights)
+    eps = ctx2.rational(1, 10 ** 6)
+    for j in range(len(weights)):
+        wrong = list(weights)
+        wrong[j] = wrong[j] + eps
+        assert not _reproduces(target, basis, wrong), j
+    assert not _reproduces(target, basis, [weights[0], weights[1],
+                                           ctx2.zero()])
 
 
 def test_radial_generator_requires_two_dimensions():
@@ -350,6 +411,85 @@ def test_catalog_span_solutions_are_exact(monkeypatch):
             for v, op in zip(vec, basis):
                 combo = combo + op.scaled(v)
             assert combo.is_zero()
+
+
+# (name, status, residual_terms, expected) of every row, as recorded from the
+# exact arithmetic over a QQ ground field; the benchmark gate reads only ok
+_PINNED_M2_N2 = [
+    ("[Q, V0] = 4 Q", "zero", 0, "zero"),
+    ("[Q, Vbar1] = lower order", "zero", 0, "zero"),
+    ("[Q, Vbar2] = lower order", "zero", 0, "zero"),
+    ("[Q, L12] = 0", "zero", 0, "zero"),
+    ("[V0, Vbar1] = 0", "zero", 0, "zero"),
+    ("[V0, Vbar2] = 0", "zero", 0, "zero"),
+    ("[V0, L12] = 0", "zero", 0, "zero"),
+    ("[Vbar1, L12] = Vbar2", "zero", 0, "zero"),
+    ("[Vbar2, L12] = -Vbar1", "zero", 0, "zero"),
+    ("[Vbar1, Vbar2] = rotation + lower order", "zero", 0, "zero"),
+    ("[P1, V0] = 6 P1", "zero", 0, "zero"),
+    ("[P1, L12] = 0", "zero", 0, "zero"),
+    ("[P1, Vbar1] = singular expansion", "zero", 0, "zero"),
+    ("[P1, Vbar2] = singular expansion", "zero", 0, "zero"),
+    ("[P1, t*Dt] = 3 P1 + lower order", "zero", 0, "zero"),
+    ("[t*Dt, V0] = 0", "zero", 0, "zero"),
+    ("[t*Dt, L12] = 0", "zero", 0, "zero"),
+    ("[V, Vbar1] = 0", "zero", 0, "zero"),
+    ("[V, R2] = 0", "zero", 0, "zero"),
+    ("[Vbar1, R2] = 0", "zero", 0, "zero"),
+    ("[P1, R2] = 0", "zero", 0, "zero"),
+    ("[Q, R2] = 0", "zero", 0, "zero"),
+    ("[P1, V] = 6 P1 + transverse terms", "zero", 0, "zero"),
+    ("[Q, V] = 4 Q + transverse terms", "zero", 0, "zero"),
+    ("plane square: (x1*Dt)^2", "zero", 0, "zero"),
+    ("plane square: branch + slanted field", "zero", 0, "zero"),
+    ("plane square: branch - slanted field", "zero", 0, "zero"),
+    ("plane square: (t*Dt)^2", "zero", 0, "zero"),
+    ("plane square: (t^((m+2)/2)*D1)^2", "zero", 0, "zero"),
+    ("cone square: (r*Dt)^2", "zero", 0, "zero"),
+    ("cone square: (t^(m/2)*r*D1)^2 modulo admissible terms",
+     "solvable", 0, "zero"),
+    ("cone elimination: Vbar1 via vertex normal field", "zero", 0, "zero"),
+    ("cone elimination: Vbar1 via scaled gradient", "zero", 0, "zero"),
+    ("cone square: slanted normal field 1 modulo admissible terms",
+     "solvable", 0, "zero"),
+    ("cone elimination: Vbar1 via slanted normal field", "zero", 0, "zero"),
+    ("cone square: (t^(m/2)*r*D2)^2 modulo admissible terms",
+     "solvable", 0, "zero"),
+    ("cone elimination: Vbar2 via vertex normal field", "zero", 0, "zero"),
+    ("cone elimination: Vbar2 via scaled gradient", "zero", 0, "zero"),
+    ("cone square: slanted normal field 2 modulo admissible terms",
+     "solvable", 0, "zero"),
+    ("cone elimination: Vbar2 via slanted normal field", "zero", 0, "zero"),
+    ("cone square: (t*Dt)^2", "zero", 0, "zero"),
+    ("cone elimination: Vbar1 via time scaling field", "zero", 0, "zero"),
+    ("cone square: (t^((m+2)/2)*D1)^2 modulo admissible terms",
+     "solvable", 0, "zero"),
+    ("cone elimination: Vbar1 via time-power gradient", "zero", 0, "zero"),
+    ("cone elimination: Vbar2 via time scaling field", "zero", 0, "zero"),
+    ("cone square: (t^((m+2)/2)*D2)^2 modulo admissible terms",
+     "solvable", 0, "zero"),
+    ("cone elimination: Vbar2 via time-power gradient", "zero", 0, "zero"),
+    ("admissible square decomposition: vertex normal field",
+     "asserted", 0, "asserted"),
+    ("admissible square decomposition: slanted normal field",
+     "asserted", 0, "asserted"),
+    ("admissible square decomposition: time scaling field",
+     "asserted", 0, "asserted"),
+    ("admissible square decomposition: time-power gradient",
+     "asserted", 0, "asserted"),
+    ("negative control: corrupted scaling law", "nonzero", 1, "nonzero"),
+]
+_PINNED_PAIR_3_1_N1 = [
+    ("scaling field at exponent 3 via exponent 1 alphabet", "zero", 0, "zero"),
+]
+
+
+@pytest.mark.parametrize("selector, n, rows", [
+    (2, 2, _PINNED_M2_N2), ((3, 1), 1, _PINNED_PAIR_3_1_N1)])
+def test_catalog_rows_are_pinned(selector, n, rows):
+    got = [(r.name, r.status, r.residual_terms, r.expected)
+           for r in catalog_verify(selector, n)]
+    assert got == rows
 
 
 def test_catalog_gcd_count(monkeypatch):

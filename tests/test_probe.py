@@ -469,6 +469,45 @@ def test_scan_memory_with_shared_slots():
     assert _scan_peak(_SHARED_FIELDS) <= 8 + 2 * 2
 
 
+def test_ridge_memory_is_bounded():
+    # |grad u| accumulates in one real array while each derivative is taken
+    # and inverted in one complex buffer, plus |d|**2: about 2 trajectories
+    tr = _busy_trajectory(2, 64, 33)
+    ridge_extract(tr)  # warm the grid caches
+    tracemalloc.start()
+    try:
+        ridge_extract(tr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / tr.u.nbytes <= 2.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ridge_neighbours_wrap_periodically(n):
+    # the rolled-copy neighbour test is the reference; the data are shifted
+    # so that the last level's strongest gradient sits in the grid's corner
+    tr = _busy_trajectory(n, _SIZES[n], 5)
+    mag = gradient_magnitude(tr.as_field())
+    corner = np.unravel_index(np.argmax(mag[-1]), mag.shape[1:])
+    phys = np.roll(dft_inverse(tr.as_field()).values,
+                   [-k for k in corner], axis=tr.grid.axes)
+    tr = SpectralTrajectory(tr.grid, tr.times,
+                            dft_forward(Field(tr.grid, phys)).values)
+    mag = gradient_magnitude(tr.as_field())
+    is_max = mag > 0.1 * np.max(mag, axis=tr.grid.axes, keepdims=True)
+    for axis in tr.grid.axes:
+        is_max &= (mag >= np.roll(mag, 1, axis=axis)) \
+            & (mag >= np.roll(mag, -1, axis=axis))
+    coords = [tr.grid.axis_coords(a) for a in range(n)]
+    want = [(float(tr.times[i[0]]),
+             tuple(float(coords[a][k]) for a, k in enumerate(i[1:])))
+            for i in np.argwhere(is_max)]
+    got = [(t, x) for t, x, _ in ridge_extract(tr, threshold=0.1)]
+    assert got == want
+    assert (1.0, tuple(float(c[0]) for c in coords)) in want
+
+
 @pytest.mark.parametrize("n_t, ok", [(5, False), (6, True)])
 def test_time_derivative_needs_six_levels(n_t, ok):
     tr = _busy_trajectory(1, 16, n_t)
