@@ -29,7 +29,6 @@ from .errors import (
     QuadratureError,
 )
 from .initial_data import (
-    heaviside_fourier_split,
     make_a1,
     make_a2,
     make_smooth,
@@ -78,9 +77,12 @@ def _emit_error(exc) -> None:
     """One JSON-lines record per failure, on stderr.
 
     A ConvergenceError that carries its Picard report adds the iteration
-    count and the iterate distances.
+    count and the iterate distances; a ParseError adds its position and
+    what was expected there.
     """
     record = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ParseError):
+        record.update(line=exc.line, column=exc.column, expected=exc.expected)
     report = getattr(exc, "report", None)
     if report is not None:
         record["iterations"] = report.iterations
@@ -131,14 +133,13 @@ def _build_grid(cfg) -> Grid:
     return Grid(n, (int(cfg["N"]),) * n, float(cfg["L"]))
 
 
+_MAKERS = {"A1": make_a1, "A2": make_a2, "smooth": make_smooth}
+
+
 def _spectral_data(spec_path, grid) -> Field:
     with open(spec_path) as fh:
         spec = parse_data_spec(fh.read())
-    if spec.family == "A1" and grid.n == 1:
-        even, hil = heaviside_fourier_split(spec, grid)
-        return Field(grid, even.values + hil.values, "spectral")
-    maker = {"A1": make_a1, "A2": make_a2, "smooth": make_smooth}
-    return dft_forward(maker[spec.family](spec, grid))
+    return dft_forward(_MAKERS[spec.family](spec, grid))
 
 
 def _zero_field(grid) -> Field:
@@ -148,7 +149,7 @@ def _zero_field(grid) -> Field:
 def _nonlinearity(cfg) -> NonlinearitySpec:
     text = str(cfg.get("f_coefficients", "")).strip()
     coeffs = tuple(float(c) for c in text.split(",")) if text else ()
-    return NonlinearitySpec(kind="polynomial", coefficients=coeffs)
+    return NonlinearitySpec(coefficients=coeffs)
 
 
 def _parse_s_list(cfg):
@@ -379,8 +380,7 @@ def cmd_data(args) -> int:
     with open(path) as fh:
         spec = parse_data_spec(fh.read())
     grid = _build_grid(cfg)
-    maker = {"A1": make_a1, "A2": make_a2, "smooth": make_smooth}
-    field = maker[spec.family](spec, grid)
+    field = _MAKERS[spec.family](spec, grid)
     if int(cfg["preview"]):
         print("family = %s" % spec.family)
         print("l2 = %r" % sobolev_norm(dft_forward(field), 0.0))

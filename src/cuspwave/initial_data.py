@@ -1,6 +1,5 @@
 """Discontinuous data families: half-space jumps across x1 = 0 and
-angle-dependent profiles homogeneous of degree zero near the origin,
-plus the Fourier-side even/Hilbert decomposition of the jump family.
+angle-dependent profiles homogeneous of degree zero near the origin.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, ParseError
-from .spectral import Field, Grid, dft_forward
+from .spectral import Field, Grid
 
 
 def bump(r, width, amplitude=1.0, center=0.0):
@@ -130,28 +129,6 @@ def make_a2(spec: InitialDataSpec, grid: Grid) -> Field:
         raise DomainError("A2 sampling needs the origin on the grid")
     vals[origin] = avg * spec.radial.sample(tuple(np.zeros(1) for _ in coords))[0]
     return Field(grid, vals)
-
-
-def heaviside_fourier_split(spec: InitialDataSpec, grid: Grid):
-    """Fourier transform of A1 data as even part plus Hilbert part:
-    phi_hat = (phi1_hat + phi2_hat)/2 - (i/2) H(phi1_hat - phi2_hat),
-    where H acts along the x1 frequency axis."""
-    if spec.family != "A1":
-        raise DomainError("heaviside split applies to A1 data only")
-    if grid.n != 1:
-        raise DomainError("heaviside_fourier_split is implemented for n=1")
-    coords = grid.coords()
-    phi1 = spec.right.sample(coords)  # value on x1 > 0
-    phi2 = spec.left.sample(coords)
-    even = dft_forward(Field(grid, 0.5 * (phi1 + phi2)))
-    diff = Field(grid, 0.5 * (phi1 - phi2))
-    # -(i/2) H(phi1_hat - phi2_hat) equals the transform of sign(x) * diff,
-    # since multiplication by sign(x) is the frequency-side Hilbert transform
-    # up to the factor -i
-    x = coords[0]
-    sgn = np.where(x >= 0, 1.0, -1.0)
-    hil = dft_forward(Field(grid, sgn * diff.values))
-    return even, hil
 
 
 def parse_data_spec(text: str) -> InitialDataSpec:

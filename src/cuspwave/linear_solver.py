@@ -116,71 +116,6 @@ def solve_inhomogeneous(m: int, phi1: Field, phi2: Field,
     return SpectralTrajectory(hom.grid, hom.times, hom.u + par.u, hom.dt + par.dt)
 
 
-def rk4_oracle(m: int, phi1: Field, phi2: Field,
-               forcing: SpectralTrajectory | None, times,
-               substeps: int | None = None) -> SpectralTrajectory:
-    """Independent check: classical RK4 on (u, v)' = (v, -t^m rho^2 u + F).
-
-    The forcing between stored samples is interpolated linearly in t.  The
-    number of internal substeps per stored interval defaults to enough to
-    resolve the fastest mode (period ~ 2 pi / (t^(m/2) rho_max)).
-    """
-    times = _check_times(times)
-    if len(times) < 2:
-        raise ParameterError("rk4_oracle needs at least two time points")
-    h0 = np.diff(times)
-    if np.max(np.abs(h0 - h0[0])) > 1e-12 * h0[0]:
-        raise ParameterError("rk4_oracle requires uniform times")
-    grid = phi1.grid
-    require_same_grid(phi1, phi2)
-    rho = grid.xi_norm()
-    rho2 = rho * rho
-    t_end = times[-1]
-    omega_max = t_end ** (m / 2) * float(np.max(rho))
-    if substeps is None:
-        substeps = int(max(16, min(4096, 40 * omega_max * h0[0])))
-
-    if forcing is not None:
-        if forcing.grid != grid:
-            raise GridMismatchError("forcing grid differs from data grid")
-        f_times = forcing.times
-        f_vals = forcing.u
-
-        def f_at(t):
-            i = np.searchsorted(f_times, t) - 1
-            i = min(max(i, 0), len(f_times) - 2)
-            w = (t - f_times[i]) / (f_times[i + 1] - f_times[i])
-            return (1 - w) * f_vals[i] + w * f_vals[i + 1]
-    else:
-        zero = np.zeros(grid.sizes, dtype=complex)
-
-        def f_at(t):
-            return zero
-
-    u = phi1.values.astype(complex).copy()
-    v = phi2.values.astype(complex).copy()
-    u_out = np.empty((len(times),) + grid.sizes, dtype=complex)
-    dt_out = np.empty_like(u_out)
-    u_out[0], dt_out[0] = u, v
-
-    def acc(t, u):
-        return -np.clip(t, 0.0, None) ** m * rho2 * u + f_at(t)
-
-    for i in range(len(times) - 1):
-        h = (times[i + 1] - times[i]) / substeps
-        t = times[i]
-        for _ in range(substeps):
-            k1u, k1v = v, acc(t, u)
-            k2u, k2v = v + h / 2 * k1v, acc(t + h / 2, u + h / 2 * k1u)
-            k3u, k3v = v + h / 2 * k2v, acc(t + h / 2, u + h / 2 * k2u)
-            k4u, k4v = v + h * k3v, acc(t + h, u + h * k3u)
-            u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            t += h
-        u_out[i + 1], dt_out[i + 1] = u, v
-    return SpectralTrajectory(grid, times, u_out, dt_out)
-
-
 def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
     """Write one grid file per snapshot plus a CSV manifest of H^s norms."""
     import os

@@ -117,11 +117,6 @@ class DiffOp:
     def is_zero(self):
         return not self.terms
 
-    def order(self):
-        if not self.terms:
-            return 0
-        return max(sum(idx) for idx in self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented

@@ -1,6 +1,5 @@
-"""Singular-support diagnostics: characteristic-surface geometry, discrete
-tangent vector fields, conormal-norm scans, gradient-ridge extraction, and
-power-law rate fitting.
+"""Singular-support diagnostics: discrete tangent vector fields,
+conormal-norm scans, gradient-ridge extraction, and power-law rate fitting.
 """
 
 from __future__ import annotations
@@ -20,55 +19,6 @@ from .spectral import (
     sobolev_norm,
     spectral_derivative,
 )
-
-# characteristic sets -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CharSurface:
-    """Cusp-forming characteristic sets of the degenerate operator.
-
-    GammaPM: x1 = +/- 2 t^((m+2)/2) / (m+2)      (half-space jump geometry)
-    Gamma:   |x| = 2 t^((m+2)/2) / (m+2)          (point-singularity cone)
-    Gamma0:  x1 = 0;  L0: x = 0;  Sigma0: t = 0
-    """
-
-    kind: str
-    m: int = 1
-    sign: str = "n/a"
-
-    def __post_init__(self):
-        if self.kind not in ("GammaPM", "Gamma", "Gamma0", "L0", "Sigma0"):
-            raise ParameterError(f"unknown surface kind {self.kind!r}")
-        if self.kind == "GammaPM":
-            if self.sign not in ("+", "-"):
-                raise ParameterError("GammaPM needs sign '+' or '-'")
-        elif self.sign != "n/a":
-            raise ParameterError(f"{self.kind} does not take a sign")
-        if self.kind in ("GammaPM", "Gamma") and self.m < 1:
-            raise ParameterError("m must be a positive integer")
-
-    def radius(self, t) -> np.ndarray:
-        """The cusp radius 2 t^((m+2)/2) / (m+2)."""
-        return 2.0 * np.asarray(t, dtype=float) ** ((self.m + 2) / 2) / (self.m + 2)
-
-
-def surface_distance(s: CharSurface, t, x) -> float:
-    """Defining-function residual of the surface at the point (t, x)."""
-    if np.any(np.asarray(t) < 0):
-        raise DomainError("surface_distance needs t >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if s.kind == "GammaPM":
-        sgn = 1.0 if s.sign == "+" else -1.0
-        return float(np.abs(x[0] - sgn * s.radius(t)))
-    if s.kind == "Gamma":
-        return float(np.abs(np.linalg.norm(x) - s.radius(t)))
-    if s.kind == "Gamma0":
-        return float(np.abs(x[0]))
-    if s.kind == "L0":
-        return float(np.linalg.norm(x))
-    return float(t)  # Sigma0
-
 
 # vector fields -------------------------------------------------------------
 

@@ -15,28 +15,10 @@ radial shell (see linear_solver.propagator_table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gamma, jv
 
 from .errors import DomainError, ParameterError
-
-
-@dataclass(frozen=True)
-class PropagatorSample:
-    """Fundamental pair and its time derivatives at one (m, t, rho)."""
-
-    m: int
-    t: float
-    rho: float
-    v1: float
-    v2: float
-    dt_v1: float
-    dt_v2: float
-
-    def wronskian(self) -> float:
-        return self.v1 * self.dt_v2 - self.v2 * self.dt_v1
 
 
 def _check_args(m: int, t, rho) -> None:
@@ -75,32 +57,3 @@ def sample_arrays(m: int, t, rho):
         dt_v1 = np.where(zero, 0.0, dt_v1)
         dt_v2 = np.where(zero, 1.0, dt_v2)
     return v1, v2, dt_v1, dt_v2
-
-
-def sample(m: int, t: float, rho: float) -> PropagatorSample:
-    """Evaluate the fundamental pair at a single point."""
-    v1, v2, dt_v1, dt_v2 = sample_arrays(m, np.array(float(t)), np.array(float(rho)))
-    return PropagatorSample(
-        m=m,
-        t=float(t),
-        rho=float(rho),
-        v1=float(v1),
-        v2=float(v2),
-        dt_v1=float(dt_v1),
-        dt_v2=float(dt_v2),
-    )
-
-
-def ode_residual(m: int, t: float, rho: float, which: str = "v1") -> float:
-    """|d_t^2 V + t^m rho^2 V| via a 5-point central stencil (diagnostic only)."""
-    if which not in ("v1", "v2"):
-        raise ParameterError(f"which must be 'v1' or 'v2', got {which!r}")
-    _check_args(m, t, rho)
-    h = 1e-4 * max(t, 1.0)
-    if t - 2 * h <= 0:
-        raise DomainError(f"t={t} too small for the finite-difference stencil (h={h})")
-    ts = t + h * np.arange(-2.0, 3.0)
-    v1, v2, _, _ = sample_arrays(m, ts, np.full(5, float(rho)))
-    v = v1 if which == "v1" else v2
-    d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-    return abs(d2 + t**m * rho**2 * v[2])

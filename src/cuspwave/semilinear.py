@@ -2,10 +2,10 @@
 
 Three shapes are covered, all sharing the same iteration engine:
 
-* second order:  d_t^2 u - t^m Lap u = f(t, x, u)
-* third order:   d_t (d_t^2 - t^m Lap) u = f(t, x, u), recast as the
+* second order:  d_t^2 u - t^m Lap u = f(u)
+* third order:   d_t (d_t^2 - t^m Lap) u = f(u), recast as the
   second-order equation with the nonlocal forcing phi2 + int_0^t f ds
-* fourth order:  (d_t^2 - t^m1 Lap)(d_t^2 - t^m2 Lap) u = f(t, x, u),
+* fourth order:  (d_t^2 - t^m1 Lap)(d_t^2 - t^m2 Lap) u = f(u),
   solved as a cascade of two second-order problems
 
 Each nonlinearity evaluation happens pointwise in physical space with 2/3
@@ -39,37 +39,28 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Pointwise source term f(t, x, u).
+    """Pointwise polynomial source term f(u) = sum c_k u^k.
 
-    kind "polynomial" carries coefficients c_k for sum c_k u^k; kind
-    "tabulated-smooth" wraps an arbitrary callable (t, coords, u) -> array.
-
-    evaluate receives a whole trajectory at once: t has shape
-    (n_t, 1, ..., 1), coords is one array of shape grid.sizes per axis,
-    and u has shape (n_t, *grid.sizes); the result has the shape of u.
+    evaluate receives a whole trajectory of physical values u at once and
+    returns an array of the same shape.
     """
 
-    kind: str = "polynomial"
     coefficients: tuple = ()
-    evaluate_fn: object = None
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "tabulated-smooth"):
-            raise ParameterError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "tabulated-smooth" and self.evaluate_fn is None:
-            raise ParameterError("tabulated-smooth nonlinearity needs evaluate_fn")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ParameterError(
+                f"nonlinearity coefficients must be finite, got {self.coefficients}")
 
-    def evaluate(self, t, coords, u):
-        if self.kind == "polynomial":
-            out = np.zeros_like(u)
-            for k, c in enumerate(self.coefficients):
-                if c:
-                    out = out + c * u**k
-            return out
-        return self.evaluate_fn(t, coords, u)
+    def evaluate(self, u):
+        out = np.zeros_like(u)
+        for k, c in enumerate(self.coefficients):
+            if c:
+                out = out + c * u**k
+        return out
 
     def is_zero(self) -> bool:
-        return self.kind == "polynomial" and not any(self.coefficients)
+        return not any(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -81,14 +72,16 @@ class PicardConfig:
     s_mon: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ParameterError("horizon T must be positive")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ParameterError(f"horizon T must be positive and finite, got {self.T}")
         if self.n_t < 9 or self.n_t % 2 == 0:
             raise ParameterError("n_t must be odd and at least 9")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise ParameterError("tolerance must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ParameterError(f"tolerance must be positive and finite, got {self.tol}")
+        if not np.isfinite(self.s_mon):
+            raise ParameterError(f"monitor index s_mon must be finite, got {self.s_mon}")
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_t)
@@ -131,19 +124,17 @@ def _sup_norm_distance(a: SpectralTrajectory, b: SpectralTrajectory, s: float) -
 def evaluate_forcing(f: NonlinearitySpec, traj: SpectralTrajectory,
                      offset: SpectralTrajectory | None = None,
                      subtract_at_zero: bool = False) -> SpectralTrajectory:
-    """Trajectory of f(t, x, u), dealiased, in spectral space.
+    """Trajectory of f(u), dealiased, in spectral space.
 
-    With subtract_at_zero the value f(t, x, 0) is removed, which is the
+    With subtract_at_zero the value f(0) = c_0 is removed, which is the
     nonlinear increment the third-order fixed point iterates on.
     """
     grid = traj.grid
-    coords = grid.coords()
-    t = traj.times.reshape((-1,) + (1,) * grid.n)
     u = traj.u if offset is None else traj.u + offset.u
     u_phys = dft_inverse(Field(grid, u, "spectral")).values
-    vals = f.evaluate(t, coords, u_phys)
-    if subtract_at_zero:
-        vals = vals - f.evaluate(t, coords, np.zeros_like(u_phys))
+    vals = f.evaluate(u_phys)
+    if subtract_at_zero and f.coefficients:
+        vals = vals - f.coefficients[0]
     f_hat = dealias(dft_forward(Field(grid, vals))).values
     return SpectralTrajectory(grid, traj.times, f_hat)
 
@@ -195,11 +186,11 @@ def apply_E(m: int, g: SpectralTrajectory) -> SpectralTrajectory:
 
 def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                       phi2: Field, cfg: PicardConfig):
-    """Solve d_t^2 u - t^m Lap u = phi2 + int_0^t f(s, x, u) ds.
+    """Solve d_t^2 u - t^m Lap u = phi2 + int_0^t f(u) ds.
 
     Splitting: u1 carries (phi0, phi1), u2 carries phi2 plus the
     u-independent part of the source, and w is the fixed point of
-    w -> E(f(u1 + u2 + w) - f(., ., 0)).
+    w -> E(f(u1 + u2 + w) - f(0)).
     """
     require_same_grid(phi0, phi1, phi2)
     times = cfg.times()
@@ -223,7 +214,7 @@ def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
 def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
                        psi0: Field, psi1: Field, psi2: Field, psi3: Field,
                        cfg: PicardConfig):
-    """Solve the factored problem Q_{m1} Q_{m2} u = f(t, x, u).
+    """Solve the factored problem Q_{m1} Q_{m2} u = f(u).
 
     v1 is the homogeneous Q_{m1} flow of the data pair (psi2, psi3) seen by
     the outer factor; the iteration feeds v1 plus the Duhamel image of

@@ -36,8 +36,8 @@ class Grid:
         for s in sizes:
             if s < 8 or s & (s - 1):
                 raise ParameterError(f"grid sizes must be powers of two >= 8, got {s}")
-        if not self.L > 0:
-            raise ParameterError("box half-length must be positive")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ParameterError(f"box half-length must be positive and finite, got {self.L}")
 
     @property
     def cell_measure(self) -> float:

@@ -1,0 +1,144 @@
+"""Independent oracles the tests check the package against.
+
+None of these is reached by a `cuspwave` command, so they live with the
+tests: an RK4 integration of each Fourier mode, the finite-difference
+residual of the propagator's ODE, and the defining functions of the
+characteristic sets where the paper places the singular support.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from cuspwave.errors import DomainError, GridMismatchError, ParameterError
+from cuspwave.linear_solver import _check_times
+from cuspwave.propagator import _check_args, sample_arrays
+from cuspwave.spectral import Field, SpectralTrajectory, require_same_grid
+
+
+def rk4_oracle(m: int, phi1: Field, phi2: Field,
+               forcing: SpectralTrajectory | None, times,
+               substeps: int | None = None) -> SpectralTrajectory:
+    """Independent check: classical RK4 on (u, v)' = (v, -t^m rho^2 u + F).
+
+    The forcing between stored samples is interpolated linearly in t.  The
+    number of internal substeps per stored interval defaults to enough to
+    resolve the fastest mode (period ~ 2 pi / (t^(m/2) rho_max)).
+    """
+    times = _check_times(times)
+    if len(times) < 2:
+        raise ParameterError("rk4_oracle needs at least two time points")
+    h0 = np.diff(times)
+    if np.max(np.abs(h0 - h0[0])) > 1e-12 * h0[0]:
+        raise ParameterError("rk4_oracle requires uniform times")
+    grid = phi1.grid
+    require_same_grid(phi1, phi2)
+    rho = grid.xi_norm()
+    rho2 = rho * rho
+    t_end = times[-1]
+    omega_max = t_end ** (m / 2) * float(np.max(rho))
+    if substeps is None:
+        substeps = int(max(16, min(4096, 40 * omega_max * h0[0])))
+
+    if forcing is not None:
+        if forcing.grid != grid:
+            raise GridMismatchError("forcing grid differs from data grid")
+        f_times = forcing.times
+        f_vals = forcing.u
+
+        def f_at(t):
+            i = np.searchsorted(f_times, t) - 1
+            i = min(max(i, 0), len(f_times) - 2)
+            w = (t - f_times[i]) / (f_times[i + 1] - f_times[i])
+            return (1 - w) * f_vals[i] + w * f_vals[i + 1]
+    else:
+        zero = np.zeros(grid.sizes, dtype=complex)
+
+        def f_at(t):
+            return zero
+
+    u = phi1.values.astype(complex).copy()
+    v = phi2.values.astype(complex).copy()
+    u_out = np.empty((len(times),) + grid.sizes, dtype=complex)
+    dt_out = np.empty_like(u_out)
+    u_out[0], dt_out[0] = u, v
+
+    def acc(t, u):
+        return -np.clip(t, 0.0, None) ** m * rho2 * u + f_at(t)
+
+    for i in range(len(times) - 1):
+        h = (times[i + 1] - times[i]) / substeps
+        t = times[i]
+        for _ in range(substeps):
+            k1u, k1v = v, acc(t, u)
+            k2u, k2v = v + h / 2 * k1v, acc(t + h / 2, u + h / 2 * k1u)
+            k3u, k3v = v + h / 2 * k2v, acc(t + h / 2, u + h / 2 * k2u)
+            k4u, k4v = v + h * k3v, acc(t + h, u + h * k3u)
+            u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            t += h
+        u_out[i + 1], dt_out[i + 1] = u, v
+    return SpectralTrajectory(grid, times, u_out, dt_out)
+
+
+def ode_residual(m: int, t: float, rho: float, which: str = "v1") -> float:
+    """|d_t^2 V + t^m rho^2 V| via a 5-point central stencil."""
+    if which not in ("v1", "v2"):
+        raise ParameterError(f"which must be 'v1' or 'v2', got {which!r}")
+    _check_args(m, t, rho)
+    h = 1e-4 * max(t, 1.0)
+    if t - 2 * h <= 0:
+        raise DomainError(f"t={t} too small for the finite-difference stencil (h={h})")
+    ts = t + h * np.arange(-2.0, 3.0)
+    v1, v2, _, _ = sample_arrays(m, ts, np.full(5, float(rho)))
+    v = v1 if which == "v1" else v2
+    d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+    return abs(d2 + t**m * rho**2 * v[2])
+
+
+@dataclass(frozen=True)
+class CharSurface:
+    """Cusp-forming characteristic sets of the degenerate operator.
+
+    GammaPM: x1 = +/- 2 t^((m+2)/2) / (m+2)      (half-space jump geometry)
+    Gamma:   |x| = 2 t^((m+2)/2) / (m+2)          (point-singularity cone)
+    Gamma0:  x1 = 0;  L0: x = 0;  Sigma0: t = 0
+    """
+
+    kind: str
+    m: int = 1
+    sign: str = "n/a"
+
+    def __post_init__(self):
+        if self.kind not in ("GammaPM", "Gamma", "Gamma0", "L0", "Sigma0"):
+            raise ParameterError(f"unknown surface kind {self.kind!r}")
+        if self.kind == "GammaPM":
+            if self.sign not in ("+", "-"):
+                raise ParameterError("GammaPM needs sign '+' or '-'")
+        elif self.sign != "n/a":
+            raise ParameterError(f"{self.kind} does not take a sign")
+        if self.kind in ("GammaPM", "Gamma") and self.m < 1:
+            raise ParameterError("m must be a positive integer")
+
+    def radius(self, t) -> np.ndarray:
+        """The cusp radius 2 t^((m+2)/2) / (m+2)."""
+        return 2.0 * np.asarray(t, dtype=float) ** ((self.m + 2) / 2) / (self.m + 2)
+
+
+def surface_distance(s: CharSurface, t, x) -> float:
+    """Defining-function residual of the surface at the point (t, x)."""
+    if np.any(np.asarray(t) < 0):
+        raise DomainError("surface_distance needs t >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if s.kind == "GammaPM":
+        sgn = 1.0 if s.sign == "+" else -1.0
+        return float(np.abs(x[0] - sgn * s.radius(t)))
+    if s.kind == "Gamma":
+        return float(np.abs(np.linalg.norm(x) - s.radius(t)))
+    if s.kind == "Gamma0":
+        return float(np.abs(x[0]))
+    if s.kind == "L0":
+        return float(np.linalg.norm(x))
+    return float(t)  # Sigma0

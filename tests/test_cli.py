@@ -53,6 +53,31 @@ class TestExitCodes:
         cfg.write_text("no_such_key = 3\n")
         assert main(["solve", "linear", "--config", str(cfg)]) == 2
 
+    def test_config_parse_error_reports_its_position(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("m = 1\nN 16\n")
+        assert main(["solve", "linear", "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParseError"
+        assert (record["line"], record["column"]) == (2, 1)
+        assert record["expected"] == "key = value"
+
+    @pytest.mark.parametrize("bad", [["linear", "--L", "inf"],
+                                     ["second", "--f-coefficients", "0,0,nan"],
+                                     ["second", "--f-coefficients", "0,0,inf"],
+                                     ["second", "--s-mon", "nan"]])
+    def test_solve_rejects_non_finite_before_writing(self, tmp_path,
+                                                     smooth_spec, capsys, bad):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["solve"] + bad + ["--N", "16", "--n-t", "9",
+                                       "--data", smooth_spec,
+                                       "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParameterError"
+        assert os.listdir(out) == []
+
     def test_missing_data_file_is_config_error(self, tmp_path):
         assert main(["solve", "linear", "--data",
                      str(tmp_path / "absent.txt"),

@@ -9,12 +9,13 @@ from cuspwave.linear_solver import (
     duhamel,
     export_trajectory,
     propagator_table,
-    rk4_oracle,
     solve_homogeneous,
     solve_inhomogeneous,
 )
 from cuspwave.propagator import sample_arrays
 from cuspwave.spectral import Field, Grid, SpectralTrajectory, dft_forward
+
+from oracles import rk4_oracle
 
 
 def gaussian_field(grid, width=0.5):

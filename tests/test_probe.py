@@ -5,7 +5,6 @@ import pytest
 
 from cuspwave.errors import DomainError, ParameterError
 from cuspwave.probe import (
-    CharSurface,
     EstimateFit,
     VectorFieldId,
     apply_vector_field,
@@ -17,7 +16,6 @@ from cuspwave.probe import (
     fit_power_law,
     gradient_magnitude,
     ridge_extract,
-    surface_distance,
 )
 from cuspwave.spectral import (
     Field,
@@ -28,6 +26,8 @@ from cuspwave.spectral import (
     sobolev_norm,
     spectral_derivative,
 )
+
+from oracles import CharSurface, surface_distance
 
 
 def make_trajectory(grid, times, func):

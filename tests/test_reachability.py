@@ -1,10 +1,13 @@
 """Every public top-level function and class in src/cuspwave is used by the
 package itself, not only by the tests.
 
-A name counts as used when some module of the package loads it (as a bare
-name or as an attribute) outside its own definition.  Imports, __all__
-strings and message text are not loads.  The only exceptions are the
-console entry point and the oracles that the acceptance tests need.
+A definition counts as used only through a load that resolves to it: a bare
+name in its own module (outside the definition itself), a name imported
+relatively from its module and then loaded (following re-exports such as
+opalg/__init__), or `alias.name` where alias is bound to its module.
+Imports, __all__ strings and message text are not loads, and a same-named
+attribute of some other object is not a use.  The only exception is the
+console entry point.
 """
 
 import ast
@@ -14,46 +17,73 @@ import cuspwave
 
 PACKAGE = pathlib.Path(cuspwave.__file__).parent
 
-ALLOWED = {
-    ("cli.py", "main"),
-    ("linear_solver.py", "rk4_oracle"),
-    ("propagator.py", "ode_residual"),
-    ("probe.py", "surface_distance"),
-    ("probe.py", "CharSurface"),
-}
+ALLOWED = {("cli.py", "main")}
 
 _DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
-def _loads(tree, skip=None):
-    names = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
+def _dotted(module):
+    """("opalg", "diffop") for "opalg/diffop.py", ("opalg",) for its package."""
+    parts = tuple(module[:-3].split("/"))
+    return parts[:-1] if parts[-1] == "__init__" else parts
+
+
+def _bindings(module, tree, files):
+    """Names bound by relative imports (the package imports itself only
+    that way): alias -> (module, name) for an imported object, alias ->
+    module for an imported module."""
+    names, modules = {}, {}
+    package = tuple(module.split("/")[:-1])
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
+        target = package[:len(package) - node.level + 1]
+        if node.module:
+            target += tuple(node.module.split("."))
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if target + (alias.name,) in files:
+                modules[bound] = files[target + (alias.name,)]
+            else:
+                names[bound] = (files[target], alias.name)
+    return names, modules
 
 
 def test_every_public_definition_is_used_by_the_package():
     trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
              for path in sorted(PACKAGE.rglob("*.py"))}
-    assert "cli.py" in trees
-    loads = {module: _loads(tree) for module, tree in trees.items()}
-    unused = []
+    files = {_dotted(module): module for module in trees}
+    defined = {(module, node.name) for module, tree in trees.items()
+               for node in tree.body if isinstance(node, _DEFS)}
+    assert ALLOWED <= defined
+    bindings = {module: _bindings(module, tree, files)
+                for module, tree in trees.items()}
+
+    def resolve(module, name):
+        while (module, name) not in defined:
+            if name not in bindings[module][0]:
+                return None
+            module, name = bindings[module][0][name]
+        return module, name
+
+    used = set()
     for module, tree in trees.items():
-        elsewhere = set().union(*(names for other, names in loads.items()
-                                  if other != module))
-        for node in tree.body:
-            if not isinstance(node, _DEFS) or node.name.startswith("_"):
-                continue
-            if (module, node.name) in ALLOWED:
-                continue
-            if node.name not in elsewhere | _loads(tree, skip=node):
-                unused.append(f"{module}:{node.name}")
+        modules = bindings[module][1]
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Name):
+                    owner = resolve(module, node.id)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in modules):
+                    owner = resolve(modules[node.value.id], node.attr)
+                else:
+                    continue
+                if owner and not (isinstance(top, _DEFS)
+                                  and owner == (module, top.name)):
+                    used.add(owner)
+    unused = sorted(f"{module}:{name}" for module, name in defined - used - ALLOWED
+                    if not name.startswith("_"))
     assert unused == []

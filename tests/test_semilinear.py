@@ -47,7 +47,7 @@ def rk4_system(rhs, y0, t_end, n_steps):
 def test_zero_nonlinearity_is_linear_flow():
     g = Grid(1, (64,), 4.0)
     cfg = PicardConfig(T=0.5, n_t=17)
-    f = NonlinearitySpec("polynomial", (0.0,))
+    f = NonlinearitySpec((0.0,))
     tr, rep = solve_second_order(1, f, gaussian_field(g), zero_field(g), cfg)
     assert rep.converged and rep.iterations == 1
     from cuspwave.linear_solver import solve_homogeneous
@@ -60,7 +60,7 @@ def test_constant_source_zero_mode():
     g = Grid(1, (16,), 2.0)
     cfg = PicardConfig(T=1.0, n_t=33)
     c = 0.75
-    f = NonlinearitySpec("polynomial", (c,))
+    f = NonlinearitySpec((c,))
     tr, rep = solve_second_order(1, f, zero_field(g), zero_field(g), cfg)
     require_converged(rep)
     # physical constant c transforms to a pure zero mode; u_hat(0) = c_hat t^2/2
@@ -73,7 +73,7 @@ def test_second_order_matches_rk4():
     # integration of u'' = -(t^m rho^2 + 1) u is an exact oracle
     g = Grid(1, (64,), 4.0)
     cfg = PicardConfig(T=0.5, n_t=129, tol=1e-12)
-    f = NonlinearitySpec("polynomial", (0.0, -1.0))
+    f = NonlinearitySpec((0.0, -1.0))
     phi0 = gaussian_field(g)
     tr, rep = solve_second_order(1, f, phi0, zero_field(g), cfg)
     require_converged(rep)
@@ -125,7 +125,7 @@ def test_apply_E_single_mode_oracle():
 def test_third_order_polynomial_exact():
     g = Grid(1, (16,), 2.0)
     cfg = PicardConfig(T=1.0, n_t=33)
-    f = NonlinearitySpec("polynomial", (6.0,))
+    f = NonlinearitySpec((6.0,))
     tr, rep = solve_third_order(1, f, zero_field(g), zero_field(g), zero_field(g), cfg)
     require_converged(rep)
     # f identically 6 gives u(t, x) = t^3; check at the final time t=1
@@ -136,7 +136,7 @@ def test_third_order_polynomial_exact():
 def test_third_order_linear_reduction():
     g = Grid(1, (16,), 2.0)
     cfg = PicardConfig(T=1.0, n_t=33)
-    f = NonlinearitySpec("polynomial", (0.0,))
+    f = NonlinearitySpec((0.0,))
     vals = np.zeros(16, dtype=complex)
     vals[0] = 1.5
     phi2 = Field(g, vals, "spectral")
@@ -151,7 +151,7 @@ def test_third_order_linear_reduction():
 def test_third_order_quadratic_matches_rk4():
     g = Grid(1, (64,), 4.0)
     cfg = PicardConfig(T=0.4, n_t=129, tol=1e-12)
-    f = NonlinearitySpec("polynomial", (0.0, 0.0, 1.0))
+    f = NonlinearitySpec((0.0, 0.0, 1.0))
     phi0 = gaussian_field(g, amp=0.2)
     tr, rep = solve_third_order(1, f, phi0, zero_field(g), zero_field(g), cfg)
     require_converged(rep)
@@ -174,7 +174,7 @@ def test_third_order_quadratic_matches_rk4():
 def test_fourth_order_polynomial_exact():
     g = Grid(1, (16,), 2.0)
     cfg = PicardConfig(T=1.0, n_t=33)
-    f = NonlinearitySpec("polynomial", (24.0,))
+    f = NonlinearitySpec((24.0,))
     z = zero_field(g)
     tr, rep = solve_fourth_order(2, 1, f, z, z, z, z, cfg)
     require_converged(rep)
@@ -185,7 +185,7 @@ def test_fourth_order_polynomial_exact():
 def test_fourth_order_zero_f_reduces():
     g = Grid(1, (32,), 4.0)
     cfg = PicardConfig(T=0.5, n_t=17)
-    f = NonlinearitySpec("polynomial", (0.0,))
+    f = NonlinearitySpec((0.0,))
     psi0, psi1 = gaussian_field(g), gaussian_field(g, 0.5, 0.3)
     z = zero_field(g)
     tr, _ = solve_fourth_order(2, 1, f, psi0, psi1, z, z, cfg)
@@ -199,7 +199,7 @@ def test_fourth_order_zero_f_reduces():
 def test_fourth_order_matches_rk4():
     g = Grid(1, (32,), 4.0)
     cfg = PicardConfig(T=0.5, n_t=129, tol=1e-12)
-    f = NonlinearitySpec("polynomial", (0.0, 1.0))
+    f = NonlinearitySpec((0.0, 1.0))
     vals = np.zeros(32, dtype=complex)
     vals[3] = 1.0
     psi0 = Field(g, vals, "spectral")
@@ -224,14 +224,14 @@ def test_fourth_order_rejects_equal_orders():
     g = Grid(1, (16,), 2.0)
     z = zero_field(g)
     with pytest.raises(ParameterError):
-        solve_fourth_order(1, 1, NonlinearitySpec("polynomial", (1.0,)),
+        solve_fourth_order(1, 1, NonlinearitySpec((1.0,)),
                            z, z, z, z, PicardConfig())
 
 
 def test_fixed_point_residual():
     g = Grid(1, (64,), 4.0)
     cfg = PicardConfig(T=0.4, n_t=65, tol=1e-11)
-    f = NonlinearitySpec("polynomial", (0.0, 0.0, 0.5))
+    f = NonlinearitySpec((0.0, 0.0, 0.5))
     phi0 = gaussian_field(g, amp=0.3)
     tr, rep = solve_second_order(1, f, phi0, zero_field(g), cfg)
     require_converged(rep)
@@ -247,7 +247,7 @@ def test_fixed_point_residual():
 
 def test_time_refinement_order():
     g = Grid(1, (32,), 4.0)
-    f = NonlinearitySpec("polynomial", (0.0, 0.0, 1.0))
+    f = NonlinearitySpec((0.0, 0.0, 1.0))
     phi0 = gaussian_field(g, amp=0.3)
     finals = []
     for n_t in (17, 33, 65):
@@ -263,7 +263,7 @@ def test_time_refinement_order():
 def test_nonconvergence_reported_honestly():
     g = Grid(1, (32,), 4.0)
     cfg = PicardConfig(T=1.0, n_t=33, max_iters=5)
-    f = NonlinearitySpec("polynomial", (0.0, 0.0, 0.0, 8.0))
+    f = NonlinearitySpec((0.0, 0.0, 0.0, 8.0))
     phi0 = gaussian_field(g, amp=3.0)
     tr, rep = solve_second_order(1, f, phi0, zero_field(g), cfg)
     assert not rep.converged
@@ -283,10 +283,13 @@ def test_config_validation():
         PicardConfig(tol=0.0)
     with pytest.raises(ParameterError):
         PicardConfig(max_iters=0)
-    with pytest.raises(ParameterError):
-        NonlinearitySpec("weird")
-    with pytest.raises(ParameterError):
-        NonlinearitySpec("tabulated-smooth")
+    for bad in ({"T": np.inf}, {"tol": np.inf}, {"s_mon": np.nan},
+                {"s_mon": -np.inf}):
+        with pytest.raises(ParameterError):
+            PicardConfig(**bad)
+    for coefficients in ((0.0, 0.0, np.nan), (np.inf,)):
+        with pytest.raises(ParameterError):
+            NonlinearitySpec(coefficients)
 
 
 def test_report_manifest(tmp_path):

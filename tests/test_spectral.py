@@ -42,6 +42,8 @@ def test_grid_validation():
         Grid(2, (8,), 1.0)
     with pytest.raises(ParameterError):
         Grid(1, (8,), -1.0)
+    with pytest.raises(ParameterError):
+        Grid(1, (8,), np.inf)
 
 
 def test_roundtrip_identity():
