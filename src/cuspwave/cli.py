@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     CuspwaveError,
-    GridMismatchError,
     ParameterError,
     ParseError,
     QuadratureError,
@@ -34,7 +33,12 @@ from .initial_data import (
     make_smooth,
     parse_data_spec,
 )
-from .linear_solver import export_trajectory, solve_homogeneous
+from .linear_solver import (
+    export_trajectory,
+    load_trajectory,
+    propagator_table,
+    solve_homogeneous,
+)
 from .probe import (
     VectorFieldId,
     conormal_scan,
@@ -56,9 +60,7 @@ from .semilinear import (
 from .spectral import (
     Field,
     Grid,
-    SpectralTrajectory,
     dft_forward,
-    load_field,
     save_field,
     sobolev_norm,
 )
@@ -77,12 +79,13 @@ def _emit_error(exc) -> None:
     """One JSON-lines record per failure, on stderr.
 
     A ConvergenceError that carries its Picard report adds the iteration
-    count and the iterate distances; a ParseError adds its position and
-    what was expected there.
+    count and the iterate distances; a ParseError adds its file, its
+    position and what was expected there.
     """
     record = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ParseError):
-        record.update(line=exc.line, column=exc.column, expected=exc.expected)
+        record.update(file=exc.path, line=exc.line, column=exc.column,
+                      expected=exc.expected)
     report = getattr(exc, "report", None)
     if report is not None:
         record["iterations"] = report.iterations
@@ -99,7 +102,8 @@ def _read_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ParseError("expected key = value", line=lineno,
-                                 column=1, expected="key = value")
+                                 column=1, expected="key = value",
+                                 path=str(path))
             key, value = (part.strip() for part in line.split("=", 1))
             values[key] = value
     return values
@@ -136,9 +140,13 @@ def _build_grid(cfg) -> Grid:
 _MAKERS = {"A1": make_a1, "A2": make_a2, "smooth": make_smooth}
 
 
+def _read_data_spec(path):
+    with open(path) as fh:
+        return parse_data_spec(fh.read(), path=str(path))
+
+
 def _spectral_data(spec_path, grid) -> Field:
-    with open(spec_path) as fh:
-        spec = parse_data_spec(fh.read())
+    spec = _read_data_spec(spec_path)
     return dft_forward(_MAKERS[spec.family](spec, grid))
 
 
@@ -190,7 +198,9 @@ def cmd_solve(args) -> int:
     out = str(cfg["out"])
     report = None
     if kind == "linear":
-        traj = solve_homogeneous(int(cfg["m"]), phi0, phi1, pic.times())
+        times = pic.times()
+        table = propagator_table(int(cfg["m"]), times, grid.xi_norm())
+        traj = solve_homogeneous(table, phi0, phi1, times)
     elif kind == "second":
         traj, report = solve_second_order(
             int(cfg["m"]), _nonlinearity(cfg), phi0, phi1, pic)
@@ -220,29 +230,6 @@ _PROBE_DEFAULTS = {
     "traj": "run", "m": 1, "threshold": 0.5, "depth": 1, "s": 0.0,
     "fields": "V0", "out": "probe",
 }
-
-
-def load_trajectory(directory) -> SpectralTrajectory:
-    """Rebuild a trajectory from an export directory's manifest.
-
-    Only u is stored, so the loaded trajectory has dt = None.
-    """
-    manifest = os.path.join(directory, "manifest.csv")
-    with open(manifest, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ParameterError("trajectory manifest %r is empty" % manifest)
-    grid = None
-    for i, row in enumerate(rows):
-        f = load_field(os.path.join(directory, row["file"]), space="spectral")
-        if grid is None:
-            grid = f.grid
-            u = np.empty((len(rows),) + grid.sizes, dtype=complex)
-        elif f.grid != grid:
-            raise GridMismatchError("%s: grid differs from the first snapshot"
-                                    % row["file"])
-        u[i] = f.values
-    return SpectralTrajectory(grid, [float(r["time"]) for r in rows], u)
 
 
 def _field_alphabet(text, m, n):
@@ -312,8 +299,9 @@ def cmd_rates(args) -> int:
     phi = dft_forward(Field(grid, jump))
     times = np.geomspace(float(cfg["t_lo"]), float(cfg["t_hi"]),
                          int(cfg["n_t"]))
-    traj = solve_homogeneous(m, phi, _zero_field(grid),
-                             np.concatenate(([0.0], times)))
+    all_times = np.concatenate(([0.0], times))
+    traj = solve_homogeneous(propagator_table(m, all_times, grid.xi_norm()),
+                             phi, _zero_field(grid), all_times)
     fit = fit_power_law(times, sobolev_norm(traj, s1 + 1.0)[1:])
     out = str(cfg["out"])
     _write_manifest(out, "rates", cfg)
@@ -377,8 +365,7 @@ def cmd_data(args) -> int:
     path = str(cfg["spec"]).strip()
     if not path:
         raise ParameterError("data command needs --spec")
-    with open(path) as fh:
-        spec = parse_data_spec(fh.read())
+    spec = _read_data_spec(path)
     grid = _build_grid(cfg)
     field = _MAKERS[spec.family](spec, grid)
     if int(cfg["preview"]):

@@ -30,10 +30,15 @@ class ConvergenceError(CuspwaveError):
 
 
 class ParseError(CuspwaveError):
-    """Config-file or data-spec syntax error with position information."""
+    """Config-file or data-spec syntax error with position information.
 
-    def __init__(self, message, line=None, column=None, expected=None):
+    path names the file once the reader that opened it knows; line and
+    column are None where the error has no single place (a missing key).
+    """
+
+    def __init__(self, message, line=None, column=None, expected=None, path=None):
         super().__init__(message)
         self.line = line
         self.column = column
         self.expected = expected or []
+        self.path = path

@@ -31,6 +31,12 @@ class BumpSpec:
     width: float = 1.0
     center: tuple = ()
 
+    def __post_init__(self):
+        if not np.isfinite(self.amplitude):
+            raise ParameterError(f"bump amplitude must be finite, got {self.amplitude}")
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ParameterError(f"bump width must be positive and finite, got {self.width}")
+
     def sample(self, coords) -> np.ndarray:
         c = self.center if self.center else (0.0,) * len(coords)
         if len(c) != len(coords):
@@ -131,27 +137,30 @@ def make_a2(spec: InitialDataSpec, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
-def parse_data_spec(text: str) -> InitialDataSpec:
+def parse_data_spec(text: str, path=None) -> InitialDataSpec:
     """Plain-text key=value schema.
 
     Keys: family; left_amp/left_width, right_amp/right_width (A1);
     smooth_amp/smooth_width (smooth); radial_amp/radial_width and
     angular = k:amp:phase[,k:amp:phase...] (A2).  '#' starts a comment.
+    Every ParseError carries path, the file the text came from.
     """
     kv = {}
+    where = {}  # key -> (line, column of its value)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", line=lineno,
-                             column=1, expected="key=value")
+                             column=1, expected="key=value", path=path)
         k, v = (s.strip() for s in line.split("=", 1))
         kv[k] = v
+        where[k] = (lineno, raw.find(v, raw.index("=")) + 1)
 
     fam = kv.get("family")
     if fam is None:
-        raise ParseError("missing 'family' key", line=0, column=0, expected="family=...")
+        raise ParseError("missing 'family' key", expected="family=...", path=path)
 
     def bump_of(prefix, default_amp=1.0):
         return BumpSpec(
@@ -168,9 +177,11 @@ def parse_data_spec(text: str) -> InitialDataSpec:
         for chunk in kv.get("angular", "0:1:0").split(","):
             parts = chunk.split(":")
             if len(parts) != 3:
-                raise ParseError(f"bad angular term {chunk!r}", line=0, column=0,
-                                 expected="k:amp:phase")
+                line, column = where["angular"]
+                raise ParseError(f"bad angular term {chunk!r}", line=line, column=column,
+                                 expected="k:amp:phase", path=path)
             terms.append(AngularTerm(int(parts[0]), float(parts[1]), float(parts[2])))
         return InitialDataSpec("A2", radial=bump_of("radial"), angular=tuple(terms))
-    raise ParseError(f"unknown family {fam!r}", line=0, column=0,
-                     expected="A1|A2|smooth")
+    line, column = where["family"]
+    raise ParseError(f"unknown family {fam!r}", line=line, column=column,
+                     expected="A1|A2|smooth", path=path)

@@ -4,17 +4,30 @@ Every Fourier mode decouples into u'' + t^m rho^2 u = F_hat with rho = |xi|,
 solved by the fundamental pair (V1, V2).  The particular solution uses the
 variation-of-constants kernel V2(t)V1(tau) - V1(t)V2(tau) (the Wronskian is
 one), evaluated with cumulative Simpson so a whole trajectory costs O(N_t).
+Both solves read a propagator table that the caller builds once per solve.
+
+An export directory holds one snapshot_%05d.cwgrid file per time level and
+a manifest.csv of times, file names and H^s norms; export_trajectory writes
+it and load_trajectory reads it back.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, QuadratureError
 from .propagator import sample_arrays
-from .spectral import Field, SpectralTrajectory, require_same_grid, save_field, sobolev_norm
+from .spectral import (
+    Field,
+    SpectralTrajectory,
+    load_field,
+    require_same_grid,
+    save_field,
+    sobolev_norm,
+)
 
 
 def _check_times(times) -> np.ndarray:
@@ -53,46 +66,42 @@ def cumulative_simpson(y, times) -> np.ndarray:
     return np.cumsum(parts, axis=0)
 
 
-_TABLE_CACHE = {}
-_TABLE_CACHE_LIMIT = 8
-
-
 def propagator_table(m: int, times, rho: np.ndarray):
-    """(v1, v2, dt_v1, dt_v2) arrays of shape (n_times,) + rho.shape, cached.
+    """(v1, v2, dt_v1, dt_v2) arrays of shape (n_times,) + rho.shape.
 
     The pair depends on xi only through rho = |xi|, so it is evaluated once
-    per distinct rho (radial shell) and gathered back onto the grid.  Picard
-    iteration calls the linear solvers many times on one fixed (m, time
-    grid, frequency set), so the table is memoised on those keys.
+    per distinct rho (radial shell) and gathered back onto the grid.  A
+    solver builds the table once and passes it to every solve_homogeneous
+    and duhamel call on that (m, time grid, frequency set).
     """
     times = np.asarray(times, dtype=float)
-    key = (m, times.tobytes(), rho.shape, rho.tobytes())
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     shells, where = np.unique(rho, return_inverse=True)
     where = where.reshape(rho.shape)
-    table = tuple(a[:, where] for a in sample_arrays(m, times[:, None], shells[None, :]))
-    if len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
-        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = table
-    return table
+    return tuple(a[:, where] for a in sample_arrays(m, times[:, None], shells[None, :]))
 
 
-def solve_homogeneous(m: int, phi1: Field, phi2: Field, times) -> SpectralTrajectory:
+def _require_table(table, grid, times) -> None:
+    shape = (len(times),) + grid.sizes
+    if table[0].shape != shape:
+        raise GridMismatchError(
+            f"propagator table has shape {table[0].shape}, the solve needs {shape}")
+
+
+def solve_homogeneous(table, phi1: Field, phi2: Field, times) -> SpectralTrajectory:
     """u_hat(t) = V1(t,|xi|) phi1_hat + V2(t,|xi|) phi2_hat per mode."""
     grid = require_same_grid(phi1, phi2)
     for f in (phi1, phi2):
         if f.space != "spectral":
             raise ParameterError("solve_homogeneous expects spectral data")
     times = _check_times(times)
-    v1, v2, dt_v1, dt_v2 = propagator_table(m, times, grid.xi_norm())
+    _require_table(table, grid, times)
+    v1, v2, dt_v1, dt_v2 = table
     return SpectralTrajectory(grid, times,
                               v1 * phi1.values + v2 * phi2.values,
                               dt_v1 * phi1.values + dt_v2 * phi2.values)
 
 
-def duhamel(m: int, forcing: SpectralTrajectory) -> SpectralTrajectory:
+def duhamel(table, forcing: SpectralTrajectory) -> SpectralTrajectory:
     """Zero-data response to the forcing trajectory.
 
     u_hat(t) = V2(t) I1(t) - V1(t) I2(t) with I1 = int_0^t V1 F_hat dtau and
@@ -100,26 +109,16 @@ def duhamel(m: int, forcing: SpectralTrajectory) -> SpectralTrajectory:
     factors because the kernel vanishes on the diagonal.
     """
     times = _check_times(forcing.times)
-    v1, v2, dt_v1, dt_v2 = propagator_table(m, times, forcing.grid.xi_norm())
+    _require_table(table, forcing.grid, times)
+    v1, v2, dt_v1, dt_v2 = table
     i1 = cumulative_simpson(v1 * forcing.u, times)
     i2 = cumulative_simpson(v2 * forcing.u, times)
     return SpectralTrajectory(forcing.grid, times,
                               v2 * i1 - v1 * i2, dt_v2 * i1 - dt_v1 * i2)
 
 
-def solve_inhomogeneous(m: int, phi1: Field, phi2: Field,
-                        forcing: SpectralTrajectory) -> SpectralTrajectory:
-    hom = solve_homogeneous(m, phi1, phi2, forcing.times)
-    par = duhamel(m, forcing)
-    if hom.grid != par.grid:
-        raise GridMismatchError("data and forcing grids differ")
-    return SpectralTrajectory(hom.grid, hom.times, hom.u + par.u, hom.dt + par.dt)
-
-
 def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
     """Write one grid file per snapshot plus a CSV manifest of H^s norms."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     manifest = os.path.join(directory, "manifest.csv")
     norms = [sobolev_norm(traj, s) for s in s_list]
@@ -132,3 +131,26 @@ def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
                        Field(traj.grid, traj.u[i], "spectral"))
             w.writerow([repr(float(t)), name] + [repr(float(v[i])) for v in norms])
     return manifest
+
+
+def load_trajectory(directory) -> SpectralTrajectory:
+    """Rebuild a trajectory from an export directory's manifest.
+
+    Only u is stored, so the loaded trajectory has dt = None.
+    """
+    manifest = os.path.join(directory, "manifest.csv")
+    with open(manifest, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ParameterError("trajectory manifest %r is empty" % manifest)
+    grid = None
+    for i, row in enumerate(rows):
+        f = load_field(os.path.join(directory, row["file"]), space="spectral")
+        if grid is None:
+            grid = f.grid
+            u = np.empty((len(rows),) + grid.sizes, dtype=complex)
+        elif f.grid != grid:
+            raise GridMismatchError("%s: grid differs from the first snapshot"
+                                    % row["file"])
+        u[i] = f.values
+    return SpectralTrajectory(grid, [float(r["time"]) for r in rows], u)

@@ -1,15 +1,21 @@
 """Picard fixed-point solvers for the semilinear problems.
 
-Three shapes are covered, all sharing the same iteration engine:
+Every shape is the fixed point u = flow + K(f(u)) of one iteration,
+started from u = flow.  The flow is the linear response to all of the
+data and K the zero-data solution operator, both built from the
+second-order Duhamel map D_m:
 
-* second order:  d_t^2 u - t^m Lap u = f(u)
-* third order:   d_t (d_t^2 - t^m Lap) u = f(u), recast as the
-  second-order equation with the nonlocal forcing phi2 + int_0^t f ds
-* fourth order:  (d_t^2 - t^m1 Lap)(d_t^2 - t^m2 Lap) u = f(u),
-  solved as a cascade of two second-order problems
+* second order:  d_t^2 u - t^m Lap u = f(u);
+  flow = V(phi0, phi1), K = D_m
+* third order:   d_t (d_t^2 - t^m Lap) u = f(u), that is the second-order
+  equation with the forcing phi2 + int_0^t f ds;
+  flow = V(phi0, phi1) + D_m(phi2), K = D_m of the running integral
+* fourth order:  (d_t^2 - t^m1 Lap)(d_t^2 - t^m2 Lap) u = f(u);
+  flow = V_m2(psi0, psi1) + D_m2(V_m1(psi2, psi3)), K = D_m2 D_m1
 
-Each nonlinearity evaluation happens pointwise in physical space with 2/3
-dealiasing before the result re-enters the mode-wise linear solve.
+Each solve builds its propagator table once per order.  Each nonlinearity
+evaluation happens pointwise in physical space with 2/3 dealiasing before
+the result re-enters the mode-wise linear solve.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from .errors import ConvergenceError, ParameterError
 from .linear_solver import (
     cumulative_simpson,
     duhamel,
+    propagator_table,
     solve_homogeneous,
-    solve_inhomogeneous,
 )
 from .spectral import (
     Field,
@@ -58,9 +64,6 @@ class NonlinearitySpec:
             if c:
                 out = out + c * u**k
         return out
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -121,94 +124,60 @@ def _sup_norm_distance(a: SpectralTrajectory, b: SpectralTrajectory, s: float) -
     return float(np.max(sobolev_norm(Field(a.grid, a.u - b.u, "spectral"), s)))
 
 
-def evaluate_forcing(f: NonlinearitySpec, traj: SpectralTrajectory,
-                     offset: SpectralTrajectory | None = None,
-                     subtract_at_zero: bool = False) -> SpectralTrajectory:
-    """Trajectory of f(u), dealiased, in spectral space.
+def _plus(a: SpectralTrajectory, b: SpectralTrajectory) -> SpectralTrajectory:
+    return SpectralTrajectory(a.grid, a.times, a.u + b.u, a.dt + b.dt)
 
-    With subtract_at_zero the value f(0) = c_0 is removed, which is the
-    nonlinear increment the third-order fixed point iterates on.
-    """
+
+def evaluate_forcing(f: NonlinearitySpec, traj: SpectralTrajectory) -> SpectralTrajectory:
+    """Trajectory of f(u), dealiased, in spectral space."""
     grid = traj.grid
-    u = traj.u if offset is None else traj.u + offset.u
-    u_phys = dft_inverse(Field(grid, u, "spectral")).values
-    vals = f.evaluate(u_phys)
-    if subtract_at_zero and f.coefficients:
-        vals = vals - f.coefficients[0]
-    f_hat = dealias(dft_forward(Field(grid, vals))).values
+    u_phys = dft_inverse(Field(grid, traj.u, "spectral")).values
+    f_hat = dealias(dft_forward(Field(grid, f.evaluate(u_phys)))).values
     return SpectralTrajectory(grid, traj.times, f_hat)
 
 
-def _picard(apply_map, initial: SpectralTrajectory, cfg: PicardConfig):
-    """Iterate w <- apply_map(w) until the monitored distance drops below tol."""
+def _picard(flow: SpectralTrajectory, kernel, f: NonlinearitySpec, cfg: PicardConfig):
+    """Iterate u <- flow + kernel(f(u)) from u = flow until the monitored
+    distance between successive iterates drops below tol."""
     report = PicardReport()
-    w = initial
+    u = flow
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
-        w_next = apply_map(w)
-        dist = _sup_norm_distance(w_next, w, cfg.s_mon)
+        u_next = _plus(flow, kernel(evaluate_forcing(f, u)))
+        dist = _sup_norm_distance(u_next, u, cfg.s_mon)
         report.record(dist, time.perf_counter() - t0)
-        w = w_next
+        u = u_next
         if dist <= cfg.tol:
             report.converged = True
             break
-    return w, report
+    return u, report
 
 
 def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                        cfg: PicardConfig):
-    """Fixed point of w -> Duhamel(m, f(u_hom + w)) around the linear flow."""
-    require_same_grid(phi0, phi1)
+    """Fixed point of u -> V(phi0, phi1) + D_m(f(u))."""
+    grid = require_same_grid(phi0, phi1)
     times = cfg.times()
-    u_hom = solve_homogeneous(m, phi0, phi1, times)
-    if f.is_zero():
-        report = PicardReport(converged=True, iterations=1, iterate_distances=[0.0],
-                              wall_times=[0.0])
-        return u_hom, report
-
-    def step(w):
-        return duhamel(m, evaluate_forcing(f, w, offset=u_hom))
-
-    zero = SpectralTrajectory(u_hom.grid, times, np.zeros_like(u_hom.u))
-    w, report = _picard(step, zero, cfg)
-    return SpectralTrajectory(u_hom.grid, times, u_hom.u + w.u, u_hom.dt + w.dt), report
-
-
-def apply_E(m: int, g: SpectralTrajectory) -> SpectralTrajectory:
-    """Duhamel image of the running time integral of g.
-
-    E(g)(t) solves d_t (d_t^2 - t^m Lap) v = g with zero data: first
-    integrate g cumulatively in t, then apply the second-order kernel.
-    """
-    big_g = cumulative_simpson(g.u, g.times)
-    return duhamel(m, SpectralTrajectory(g.grid, g.times, big_g))
+    table = propagator_table(m, times, grid.xi_norm())
+    flow = solve_homogeneous(table, phi0, phi1, times)
+    return _picard(flow, lambda g: duhamel(table, g), f, cfg)
 
 
 def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                       phi2: Field, cfg: PicardConfig):
-    """Solve d_t^2 u - t^m Lap u = phi2 + int_0^t f(u) ds.
-
-    Splitting: u1 carries (phi0, phi1), u2 carries phi2 plus the
-    u-independent part of the source, and w is the fixed point of
-    w -> E(f(u1 + u2 + w) - f(0)).
-    """
-    require_same_grid(phi0, phi1, phi2)
+    """Fixed point of u -> V(phi0, phi1) + D_m(phi2 + int_0^t f(u) ds)."""
+    grid = require_same_grid(phi0, phi1, phi2)
     times = cfg.times()
-    grid = phi0.grid
-    u1 = solve_homogeneous(m, phi0, phi1, times)
+    table = propagator_table(m, times, grid.xi_norm())
+    data = np.broadcast_to(phi2.values, (len(times),) + grid.sizes)
+    flow = _plus(solve_homogeneous(table, phi0, phi1, times),
+                 duhamel(table, SpectralTrajectory(grid, times, data)))
 
-    zero = SpectralTrajectory(grid, times, np.zeros_like(u1.u))
-    accum = cumulative_simpson(evaluate_forcing(f, zero).u, times)
-    u2 = duhamel(m, SpectralTrajectory(grid, times, phi2.values + accum))
-    background = SpectralTrajectory(grid, times, u1.u + u2.u, u1.dt + u2.dt)
+    def kernel(g):
+        return duhamel(table, SpectralTrajectory(grid, times,
+                                                 cumulative_simpson(g.u, times)))
 
-    def step(w):
-        return apply_E(m, evaluate_forcing(f, w, offset=background,
-                                           subtract_at_zero=True))
-
-    w, report = _picard(step, zero, cfg)
-    return SpectralTrajectory(grid, times, background.u + w.u,
-                              background.dt + w.dt), report
+    return _picard(flow, kernel, f, cfg)
 
 
 def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
@@ -216,22 +185,19 @@ def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
                        cfg: PicardConfig):
     """Solve the factored problem Q_{m1} Q_{m2} u = f(u).
 
-    v1 is the homogeneous Q_{m1} flow of the data pair (psi2, psi3) seen by
-    the outer factor; the iteration feeds v1 plus the Duhamel image of
-    f(u) under Q_{m1} into an inhomogeneous Q_{m2} solve with (psi0, psi1).
+    The inner unknown Q_{m2} u has data (psi2, psi3) and solves
+    Q_{m1} v = f(u); u itself has data (psi0, psi1), so u is the fixed
+    point of u -> V_m2(psi0, psi1) + D_m2(V_m1(psi2, psi3) + D_m1(f(u))).
     """
     if m1 == m2:
         raise ParameterError("the factored solver needs distinct orders m1 != m2")
-    require_same_grid(psi0, psi1, psi2, psi3)
+    grid = require_same_grid(psi0, psi1, psi2, psi3)
     times = cfg.times()
-    v1 = solve_homogeneous(m1, psi2, psi3, times)
-
-    def step(u):
-        v2 = duhamel(m1, evaluate_forcing(f, u))
-        return solve_inhomogeneous(
-            m2, psi0, psi1, SpectralTrajectory(v1.grid, times, v1.u + v2.u))
-
-    return _picard(step, SpectralTrajectory(v1.grid, times, np.zeros_like(v1.u)), cfg)
+    table1 = propagator_table(m1, times, grid.xi_norm())
+    table2 = propagator_table(m2, times, grid.xi_norm())
+    flow = _plus(solve_homogeneous(table2, psi0, psi1, times),
+                 duhamel(table2, solve_homogeneous(table1, psi2, psi3, times)))
+    return _picard(flow, lambda g: duhamel(table2, duhamel(table1, g)), f, cfg)
 
 
 def require_converged(report: PicardReport) -> None:

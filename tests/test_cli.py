@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import cuspwave
-from cuspwave.cli import load_trajectory, main
+from cuspwave.cli import main
 from cuspwave.errors import GridMismatchError
+from cuspwave.linear_solver import load_trajectory
 
 
 @pytest.fixture()
@@ -62,6 +63,20 @@ class TestExitCodes:
         assert record["error"] == "ParseError"
         assert (record["line"], record["column"]) == (2, 1)
         assert record["expected"] == "key = value"
+        assert record["file"] == str(cfg)
+
+    def test_data_spec_parse_error_reports_its_file_and_line(self, tmp_path,
+                                                            capsys):
+        spec = tmp_path / "a2.txt"
+        spec.write_text("family = A2\nangular = 1:2\n")
+        assert main(["solve", "linear", "--n", "2", "--N", "16",
+                     "--n-t", "9", "--data", str(spec),
+                     "--out", str(tmp_path / "r")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParseError"
+        assert record["line"] == 2
+        assert record["file"] == str(spec)
+        assert not os.path.exists(tmp_path / "r")
 
     @pytest.mark.parametrize("bad", [["linear", "--L", "inf"],
                                      ["second", "--f-coefficients", "0,0,nan"],
@@ -74,6 +89,22 @@ class TestExitCodes:
         assert main(["solve"] + bad + ["--N", "16", "--n-t", "9",
                                        "--data", smooth_spec,
                                        "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParameterError"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("spec", ["family = smooth\nsmooth_amp = nan\n",
+                                      "family = smooth\nsmooth_width = 0\n",
+                                      "family = smooth\nsmooth_width = inf\n",
+                                      "family = A1\nleft_width = -1\n"])
+    def test_solve_rejects_bad_bump_before_writing(self, tmp_path, capsys,
+                                                   spec):
+        path = tmp_path / "bad.txt"
+        path.write_text(spec)
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["solve", "linear", "--N", "16", "--n-t", "9",
+                     "--data", str(path), "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ParameterError"
         assert os.listdir(out) == []

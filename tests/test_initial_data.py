@@ -149,6 +149,10 @@ def test_spec_validation():
         InitialDataSpec("A1", left=BumpSpec())
     with pytest.raises(DomainError):
         make_a1(InitialDataSpec("smooth", smooth=BumpSpec()), Grid(1, (8,), 1.0))
+    for amplitude, width in [(np.nan, 1.0), (np.inf, 1.0), (1.0, 0.0),
+                             (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)]:
+        with pytest.raises(ParameterError):
+            BumpSpec(amplitude, width)
 
 
 def test_smooth_family():
@@ -175,11 +179,13 @@ def test_parse_data_spec():
     assert a2.family == "A2" and len(a2.angular) == 2
     assert a2.angular[1] == AngularTerm(3, 0.5, 0.2)
 
-    with pytest.raises(ParseError):
-        parse_data_spec("family")
-    with pytest.raises(ParseError):
-        parse_data_spec("family=A9")
-    with pytest.raises(ParseError):
-        parse_data_spec("family=A2\nangular=1:2")
-    with pytest.raises(ParseError):
-        parse_data_spec("right_amp=1.0")
+    # each error names the line and column it found, or None where the
+    # error has no place (a missing key), and the file it was given
+    for text, place in [("family", (1, 1)),
+                        ("# comment\n  family = A9", (2, 12)),
+                        ("family=A2\nangular=1:2", (2, 9)),
+                        ("right_amp=1.0", (None, None))]:
+        with pytest.raises(ParseError) as ei:
+            parse_data_spec(text, path="spec.txt")
+        assert (ei.value.line, ei.value.column) == place
+        assert ei.value.path == "spec.txt"

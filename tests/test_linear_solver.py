@@ -3,14 +3,13 @@ closed-form small-time rates of the fundamental pair."""
 
 import numpy as np
 import pytest
-from cuspwave.errors import ParameterError, QuadratureError
+from cuspwave.errors import GridMismatchError, ParameterError, QuadratureError
 from cuspwave.linear_solver import (
     cumulative_simpson,
     duhamel,
     export_trajectory,
     propagator_table,
     solve_homogeneous,
-    solve_inhomogeneous,
 )
 from cuspwave.propagator import sample_arrays
 from cuspwave.spectral import Field, Grid, SpectralTrajectory, dft_forward
@@ -32,6 +31,18 @@ def relative_l2_distance(a, b, t):
     return np.linalg.norm(fa - fb) / np.linalg.norm(fb)
 
 
+def table(m, grid, times):
+    return propagator_table(m, times, grid.xi_norm())
+
+
+def homogeneous(m, phi1, phi2, times):
+    return solve_homogeneous(table(m, phi1.grid, times), phi1, phi2, times)
+
+
+def zero_data_response(m, forcing):
+    return duhamel(table(m, forcing.grid, forcing.times), forcing)
+
+
 def constant_forcing(grid, times, value=1.0):
     vals = np.zeros((len(times),) + grid.sizes, dtype=complex)
     vals[(slice(None),) + (0,) * grid.n] = value
@@ -45,12 +56,12 @@ def test_homogeneous_zero_mode():
     vals = np.zeros(16, dtype=complex)
     vals[0] = 2.0
     phi2 = Field(g, vals, "spectral")
-    tr = solve_homogeneous(1, phi1, phi2, times)
+    tr = homogeneous(1, phi1, phi2, times)
     # V2(t, 0) = t so the zero mode is 2t
     for i, t in enumerate(times):
         assert tr.u[i][0] == pytest.approx(2.0 * t)
         assert tr.dt[i][0] == pytest.approx(2.0)
-    tr2 = solve_homogeneous(1, phi2, phi1, times)
+    tr2 = homogeneous(1, phi2, phi1, times)
     for i in range(len(times)):
         assert tr2.u[i][0] == pytest.approx(2.0)
 
@@ -59,7 +70,7 @@ def test_data_reproduced_at_zero():
     g = Grid(1, (64,), 4.0)
     phi1 = gaussian_field(g)
     phi2 = gaussian_field(g, 0.3)
-    tr = solve_homogeneous(2, phi1, phi2, np.linspace(0, 1, 9))
+    tr = homogeneous(2, phi1, phi2, np.linspace(0, 1, 9))
     assert np.array_equal(tr.u[0], phi1.values)
     assert np.array_equal(tr.dt[0], phi2.values)
 
@@ -67,7 +78,7 @@ def test_data_reproduced_at_zero():
 def test_duhamel_zero_mode_quadratic():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 33)
-    tr = duhamel(1, constant_forcing(g, times))
+    tr = zero_data_response(1, constant_forcing(g, times))
     # at xi = 0 the response to F=1 is t^2/2, and Simpson is exact on it
     for i, t in enumerate(times):
         assert tr.u[i][0] == pytest.approx(t * t / 2, abs=1e-12)
@@ -78,7 +89,7 @@ def test_duhamel_zero_forcing():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 9)
     z = np.zeros((9, 16), dtype=complex)
-    tr = duhamel(2, SpectralTrajectory(g, times, z))
+    tr = zero_data_response(2, SpectralTrajectory(g, times, z))
     for s in tr.u:
         assert np.all(s == 0)
 
@@ -87,7 +98,7 @@ def test_duhamel_needs_three_points():
     g = Grid(1, (16,), 2.0)
     z = np.zeros((2, 16), dtype=complex)
     with pytest.raises(QuadratureError):
-        duhamel(1, SpectralTrajectory(g, [0.0, 1.0], z))
+        zero_data_response(1, SpectralTrajectory(g, [0.0, 1.0], z))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -96,7 +107,7 @@ def test_homogeneous_matches_rk4(m):
     phi1 = gaussian_field(g)
     phi2 = gaussian_field(g, 0.7)
     times = np.linspace(0, 1, 65)
-    spec_tr = solve_homogeneous(m, phi1, phi2, times)
+    spec_tr = homogeneous(m, phi1, phi2, times)
     rk_tr = rk4_oracle(m, phi1, phi2, None, times)
     assert relative_l2_distance(spec_tr, rk_tr, 1.0) < 1e-6
     assert relative_l2_distance(spec_tr, rk_tr, 0.5) < 1e-6
@@ -108,7 +119,7 @@ def test_single_mode_forcing_matches_rk4():
     vals = np.zeros(64, dtype=complex)
     vals[5] = 1.0
     forcing = SpectralTrajectory(g, times, np.tile(vals, (len(times), 1)))
-    spec_tr = duhamel(1, forcing)
+    spec_tr = zero_data_response(1, forcing)
     rk_tr = rk4_oracle(1, zero_field(g), zero_field(g), forcing, times)
     assert relative_l2_distance(spec_tr, rk_tr, 1.0) < 1e-6
 
@@ -118,11 +129,9 @@ def test_inhomogeneous_superposition():
     times = np.linspace(0, 1, 33)
     phi1, phi2 = gaussian_field(g), gaussian_field(g, 0.3)
     forcing = constant_forcing(g, times)
-    full = solve_inhomogeneous(2, phi1, phi2, forcing)
-    hom = solve_homogeneous(2, phi1, phi2, times)
-    par = duhamel(2, forcing)
-    for i in (0, 16, 32):
-        assert np.allclose(full.u[i], hom.u[i] + par.u[i])
+    hom = homogeneous(2, phi1, phi2, times)
+    par = zero_data_response(2, forcing)
+    full = SpectralTrajectory(g, times, hom.u + par.u)
     rk = rk4_oracle(2, phi1, phi2, forcing, times)
     assert relative_l2_distance(full, rk, 1.0) < 1e-6
 
@@ -194,25 +203,61 @@ def test_zero_data_gain_rate(m):
     assert slope == pytest.approx(expected, rel=0.15)
 
 
-def test_propagator_table_cached():
-    g = Grid(1, (32,), 2.0)
-    times = np.linspace(0, 1, 9)
-    a = propagator_table(1, times, g.xi_norm())
-    b = propagator_table(1, times, g.xi_norm())
-    assert a[0] is b[0]
+def test_propagator_table_once_per_solve(monkeypatch):
+    import cuspwave.linear_solver as linear_solver
+    from cuspwave.semilinear import (
+        NonlinearitySpec,
+        PicardConfig,
+        solve_fourth_order,
+        solve_second_order,
+        solve_third_order,
+    )
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return sample_arrays(*args)
+
+    monkeypatch.setattr(linear_solver, "sample_arrays", counting)
+    g = Grid(1, (32,), 4.0)
+    cfg = PicardConfig(T=0.4, n_t=17)
+    f = NonlinearitySpec((0.0, 0.0, 0.5))
+    phi, z = gaussian_field(g), zero_field(g)
+    for solve, data, orders in ((solve_second_order, (1, f, phi, z), [1]),
+                                (solve_third_order, (1, f, phi, z, z), [1]),
+                                (solve_fourth_order, (2, 1, f, phi, z, z, z), [2, 1])):
+        calls.clear()
+        _, rep = solve(*data, cfg)
+        assert rep.iterations > 1
+        assert sorted(calls) == sorted(orders)
     # evaluated once per radial shell |xi| and gathered back onto the grid
+    times = np.linspace(0, 1, 9)
     g2 = Grid(2, (16, 8), 2.0)
-    table = propagator_table(2, times, g2.xi_norm())
+    tab = propagator_table(2, times, g2.xi_norm())
     direct = sample_arrays(2, times[:, None, None], g2.xi_norm()[None])
-    for got, ref in zip(table, direct):
+    for got, ref in zip(tab, direct):
         assert got.shape == (9, 16, 8)
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+
+
+def test_table_of_wrong_shape_is_rejected():
+    g = Grid(1, (16,), 2.0)
+    times = np.linspace(0, 1, 9)
+    phi = gaussian_field(g)
+    forcing = constant_forcing(g, times)
+    for bad in (table(1, Grid(1, (32,), 2.0), times),
+                table(1, g, np.linspace(0, 1, 17))):
+        with pytest.raises(GridMismatchError):
+            solve_homogeneous(bad, phi, phi, times)
+        with pytest.raises(GridMismatchError):
+            duhamel(bad, forcing)
 
 
 def test_export_trajectory(tmp_path):
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 5)
-    tr = solve_homogeneous(1, gaussian_field(g), zero_field(g), times)
+    tr = homogeneous(1, gaussian_field(g), zero_field(g), times)
     manifest = export_trajectory(tmp_path / "run", tr, s_list=(0.0, 1.0))
     rows = open(manifest).read().strip().splitlines()
     assert rows[0] == "time,file,h0.0,h1.0"

@@ -9,15 +9,26 @@ from cuspwave.semilinear import (
     NonlinearitySpec,
     PicardConfig,
     PicardReport,
-    apply_E,
     evaluate_forcing,
     require_converged,
     solve_fourth_order,
     solve_second_order,
     solve_third_order,
 )
-from cuspwave.linear_solver import duhamel
-from cuspwave.spectral import Field, Grid, SpectralTrajectory, dft_forward, dft_inverse
+from cuspwave.linear_solver import (
+    cumulative_simpson,
+    duhamel,
+    propagator_table,
+    solve_homogeneous,
+)
+from cuspwave.spectral import (
+    Field,
+    Grid,
+    SpectralTrajectory,
+    dft_forward,
+    dft_inverse,
+    sobolev_norm,
+)
 
 
 def gaussian_field(grid, amp=1.0, width=0.5):
@@ -27,6 +38,16 @@ def gaussian_field(grid, amp=1.0, width=0.5):
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
+
+
+def table(m, grid, times):
+    return propagator_table(m, times, grid.xi_norm())
+
+
+def integrated_duhamel(m, g):
+    """Zero-data solution of d_t (d_t^2 - t^m Lap) v = g."""
+    big_g = SpectralTrajectory(g.grid, g.times, cumulative_simpson(g.u, g.times))
+    return duhamel(table(m, g.grid, g.times), big_g)
 
 
 def rk4_system(rhs, y0, t_end, n_steps):
@@ -50,10 +71,10 @@ def test_zero_nonlinearity_is_linear_flow():
     f = NonlinearitySpec((0.0,))
     tr, rep = solve_second_order(1, f, gaussian_field(g), zero_field(g), cfg)
     assert rep.converged and rep.iterations == 1
-    from cuspwave.linear_solver import solve_homogeneous
-
-    hom = solve_homogeneous(1, gaussian_field(g), zero_field(g), cfg.times())
-    assert np.allclose(tr.u[-1], hom.u[-1])
+    assert rep.iterate_distances == [0.0]
+    times = cfg.times()
+    hom = solve_homogeneous(table(1, g, times), gaussian_field(g), zero_field(g), times)
+    assert np.array_equal(tr.u, hom.u)
 
 
 def test_constant_source_zero_mode():
@@ -89,26 +110,26 @@ def test_second_order_matches_rk4():
     assert err < 1e-5
 
 
-def test_apply_E_cubic():
+def test_third_order_kernel_cubic():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 33)
     vals = np.zeros(16, dtype=complex)
     vals[0] = 6.0
     traj = SpectralTrajectory(g, times, np.tile(vals, (33, 1)))
-    out = apply_E(1, traj)
+    out = integrated_duhamel(1, traj)
     # zero mode: d_t^3 u = 6 with zero data gives t^3, Simpson-exact
     for i, t in enumerate(times):
         assert out.u[i][0] == pytest.approx(t**3, abs=1e-12)
 
 
-def test_apply_E_single_mode_oracle():
+def test_third_order_kernel_single_mode_oracle():
     g = Grid(1, (32,), 4.0)
     times = np.linspace(0, 0.8, 161)
     vals = np.zeros(32, dtype=complex)
     vals[4] = 1.0
     mode = Field(g, vals, "spectral")
     traj = SpectralTrajectory(g, times, np.tile(vals, (len(times), 1)))
-    out = apply_E(1, traj)
+    out = integrated_duhamel(1, traj)
 
     rho2 = g.xi_norm() ** 2
 
@@ -128,9 +149,28 @@ def test_third_order_polynomial_exact():
     f = NonlinearitySpec((6.0,))
     tr, rep = solve_third_order(1, f, zero_field(g), zero_field(g), zero_field(g), cfg)
     require_converged(rep)
+    # from u = flow = 0 the first step reaches t^3 and the second confirms it
+    assert rep.iterations == 2
     # f identically 6 gives u(t, x) = t^3; check at the final time t=1
     u_phys = dft_inverse(tr.snapshot_at(cfg.T)).values.real
     assert np.max(np.abs(u_phys - 1.0)) < 1e-9
+
+
+def test_iteration_starts_at_the_flow():
+    # the iteration starts at u = flow, so f(0) != 0 costs one step to
+    # reach the lift of f(0), and f(0) = 0 spends none on the flow itself
+    g = Grid(1, (16,), 2.0)
+    cfg = PicardConfig(T=1.0, n_t=33, tol=1e-12)
+    z = zero_field(g)
+    _, rep = solve_third_order(1, NonlinearitySpec((1.0, 1.0)), z, z, z, cfg)
+    require_converged(rep)
+    assert rep.iterations == 6
+    psi0 = gaussian_field(g, amp=0.5)
+    _, rep = solve_fourth_order(2, 1, NonlinearitySpec((0.0, 0.0, 1.0)),
+                                psi0, z, z, z, cfg)
+    require_converged(rep)
+    assert rep.iterations == 4
+    assert rep.iterate_distances[0] < 1e-2
 
 
 def test_third_order_linear_reduction():
@@ -189,9 +229,8 @@ def test_fourth_order_zero_f_reduces():
     psi0, psi1 = gaussian_field(g), gaussian_field(g, 0.5, 0.3)
     z = zero_field(g)
     tr, _ = solve_fourth_order(2, 1, f, psi0, psi1, z, z, cfg)
-    from cuspwave.linear_solver import solve_homogeneous
-
-    hom = solve_homogeneous(1, psi0, psi1, cfg.times())
+    times = cfg.times()
+    hom = solve_homogeneous(table(1, g, times), psi0, psi1, times)
     err = np.linalg.norm(tr.u[-1] - hom.u[-1])
     assert err < 1e-9
 
@@ -229,20 +268,38 @@ def test_fourth_order_rejects_equal_orders():
 
 
 def test_fixed_point_residual():
+    # re-applying each order's map u -> flow + K(f(u)) moves the converged
+    # iterate by at most 2 tol
     g = Grid(1, (64,), 4.0)
     cfg = PicardConfig(T=0.4, n_t=65, tol=1e-11)
+    times = cfg.times()
     f = NonlinearitySpec((0.0, 0.0, 0.5))
-    phi0 = gaussian_field(g, amp=0.3)
-    tr, rep = solve_second_order(1, f, phi0, zero_field(g), cfg)
-    require_converged(rep)
-    # re-applying the map moves the converged iterate by at most 2 tol
-    from cuspwave.linear_solver import solve_homogeneous
-    from cuspwave.semilinear import _sup_norm_distance
+    phi0, z = gaussian_field(g, amp=0.3), zero_field(g)
+    phi2 = gaussian_field(g, amp=0.2, width=0.3)
+    t1, t2 = table(1, g, times), table(2, g, times)
 
-    hom = solve_homogeneous(1, phi0, zero_field(g), cfg.times())
-    par = duhamel(1, evaluate_forcing(f, tr))
-    again = SpectralTrajectory(g, hom.times, hom.u + par.u)
-    assert _sup_norm_distance(again, tr, 0.0) <= 2 * cfg.tol
+    def residual(tr, again):
+        return np.max(sobolev_norm(Field(g, again - tr.u, "spectral"), 0.0))
+
+    tr, rep = solve_second_order(1, f, phi0, z, cfg)
+    require_converged(rep)
+    again = (solve_homogeneous(t1, phi0, z, times).u
+             + duhamel(t1, evaluate_forcing(f, tr)).u)
+    assert residual(tr, again) <= 2 * cfg.tol
+
+    tr, rep = solve_third_order(1, f, phi0, z, phi2, cfg)
+    require_converged(rep)
+    data = SpectralTrajectory(g, times, np.tile(phi2.values, (len(times), 1)))
+    again = (solve_homogeneous(t1, phi0, z, times).u + duhamel(t1, data).u
+             + integrated_duhamel(1, evaluate_forcing(f, tr)).u)
+    assert residual(tr, again) <= 2 * cfg.tol
+
+    tr, rep = solve_fourth_order(2, 1, f, phi0, z, phi2, z, cfg)
+    require_converged(rep)
+    again = (solve_homogeneous(t1, phi0, z, times).u
+             + duhamel(t1, solve_homogeneous(t2, phi2, z, times)).u
+             + duhamel(t1, duhamel(t2, evaluate_forcing(f, tr))).u)
+    assert residual(tr, again) <= 2 * cfg.tol
 
 
 def test_time_refinement_order():
