@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     ParseError,
     QuadratureError,
 )
+from .fields import parse_fields
 from .initial_data import (
     make_a1,
     make_a2,
@@ -40,7 +40,6 @@ from .linear_solver import (
     solve_homogeneous,
 )
 from .probe import (
-    VectorFieldId,
     conormal_scan,
     estimate_catalog,
     export_fit_csv,
@@ -232,33 +231,10 @@ _PROBE_DEFAULTS = {
 }
 
 
-def _field_alphabet(text, m, n):
-    """Parse "V0,TDt,L[0,1]": commas inside brackets separate indices.
-
-    Every field is checked against the spatial dimension n.
-    """
-    fields = []
-    for label in re.split(r",(?![^\[]*\])", str(text)):
-        label = label.strip()
-        if not label:
-            continue
-        if "[" in label:
-            name, rest = label.split("[", 1)
-            indices = tuple(int(v) for v in rest.rstrip("]").split(",") if v)
-        else:
-            name, indices = label, ()
-        fid = VectorFieldId(name, indices, m)
-        fid.terms(n)
-        fields.append(fid)
-    if not fields:
-        raise ParameterError("empty vector field alphabet")
-    return fields
-
-
 def cmd_probe(args) -> int:
     cfg = _resolve(args, _PROBE_SCHEMA, _PROBE_DEFAULTS)
     traj = load_trajectory(str(cfg["traj"]))
-    fields = _field_alphabet(cfg["fields"], int(cfg["m"]), traj.grid.n)
+    fields = parse_fields(cfg["fields"], int(cfg["m"]), traj.grid.n)
     # nothing is written until the ridge and the scan (which checks the
     # depth) have both succeeded
     points = ridge_extract(traj, threshold=float(cfg["threshold"]))
@@ -292,7 +268,7 @@ def cmd_rates(args) -> int:
     s1 = float(cfg["s1"])
     if not float(cfg["width"]) > 0:
         raise ParameterError("rates needs a positive --width")
-    entry = estimate_catalog(m, s1)[0]
+    entry = estimate_catalog(m)[0]
     grid = Grid(1, (int(cfg["N"]),), float(cfg["L"]))
     x = grid.coords()[0]
     jump = np.where(x >= 0, 1.0, -1.0) * np.exp(-(x / float(cfg["width"])) ** 2)

@@ -77,7 +77,9 @@ def propagator_table(m: int, times, rho: np.ndarray):
     times = np.asarray(times, dtype=float)
     shells, where = np.unique(rho, return_inverse=True)
     where = where.reshape(rho.shape)
-    return tuple(a[:, where] for a in sample_arrays(m, times[:, None], shells[None, :]))
+    # np.take gathers in C order; a[:, where] would put the time axis fastest
+    return tuple(np.take(a, where, axis=1)
+                 for a in sample_arrays(m, times[:, None], shells[None, :]))
 
 
 def _require_table(table, grid, times) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ParameterError
+from ..fields import VectorFieldId
 from .coeff import CoeffContext
 from .diffop import DiffOp, commutator, compose, span_decompose, \
     verify_identity
@@ -42,7 +43,7 @@ class CatalogRow:
         return self.status in ("nonzero", "unsolvable")
 
 
-# -- vector field constructors -------------------------------------------
+# -- operators and vector fields -------------------------------------------
 
 def _lap(ctx):
     out = DiffOp.zero(ctx)
@@ -56,40 +57,28 @@ def _Q(ctx, k):
     return compose(dt, dt) - _lap(ctx).scaled(ctx.t_pow(2 * k))
 
 
-def _V0(ctx, k):
-    out = DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t())
-    for i in range(1, ctx.n + 1):
-        out = out + DiffOp.dx(ctx, i).scaled(
-            ctx.rational(k + 2) * ctx.x(i))
+def _field(ctx, name, indices, k):
+    """The alphabet field name[indices] at exponent k; axes count from 0."""
+    out = DiffOp.zero(ctx)
+    for c, p, axis, slot in VectorFieldId(name, indices, k).terms(ctx.n):
+        coeff = ctx.rational(c)
+        if axis is not None:
+            coeff = coeff * ctx.x(axis + 1)
+        if p:
+            coeff = coeff * ctx.t_pow(p)
+        op = DiffOp.dt(ctx) if slot == "t" else DiffOp.dx(ctx, slot + 1)
+        out = out + op.scaled(coeff)
     return out
 
 
-def _Vbar(ctx, k, i):
-    return DiffOp.dx(ctx, i).scaled(ctx.rational(2) * ctx.t_pow(k + 2)) \
-        + DiffOp.dt(ctx).scaled(
-            ctx.rational(k + 2) * ctx.x(i) * ctx.t_pow(-k))
-
-
-def _Vbars(ctx, k):
-    """[None, Vbar_1, .., Vbar_n], indexed by coordinate."""
-    return [None] + [_Vbar(ctx, k, i) for i in range(1, ctx.n + 1)]
-
-
-def _rotations(ctx):
-    """The rotation fields L_ij = x_i*Dj - x_j*Di, every pair i != j."""
-    n, X = ctx.n, ctx.x
-    return {(i, j): DiffOp.dx(ctx, j).scaled(X(i))
-            - DiffOp.dx(ctx, i).scaled(X(j))
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-
-
-def _Vhalf(ctx, k):
-    return DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t()) \
-        + DiffOp.dx(ctx, 1).scaled(ctx.rational(k + 2) * ctx.x(1))
-
-
-def _TDt(ctx):
-    return DiffOp.dt(ctx).scaled(ctx.t())
+def _cone_fields(ctx, k):
+    """V0, [None, Vbar_1, .., Vbar_n] and the rotations L[i, j] for every
+    pair i != j, with coordinates counted from 1 as in the row names."""
+    n = ctx.n
+    vbars = [None] + [_field(ctx, "Vbar", (i,), k) for i in range(n)]
+    L = {(i + 1, j + 1): _field(ctx, "L", (i, j), k)
+         for i in range(n) for j in range(n) if i != j}
+    return _field(ctx, "V0", (), k), vbars, L
 
 
 # normal fields near the cusp cone (need the radial generator, n >= 2)
@@ -111,21 +100,6 @@ def _N4(ctx, m, i):
     return DiffOp.dx(ctx, i).scaled(ctx.t_pow(m + 2))
 
 
-# normal fields near the cusp planes (half-space alphabet, n >= 1)
-
-def _M1(ctx):
-    return DiffOp.dt(ctx).scaled(ctx.x(1))
-
-
-def _M2(ctx, m, branch):
-    coeff = ctx.x(1) - ctx.rational(2 * branch, m + 2) * ctx.t_pow(m + 2)
-    return DiffOp.dx(ctx, 1).scaled(coeff)
-
-
-def _M4(ctx, m):
-    return DiffOp.dx(ctx, 1).scaled(ctx.t_pow(m + 2))
-
-
 # -- row assembly ---------------------------------------------------------
 
 
@@ -145,10 +119,8 @@ def _cone_rows(ctx, m):
     lap = _lap(ctx)
     Q = _Q(ctx, k)
     P1 = compose(dt, Q)
-    V0 = _V0(ctx, k)
-    tdt = _TDt(ctx)
-    vbars = _Vbars(ctx, k)
-    L = _rotations(ctx)
+    V0, vbars, L = _cone_fields(ctx, k)
+    tdt = _field(ctx, "TDt", (), k)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
     rows = [_residual_row("[Q, V0] = 4 Q", commutator(Q, V0), Q.scaled(4))]
@@ -229,9 +201,9 @@ def _plane_rows(ctx, m):
     dt = DiffOp.dt(ctx)
     Q = _Q(ctx, m)
     P1 = compose(dt, Q)
-    V = _Vhalf(ctx, m)
-    vbar1 = _Vbar(ctx, m, 1)
-    R = {l: DiffOp.dx(ctx, l) for l in range(2, n + 1)}
+    V = _field(ctx, "Vhalf", (), m)
+    vbar1 = _field(ctx, "Vbar", (0,), m)
+    R = {l: _field(ctx, "Rl", (l - 1,), m) for l in range(2, n + 1)}
 
     rows = [_residual_row("[V, Vbar1] = 0", commutator(V, vbar1), zero)]
     for l in range(2, n + 1):
@@ -273,14 +245,14 @@ def _plane_square_rows(ctx, m):
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
     one = ctx.one()
     Q = _Q(ctx, m)
-    V = _Vhalf(ctx, m)
+    V = _field(ctx, "Vhalf", (), m)
     V2 = compose(V, V)
     sumR2 = DiffOp.zero(ctx)
     for l in range(2, n + 1):
         sumR2 = sumR2 + compose(DiffOp.dx(ctx, l), DiffOp.dx(ctx, l))
     D = rat((m + 2) ** 2) * X(1) ** 2 - rat(4) * tp(2 * m + 4)
 
-    M1 = _M1(ctx)
+    M1 = _field(ctx, "N1", (), m)
     body = Q.scaled(rat((m + 2) ** 2) * X(1) ** 4) \
         + V2.scaled(X(1) ** 2 * tp(2 * m)) \
         - compose(M1, V).scaled(rat(4) * X(1) * tp(2 * m + 2)) \
@@ -291,7 +263,7 @@ def _plane_square_rows(ctx, m):
                           compose(M1, M1), body.scaled(one / D))]
 
     for branch, tag in ((1, "+"), (-1, "-")):
-        M2 = _M2(ctx, m, branch)
+        M2 = _field(ctx, "N2", (branch,), m)
         shift = rat(2 * branch, m + 2) * tp(m + 2)
         low = X(1) - shift
         high = X(1) + shift
@@ -309,7 +281,7 @@ def _plane_square_rows(ctx, m):
             detail="the zeroth-order numerator subtracts the "
                    "branch shift; the source display adds it"))
 
-    M3 = _TDt(ctx)
+    M3 = _field(ctx, "N3", (), m)
     body = Q.scaled(rat((m + 2) ** 2) * X(1) ** 2 * tp(4)) \
         + V2.scaled(tp(2 * m + 4)) \
         - compose(M3, V).scaled(rat(4) * tp(2 * m + 4)) \
@@ -320,7 +292,7 @@ def _plane_square_rows(ctx, m):
     rows.append(_residual_row("plane square: (t*Dt)^2",
                               compose(M3, M3), body.scaled(one / D)))
 
-    M4 = _M4(ctx, m)
+    M4 = _field(ctx, "N4", (), m)
     body = Q.scaled(rat(4) * tp(2 * m + 8)) \
         - V2.scaled(tp(2 * m + 4)) \
         + compose(M4, V).scaled(rat(2 * (m + 2)) * X(1) * tp(m + 2)) \
@@ -384,9 +356,7 @@ def _cone_square_rows(ctx, m):
     one = ctx.one()
     r = ctx.r()
     Q = _Q(ctx, m)
-    V0 = _V0(ctx, m)
-    vbars = _Vbars(ctx, m)
-    L = _rotations(ctx)
+    V0, vbars, L = _cone_fields(ctx, m)
     sum_vbar2 = DiffOp.zero(ctx)
     mixed_v0 = DiffOp.zero(ctx)
     for j in range(1, n + 1):
@@ -394,7 +364,7 @@ def _cone_square_rows(ctx, m):
         mixed_v0 = mixed_v0 + compose(V0, vbars[j]).scaled(X(j))
     alphabet = (Q, V0, vbars, L, sum_vbar2, compose(V0, V0), mixed_v0)
     N10 = _N1_0(ctx)
-    N30 = _TDt(ctx)
+    N30 = _field(ctx, "TDt", (), m)
     E = rat(4) * tp(2 * m + 4) - rat((m + 2) ** 2) * r ** 2
     Dp = -one * E
     # rot[i] = sum over kk != i of x_kk * L_i,kk
@@ -500,14 +470,14 @@ def _mixed_row(ctx, m1, m2):
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
     r2 = ctx.r() ** 2 if n >= 2 else X(1) ** 2
     D = rat((m2 + 2) ** 2) * r2 - rat(4) * tp(2 * m2 + 4)
-    V0_2 = _V0(ctx, m2)
+    V0_2 = _field(ctx, "V0", (), m2)
     rhs = V0_2 + V0_2.scaled(rat((m1 - m2) * (m2 + 2)) * r2 / D)
     for kk in range(1, n + 1):
-        rhs = rhs - _Vbar(ctx, m2, kk).scaled(
+        rhs = rhs - _field(ctx, "Vbar", (kk - 1,), m2).scaled(
             rat(2 * (m1 - m2)) * tp(m2 + 2) * X(kk) / D)
     return _residual_row(
         "scaling field at exponent %d via exponent %d alphabet"
-        % (m1, m2), _V0(ctx, m1), rhs,
+        % (m1, m2), _field(ctx, "V0", (), m1), rhs,
         detail="coefficients carry the exponent gap %d" % (m1 - m2))
 
 
@@ -527,7 +497,7 @@ def _negative_control(ctx, m):
     Q = _Q(ctx, m)
     corrupted = Q.scaled(4) + DiffOp.dt(ctx)
     return _residual_row("negative control: corrupted scaling law",
-                         commutator(Q, _V0(ctx, m)), corrupted,
+                         commutator(Q, _field(ctx, "V0", (), m)), corrupted,
                          expected="nonzero")
 
 

@@ -1,5 +1,6 @@
-"""Singular-support diagnostics: discrete tangent vector fields,
-conormal-norm scans, gradient-ridge extraction, and power-law rate fitting.
+"""Singular-support diagnostics: the tangent fields of cuspwave.fields
+applied to trajectories, conormal-norm scans, gradient-ridge extraction,
+and power-law rate fitting.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .fields import VectorFieldId
 from .spectral import (
     Field,
     SpectralTrajectory,
@@ -22,99 +24,11 @@ from .spectral import (
 
 # vector fields -------------------------------------------------------------
 
-_FIELD_ARITY = {
-    "V0": 0, "Vbar": 1, "L": 2, "Vhalf": 0, "TDt": 0, "Rl": 1,
-    "N1": 0, "N2": 1, "N3": 0, "N4": 0,
-}
 
-
-@dataclass(frozen=True)
-class VectorFieldId:
-    """One member of the tangent-field alphabet.
-
-    V0    = 2t dt + (m+2) sum_i x_i d_i        (radial scaling field)
-    Vbar  = 2 t^(m/2+1) d_l + (m+2) x_l t^(-m/2) dt
-    L     = x_i d_j - x_j d_i                   (rotation)
-    Vhalf = 2t dt + (m+2) x1 d1                 (half-space scaling field)
-    TDt   = t dt;  Rl = d_l
-    N1    = x1 dt;  N2 = (x1 -/+ 2 t^((m+2)/2)/(m+2)) d1 (index +1/-1)
-    N3    = t dt;   N4 = t^((m+2)/2) d1
-    """
-
-    name: str
-    indices: tuple = ()
-    m: int = 1
-
-    def __post_init__(self):
-        if self.name not in _FIELD_ARITY:
-            raise ParameterError(f"unknown vector field {self.name!r}")
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if len(self.indices) != _FIELD_ARITY[self.name]:
-            raise ParameterError(
-                f"{self.name} takes {_FIELD_ARITY[self.name]} indices, "
-                f"got {len(self.indices)}"
-            )
-        if self.name == "L" and self.indices[0] == self.indices[1]:
-            raise ParameterError("L needs two distinct axes")
-        if self.name == "N2" and self.indices[0] not in (1, -1):
-            raise ParameterError("N2 index is the branch sign +1 or -1")
-        if self.m < 1:
-            raise ParameterError("m must be a positive integer")
-
-    @property
-    def singular_at_zero(self) -> bool:
-        return self.name == "Vbar"
-
-    def label(self) -> str:
-        idx = ",".join(str(i) for i in self.indices)
-        return f"{self.name}[{idx}]" if idx else self.name
-
-    def terms(self, n: int):
-        """List of (time_factor(t), coord_axis, slot) triples.
-
-        Each term is time_factor(t) * x_{coord_axis} * d_slot, with
-        coord_axis None when the term has no x factor and slot either an
-        axis index or 't'.  t is an array of shape (n_t, 1, ..., 1);
-        time_factor returns a scalar or an array that broadcasts against
-        it.
-        """
-        m = self.m
-        if self.name == "V0":
-            return [(lambda t: 2.0 * t, None, "t")] + [
-                (lambda t: m + 2.0, i, i) for i in range(n)
-            ]
-        if self.name == "Vbar":
-            l = self.indices[0]
-            if not 0 <= l < n:
-                raise ParameterError(f"Vbar axis {l} out of range for n={n}")
-            return [
-                (lambda t: 2.0 * t ** (m / 2 + 1), None, l),
-                (lambda t: (m + 2) * t ** (-m / 2), l, "t"),
-            ]
-        if self.name == "L":
-            i, j = self.indices
-            if not (0 <= i < n and 0 <= j < n):
-                raise ParameterError(f"L axes {self.indices} out of range for n={n}")
-            return [(lambda t: 1.0, i, j), (lambda t: -1.0, j, i)]
-        if self.name == "Vhalf":
-            return [(lambda t: 2.0 * t, None, "t"), (lambda t: m + 2.0, 0, 0)]
-        if self.name in ("TDt", "N3"):
-            return [(lambda t: t, None, "t")]
-        if self.name == "Rl":
-            l = self.indices[0]
-            if not 0 <= l < n:
-                raise ParameterError(f"Rl axis {l} out of range for n={n}")
-            return [(lambda t: 1.0, None, l)]
-        if self.name == "N1":
-            return [(lambda t: 1.0, 0, "t")]
-        if self.name == "N2":
-            sgn = float(self.indices[0])
-            return [
-                (lambda t: 1.0, 0, 0),
-                (lambda t: -sgn * 2.0 / (m + 2) * t ** ((m + 2) / 2), None, 0),
-            ]
-        # N4
-        return [(lambda t: t ** ((m + 2) / 2), None, 0)]
+def _factor(c, p: int, t: np.ndarray):
+    """c * t^(p/2) in floats; a constant stays a Python scalar, so that
+    _weigh folds it into the coordinate once."""
+    return float(c) * t ** (p / 2) if p else float(c)
 
 
 def _time_derivative(stack: np.ndarray, h: float, out: np.ndarray,
@@ -199,9 +113,9 @@ def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
     if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
         raise DomainError("apply_vector_field needs a uniform time grid")
     terms = [term for fid in fields for term in fid.terms(traj.grid.n)]
-    weighted_slots = [slot for _, axis, slot in terms if axis is not None]
+    weighted_slots = [slot for _, _, axis, slot in terms if axis is not None]
     shared = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
-    reads_t = any(slot == "t" for _, _, slot in terms)
+    reads_t = any(slot == "t" for *_, slot in terms)
     words = [traj.u] + [np.empty_like(traj.u) for _ in range(depth)]
     scratch = np.empty_like(traj.u)
     levels = [_Level(traj, words[k], words[k + 1], scratch, float(h[0]),
@@ -216,9 +130,9 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
 
     Spatial derivatives are spectral and the time derivative is a
     4th-order finite difference, which needs a uniform grid of at least 6
-    times.  A term without an x factor (such as 2t dt in V0, 2 t^(m/2+1)
-    d_l in Vbar, TDt, N3, N4 and Rl) acts in spectral space as one
-    multiply.  The terms with an x factor multiply pointwise in physical
+    times.  The field's terms come from VectorFieldId.terms.  A term
+    without an x factor (the t term of V0, the d_l term of Vbar, TDt, N3,
+    N4 and Rl) acts in spectral space as one multiply.  The terms with an x factor multiply pointwise in physical
     space and are summed there, in the result's array, which costs one
     dft_inverse per term and one in-place dft_forward per field.  Besides
     the result, the call allocates one scratch array and, when the field
@@ -226,7 +140,7 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     trajectory.  The words of conormal_scan come with these arrays
     already made, and their results overwrite the scan's next word.
 
-    Fields with a t^(-m/2) coefficient are evaluated only for
+    Fields with a negative power of t (Vbar) are evaluated only for
     t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
     Passing t_floor = 0 for such a field raises a domain error.
     """
@@ -246,23 +160,23 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     coords = grid.coords()
     terms = fid.terms(grid.n)
     dest.fill(0)
-    weighted = [term for term in terms if term[1] is not None]
+    weighted = [term for term in terms if term[2] is not None]
     if weighted:
-        for time_factor, axis, slot in weighted:
+        for c, p, axis, slot in weighted:
             phys = level.kept.get(slot)
             if phys is None:
                 phys = level.physical(slot, level.scratch)
-            _weigh(time_factor(t), coords[axis], phys[start:], scratch)
+            _weigh(_factor(c, p, t), coords[axis], phys[start:], scratch)
             dest[start:] += scratch
         dft_forward(Field(grid, dest), out=dest)
-    for time_factor, axis, slot in terms:
+    for c, p, axis, slot in terms:
         if axis is None:
             if slot == "t":
                 spectral = level.time_diff[start:]
             else:
                 spectral = spectral_derivative(
                     Field(grid, level.u[start:], "spectral"), slot, out=scratch).values
-            np.multiply(time_factor(t), spectral, out=scratch)
+            np.multiply(_factor(c, p, t), spectral, out=scratch)
             dest[start:] += scratch
     return SpectralTrajectory(grid, times, dest)
 
@@ -399,13 +313,19 @@ class CatalogEntry:
     tolerance: float = 0.15
 
 
-def estimate_catalog(m: int, s1: float | None = None):
-    """Closed-form rate exponents for concrete (m, s1)."""
-    if s1 is None:
-        s1 = m / (2 * (m + 2))
-    return [
-        CatalogEntry("homogeneous-derivative-loss", -s1 * (m + 2) / 2, tolerance=0.10),
-    ]
+def estimate_catalog(m: int):
+    """Closed-form rate exponents at exponent m.
+
+    homogeneous-derivative-loss: the H^(s1+1) norm of u = V1 phi for jump
+    data (|phi_hat| ~ 1/|xi|) decays like t^(-m/4), whatever s1.  For
+    large phase phi = 2 t^((m+2)/2) |xi| / (m+2), |V1| has the envelope
+    phi^(nu-1/2) with nu = 1/(m+2), so the squared norm is a sum of
+    |xi|^(2 s1 + 2 nu - 1) times t^((m+2)(nu-1/2)).  When s1 > -1/(m+2)
+    that sum is dominated by the grid cutoff and the norm goes like
+    t^((m+2)(2 nu - 1)/4) = t^(-m/4).  Below it, and while the phase at
+    the cutoff is small, the law does not hold.
+    """
+    return [CatalogEntry("homogeneous-derivative-loss", -m / 4, tolerance=0.10)]
 
 
 # exports -------------------------------------------------------------------

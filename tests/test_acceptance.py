@@ -11,6 +11,7 @@ the exact operator catalog.
 import numpy as np
 import pytest
 
+from cuspwave.fields import VectorFieldId
 from cuspwave.initial_data import (
     AngularTerm,
     BumpSpec,
@@ -22,7 +23,6 @@ from cuspwave.initial_data import (
 from cuspwave.linear_solver import propagator_table, solve_homogeneous
 from cuspwave.opalg import catalog_verify
 from cuspwave.probe import (
-    VectorFieldId,
     conormal_scan,
     fit_power_law,
     gradient_magnitude,

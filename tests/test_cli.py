@@ -18,6 +18,7 @@ import cuspwave
 from cuspwave.cli import main
 from cuspwave.errors import GridMismatchError
 from cuspwave.linear_solver import load_trajectory
+from cuspwave.probe import estimate_catalog
 
 
 @pytest.fixture()
@@ -285,8 +286,19 @@ class TestProbeAndRates:
         assert main(["rates", "--m", "1", "--N", "256", "--s1", "0",
                      "--t-lo", "0.4", "--t-hi", "3.0", "--n-t", "9",
                      "--out", out]) == 0
+        manifest = open(os.path.join(out, "run_manifest.txt")).read()
+        assert "s1 = 0.0" in manifest.splitlines()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("s1", ["-0.3", "0", "0.5"])
+    def test_rates_fit_is_minus_m_over_4_for_every_s1(self, tmp_path, m, s1):
+        out = str(tmp_path / "rates")
+        assert main(["rates", "--m", str(m), "--s1", s1, "--out", out]) == 0
         rows = open(os.path.join(out, "fits.csv")).read().splitlines()
-        assert float(rows[1].split(",")[1]) == 0.0
+        _, expected, fitted, _ = rows[1].split(",")
+        assert float(expected) == -m / 4
+        tolerance = estimate_catalog(m)[0].tolerance
+        assert abs(float(fitted) - float(expected)) <= tolerance
 
     def test_rates_rejects_zero_width(self, tmp_path, capsys):
         out = tmp_path / "rates"

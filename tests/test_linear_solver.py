@@ -241,6 +241,14 @@ def test_propagator_table_once_per_solve(monkeypatch):
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
 
 
+
+def test_propagator_table_is_c_contiguous():
+    # the products of the solves and the sums of the norms run in memory order
+    times = np.linspace(0, 1, 9)
+    for g in (Grid(1, (16,), 2.0), Grid(2, (16, 8), 2.0)):
+        for a in propagator_table(1, times, g.xi_norm()):
+            assert a.flags.c_contiguous, a.strides
+
 def test_table_of_wrong_shape_is_rejected():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 9)

@@ -510,3 +510,71 @@ def test_catalog_serial_runs_agree():
     second = catalog_verify(2, 2)
     assert [(r.name, r.status) for r in first] \
         == [(r.name, r.status) for r in second]
+
+
+# the field constructors the catalog had before it read the shared
+# alphabet, written out as the reference (coordinates count from 1)
+
+def _ref_V0(ctx, k):
+    out = DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t())
+    for i in range(1, ctx.n + 1):
+        out = out + DiffOp.dx(ctx, i).scaled(ctx.rational(k + 2) * ctx.x(i))
+    return out
+
+
+def _ref_Vbar(ctx, k, i):
+    return DiffOp.dx(ctx, i).scaled(ctx.rational(2) * ctx.t_pow(k + 2)) \
+        + DiffOp.dt(ctx).scaled(ctx.rational(k + 2) * ctx.x(i) * ctx.t_pow(-k))
+
+
+def _ref_rotations(ctx):
+    n, X = ctx.n, ctx.x
+    return {(i, j): DiffOp.dx(ctx, j).scaled(X(i))
+            - DiffOp.dx(ctx, i).scaled(X(j))
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+
+
+def _ref_Vhalf(ctx, k):
+    return DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t()) \
+        + DiffOp.dx(ctx, 1).scaled(ctx.rational(k + 2) * ctx.x(1))
+
+
+def _ref_TDt(ctx):
+    return DiffOp.dt(ctx).scaled(ctx.t())
+
+
+def _ref_M1(ctx):
+    return DiffOp.dt(ctx).scaled(ctx.x(1))
+
+
+def _ref_M2(ctx, m, branch):
+    coeff = ctx.x(1) - ctx.rational(2 * branch, m + 2) * ctx.t_pow(m + 2)
+    return DiffOp.dx(ctx, 1).scaled(coeff)
+
+
+def _ref_M4(ctx, m):
+    return DiffOp.dx(ctx, 1).scaled(ctx.t_pow(m + 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_catalog_fields_match_reference_constructors(n):
+    ctx = CoeffContext(n)
+    field = catalog._field
+    for m in (1, 2, 3):
+        pairs = [
+            (field(ctx, "V0", (), m), _ref_V0(ctx, m)),
+            (field(ctx, "Vhalf", (), m), _ref_Vhalf(ctx, m)),
+            (field(ctx, "TDt", (), m), _ref_TDt(ctx)),
+            (field(ctx, "N3", (), m), _ref_TDt(ctx)),
+            (field(ctx, "N1", (), m), _ref_M1(ctx)),
+            (field(ctx, "N4", (), m), _ref_M4(ctx, m)),
+        ]
+        pairs += [(field(ctx, "N2", (b,), m), _ref_M2(ctx, m, b))
+                  for b in (1, -1)]
+        for i in range(1, n + 1):
+            pairs += [(field(ctx, "Vbar", (i - 1,), m), _ref_Vbar(ctx, m, i)),
+                      (field(ctx, "Rl", (i - 1,), m), DiffOp.dx(ctx, i))]
+        pairs += [(field(ctx, "L", (i - 1, j - 1), m), op)
+                  for (i, j), op in _ref_rotations(ctx).items()]
+        for got, want in pairs:
+            assert got == want, (m, got, want)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cuspwave.errors import DomainError, ParameterError
+from cuspwave.fields import VectorFieldId
 from cuspwave.probe import (
     EstimateFit,
-    VectorFieldId,
     apply_vector_field,
     conormal_scan,
     estimate_catalog,
