@@ -8,6 +8,14 @@ cross-exponent relation used when two degeneracies coexist.  Rows whose
 right sides contain admissible-but-unspecified lower-order coefficients
 are checked modulo the span of the permitted first-order fields, by
 solving for those coefficients exactly.
+
+The cusp cone and its alphabet are symmetric in the x-coordinates, so
+of each cone normal-field family (N1_i, N2_i, N4_i) only the axis-1
+square system is eliminated by span_decompose.  The axis-i system takes
+the axis-1 weights and null vectors through the order-preserving axis
+map sending axis 1 to i, after that map is checked to carry the axis-1
+target and basis onto the axis-i ones term for term; a system that
+fails the check is eliminated in its own right.
 """
 
 from __future__ import annotations
@@ -316,16 +324,22 @@ _DECOMP_DETAIL = (
     "tabulated weights are not consistent in any gauge")
 
 
-def _square_decomp_row(name, Nf, i, c_expected, Q, V0, vbars, L,
-                       sum_vbar2, v0_sq, mixed_v0):
-    """Check the square of a normal field against its operator alphabet.
+def _square_alphabet(ctx, m):
+    """Q, V0, [None, Vbar_1, .., Vbar_n], the L[i, j], sum_j Vbar_j^2,
+    V0^2 and sum_j x_j V0*Vbar_j: what a cone square is decomposed over."""
+    Q = _Q(ctx, m)
+    V0, vbars, L = _cone_fields(ctx, m)
+    sum_vbar2 = DiffOp.zero(ctx)
+    mixed_v0 = DiffOp.zero(ctx)
+    for j in range(1, ctx.n + 1):
+        sum_vbar2 = sum_vbar2 + compose(vbars[j], vbars[j])
+        mixed_v0 = mixed_v0 + compose(V0, vbars[j]).scaled(ctx.x(j))
+    return Q, V0, vbars, L, sum_vbar2, compose(V0, V0), mixed_v0
 
-    The products of two alphabet fields satisfy linear relations, so the
-    decomposition weights are not unique; the row therefore solves for
-    the full weight vector, confirms a solution exists, and then checks
-    the one weight that every solution must share: the coefficient of
-    x_i times the normal field composed with the anisotropic scaling.
-    """
+
+def _square_system(Nf, i, Q, V0, vbars, L, sum_vbar2, v0_sq, mixed_v0):
+    """The square of the normal field Nf along axis i, and the quadratic
+    alphabet it is decomposed over."""
     ctx = Nf.ctx
     n = ctx.n
     X = ctx.x
@@ -338,8 +352,79 @@ def _square_decomp_row(name, Nf, i, c_expected, Q, V0, vbars, L,
     basis = [Q, v0_sq, compose(Nf, V0).scaled(X(i)),
              sum_vbar2, mixed_v0, mixed_n, rotated, V0, Nf] \
         + [vbars[j] for j in range(1, n + 1) if j != i]
-    target = compose(Nf, Nf)
-    weights, null_vectors = span_decompose(target, basis)
+    return compose(Nf, Nf), basis
+
+
+def _axis_map(n, i):
+    """The order-preserving axis map sigma_i, as (sigma(1), .., sigma(n)):
+    axis 1 goes to i and the other axes keep their order, so the trailing
+    Vbar columns of the axis-1 basis land on those of the axis-i basis."""
+    return (i,) + tuple(k for k in range(1, n + 1) if k != i)
+
+
+def _identical(a, b):
+    """Whether two operators carry the same normal form at every
+    multi-index; normal forms are canonical, so no gcd is needed."""
+    return a.terms.keys() == b.terms.keys() and all(
+        c.frac == b.terms[index].frac for index, c in a.terms.items())
+
+
+def _square_solution(target, basis, first, sigma):
+    """(target, basis, weights, null vectors) of target = sum w_j basis_j.
+
+    first is the solved axis-1 system of the same normal-field family, or
+    None.  When sigma carries its target and each of its basis columns
+    onto target and basis, term for term, sigma (an automorphism of the
+    operator algebra, since r**2 = sum x_i**2 is symmetric) carries its
+    weights and null vectors onto a solution of this system; a system
+    that is not the image is eliminated by span_decompose.
+    """
+    if first is not None:
+        target1, basis1, weights, null_vectors = first
+        if len(basis1) == len(basis) \
+                and _identical(target1.permuted(sigma), target) \
+                and all(_identical(a.permuted(sigma), b)
+                        for a, b in zip(basis1, basis)):
+            if weights is None:
+                return target, basis, None, None
+            return (target, basis, [w.permuted(sigma) for w in weights],
+                    [[v.permuted(sigma) for v in vec]
+                     for vec in null_vectors])
+    return (target, basis) + span_decompose(target, basis)
+
+
+def _square_rows(label, normals, c_expected, alphabet):
+    """The square-decomposition rows of one normal-field family, one per
+    axis i (label % i); normals is [None, N_1, .., N_n].  Only the
+    axis-1 system is eliminated, see _square_decomp_row."""
+    n = c_expected.ctx.n
+    rows = []
+    first = None
+    for i in range(1, n + 1):
+        target, basis = _square_system(normals[i], i, *alphabet)
+        system = _square_solution(target, basis, first, _axis_map(n, i))
+        if first is None:
+            first = system
+        rows.append(_square_decomp_row(label % i, system, c_expected))
+    return rows
+
+
+def _square_decomp_row(name, system, c_expected):
+    """Check the square of a normal field against its operator alphabet.
+
+    The products of two alphabet fields satisfy linear relations, so the
+    decomposition weights are not unique; the row therefore solves for
+    the full weight vector, confirms a solution exists, and then checks
+    the one weight that every solution must share: the coefficient of
+    x_i times the normal field composed with the anisotropic scaling.
+    system is (target, basis, weights, null vectors).  In each family
+    only the axis-1 system is eliminated by span_decompose; the axis-i
+    system is its image under the axis map sigma_i, so it takes sigma_i
+    of the axis-1 weights and null vectors, once sigma_i of the axis-1
+    target and basis is checked to equal it term for term.  A system
+    that fails that check is eliminated in its own right.
+    """
+    target, _, weights, null_vectors = system
     if weights is None:
         return CatalogRow(name, "unsolvable", len(target.terms),
                           "zero", _DECOMP_DETAIL)
@@ -355,14 +440,8 @@ def _cone_square_rows(ctx, m):
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
     one = ctx.one()
     r = ctx.r()
-    Q = _Q(ctx, m)
-    V0, vbars, L = _cone_fields(ctx, m)
-    sum_vbar2 = DiffOp.zero(ctx)
-    mixed_v0 = DiffOp.zero(ctx)
-    for j in range(1, n + 1):
-        sum_vbar2 = sum_vbar2 + compose(vbars[j], vbars[j])
-        mixed_v0 = mixed_v0 + compose(V0, vbars[j]).scaled(X(j))
-    alphabet = (Q, V0, vbars, L, sum_vbar2, compose(V0, V0), mixed_v0)
+    alphabet = _square_alphabet(ctx, m)
+    Q, V0, vbars, L, sum_vbar2 = alphabet[:5]
     N10 = _N1_0(ctx)
     N30 = _field(ctx, "TDt", (), m)
     E = rat(4) * tp(2 * m + 4) - rat((m + 2) ** 2) * r ** 2
@@ -385,28 +464,31 @@ def _cone_square_rows(ctx, m):
     rows = [_residual_row("cone square: (r*Dt)^2",
                           compose(N10, N10), body.scaled(one / E))]
 
+    c1 = rat(2 * (m + 2)) * tp(m) * r / Dp
+    c2 = rat(2 * (m + 2)) * (r - rat(2, m + 2) * tp(m + 2)) / Dp
+    N1 = [None] + [_N1(ctx, m, i) for i in range(1, n + 1)]
+    N2 = [None] + [_N2(ctx, m, i) for i in range(1, n + 1)]
+    squares1 = _square_rows(
+        "cone square: (t^(m/2)*r*D%d)^2 modulo admissible terms",
+        N1, c1, alphabet)
+    squares2 = _square_rows(
+        "cone square: slanted normal field %d modulo admissible terms",
+        N2, c2, alphabet)
     for i in range(1, n + 1):
-        N1i = _N1(ctx, m, i)
-        N2i = _N2(ctx, m, i)
-        c1 = rat(2 * (m + 2)) * tp(m) * r / Dp
-        u = r - rat(2, m + 2) * tp(m + 2)
-        c2 = rat(2 * (m + 2)) * u / Dp
         rhs_a = V0.scaled(rat(2) * tp(m + 2) * X(i)
                           / (rat(m + 2) * r ** 2)) \
             + N10.scaled(X(i) * Dp
                          / (rat(m + 2) * r ** 3 * tp(m))) \
             - rot[i].scaled(rat(2) * tp(m + 2) / r ** 2)
         rhs_b = V0.scaled(rat(m + 2) * X(i) / (rat(2) * tp(m + 2))) \
-            + N1i.scaled(E / (rat(2) * tp(2 * m + 2) * r)) \
+            + N1[i].scaled(E / (rat(2) * tp(2 * m + 2) * r)) \
             - rot[i].scaled(rat((m + 2) ** 2, 2) / tp(m + 2))
         body = V0.scaled(rat(m + 2) * X(i)) \
-            - N2i.scaled(rat(m + 2) * (rat(m + 2) * r
-                                       + rat(2) * tp(m + 2))) \
+            - N2[i].scaled(rat(m + 2) * (rat(m + 2) * r
+                                         + rat(2) * tp(m + 2))) \
             - rot[i].scaled(rat((m + 2) ** 2))
         rows += [
-            _square_decomp_row(
-                "cone square: (t^(m/2)*r*D%d)^2 modulo admissible "
-                "terms" % i, N1i, i, c1, *alphabet),
+            squares1[i - 1],
             _residual_row("cone elimination: Vbar%d via vertex "
                           "normal field" % i, vbars[i], rhs_a),
             _residual_row(
@@ -415,9 +497,7 @@ def _cone_square_rows(ctx, m):
                 detail="the gradient-field weight divides by "
                        "2 t^(m+1) r; the source display drops the "
                        "2 t^((m+2)/2) part of that divisor"),
-            _square_decomp_row(
-                "cone square: slanted normal field %d modulo "
-                "admissible terms" % i, N2i, i, c2, *alphabet),
+            squares2[i - 1],
             _residual_row(
                 "cone elimination: Vbar%d via slanted normal field" % i,
                 vbars[i], body.scaled(one / (rat(2) * tp(m + 2)))),
@@ -436,24 +516,24 @@ def _cone_square_rows(ctx, m):
                "first bracket and the radial bracket carries "
                "(m+2)^3/2"))
 
+    N4 = [None] + [_N4(ctx, m, i) for i in range(1, n + 1)]
+    squares4 = _square_rows(
+        "cone square: (t^((m+2)/2)*D%d)^2 modulo admissible terms",
+        N4, rat(2 * (m + 2)) * tp(m + 2) / Dp, alphabet)
     for i in range(1, n + 1):
-        N4i = _N4(ctx, m, i)
-        c4 = rat(2 * (m + 2)) * tp(m + 2) / Dp
         rhs_3 = V0.scaled(rat(2) * tp(m + 2) * X(i)
                           / (rat(m + 2) * r ** 2)) \
             + N30.scaled(X(i) * Dp
                          / (rat(m + 2) * r ** 2 * tp(m + 2))) \
             - rot[i].scaled(rat(2) * tp(m + 2) / r ** 2)
         rhs_4 = V0.scaled(rat(m + 2) * X(i) / (rat(2) * tp(m + 2))) \
-            + N4i.scaled(E / (rat(2) * tp(2 * m + 4))) \
+            + N4[i].scaled(E / (rat(2) * tp(2 * m + 4))) \
             - rot[i].scaled(rat((m + 2) ** 2, 2) / tp(m + 2))
         rows += [
             _residual_row(
                 "cone elimination: Vbar%d via time scaling field" % i,
                 vbars[i], rhs_3),
-            _square_decomp_row(
-                "cone square: (t^((m+2)/2)*D%d)^2 modulo admissible "
-                "terms" % i, N4i, i, c4, *alphabet),
+            squares4[i - 1],
             _residual_row(
                 "cone elimination: Vbar%d via time-power gradient" % i,
                 vbars[i], rhs_4,

@@ -146,6 +146,20 @@ class CoeffContext:
         """Return the normal form of a raw fraction-field element."""
         return self.normal(frac.numer, frac.denom)
 
+    def axis_image(self, poly, sigma):
+        """poly with each x_k renamed x_sigma[k-1]; h and r stay.
+
+        sigma lists (sigma(1), .., sigma(n)), a permutation of 1..n.
+        """
+        if sorted(sigma) != list(range(1, self.n + 1)):
+            raise ParameterError("not a permutation of the axes: %r"
+                                 % (sigma,))
+        source = list(range(len(self.poly_ring.gens)))
+        for k, image in enumerate(sigma, 1):
+            source[image] = k
+        return poly.new({tuple(monom[j] for j in source): coeff
+                         for monom, coeff in poly.items()})
+
     def combination_is_zero(self, pairs):
         """Whether sum(a * b for a, b in pairs) is exactly zero.
 
@@ -278,6 +292,21 @@ class CoeffExpr:
     def size(self):
         """Number of numerator plus denominator terms."""
         return len(self.frac.numer) + len(self.frac.denom)
+
+    def permuted(self, sigma):
+        """The image under the axis map x_k -> x_sigma[k-1]; h and r stay.
+
+        r**2 = x1**2 + ... + xn**2 is symmetric in the x, so the map is a
+        field automorphism and renaming keeps the normal form coprime,
+        content-free and its denominator r-free; only the sign rule
+        LC(den) > 0 is restored, since the lex-leading term can move.
+        """
+        ctx = self.ctx
+        num = ctx.axis_image(self.frac.numer, sigma)
+        den = ctx.axis_image(self.frac.denom, sigma)
+        if den.LC < 0:
+            num, den = -num, -den
+        return CoeffExpr(ctx, ctx.field.raw_new(num, den), reduce=False)
 
     # -- derivations -----------------------------------------------------
 

@@ -112,6 +112,17 @@ class DiffOp:
             out = compose(out, self)
         return out
 
+    def permuted(self, sigma):
+        """The image under the axis map x_k -> x_sigma[k-1] and
+        D_k -> D_sigma[k-1]; t and Dt stay.  See CoeffExpr.permuted."""
+        out = {}
+        for index, coeff in self.terms.items():
+            image = list(index)
+            for k, slot in enumerate(sigma, 1):
+                image[slot] = index[k]
+            out[tuple(image)] = coeff.permuted(sigma)
+        return DiffOp(self.ctx, out)
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):

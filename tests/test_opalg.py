@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -156,6 +157,75 @@ def test_coeff_derivatives_match_field_arithmetic(n):
         for k, (got, want) in enumerate(cases):
             assert got.frac.numer == want.numer, (k, c)
             assert got.frac.denom == want.denom, (k, c)
+
+
+def _inverse(sigma):
+    inverse = [0] * len(sigma)
+    for k, image in enumerate(sigma, 1):
+        inverse[image - 1] = k
+    return tuple(inverse)
+
+
+def _forms(op):
+    """multi-index -> normal form (numerator, denominator)."""
+    return {idx: (c.frac.numer, c.frac.denom) for idx, c in op.terms.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_axis_map_is_a_field_automorphism(n):
+    ctx = CoeffContext(n)
+    x1, x2 = ctx.x(1), ctx.x(2)
+    # x1 - x2 leads with +x1; its image under 1 <-> 2 leads with -x1
+    samples = _sample_coeffs(ctx) + [(x2 + ctx.h()) / (x1 - x2)]
+    ops = [(lambda a, b: a + b), (lambda a, b: a - b),
+           (lambda a, b: a * b), (lambda a, b: a / b)]
+    flipped = 0
+    for sigma in permutations(range(1, n + 1)):
+        images = [c.permuted(sigma) for c in samples]
+        for c, image in zip(samples, images):
+            num = ctx.axis_image(c.frac.numer, sigma)
+            den = ctx.axis_image(c.frac.denom, sigma)
+            flipped += den.LC < 0
+            want = ctx.normal(num, den)
+            assert (image.frac.numer, image.frac.denom) \
+                == (want.numer, want.denom), (sigma, c)
+            assert image.permuted(_inverse(sigma)).frac == c.frac
+            assert c.dt().permuted(sigma).frac == image.dt().frac
+            for k in range(1, n + 1):
+                assert c.dx(k).permuted(sigma).frac \
+                    == image.dx(sigma[k - 1]).frac, (sigma, k, c)
+        if sigma not in [catalog._axis_map(n, i) for i in range(2, n + 1)]:
+            continue
+        for (a, sa) in zip(samples, images):
+            for (b, sb) in zip(samples, images):
+                for k, op in enumerate(ops):
+                    if k == 3 and b.is_zero():
+                        continue
+                    assert op(a, b).permuted(sigma).frac \
+                        == op(sa, sb).frac, (sigma, k, a, b)
+    assert flipped
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_axis_map_commutes_with_compose(n):
+    rng = random.Random(5)
+    ctx = CoeffContext(n)
+    x1, x2 = ctx.x(1), ctx.x(2)
+    ops = [random_op(ctx, rng) for _ in range(3)] + [
+        catalog._N2(ctx, 2, 1), catalog._field(ctx, "Vbar", (0,), 2),
+        catalog._field(ctx, "L", (0, 1), 1),
+        DiffOp.dx(ctx, 2).scaled(ctx.r() / (x1 - x2))]
+    for sigma in permutations(range(1, n + 1)):
+        for k in range(1, n + 1):
+            assert _forms(DiffOp.dx(ctx, k).permuted(sigma)) \
+                == _forms(DiffOp.dx(ctx, sigma[k - 1]))
+        for a in ops:
+            assert _forms(a.permuted(sigma).permuted(_inverse(sigma))) \
+                == _forms(a)
+            for b in ops:
+                assert _forms(compose(a, b).permuted(sigma)) \
+                    == _forms(compose(a.permuted(sigma),
+                                      b.permuted(sigma))), (sigma, a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -388,14 +458,17 @@ def test_catalog_row_counts():
 
 
 def test_catalog_span_solutions_are_exact(monkeypatch):
+    # every system a square row uses, eliminated on axis 1 or carried over
+    # from axis 1 by the axis map, solves its own target exactly
     systems = []
+    real = catalog._square_solution
 
-    def recording(target, basis):
-        weights, nulls = span_decompose(target, basis)
-        systems.append((target, basis, weights, nulls))
-        return weights, nulls
+    def recording(*args):
+        system = real(*args)
+        systems.append(system)
+        return system
 
-    monkeypatch.setattr(catalog, "span_decompose", recording)
+    monkeypatch.setattr(catalog, "_square_solution", recording)
     rows = catalog_verify(2, 2)
     assert all(row.ok for row in rows)
     assert len(systems) == 6
@@ -411,6 +484,54 @@ def test_catalog_span_solutions_are_exact(monkeypatch):
             for v, op in zip(vec, basis):
                 combo = combo + op.scaled(v)
             assert combo.is_zero()
+
+
+def _count_eliminations(monkeypatch):
+    calls = []
+    real = catalog.span_decompose
+    monkeypatch.setattr(catalog, "span_decompose",
+                        lambda target, basis:
+                        calls.append(len(basis)) or real(target, basis))
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_catalog_eliminates_one_system_per_family(m, n, monkeypatch):
+    # one elimination for each of the three cone normal-field families;
+    # the other axes take the axis-1 solution through the axis map
+    calls = _count_eliminations(monkeypatch)
+    rows = catalog_verify(m, n)
+    assert all(row.ok for row in rows)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("change", [None, "swap", "perturb"])
+def test_square_system_off_the_image_is_eliminated(change, monkeypatch):
+    ctx, m = CoeffContext(2), 2
+    alphabet = catalog._square_alphabet(ctx, m)
+    target1, basis1 = catalog._square_system(catalog._N1(ctx, m, 1), 1,
+                                             *alphabet)
+    first = (target1, basis1) + span_decompose(target1, basis1)
+    target, basis = catalog._square_system(catalog._N1(ctx, m, 2), 2,
+                                           *alphabet)
+    if change == "swap":
+        basis[0], basis[1] = basis[1], basis[0]
+    elif change == "perturb":
+        # no alphabet product has a zeroth-order term
+        target = target + DiffOp.from_coeff(ctx.x(1))
+    r, tp = ctx.r(), ctx.t_pow
+    c1 = ctx.rational(2 * (m + 2)) * tp(m) * r \
+        / (ctx.rational((m + 2) ** 2) * r ** 2 - ctx.rational(4)
+           * tp(2 * m + 4))
+    calls = _count_eliminations(monkeypatch)
+    system = catalog._square_solution(target, basis, first, (2, 1))
+    assert len(calls) == (0 if change is None else 1)
+    direct = (target, basis) + span_decompose(target, basis)
+    assert str(system[2:]) == str(direct[2:])
+    row = catalog._square_decomp_row("row", system, c1)
+    assert row == catalog._square_decomp_row("row", direct, c1)
+    assert row.ok == (change != "perturb")
 
 
 # (name, status, residual_terms, expected) of every row, as recorded from the
