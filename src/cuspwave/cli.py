@@ -41,10 +41,7 @@ from .linear_solver import (
 )
 from .probe import (
     conormal_scan,
-    estimate_catalog,
-    export_fit_csv,
-    export_ridge_csv,
-    export_scan_csv,
+    decay_exponent,
     fit_power_law,
     ridge_extract,
 )
@@ -108,18 +105,19 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve(args, schema, defaults) -> dict:
-    """Merge defaults, config file values and explicit flags, typed."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args, keys) -> dict:
+    """Merge the defaults of keys (key -> (type, default)), config file
+    values and explicit flags, typed."""
+    resolved = {key: default for key, (_, default) in keys.items()}
+    if args.config:
         for key, value in _read_config_file(args.config).items():
-            if key not in schema:
+            if key not in keys:
                 raise ParameterError("unknown config key %r" % key)
-            resolved[key] = schema[key](value)
-    for key in schema:
-        flag = getattr(args, key, None)
+            resolved[key] = keys[key][0](value)
+    for key, (kind, _) in keys.items():
+        flag = getattr(args, key)
         if flag is not None:
-            resolved[key] = schema[key](flag)
+            resolved[key] = kind(flag)
     return resolved
 
 
@@ -129,6 +127,11 @@ def _write_manifest(directory, command, cfg) -> None:
         fh.write("command = %s\n" % command)
         for key in sorted(cfg):
             fh.write("%s = %s\n" % (key, cfg[key]))
+
+
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _build_grid(cfg) -> Grid:
@@ -160,28 +163,40 @@ def _nonlinearity(cfg) -> NonlinearitySpec:
 
 
 def _parse_s_list(cfg):
-    text = str(cfg.get("s_list", "0")).strip()
-    return tuple(float(s) for s in text.split(","))
+    s_list = tuple(float(s) for s in str(cfg["s_list"]).split(","))
+    if not np.all(np.isfinite(s_list)):
+        raise ParameterError("--s-list entries must be finite, got %r"
+                             % cfg["s_list"])
+    return s_list
 
 
 # -- solve ----------------------------------------------------------------
 
-_SOLVE_SCHEMA = {
-    "m": int, "m1": int, "m2": int, "n": int, "N": int, "L": float,
-    "T": float, "n_t": int, "max_iters": int, "tol": float, "s_mon": float,
-    "data": str, "data_dt": str, "data_2": str, "data_3": str,
-    "f_coefficients": str, "s_list": str, "out": str,
+# each subcommand's keys: key -> (type, default), one --flag per key
+_SOLVE_KEYS = {
+    "m": (int, 1), "m1": (int, 2), "m2": (int, 1), "n": (int, 1),
+    "N": (int, 64), "L": (float, np.pi), "T": (float, 0.5),
+    "n_t": (int, 65), "max_iters": (int, 40), "tol": (float, 1e-10),
+    "s_mon": (float, 0.0), "data": (str, ""), "data_dt": (str, ""),
+    "data_2": (str, ""), "data_3": (str, ""), "f_coefficients": (str, ""),
+    "s_list": (str, "0"), "out": (str, "run"),
 }
-_SOLVE_DEFAULTS = {
-    "m": 1, "m1": 2, "m2": 1, "n": 1, "N": 64, "L": np.pi, "T": 0.5,
-    "n_t": 65, "max_iters": 40, "tol": 1e-10, "s_mon": 0.0,
-    "data": "", "data_dt": "", "data_2": "", "data_3": "",
-    "f_coefficients": "", "s_list": "0", "out": "run",
-}
+
+
+def _picard_rows(report) -> list:
+    """picard.csv: one row per step; ratio d_i / d_(i-1) is empty on row 0
+    and where d_(i-1) is 0."""
+    ds = report.iterate_distances
+    rows = [["iteration", "distance", "ratio", "wall_seconds"]]
+    for i, (d, wall) in enumerate(zip(ds, report.wall_times)):
+        ratio = repr(d / ds[i - 1]) if i and ds[i - 1] else ""
+        rows.append([i, repr(d), ratio, repr(wall)])
+    return rows
 
 
 def cmd_solve(args) -> int:
-    cfg = _resolve(args, _SOLVE_SCHEMA, _SOLVE_DEFAULTS)
+    cfg = _resolve(args, _SOLVE_KEYS)
+    s_list = _parse_s_list(cfg)
     kind = args.kind
     grid = _build_grid(cfg)
     pic = PicardConfig(T=float(cfg["T"]), n_t=int(cfg["n_t"]),
@@ -212,63 +227,63 @@ def cmd_solve(args) -> int:
             int(cfg["m1"]), int(cfg["m2"]), _nonlinearity(cfg),
             phi0, phi1, data_or_zero("data_2"), data_or_zero("data_3"), pic)
     _write_manifest(out, "solve %s" % kind, cfg)
-    export_trajectory(out, traj, s_list=_parse_s_list(cfg))
+    export_trajectory(out, traj, s_list=s_list)
     if report is not None:
-        report.write_manifest(os.path.join(out, "picard.csv"))
+        _write_csv(os.path.join(out, "picard.csv"), _picard_rows(report))
         require_converged(report)
     return EXIT_OK
 
 
 # -- probe ----------------------------------------------------------------
 
-_PROBE_SCHEMA = {
-    "traj": str, "m": int, "threshold": float, "depth": int, "s": float,
-    "fields": str, "out": str,
-}
-_PROBE_DEFAULTS = {
-    "traj": "run", "m": 1, "threshold": 0.5, "depth": 1, "s": 0.0,
-    "fields": "V0", "out": "probe",
+_PROBE_KEYS = {
+    "traj": (str, "run"), "m": (int, 1), "threshold": (float, 0.5),
+    "depth": (int, 1), "s": (float, 0.0), "fields": (str, "V0"),
+    "out": (str, "probe"),
 }
 
 
 def cmd_probe(args) -> int:
-    cfg = _resolve(args, _PROBE_SCHEMA, _PROBE_DEFAULTS)
+    cfg = _resolve(args, _PROBE_KEYS)
     traj = load_trajectory(str(cfg["traj"]))
     fields = parse_fields(cfg["fields"], int(cfg["m"]), traj.grid.n)
+    s = float(cfg["s"])
     # nothing is written until the ridge and the scan (which checks the
     # depth) have both succeeded
     points = ridge_extract(traj, threshold=float(cfg["threshold"]))
-    table = conormal_scan(traj, fields, depth=int(cfg["depth"]),
-                          s=float(cfg["s"]))
+    table = conormal_scan(traj, fields, depth=int(cfg["depth"]), s=s)
     out = str(cfg["out"])
     _write_manifest(out, "probe", cfg)
-    export_ridge_csv(os.path.join(out, "ridge.csv"), points)
-    export_scan_csv(os.path.join(out, "scan.csv"), table, float(cfg["s"]))
+    ridge = os.path.join(out, "ridge.csv")
+    _write_csv(ridge, [["t", "coords", "strength"]] + [
+        [repr(t), " ".join(repr(x) for x in xs), repr(strength)]
+        for t, xs, strength in points])
+    with open(ridge + ".gp", "w") as fh:
+        fh.write('set datafile separator ","\n'
+                 'plot "%s" using 1:2 with points title "ridge"\n' % ridge)
+    _write_csv(os.path.join(out, "scan.csv"), [["word", "s", "sup_norm"]] + [
+        [word or "(id)", repr(s), repr(norm)] for word, norm in table.items()])
     return EXIT_OK
 
 
 # -- rates ----------------------------------------------------------------
 
-_RATES_SCHEMA = {
-    "m": int, "s1": float, "N": int, "L": float, "t_lo": float,
-    "t_hi": float, "n_t": int, "width": float, "out": str,
-}
 # s1 unset means the critical index m / (2(m+2)); an explicit 0 stays 0
-_RATES_DEFAULTS = {
-    "m": 1, "s1": None, "N": 1024, "L": np.pi, "t_lo": 0.3, "t_hi": 3.0,
-    "n_t": 17, "width": 0.5, "out": "rates",
+_RATES_KEYS = {
+    "m": (int, 1), "s1": (float, None), "N": (int, 1024), "L": (float, np.pi),
+    "t_lo": (float, 0.3), "t_hi": (float, 3.0), "n_t": (int, 17),
+    "width": (float, 0.5), "out": (str, "rates"),
 }
 
 
 def cmd_rates(args) -> int:
-    cfg = _resolve(args, _RATES_SCHEMA, _RATES_DEFAULTS)
+    cfg = _resolve(args, _RATES_KEYS)
     m = int(cfg["m"])
     if cfg["s1"] is None:
         cfg["s1"] = m / (2 * (m + 2))
     s1 = float(cfg["s1"])
     if not float(cfg["width"]) > 0:
         raise ParameterError("rates needs a positive --width")
-    entry = estimate_catalog(m)[0]
     grid = Grid(1, (int(cfg["N"]),), float(cfg["L"]))
     x = grid.coords()[0]
     jump = np.where(x >= 0, 1.0, -1.0) * np.exp(-(x / float(cfg["width"])) ** 2)
@@ -281,21 +296,24 @@ def cmd_rates(args) -> int:
     fit = fit_power_law(times, sobolev_norm(traj, s1 + 1.0)[1:])
     out = str(cfg["out"])
     _write_manifest(out, "rates", cfg)
-    export_fit_csv(os.path.join(out, "fits.csv"), [entry], [fit])
+    _write_csv(os.path.join(out, "fits.csv"), [
+        ["lemma", "expected", "fitted", "r2"],
+        ["homogeneous-derivative-loss", repr(decay_exponent(m)),
+         repr(fit.exponent), repr(fit.r2)]])
     return EXIT_OK
 
 
 # -- opalg ----------------------------------------------------------------
 
-_OPALG_SCHEMA = {"m": int, "n": int, "pair": str, "out": str}
-_OPALG_DEFAULTS = {"m": 1, "n": 2, "pair": "", "out": ""}
+_OPALG_KEYS = {"m": (int, 1), "n": (int, 2), "pair": (str, ""),
+               "out": (str, "")}
 
 
 def cmd_opalg(args) -> int:
     # imported here so that the numeric commands do not load sympy
     from .opalg import catalog_verify
 
-    cfg = _resolve(args, _OPALG_SCHEMA, _OPALG_DEFAULTS)
+    cfg = _resolve(args, _OPALG_KEYS)
     pair = str(cfg["pair"]).strip()
     if pair:
         parts = pair.split(",")
@@ -306,17 +324,14 @@ def cmd_opalg(args) -> int:
         selector = int(cfg["m"])
     rows = catalog_verify(selector, int(cfg["n"]))
     out = str(cfg["out"]).strip()
-    writer = csv.writer(sys.stdout)
     lines = [["name", "status", "residual_terms", "expected", "ok", "detail"]]
-    for row in rows:
-        lines.append([row.name, row.status, row.residual_terms,
-                      row.expected, row.ok, row.detail])
+    lines += [[row.name, row.status, row.residual_terms, row.expected,
+               row.ok, row.detail] for row in rows]
     if out:
         _write_manifest(out, "opalg verify", cfg)
-        with open(os.path.join(out, "catalog.csv"), "w", newline="") as fh:
-            csv.writer(fh).writerows(lines)
+        _write_csv(os.path.join(out, "catalog.csv"), lines)
     else:
-        writer.writerows(lines)
+        csv.writer(sys.stdout).writerows(lines)
     checked = [r for r in rows if r.expected != "asserted"]
     failed = [r for r in checked if not r.ok]
     asserted = len(rows) - len(checked)
@@ -330,14 +345,12 @@ def cmd_opalg(args) -> int:
 
 # -- data -----------------------------------------------------------------
 
-_DATA_SCHEMA = {"spec": str, "n": int, "N": int, "L": float, "out": str,
-                "preview": int}
-_DATA_DEFAULTS = {"spec": "", "n": 1, "N": 64, "L": np.pi, "out": "data",
-                  "preview": 0}
+_DATA_KEYS = {"spec": (str, ""), "n": (int, 1), "N": (int, 64),
+              "L": (float, np.pi), "out": (str, "data"), "preview": (int, 0)}
 
 
 def cmd_data(args) -> int:
-    cfg = _resolve(args, _DATA_SCHEMA, _DATA_DEFAULTS)
+    cfg = _resolve(args, _DATA_KEYS)
     path = str(cfg["spec"]).strip()
     if not path:
         raise ParameterError("data command needs --spec")
@@ -358,10 +371,17 @@ def cmd_data(args) -> int:
 
 # -- entry point ----------------------------------------------------------
 
-def _add_schema_flags(parser, schema):
-    for key in schema:
-        parser.add_argument("--%s" % key.replace("_", "-"), dest=key,
-                            default=None)
+# name, help, positional argument (name, choices) or None, keys, handler
+_COMMANDS = (
+    ("solve", "run a solver",
+     ("kind", ("linear", "second", "third", "fourth")), _SOLVE_KEYS,
+     cmd_solve),
+    ("probe", "analyze a stored trajectory", None, _PROBE_KEYS, cmd_probe),
+    ("rates", "fit decay rates", None, _RATES_KEYS, cmd_rates),
+    ("opalg", "verify operator identities", ("action", ("verify",)),
+     _OPALG_KEYS, cmd_opalg),
+    ("data", "generate or preview initial data", None, _DATA_KEYS, cmd_data),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,34 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="pseudospectral solves and exact operator checks for "
                     "degenerate hyperbolic equations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run a solver")
-    p_solve.add_argument("kind",
-                         choices=("linear", "second", "third", "fourth"))
-    p_solve.add_argument("--config", default=None)
-    _add_schema_flags(p_solve, _SOLVE_SCHEMA)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_probe = sub.add_parser("probe", help="analyze a stored trajectory")
-    p_probe.add_argument("--config", default=None)
-    _add_schema_flags(p_probe, _PROBE_SCHEMA)
-    p_probe.set_defaults(func=cmd_probe)
-
-    p_rates = sub.add_parser("rates", help="fit decay rates")
-    p_rates.add_argument("--config", default=None)
-    _add_schema_flags(p_rates, _RATES_SCHEMA)
-    p_rates.set_defaults(func=cmd_rates)
-
-    p_opalg = sub.add_parser("opalg", help="verify operator identities")
-    p_opalg.add_argument("action", choices=("verify",))
-    p_opalg.add_argument("--config", default=None)
-    _add_schema_flags(p_opalg, _OPALG_SCHEMA)
-    p_opalg.set_defaults(func=cmd_opalg)
-
-    p_data = sub.add_parser("data", help="generate or preview initial data")
-    p_data.add_argument("--config", default=None)
-    _add_schema_flags(p_data, _DATA_SCHEMA)
-    p_data.set_defaults(func=cmd_data)
+    for name, help_text, positional, keys, handler in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            command.add_argument(positional[0], choices=positional[1])
+        command.add_argument("--config")
+        for key in keys:
+            command.add_argument("--" + key.replace("_", "-"), dest=key)
+        command.set_defaults(func=handler)
     return parser
 
 

@@ -13,10 +13,9 @@ from .errors import DomainError, ParameterError, ParseError
 from .spectral import Field, Grid
 
 
-def bump(r, width, amplitude=1.0, center=0.0):
+def bump(r, width, amplitude=1.0):
     """Smooth compactly supported bump exp(1 - 1/(1 - (r/w)^2)) on |r|<w."""
-    r = np.asarray(r, dtype=float)
-    s = (r - center) / width
+    s = np.asarray(r, dtype=float) / width
     out = np.zeros_like(s)
     inside = np.abs(s) < 1.0
     out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
@@ -29,7 +28,6 @@ class BumpSpec:
 
     amplitude: float = 1.0
     width: float = 1.0
-    center: tuple = ()
 
     def __post_init__(self):
         if not np.isfinite(self.amplitude):
@@ -38,17 +36,15 @@ class BumpSpec:
             raise ParameterError(f"bump width must be positive and finite, got {self.width}")
 
     def sample(self, coords) -> np.ndarray:
-        c = self.center if self.center else (0.0,) * len(coords)
-        if len(c) != len(coords):
-            raise ParameterError("bump center dimension does not match grid")
-        r2 = sum((x - ci) ** 2 for x, ci in zip(coords, c))
+        r2 = sum(x ** 2 for x in coords)
         return bump(np.sqrt(r2), self.width, self.amplitude)
 
 
 @dataclass(frozen=True)
 class AngularTerm:
-    """One term amplitude * cos(k*theta + phase) of an angular profile (n=2),
-    or amplitude * sign-symmetric monomial x1/|x| for general n via k=1."""
+    """One term amplitude * cos(k*theta + phase) of an angular profile with
+    theta = atan2(x2, x1), or 0 and pi by the sign of x1 in 1-D: so k=1
+    gives x1/sqrt(x1^2 + x2^2), which in 3-D is not x1/|x|."""
 
     k: int
     amplitude: float = 1.0
@@ -75,6 +71,11 @@ class InitialDataSpec:
             raise ParameterError("smooth data needs a smooth component")
 
 
+def _origin(grid: Grid) -> tuple:
+    """Index of the grid point nearest x = 0."""
+    return tuple(np.argmin(np.abs(grid.axis_coords(a))) for a in range(grid.n))
+
+
 def _check_margin(spec_width, grid: Grid) -> None:
     if spec_width > grid.L / 2:
         warnings.warn(
@@ -98,7 +99,7 @@ def make_a1(spec: InitialDataSpec, grid: Grid) -> Field:
     coords = grid.coords()
     left = spec.left.sample(coords)
     right = spec.right.sample(coords)
-    origin = tuple(np.argmin(np.abs(grid.axis_coords(a))) for a in range(grid.n))
+    origin = _origin(grid)
     if abs(left[origin] - right[origin]) < 1e-14:
         warnings.warn("A1 components agree at x=0; the data carries no jump")
     _check_margin(max(spec.left.width, spec.right.width), grid)
@@ -130,7 +131,7 @@ def make_a2(spec: InitialDataSpec, grid: Grid) -> Field:
     coords = grid.coords()
     g, avg, r = _angular_profile(spec, coords)
     vals = g * spec.radial.sample(coords)
-    origin = tuple(np.argmin(np.abs(grid.axis_coords(a))) for a in range(grid.n))
+    origin = _origin(grid)
     if max(abs(float(grid.axis_coords(a)[origin[a]])) for a in range(grid.n)) > 1e-12:
         raise DomainError("A2 sampling needs the origin on the grid")
     vals[origin] = avg * spec.radial.sample(tuple(np.zeros(1) for _ in coords))[0]

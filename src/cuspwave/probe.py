@@ -5,7 +5,6 @@ and power-law rate fitting.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -303,17 +302,7 @@ def fit_power_law(ts, values) -> EstimateFit:
     return EstimateFit(float(slope), r2, float(intercept))
 
 
-# rate catalog --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    lemma: str
-    exponent: float
-    tolerance: float = 0.15
-
-
-def estimate_catalog(m: int):
+def decay_exponent(m: int) -> float:
     """Closed-form rate exponents at exponent m.
 
     homogeneous-derivative-loss: the H^(s1+1) norm of u = V1 phi for jump
@@ -325,37 +314,4 @@ def estimate_catalog(m: int):
     t^((m+2)(2 nu - 1)/4) = t^(-m/4).  Below it, and while the phase at
     the cutoff is small, the law does not hold.
     """
-    return [CatalogEntry("homogeneous-derivative-loss", -m / 4, tolerance=0.10)]
-
-
-# exports -------------------------------------------------------------------
-
-
-def export_ridge_csv(path, points):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "coords", "strength"])
-        for t, xs, strength in points:
-            w.writerow([repr(t), " ".join(repr(x) for x in xs), repr(strength)])
-    plot = str(path) + ".gp"
-    with open(plot, "w") as fh:
-        fh.write(
-            'set datafile separator ","\n'
-            f'plot "{path}" using 1:2 with points title "ridge"\n'
-        )
-
-
-def export_scan_csv(path, table, s: float):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["word", "s", "sup_norm"])
-        for word, norm in table.items():
-            w.writerow([word or "(id)", repr(s), repr(norm)])
-
-
-def export_fit_csv(path, entries, fits):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lemma", "expected", "fitted", "r2"])
-        for e, f in zip(entries, fits):
-            w.writerow([e.lemma, repr(e.exponent), repr(f.exponent), repr(f.r2)])
+    return -m / 4

@@ -93,31 +93,23 @@ class PicardConfig:
 @dataclass
 class PicardReport:
     iterate_distances: list = field(default_factory=list)
-    contraction_ratio: float = float("nan")
     converged: bool = False
-    iterations: int = 0
     wall_times: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterate_distances)
+
+    @property
+    def contraction_ratio(self) -> float:
+        """max d_i / d_(i-1) over i >= 2 with d_(i-1) > 0; NaN if none."""
+        ds = self.iterate_distances
+        ratios = [ds[i] / ds[i - 1] for i in range(2, len(ds)) if ds[i - 1] > 0]
+        return max(ratios) if ratios else float("nan")
 
     def record(self, distance: float, wall: float) -> None:
         self.iterate_distances.append(distance)
         self.wall_times.append(wall)
-        self.iterations += 1
-        ds = self.iterate_distances
-        ratios = [ds[i] / ds[i - 1] for i in range(2, len(ds)) if ds[i - 1] > 0]
-        if ratios:
-            self.contraction_ratio = max(ratios)
-
-    def write_manifest(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "distance", "ratio", "wall_seconds"])
-            prev = None
-            for i, (d, wt) in enumerate(zip(self.iterate_distances, self.wall_times)):
-                ratio = "" if not prev else repr(d / prev)
-                w.writerow([i, repr(d), ratio, repr(wt)])
-                prev = d
 
 
 def _sup_norm_distance(a: SpectralTrajectory, b: SpectralTrajectory, s: float) -> float:

@@ -1,9 +1,10 @@
 """End-to-end checks of the command-line front end.
 
-Covers exit codes, manifest echoing, JSON-lines error records and
-bit-for-bit reproducibility of CSV artifacts.
+Covers exit codes, manifest echoing, JSON-lines error records, the CSV
+artifacts and their bit-for-bit reproducibility, and the option surface.
 """
 
+import argparse
 import csv
 import filecmp
 import json
@@ -15,10 +16,9 @@ import numpy as np
 import pytest
 
 import cuspwave
-from cuspwave.cli import main
+from cuspwave.cli import _COMMANDS, _resolve, build_parser, main
 from cuspwave.errors import GridMismatchError
 from cuspwave.linear_solver import load_trajectory
-from cuspwave.probe import estimate_catalog
 
 
 @pytest.fixture()
@@ -110,6 +110,20 @@ class TestExitCodes:
         assert record["error"] == "ParameterError"
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("s_list, error", [("nan,inf", "ParameterError"),
+                                               ("0,inf", "ParameterError"),
+                                               ("0,,1", "ValueError")])
+    def test_solve_rejects_bad_s_list_before_solving(self, tmp_path,
+                                                     smooth_spec, capsys,
+                                                     s_list, error):
+        out = tmp_path / "run"
+        assert main(["solve", "linear", "--N", "16", "--n-t", "9",
+                     "--data", smooth_spec, "--s-list", s_list,
+                     "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == error
+        assert not out.exists()
+
     def test_missing_data_file_is_config_error(self, tmp_path):
         assert main(["solve", "linear", "--data",
                      str(tmp_path / "absent.txt"),
@@ -125,9 +139,16 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConvergenceError"
         with open(tmp_path / "stall" / "picard.csv", newline="") as fh:
-            distances = [float(r["distance"]) for r in csv.DictReader(fh)]
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["iteration", "distance", "ratio",
+                                     "wall_seconds"]
+        distances = [float(r["distance"]) for r in rows]
         assert record["iterations"] == len(distances) == 3
         assert record["distances"] == distances
+        # d_i / d_(i-1), empty on row 0
+        assert rows[0]["ratio"] == ""
+        assert float(rows[1]["ratio"]) == distances[1] / distances[0]
 
 
 class TestManifests:
@@ -182,10 +203,15 @@ class TestProbeAndRates:
         probe_dir = str(tmp_path / "probe")
         assert main(["probe", "--traj", run_dir, "--out", probe_dir,
                      "--fields", "V0,TDt"]) == 0
-        scan = open(os.path.join(probe_dir, "scan.csv")).read()
-        assert "V0" in scan and "TDt" in scan
-        assert os.path.exists(os.path.join(probe_dir, "ridge.csv"))
-        assert os.path.exists(os.path.join(probe_dir, "ridge.csv.gp"))
+        scan = open(os.path.join(probe_dir, "scan.csv")).read().splitlines()
+        assert scan[0] == "word,s,sup_norm"
+        assert [row.split(",")[0] for row in scan[1:]] == ["(id)", "V0", "TDt"]
+        ridge = os.path.join(probe_dir, "ridge.csv")
+        rows = open(ridge).read().splitlines()
+        assert rows[0] == "t,coords,strength" and len(rows) > 1
+        assert open(ridge + ".gp").read() == (
+            'set datafile separator ","\n'
+            'plot "%s" using 1:2 with points title "ridge"\n' % ridge)
 
     def test_probe_accepts_bracketed_field_indices(self, tmp_path,
                                                     smooth_spec):
@@ -297,8 +323,7 @@ class TestProbeAndRates:
         rows = open(os.path.join(out, "fits.csv")).read().splitlines()
         _, expected, fitted, _ = rows[1].split(",")
         assert float(expected) == -m / 4
-        tolerance = estimate_catalog(m)[0].tolerance
-        assert abs(float(fitted) - float(expected)) <= tolerance
+        assert abs(float(fitted) - float(expected)) <= 0.10
 
     def test_rates_rejects_zero_width(self, tmp_path, capsys):
         out = tmp_path / "rates"
@@ -313,7 +338,9 @@ class TestProbeAndRates:
         assert main(["rates", "--m", "1", "--N", "512", "--t-lo", "0.4",
                      "--t-hi", "3.0", "--n-t", "13", "--out", out]) == 0
         rows = open(os.path.join(out, "fits.csv")).read().splitlines()
-        _, expected, fitted, r2 = rows[1].split(",")
+        assert rows[0] == "lemma,expected,fitted,r2" and len(rows) == 2
+        lemma, expected, fitted, r2 = rows[1].split(",")
+        assert lemma == "homogeneous-derivative-loss"
         assert abs(float(fitted) - float(expected)) < 0.05
         assert float(r2) > 0.99
 
@@ -369,3 +396,51 @@ def test_cli_import_does_not_load_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# every subcommand's sorted option strings and its resolved defaults (the
+# run_manifest.txt echo of a run without flags; s1 = None means rates
+# takes the critical index)
+SURFACE = {
+    "solve": (["--L", "--N", "--T", "--config", "--data", "--data-2",
+               "--data-3", "--data-dt", "--f-coefficients", "--m", "--m1",
+               "--m2", "--max-iters", "--n", "--n-t", "--out", "--s-list",
+               "--s-mon", "--tol"],
+              ["L = 3.141592653589793", "N = 64", "T = 0.5", "data = ",
+               "data_2 = ", "data_3 = ", "data_dt = ", "f_coefficients = ",
+               "m = 1", "m1 = 2", "m2 = 1", "max_iters = 40", "n = 1",
+               "n_t = 65", "out = run", "s_list = 0", "s_mon = 0.0",
+               "tol = 1e-10"]),
+    "probe": (["--config", "--depth", "--fields", "--m", "--out", "--s",
+               "--threshold", "--traj"],
+              ["depth = 1", "fields = V0", "m = 1", "out = probe", "s = 0.0",
+               "threshold = 0.5", "traj = run"]),
+    "rates": (["--L", "--N", "--config", "--m", "--n-t", "--out", "--s1",
+               "--t-hi", "--t-lo", "--width"],
+              ["L = 3.141592653589793", "N = 1024", "m = 1", "n_t = 17",
+               "out = rates", "s1 = None", "t_hi = 3.0", "t_lo = 0.3",
+               "width = 0.5"]),
+    "opalg": (["--config", "--m", "--n", "--out", "--pair"],
+              ["m = 1", "n = 2", "out = ", "pair = "]),
+    "data": (["--L", "--N", "--config", "--n", "--out", "--preview",
+              "--spec"],
+             ["L = 3.141592653589793", "N = 64", "n = 1", "out = data",
+              "preview = 0", "spec = "]),
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    keys = {name: table for name, _, _, table, _ in _COMMANDS}
+    positional = {"solve": ["linear"], "opalg": ["verify"]}
+    assert sorted(commands) == sorted(SURFACE)
+    for name, command in commands.items():
+        flags = sorted(option for action in command._actions
+                       for option in action.option_strings
+                       if option not in ("-h", "--help"))
+        args = parser.parse_args([name] + positional.get(name, []))
+        cfg = _resolve(args, keys[name])
+        echo = ["%s = %s" % (key, cfg[key]) for key in sorted(cfg)]
+        assert (flags, echo) == SURFACE[name], name

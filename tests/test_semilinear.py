@@ -349,14 +349,15 @@ def test_config_validation():
             NonlinearitySpec(coefficients)
 
 
-def test_report_manifest(tmp_path):
+def test_report_derives_iterations_and_ratio():
     rep = PicardReport()
     rep.record(1.0, 0.1)
     rep.record(0.1, 0.1)
+    # the first ratio d_1 / d_0 does not count
+    assert rep.iterations == 2 and np.isnan(rep.contraction_ratio)
     rep.record(0.02, 0.1)
+    assert rep.iterations == 3
     assert rep.contraction_ratio == pytest.approx(0.2)
-    p = tmp_path / "picard.csv"
-    rep.write_manifest(p)
-    rows = p.read_text().strip().splitlines()
-    assert rows[0] == "iteration,distance,ratio,wall_seconds"
-    assert len(rows) == 4
+    rep.record(0.0, 0.1)
+    rep.record(0.5, 0.1)  # after a zero distance there is no ratio
+    assert rep.contraction_ratio == pytest.approx(0.2)
