@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cuspwave.cli import main
 from cuspwave.errors import DomainError, ParameterError
 from cuspwave.fields import VectorFieldId
 from cuspwave.probe import (
@@ -238,6 +239,24 @@ def test_fit_power_law_rejects_non_finite():
 
 def test_threshold_formulas():
     assert decay_exponent(2) == pytest.approx(-0.5)
+
+
+def test_exports(tmp_path):
+    # the ridge, the scan and the fit are exported by the CLI subcommands
+    spec = tmp_path / "smooth.txt"
+    spec.write_text("family = smooth\nsmooth_amp = 1.0\nsmooth_width = 0.4\n")
+    run, probe, rates = (str(tmp_path / d) for d in ("run", "probe", "rates"))
+    assert main(["solve", "linear", "--N", "16", "--n-t", "9",
+                 "--data", str(spec), "--out", run]) == 0
+    assert main(["probe", "--traj", run, "--out", probe,
+                 "--fields", "TDt"]) == 0
+    assert (tmp_path / "probe" / "ridge.csv").exists()
+    assert (tmp_path / "probe" / "ridge.csv.gp").exists()
+    text = (tmp_path / "probe" / "scan.csv").read_text()
+    assert "(id)" in text and "TDt" in text
+    assert main(["rates", "--N", "64", "--n-t", "7", "--out", rates]) == 0
+    assert len((tmp_path / "rates" / "fits.csv").read_text().strip()
+               .splitlines()) == 2
 
 
 # reference: Z u applied term by term in physical space --------------------
