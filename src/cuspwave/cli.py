@@ -105,20 +105,53 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve(args, keys) -> dict:
-    """Merge the defaults of keys (key -> (type, default)), config file
-    values and explicit flags, typed."""
+def _resolve(args) -> dict:
+    """Merge the defaults of the command's keys (args.keys, key -> (parser,
+    default)), config file values and explicit flags, each parsed once."""
+    keys = args.keys
     resolved = {key: default for key, (_, default) in keys.items()}
-    if args.config:
-        for key, value in _read_config_file(args.config).items():
-            if key not in keys:
-                raise ParameterError("unknown config key %r" % key)
-            resolved[key] = keys[key][0](value)
-    for key, (kind, _) in keys.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            resolved[key] = kind(flag)
+    texts = list(_read_config_file(args.config).items()) if args.config else []
+    texts += [(key, getattr(args, key)) for key in keys
+              if getattr(args, key) is not None]
+    for key, text in texts:
+        if key not in keys:
+            raise ParameterError("unknown config key %r" % key)
+        try:
+            resolved[key] = keys[key][0](text)
+        except ValueError as exc:
+            raise ParameterError("%s: cannot read %r (%s)"
+                                 % (key, text, exc)) from None
     return resolved
+
+
+class _Entries(tuple):
+    """The finite entries of a comma-separated value, each read by entry
+    (none for blank text); str() gives back the text, so the manifest echo
+    reads back as the same value."""
+
+    def __new__(cls, text, entry=float):
+        self = super().__new__(
+            cls, map(entry, text.split(",")) if text.strip() else ())
+        if not all(abs(x) < float("inf") for x in self):
+            raise ValueError("entries must be finite")
+        self.text = text
+        return self
+
+    def __str__(self):
+        return self.text
+
+
+def _s_list(text) -> _Entries:
+    if not text.strip():
+        raise ValueError("needs at least one index")
+    return _Entries(text)
+
+
+def _pair(text) -> _Entries:
+    pair = _Entries(text, int)
+    if len(pair) not in (0, 2):
+        raise ValueError("expects two integers, e.g. 3,1")
+    return pair
 
 
 def _write_manifest(directory, command, cfg) -> None:
@@ -135,8 +168,7 @@ def _write_csv(path, rows) -> None:
 
 
 def _build_grid(cfg) -> Grid:
-    n = int(cfg["n"])
-    return Grid(n, (int(cfg["N"]),) * n, float(cfg["L"]))
+    return Grid(cfg["n"], (cfg["N"],) * cfg["n"], cfg["L"])
 
 
 _MAKERS = {"A1": make_a1, "A2": make_a2, "smooth": make_smooth}
@@ -157,29 +189,44 @@ def _zero_field(grid) -> Field:
 
 
 def _nonlinearity(cfg) -> NonlinearitySpec:
-    text = str(cfg.get("f_coefficients", "")).strip()
-    coeffs = tuple(float(c) for c in text.split(",")) if text else ()
-    return NonlinearitySpec(coefficients=coeffs)
-
-
-def _parse_s_list(cfg):
-    s_list = tuple(float(s) for s in str(cfg["s_list"]).split(","))
-    if not np.all(np.isfinite(s_list)):
-        raise ParameterError("--s-list entries must be finite, got %r"
-                             % cfg["s_list"])
-    return s_list
+    return NonlinearitySpec(coefficients=tuple(cfg["f_coefficients"]))
 
 
 # -- solve ----------------------------------------------------------------
 
-# each subcommand's keys: key -> (type, default), one --flag per key
-_SOLVE_KEYS = {
-    "m": (int, 1), "m1": (int, 2), "m2": (int, 1), "n": (int, 1),
-    "N": (int, 64), "L": (float, np.pi), "T": (float, 0.5),
-    "n_t": (int, 65), "max_iters": (int, 40), "tol": (float, 1e-10),
-    "s_mon": (float, 0.0), "data": (str, ""), "data_dt": (str, ""),
-    "data_2": (str, ""), "data_3": (str, ""), "f_coefficients": (str, ""),
-    "s_list": (str, "0"), "out": (str, "run"),
+# each command's keys: key -> (parser of the key's text, default), one
+# --flag per key; a parser raises ValueError on text it cannot read
+_GRID_KEYS = {"n": (int, 1), "N": (int, 64), "L": (float, np.pi)}
+_SOLVE_COMMON = {**_GRID_KEYS, "T": (float, 0.5), "n_t": (int, 65),
+                 "data": (str, ""), "data_dt": (str, ""),
+                 "s_list": (_s_list, _s_list("0")), "out": (str, "run")}
+_PICARD_KEYS = {"max_iters": (int, 40), "tol": (float, 1e-10),
+                "s_mon": (float, 0.0),
+                "f_coefficients": (_Entries, _Entries(""))}
+_LINEAR_KEYS = {**_SOLVE_COMMON, "m": (int, 1)}
+_SECOND_KEYS = {**_LINEAR_KEYS, **_PICARD_KEYS}
+_THIRD_KEYS = {**_SECOND_KEYS, "data_2": (str, "")}
+_FOURTH_KEYS = {**_SOLVE_COMMON, **_PICARD_KEYS, "m1": (int, 2),
+                "m2": (int, 1), "data_2": (str, ""), "data_3": (str, "")}
+
+
+def _solve_linear(cfg, pic, phi0, phi1):
+    times = pic.times()
+    table = propagator_table(cfg["m"], times, phi0.grid.xi_norm())
+    return solve_homogeneous(table, phi0, phi1, times), None
+
+
+# kind -> (keys, solver(cfg, Picard config, *data) -> (trajectory, Picard
+# report or None)); the data are the kind's keys among data, data_dt,
+# data_2 and data_3, in that order
+_SOLVE_KINDS = {
+    "linear": (_LINEAR_KEYS, _solve_linear),
+    "second": (_SECOND_KEYS, lambda cfg, pic, *data: solve_second_order(
+        cfg["m"], _nonlinearity(cfg), *data, pic)),
+    "third": (_THIRD_KEYS, lambda cfg, pic, *data: solve_third_order(
+        cfg["m"], _nonlinearity(cfg), *data, pic)),
+    "fourth": (_FOURTH_KEYS, lambda cfg, pic, *data: solve_fourth_order(
+        cfg["m1"], cfg["m2"], _nonlinearity(cfg), *data, pic)),
 }
 
 
@@ -195,39 +242,19 @@ def _picard_rows(report) -> list:
 
 
 def cmd_solve(args) -> int:
-    cfg = _resolve(args, _SOLVE_KEYS)
-    s_list = _parse_s_list(cfg)
-    kind = args.kind
+    cfg = _resolve(args)
     grid = _build_grid(cfg)
-    pic = PicardConfig(T=float(cfg["T"]), n_t=int(cfg["n_t"]),
-                       max_iters=int(cfg["max_iters"]),
-                       tol=float(cfg["tol"]), s_mon=float(cfg["s_mon"]))
-
-    def data_or_zero(key):
-        path = str(cfg[key]).strip()
-        return _spectral_data(path, grid) if path else _zero_field(grid)
-
-    phi0 = data_or_zero("data")
-    phi1 = data_or_zero("data_dt")
-    out = str(cfg["out"])
-    report = None
-    if kind == "linear":
-        times = pic.times()
-        table = propagator_table(int(cfg["m"]), times, grid.xi_norm())
-        traj = solve_homogeneous(table, phi0, phi1, times)
-    elif kind == "second":
-        traj, report = solve_second_order(
-            int(cfg["m"]), _nonlinearity(cfg), phi0, phi1, pic)
-    elif kind == "third":
-        traj, report = solve_third_order(
-            int(cfg["m"]), _nonlinearity(cfg), phi0, phi1,
-            data_or_zero("data_2"), pic)
-    else:
-        traj, report = solve_fourth_order(
-            int(cfg["m1"]), int(cfg["m2"]), _nonlinearity(cfg),
-            phi0, phi1, data_or_zero("data_2"), data_or_zero("data_3"), pic)
-    _write_manifest(out, "solve %s" % kind, cfg)
-    export_trajectory(out, traj, s_list=s_list)
+    # linear reads only the time grid of it; the defaults fill the rest
+    pic = PicardConfig(**{key: cfg[key] for key in
+                          ("T", "n_t", "max_iters", "tol", "s_mon")
+                          if key in cfg})
+    paths = [cfg[key].strip() for key in
+             ("data", "data_dt", "data_2", "data_3") if key in cfg]
+    data = [_spectral_data(p, grid) if p else _zero_field(grid) for p in paths]
+    traj, report = _SOLVE_KINDS[args.kind][1](cfg, pic, *data)
+    out = cfg["out"]
+    _write_manifest(out, "solve %s" % args.kind, cfg)
+    export_trajectory(out, traj, s_list=cfg["s_list"])
     if report is not None:
         _write_csv(os.path.join(out, "picard.csv"), _picard_rows(report))
         require_converged(report)
@@ -244,15 +271,14 @@ _PROBE_KEYS = {
 
 
 def cmd_probe(args) -> int:
-    cfg = _resolve(args, _PROBE_KEYS)
-    traj = load_trajectory(str(cfg["traj"]))
-    fields = parse_fields(cfg["fields"], int(cfg["m"]), traj.grid.n)
-    s = float(cfg["s"])
+    cfg = _resolve(args)
+    traj = load_trajectory(cfg["traj"])
+    fields = parse_fields(cfg["fields"], cfg["m"], traj.grid.n)
     # nothing is written until the ridge and the scan (which checks the
     # depth) have both succeeded
-    points = ridge_extract(traj, threshold=float(cfg["threshold"]))
-    table = conormal_scan(traj, fields, depth=int(cfg["depth"]), s=s)
-    out = str(cfg["out"])
+    points = ridge_extract(traj, threshold=cfg["threshold"])
+    table = conormal_scan(traj, fields, depth=cfg["depth"], s=cfg["s"])
+    out = cfg["out"]
     _write_manifest(out, "probe", cfg)
     ridge = os.path.join(out, "ridge.csv")
     _write_csv(ridge, [["t", "coords", "strength"]] + [
@@ -262,7 +288,8 @@ def cmd_probe(args) -> int:
         fh.write('set datafile separator ","\n'
                  'plot "%s" using 1:2 with points title "ridge"\n' % ridge)
     _write_csv(os.path.join(out, "scan.csv"), [["word", "s", "sup_norm"]] + [
-        [word or "(id)", repr(s), repr(norm)] for word, norm in table.items()])
+        [word or "(id)", repr(cfg["s"]), repr(norm)]
+        for word, norm in table.items()])
     return EXIT_OK
 
 
@@ -277,24 +304,27 @@ _RATES_KEYS = {
 
 
 def cmd_rates(args) -> int:
-    cfg = _resolve(args, _RATES_KEYS)
-    m = int(cfg["m"])
+    cfg = _resolve(args)
+    m = cfg["m"]
     if cfg["s1"] is None:
         cfg["s1"] = m / (2 * (m + 2))
-    s1 = float(cfg["s1"])
-    if not float(cfg["width"]) > 0:
-        raise ParameterError("rates needs a positive --width")
-    grid = Grid(1, (int(cfg["N"]),), float(cfg["L"]))
+    for ok, rule in ((cfg["width"] > 0, "a positive --width"),
+                     (cfg["t_lo"] > 0, "a positive --t-lo"),
+                     (cfg["t_lo"] < cfg["t_hi"] < np.inf,
+                      "a finite --t-hi > --t-lo"),
+                     (cfg["n_t"] >= 5, "--n-t >= 5 for its fit")):
+        if not ok:
+            raise ParameterError("rates needs %s" % rule)
+    grid = Grid(1, (cfg["N"],), cfg["L"])
     x = grid.coords()[0]
-    jump = np.where(x >= 0, 1.0, -1.0) * np.exp(-(x / float(cfg["width"])) ** 2)
+    jump = np.where(x >= 0, 1.0, -1.0) * np.exp(-(x / cfg["width"]) ** 2)
     phi = dft_forward(Field(grid, jump))
-    times = np.geomspace(float(cfg["t_lo"]), float(cfg["t_hi"]),
-                         int(cfg["n_t"]))
+    times = np.geomspace(cfg["t_lo"], cfg["t_hi"], cfg["n_t"])
     all_times = np.concatenate(([0.0], times))
     traj = solve_homogeneous(propagator_table(m, all_times, grid.xi_norm()),
                              phi, _zero_field(grid), all_times)
-    fit = fit_power_law(times, sobolev_norm(traj, s1 + 1.0)[1:])
-    out = str(cfg["out"])
+    fit = fit_power_law(times, sobolev_norm(traj, cfg["s1"] + 1.0)[1:])
+    out = cfg["out"]
     _write_manifest(out, "rates", cfg)
     _write_csv(os.path.join(out, "fits.csv"), [
         ["lemma", "expected", "fitted", "r2"],
@@ -305,7 +335,8 @@ def cmd_rates(args) -> int:
 
 # -- opalg ----------------------------------------------------------------
 
-_OPALG_KEYS = {"m": (int, 1), "n": (int, 2), "pair": (str, ""),
+# m unset means 1 unless a pair is given; m and a pair together are an error
+_OPALG_KEYS = {"m": (int, None), "n": (int, 2), "pair": (_pair, _pair("")),
                "out": (str, "")}
 
 
@@ -313,17 +344,15 @@ def cmd_opalg(args) -> int:
     # imported here so that the numeric commands do not load sympy
     from .opalg import catalog_verify
 
-    cfg = _resolve(args, _OPALG_KEYS)
-    pair = str(cfg["pair"]).strip()
-    if pair:
-        parts = pair.split(",")
-        if len(parts) != 2:
-            raise ParameterError("--pair expects two integers, e.g. 3,1")
-        selector = (int(parts[0]), int(parts[1]))
-    else:
-        selector = int(cfg["m"])
-    rows = catalog_verify(selector, int(cfg["n"]))
-    out = str(cfg["out"]).strip()
+    cfg = _resolve(args)
+    if cfg["pair"] and cfg["m"] is not None:
+        raise ParameterError("opalg takes m or pair, not both")
+    if cfg["pair"]:
+        del cfg["m"]  # a pair run reads no m, so its manifest has none
+    elif cfg["m"] is None:
+        cfg["m"] = 1
+    rows = catalog_verify(tuple(cfg["pair"]) or cfg["m"], cfg["n"])
+    out = cfg["out"].strip()
     lines = [["name", "status", "residual_terms", "expected", "ok", "detail"]]
     lines += [[row.name, row.status, row.residual_terms, row.expected,
                row.ok, row.detail] for row in rows]
@@ -345,25 +374,25 @@ def cmd_opalg(args) -> int:
 
 # -- data -----------------------------------------------------------------
 
-_DATA_KEYS = {"spec": (str, ""), "n": (int, 1), "N": (int, 64),
-              "L": (float, np.pi), "out": (str, "data"), "preview": (int, 0)}
+_DATA_KEYS = {"spec": (str, ""), **_GRID_KEYS, "out": (str, "data"),
+              "preview": (int, 0)}
 
 
 def cmd_data(args) -> int:
-    cfg = _resolve(args, _DATA_KEYS)
-    path = str(cfg["spec"]).strip()
+    cfg = _resolve(args)
+    path = cfg["spec"].strip()
     if not path:
         raise ParameterError("data command needs --spec")
     spec = _read_data_spec(path)
     grid = _build_grid(cfg)
     field = _MAKERS[spec.family](spec, grid)
-    if int(cfg["preview"]):
+    if cfg["preview"]:
         print("family = %s" % spec.family)
         print("l2 = %r" % sobolev_norm(dft_forward(field), 0.0))
         print("extrema = %r %r" % (float(np.min(field.values.real)),
                                    float(np.max(field.values.real))))
         return EXIT_OK
-    out = str(cfg["out"])
+    out = cfg["out"]
     _write_manifest(out, "data", cfg)
     save_field(os.path.join(out, "data.cwgrid"), field)
     return EXIT_OK
@@ -371,16 +400,16 @@ def cmd_data(args) -> int:
 
 # -- entry point ----------------------------------------------------------
 
-# name, help, positional argument (name, choices) or None, keys, handler
+# name, help, handler, and the keys, or for a command with a positional
+# argument that argument's name and its keys per choice
 _COMMANDS = (
-    ("solve", "run a solver",
-     ("kind", ("linear", "second", "third", "fourth")), _SOLVE_KEYS,
-     cmd_solve),
-    ("probe", "analyze a stored trajectory", None, _PROBE_KEYS, cmd_probe),
-    ("rates", "fit decay rates", None, _RATES_KEYS, cmd_rates),
-    ("opalg", "verify operator identities", ("action", ("verify",)),
-     _OPALG_KEYS, cmd_opalg),
-    ("data", "generate or preview initial data", None, _DATA_KEYS, cmd_data),
+    ("solve", "run a solver", cmd_solve,
+     ("kind", {kind: keys for kind, (keys, _) in _SOLVE_KINDS.items()})),
+    ("probe", "analyze a stored trajectory", cmd_probe, _PROBE_KEYS),
+    ("rates", "fit decay rates", cmd_rates, _RATES_KEYS),
+    ("opalg", "verify operator identities", cmd_opalg,
+     ("action", {"verify": _OPALG_KEYS})),
+    ("data", "generate or preview initial data", cmd_data, _DATA_KEYS),
 )
 
 
@@ -390,14 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="pseudospectral solves and exact operator checks for "
                     "degenerate hyperbolic equations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, positional, keys, handler in _COMMANDS:
-        command = sub.add_parser(name, help=help_text)
-        if positional is not None:
-            command.add_argument(positional[0], choices=positional[1])
-        command.add_argument("--config")
-        for key in keys:
-            command.add_argument("--" + key.replace("_", "-"), dest=key)
-        command.set_defaults(func=handler)
+    # no abbreviated flags: an unread key must not pass for a read one
+    for name, help_text, handler, keys in _COMMANDS:
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        leaves = [(command, keys)]
+        if not isinstance(keys, dict):
+            positional, tables = keys
+            choices = command.add_subparsers(dest=positional, required=True)
+            leaves = [(choices.add_parser(choice, allow_abbrev=False), table)
+                      for choice, table in tables.items()]
+        for leaf, table in leaves:
+            leaf.add_argument("--config")
+            for key in table:
+                leaf.add_argument("--" + key.replace("_", "-"), dest=key)
+            leaf.set_defaults(func=handler, keys=table)
     return parser
 
 

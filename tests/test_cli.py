@@ -9,6 +9,9 @@ import csv
 import filecmp
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 import cuspwave
-from cuspwave.cli import _COMMANDS, _resolve, build_parser, main
+from cuspwave.cli import _COMMANDS, _SOLVE_KINDS, _resolve, build_parser, main
 from cuspwave.errors import GridMismatchError
 from cuspwave.linear_solver import load_trajectory
 
@@ -112,7 +115,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("s_list, error", [("nan,inf", "ParameterError"),
                                                ("0,inf", "ParameterError"),
-                                               ("0,,1", "ValueError")])
+                                               ("0,,1", "ParameterError")])
     def test_solve_rejects_bad_s_list_before_solving(self, tmp_path,
                                                      smooth_spec, capsys,
                                                      s_list, error):
@@ -333,6 +336,20 @@ class TestProbeAndRates:
         assert record["error"] == "ParameterError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, flag", [(["--t-lo", "0"], "--t-lo"),
+                                           (["--t-lo", "-1"], "--t-lo"),
+                                           (["--t-hi", "0.3"], "--t-hi"),
+                                           (["--t-hi", "inf"], "--t-hi"),
+                                           (["--n-t", "4"], "--n-t")])
+    def test_rates_rejects_bad_time_window_before_solving(self, tmp_path,
+                                                         capsys, bad, flag):
+        out = tmp_path / "rates"
+        assert main(["rates", "--N", "8", "--out", str(out)] + bad) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParameterError"
+        assert flag in record["message"]
+        assert not out.exists()
+
     def test_rates_fit_matches_expected_exponent(self, tmp_path):
         out = str(tmp_path / "rates")
         assert main(["rates", "--m", "1", "--N", "512", "--t-lo", "0.4",
@@ -358,6 +375,36 @@ class TestOpalg:
     def test_verify_pair_selection(self, tmp_path):
         assert main(["opalg", "verify", "--pair", "3,1", "--n", "2",
                      "--out", str(tmp_path / "op")]) == 0
+
+    @pytest.mark.parametrize("m_from, pair_from", [("flag", "flag"),
+                                                   ("config", "config"),
+                                                   ("config", "flag")])
+    def test_verify_rejects_m_with_pair(self, tmp_path, capsys, m_from,
+                                        pair_from):
+        # the pair would silently override m, an out-of-range one included
+        values = {"m": "9", "pair": "3,1"}
+        sources = {"m": m_from, "pair": pair_from}
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join("%s = %s\n" % (key, values[key])
+                               for key in values if sources[key] == "config"))
+        argv = ["opalg", "verify", "--config", str(cfg), "--n", "1",
+                "--out", str(tmp_path / "op")]
+        for key in values:
+            if sources[key] == "flag":
+                argv += ["--" + key, values[key]]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParameterError"
+        assert "m" in record["message"] and "pair" in record["message"]
+        assert not (tmp_path / "op").exists()
+
+    def test_verify_pair_run_echoes_no_m(self, tmp_path):
+        out = tmp_path / "op"
+        assert main(["opalg", "verify", "--pair", "3,1", "--n", "1",
+                     "--out", str(out)]) == 0
+        manifest = (out / "run_manifest.txt").read_text().splitlines()
+        assert "pair = 3,1" in manifest
+        assert not any(line.startswith("m = ") for line in manifest)
 
     def test_verify_rejects_bad_dimension(self, capsys):
         assert main(["opalg", "verify", "--m", "1", "--n", "4"]) == 2
@@ -398,19 +445,45 @@ def test_cli_import_does_not_load_sympy():
     assert out.stdout.strip() == "False"
 
 
-# every subcommand's sorted option strings and its resolved defaults (the
-# run_manifest.txt echo of a run without flags; s1 = None means rates
-# takes the critical index)
+
+
+def _leaves():
+    """(command words, key table) of every subcommand and solve kind."""
+    for name, _, _, keys in _COMMANDS:
+        if isinstance(keys, dict):
+            yield [name], keys
+        else:
+            for choice, table in keys[1].items():
+                yield [name, choice], table
+
+
+# every subcommand's and solve kind's sorted option strings and its
+# resolved defaults (the run_manifest.txt echo of a run without flags;
+# s1 = None means rates takes the critical index, m = None means opalg
+# takes m = 1 unless a pair is given)
+_SOLVE_ECHO = ["L = 3.141592653589793", "N = 64", "T = 0.5", "data = ",
+               "data_dt = ", "n = 1", "n_t = 65", "out = run", "s_list = 0"]
+_PICARD_ECHO = ["f_coefficients = ", "max_iters = 40", "s_mon = 0.0",
+                "tol = 1e-10"]
 SURFACE = {
-    "solve": (["--L", "--N", "--T", "--config", "--data", "--data-2",
-               "--data-3", "--data-dt", "--f-coefficients", "--m", "--m1",
-               "--m2", "--max-iters", "--n", "--n-t", "--out", "--s-list",
-               "--s-mon", "--tol"],
-              ["L = 3.141592653589793", "N = 64", "T = 0.5", "data = ",
-               "data_2 = ", "data_3 = ", "data_dt = ", "f_coefficients = ",
-               "m = 1", "m1 = 2", "m2 = 1", "max_iters = 40", "n = 1",
-               "n_t = 65", "out = run", "s_list = 0", "s_mon = 0.0",
-               "tol = 1e-10"]),
+    "solve linear": (["--L", "--N", "--T", "--config", "--data", "--data-dt",
+                      "--m", "--n", "--n-t", "--out", "--s-list"],
+                     _SOLVE_ECHO + ["m = 1"]),
+    "solve second": (["--L", "--N", "--T", "--config", "--data", "--data-dt",
+                      "--f-coefficients", "--m", "--max-iters", "--n",
+                      "--n-t", "--out", "--s-list", "--s-mon", "--tol"],
+                     _SOLVE_ECHO + _PICARD_ECHO + ["m = 1"]),
+    "solve third": (["--L", "--N", "--T", "--config", "--data", "--data-2",
+                     "--data-dt", "--f-coefficients", "--m", "--max-iters",
+                     "--n", "--n-t", "--out", "--s-list", "--s-mon",
+                     "--tol"],
+                    _SOLVE_ECHO + _PICARD_ECHO + ["data_2 = ", "m = 1"]),
+    "solve fourth": (["--L", "--N", "--T", "--config", "--data", "--data-2",
+                      "--data-3", "--data-dt", "--f-coefficients", "--m1",
+                      "--m2", "--max-iters", "--n", "--n-t", "--out",
+                      "--s-list", "--s-mon", "--tol"],
+                     _SOLVE_ECHO + _PICARD_ECHO + ["data_2 = ", "data_3 = ",
+                                                   "m1 = 2", "m2 = 1"]),
     "probe": (["--config", "--depth", "--fields", "--m", "--out", "--s",
                "--threshold", "--traj"],
               ["depth = 1", "fields = V0", "m = 1", "out = probe", "s = 0.0",
@@ -420,8 +493,8 @@ SURFACE = {
               ["L = 3.141592653589793", "N = 1024", "m = 1", "n_t = 17",
                "out = rates", "s1 = None", "t_hi = 3.0", "t_lo = 0.3",
                "width = 0.5"]),
-    "opalg": (["--config", "--m", "--n", "--out", "--pair"],
-              ["m = 1", "n = 2", "out = ", "pair = "]),
+    "opalg verify": (["--config", "--m", "--n", "--out", "--pair"],
+                     ["m = None", "n = 2", "out = ", "pair = "]),
     "data": (["--L", "--N", "--config", "--n", "--out", "--preview",
               "--spec"],
              ["L = 3.141592653589793", "N = 64", "n = 1", "out = data",
@@ -431,16 +504,186 @@ SURFACE = {
 
 def test_cli_surface_is_pinned():
     parser = build_parser()
-    commands = next(a for a in parser._actions
+
+    def choices(command):
+        return next(a for a in command._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    keys = {name: table for name, _, _, table, _ in _COMMANDS}
-    positional = {"solve": ["linear"], "opalg": ["verify"]}
-    assert sorted(commands) == sorted(SURFACE)
-    for name, command in commands.items():
+
+    assert sorted(" ".join(words) for words, _ in _leaves()) == sorted(SURFACE)
+    for words, _ in _leaves():
+        command = parser
+        for word in words:
+            command = choices(command)[word]
         flags = sorted(option for action in command._actions
                        for option in action.option_strings
                        if option not in ("-h", "--help"))
-        args = parser.parse_args([name] + positional.get(name, []))
-        cfg = _resolve(args, keys[name])
+        cfg = _resolve(parser.parse_args(words))
         echo = ["%s = %s" % (key, cfg[key]) for key in sorted(cfg)]
-        assert (flags, echo) == SURFACE[name], name
+        expected_flags, expected_echo = SURFACE[" ".join(words)]
+        assert (flags, sorted(echo)) == (expected_flags,
+                                         sorted(expected_echo)), words
+
+
+def _last_record(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def _run_from_config(tmp_path, words, lines):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join("%s = %s\n" % line for line in lines))
+    return main(words + ["--config", str(cfg)])
+
+
+# a text that each key's parser cannot read; a str key reads any text
+_MALFORMED = {int: "1.5", float: "one"}
+_MALFORMED_LISTS = {"s_list": "0,,1", "f_coefficients": "0,x", "pair": "3,x"}
+_TYPED = [(words, key, _MALFORMED.get(parse, _MALFORMED_LISTS.get(key)))
+          for words, table in _leaves()
+          for key, (parse, _) in table.items() if parse is not str]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "words, key, text", _TYPED,
+    ids=["%s-%s" % ("-".join(words), key) for words, key, _ in _TYPED])
+def test_malformed_value_names_its_key(tmp_path, monkeypatch, capsys, words,
+                                       key, text, source):
+    assert text is not None, key  # a new list key needs a malformed text
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)  # every default --out is relative to it
+    if source == "flag":
+        code = main(words + ["--" + key.replace("_", "-"), text])
+    else:
+        code = _run_from_config(tmp_path, words, [(key, text)])
+    assert code == 2
+    record = _last_record(capsys)
+    assert record["error"] == "ParameterError"
+    assert record["message"].startswith(key + ": ")
+    assert repr(text) in record["message"]
+    assert os.listdir(cwd) == []
+
+
+_SOLVE_UNION = set().union(*(keys for keys, _ in _SOLVE_KINDS.values()))
+_UNREAD = [(kind, key) for kind, (keys, _) in _SOLVE_KINDS.items()
+           for key in sorted(_SOLVE_UNION - set(keys))]
+
+
+def test_each_solve_kind_has_only_the_keys_it_reads():
+    assert {kind: sorted(key for k, key in _UNREAD if k == kind)
+            for kind in _SOLVE_KINDS} == {
+        "linear": ["data_2", "data_3", "f_coefficients", "m1", "m2",
+                   "max_iters", "s_mon", "tol"],
+        "second": ["data_2", "data_3", "m1", "m2"],
+        "third": ["data_3", "m1", "m2"],
+        "fourth": ["m"]}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind, key", _UNREAD,
+                         ids=["%s-%s" % pair for pair in _UNREAD])
+def test_solve_rejects_a_key_its_kind_does_not_read(tmp_path, monkeypatch,
+                                                    capsys, kind, key,
+                                                    source):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if source == "flag":
+        # an argparse usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", kind, "--" + key.replace("_", "-"), "1"])
+        assert exc.value.code == 2
+    else:
+        assert _run_from_config(tmp_path, ["solve", kind], [(key, "1")]) == 2
+        record = _last_record(capsys)
+        assert record["error"] == "ParameterError"
+        assert record["message"] == "unknown config key %r" % key
+    assert os.listdir(cwd) == []
+
+
+def _artifacts(directory):
+    """Every file of a run directory, picard.csv without wall_seconds."""
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        data = open(os.path.join(directory, name), "rb").read()
+        if name == "picard.csv":
+            data = b"\n".join(line.rsplit(b",", 1)[0]
+                              for line in data.splitlines())
+        files[name] = data
+    return files
+
+
+_ROUND_TRIPS = {
+    "solve linear": ["--N", "16", "--n-t", "9", "--s-list", "0,1"],
+    "solve second": ["--N", "16", "--n-t", "9", "--T", "0.3",
+                     "--f-coefficients", "0,0,1"],
+    "solve third": ["--N", "16", "--n-t", "9", "--T", "0.3",
+                    "--f-coefficients", "0,0,1", "--data-2", "{spec}"],
+    "solve fourth": ["--N", "16", "--n-t", "9", "--T", "0.3", "--m1", "3",
+                     "--f-coefficients", "0,0,1", "--data-3", "{spec}"],
+    "probe": ["--traj", "{traj}", "--fields", "V0,TDt", "--depth", "2"],
+    "rates": ["--N", "64", "--n-t", "5", "--t-lo", "0.5", "--t-hi", "1.5"],
+    "opalg verify": ["--m", "2", "--n", "1"],
+    "opalg verify --pair": ["--pair", "3,1", "--n", "1"],
+    "data": ["--spec", "{spec}", "--N", "32"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIPS))
+def test_manifest_reads_back_as_config(tmp_path, smooth_spec, name):
+    """A run's manifest, without its command line, given back as --config
+    reproduces the same manifest and the same artifacts."""
+    traj = str(tmp_path / "traj")
+    assert main(["solve", "linear", "--N", "16", "--n-t", "9",
+                 "--data", smooth_spec, "--out", traj]) == 0
+    words = name.replace(" --pair", "").split()
+    flags = [arg.format(spec=smooth_spec, traj=traj)
+             for arg in _ROUND_TRIPS[name]]
+    if words[0] == "solve":
+        flags += ["--data", smooth_spec]
+    out = str(tmp_path / "out")
+    assert main(words + flags + ["--out", out]) == 0
+    first = _artifacts(out)
+    lines = first["run_manifest.txt"].decode().splitlines()
+    assert lines[0] == "command = %s" % " ".join(words)
+    config = tmp_path / "manifest.cfg"
+    config.write_text("\n".join(lines[1:]) + "\n")
+    shutil.rmtree(out)
+    assert main(words + ["--config", str(config)]) == 0
+    assert _artifacts(out) == first
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_commands():
+    """The `cuspwave ...` lines of README's command-line block."""
+    text = open(README).read().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ")
+            .splitlines() if line.startswith("cuspwave ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for words in commands:
+        args = build_parser().parse_args(words[1:])
+        assert args.func is not None
+
+
+def test_readme_solve_flag_table_matches_the_kinds():
+    """README's table of which flags each solve kind takes."""
+    rows = [line.split("|")[1:-1] for line in open(README)
+            if line.startswith("| `--")]
+    kinds = list(_SOLVE_KINDS)
+    seen = {}
+    for flags, *marks in rows:
+        for flag in re.findall(r"`--([A-Za-z0-9-]+)`", flags):
+            seen[flag.replace("-", "_")] = [kind for kind, mark
+                                            in zip(kinds, marks)
+                                            if mark.strip()]
+    seen.pop("config")
+    assert seen == {key: [kind for kind in kinds
+                          if key in _SOLVE_KINDS[kind][0]]
+                    for key in _SOLVE_UNION}
