@@ -27,12 +27,7 @@ from .errors import (
     QuadratureError,
 )
 from .fields import parse_fields
-from .initial_data import (
-    make_a1,
-    make_a2,
-    make_smooth,
-    parse_data_spec,
-)
+from .initial_data import FAMILIES, parse_data_spec, read_key_values
 from .linear_solver import (
     export_trajectory,
     load_trajectory,
@@ -66,8 +61,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_CONFIG_ERRORS = (CuspwaveError, FileNotFoundError, NotADirectoryError,
-                  ValueError)
+_CONFIG_ERRORS = (CuspwaveError, OSError, ValueError)
 _NUMERIC_ERRORS = (ConvergenceError, QuadratureError)
 
 
@@ -89,20 +83,10 @@ def _emit_error(exc) -> None:
     sys.stderr.write(json.dumps(record) + "\n")
 
 
-def _read_config_file(path) -> dict:
-    values = {}
+def _read(path, parse):
+    """parse(text, path) of the text file at path."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected key = value", line=lineno,
-                                 column=1, expected="key = value",
-                                 path=str(path))
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
-    return values
+        return parse(fh.read(), str(path))
 
 
 def _resolve(args) -> dict:
@@ -110,7 +94,8 @@ def _resolve(args) -> dict:
     default)), config file values and explicit flags, each parsed once."""
     keys = args.keys
     resolved = {key: default for key, (_, default) in keys.items()}
-    texts = list(_read_config_file(args.config).items()) if args.config else []
+    texts = [(key, entry[0]) for key, entry in
+             _read(args.config, read_key_values).items()] if args.config else []
     texts += [(key, getattr(args, key)) for key in keys
               if getattr(args, key) is not None]
     for key, text in texts:
@@ -171,17 +156,9 @@ def _build_grid(cfg) -> Grid:
     return Grid(cfg["n"], (cfg["N"],) * cfg["n"], cfg["L"])
 
 
-_MAKERS = {"A1": make_a1, "A2": make_a2, "smooth": make_smooth}
-
-
-def _read_data_spec(path):
-    with open(path) as fh:
-        return parse_data_spec(fh.read(), path=str(path))
-
-
-def _spectral_data(spec_path, grid) -> Field:
-    spec = _read_data_spec(spec_path)
-    return dft_forward(_MAKERS[spec.family](spec, grid))
+def _spectral_data(path, grid) -> Field:
+    spec = _read(path, parse_data_spec)
+    return dft_forward(FAMILIES[spec.family][0](spec, grid))
 
 
 def _zero_field(grid) -> Field:
@@ -383,9 +360,9 @@ def cmd_data(args) -> int:
     path = cfg["spec"].strip()
     if not path:
         raise ParameterError("data command needs --spec")
-    spec = _read_data_spec(path)
+    spec = _read(path, parse_data_spec)
     grid = _build_grid(cfg)
-    field = _MAKERS[spec.family](spec, grid)
+    field = FAMILIES[spec.family][0](spec, grid)
     if cfg["preview"]:
         print("family = %s" % spec.family)
         print("l2 = %r" % sobolev_norm(dft_forward(field), 0.0))

@@ -50,6 +50,11 @@ class AngularTerm:
     amplitude: float = 1.0
     phase: float = 0.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.amplitude) and np.isfinite(self.phase)):
+            raise ParameterError("angular amplitude and phase must be finite, "
+                                 f"got {self.amplitude} and {self.phase}")
+
 
 @dataclass(frozen=True)
 class InitialDataSpec:
@@ -138,51 +143,74 @@ def make_a2(spec: InitialDataSpec, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
-def parse_data_spec(text: str, path=None) -> InitialDataSpec:
-    """Plain-text key=value schema.
-
-    Keys: family; left_amp/left_width, right_amp/right_width (A1);
-    smooth_amp/smooth_width (smooth); radial_amp/radial_width and
-    angular = k:amp:phase[,k:amp:phase...] (A2).  '#' starts a comment.
-    Every ParseError carries path, the file the text came from.
-    """
-    kv = {}
-    where = {}  # key -> (line, column of its value)
+def read_key_values(text: str, path=None) -> dict:
+    """key -> (value, line, key column, value column) of each `key = value`
+    line of text.  '#' starts a comment; a line without '=' and a key given
+    twice are ParseErrors at their place in path, the file text came from."""
+    entries = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", line=lineno,
-                             column=1, expected="key=value", path=path)
-        k, v = (s.strip() for s in line.split("=", 1))
-        kv[k] = v
-        where[k] = (lineno, raw.find(v, raw.index("=")) + 1)
+            raise ParseError(f"expected key = value, got {line.strip()!r}", line=lineno,
+                             column=1, expected="key = value", path=path)
+        key, value = (s.strip() for s in line.split("=", 1))
+        at = raw.index(key) + 1
+        if key in entries:
+            raise ParseError(f"{key!r} given twice, first on line {entries[key][1]}",
+                             line=lineno, column=at, expected="each key once", path=path)
+        entries[key] = (value, lineno, at, raw.find(value, raw.index("=")) + 1)
+    return entries
 
-    fam = kv.get("family")
-    if fam is None:
-        raise ParseError("missing 'family' key", expected="family=...", path=path)
 
-    def bump_of(prefix, default_amp=1.0):
-        return BumpSpec(
-            amplitude=float(kv.get(f"{prefix}_amp", default_amp)),
-            width=float(kv.get(f"{prefix}_width", 1.0)),
-        )
+def _angular_terms(text) -> tuple:
+    """AngularTerms of k:amp:phase[,k:amp:phase...]."""
+    terms = []
+    for chunk in text.split(","):
+        parts = chunk.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"{chunk!r} is not k:amp:phase")
+        terms.append(AngularTerm(int(parts[0]), float(parts[1]), float(parts[2])))
+    return tuple(terms)
 
-    if fam == "A1":
-        return InitialDataSpec("A1", left=bump_of("left", 0.0), right=bump_of("right"))
-    if fam == "smooth":
-        return InitialDataSpec("smooth", smooth=bump_of("smooth"))
-    if fam == "A2":
-        terms = []
-        for chunk in kv.get("angular", "0:1:0").split(","):
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                line, column = where["angular"]
-                raise ParseError(f"bad angular term {chunk!r}", line=line, column=column,
-                                 expected="k:amp:phase", path=path)
-            terms.append(AngularTerm(int(parts[0]), float(parts[1]), float(parts[2])))
-        return InitialDataSpec("A2", radial=bump_of("radial"), angular=tuple(terms))
-    line, column = where["family"]
-    raise ParseError(f"unknown family {fam!r}", line=line, column=column,
-                     expected="A1|A2|smooth", path=path)
+
+def _bump_keys(component, amp="1.0") -> dict:
+    return {f"{component}_amp": (float, amp), f"{component}_width": (float, "1.0")}
+
+
+# family -> (maker, the keys its spec reads: key -> (parser of the key's
+# text, default text)); <component>_amp and <component>_width give the
+# BumpSpec of an InitialDataSpec component, angular gives its angular terms
+FAMILIES = {
+    "A1": (make_a1, {**_bump_keys("left", "0.0"), **_bump_keys("right")}),
+    "A2": (make_a2, {**_bump_keys("radial"), "angular": (_angular_terms, "0:1:0")}),
+    "smooth": (make_smooth, _bump_keys("smooth")),
+}
+
+
+def parse_data_spec(text: str, path=None) -> InitialDataSpec:
+    """The spec of a `key = value` text: family and the keys that FAMILIES
+    gives it.  An unknown family, a key the family does not read and a value
+    its key cannot read are ParseErrors at their place in path."""
+    entries = read_key_values(text, path)
+    if "family" not in entries:
+        raise ParseError("missing 'family' key", expected="family = ...", path=path)
+    family, line, _, column = entries.pop("family")
+    if family not in FAMILIES:
+        raise ParseError(f"unknown family {family!r}", line=line, column=column,
+                         expected="|".join(FAMILIES), path=path)
+    keys = FAMILIES[family][1]
+    values = {key: parse(default) for key, (parse, default) in keys.items()}
+    for key, (value, line, key_column, column) in entries.items():
+        if key not in keys:
+            raise ParseError(f"{family} data reads no key {key!r}", line=line,
+                             column=key_column, expected="|".join(keys), path=path)
+        try:
+            values[key] = keys[key][0](value)
+        except ValueError as exc:
+            raise ParseError(f"{key}: cannot read {value!r} ({exc})", line=line, column=column,
+                             expected=f"{key} = {keys[key][1]}", path=path) from None
+    bumps = {c: BumpSpec(values[c + "_amp"], values[c + "_width"])
+             for c in (key[:-len("_amp")] for key in keys if key.endswith("_amp"))}
+    return InitialDataSpec(family, angular=values.get("angular", ()), **bumps)

@@ -145,6 +145,10 @@ def load_trajectory(directory) -> SpectralTrajectory:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ParameterError("trajectory manifest %r is empty" % manifest)
+    for column in ("time", "file"):
+        if column not in rows[0]:
+            raise ParameterError("trajectory manifest %r has no %r column"
+                                 % (manifest, column))
     grid = None
     for i, row in enumerate(rows):
         f = load_field(os.path.join(directory, row["file"]), space="spectral")

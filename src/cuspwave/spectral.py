@@ -228,11 +228,14 @@ def load_field(path, space: str = "physical") -> Field:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise DomainError(f"{path}: not a CWGRID1 file")
-        (n,) = struct.unpack("<I", fh.read(4))
-        if n not in (1, 2, 3):
-            raise DomainError(f"{path}: bad dimension {n}")
-        sizes = struct.unpack(f"<{n}I", fh.read(4 * n))
-        (L,) = struct.unpack("<d", fh.read(8))
+        try:
+            (n,) = struct.unpack("<I", fh.read(4))
+            if n not in (1, 2, 3):
+                raise DomainError(f"{path}: bad dimension {n}")
+            sizes = struct.unpack(f"<{n}I", fh.read(4 * n))
+            (L,) = struct.unpack("<d", fh.read(8))
+        except struct.error:
+            raise DomainError(f"{path}: truncated header") from None
         count = int(np.prod(sizes))
         payload = fh.read(16 * count)
         if len(payload) != 16 * count:

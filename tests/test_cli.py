@@ -21,6 +21,7 @@ import pytest
 import cuspwave
 from cuspwave.cli import _COMMANDS, _SOLVE_KINDS, _resolve, build_parser, main
 from cuspwave.errors import GridMismatchError
+from cuspwave.initial_data import FAMILIES, parse_data_spec
 from cuspwave.linear_solver import load_trajectory
 
 
@@ -687,3 +688,167 @@ def test_readme_solve_flag_table_matches_the_kinds():
     assert seen == {key: [kind for kind in kinds
                           if key in _SOLVE_KINDS[kind][0]]
                     for key in _SOLVE_UNION}
+
+
+_FAMILY_KEYS = [(family, key) for family, (_, keys) in FAMILIES.items()
+                for key in keys]
+_MALFORMED_DATA = {"angular": "1:x:0"}  # every other data key reads a float
+
+
+def _data_run(route, spec, out):
+    """The argv that reads the data spec at spec through route."""
+    if route == "data":
+        return ["data", "--spec", spec, "--out", out]
+    return ["solve", "linear", "--N", "16", "--n-t", "9", "--data", spec,
+            "--out", out]
+
+
+@pytest.mark.parametrize("route", ["data", "solve"])
+@pytest.mark.parametrize("family, key", _FAMILY_KEYS,
+                         ids=["%s-%s" % pair for pair in _FAMILY_KEYS])
+def test_malformed_data_value_is_a_parse_error_at_its_place(
+        tmp_path, capsys, family, key, route):
+    text = _MALFORMED_DATA.get(key, "abc")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("family = %s\n# the bad line\n%s =  %s  # why\n"
+                    % (family, key, text))
+    out = tmp_path / "out"
+    assert main(_data_run(route, str(spec), str(out))) == 2
+    record = _last_record(capsys)
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith(key + ": ")
+    assert repr(text) in record["message"]
+    # the value's place: line 3, after "<key> =  "
+    assert (record["file"], record["line"], record["column"]) == (
+        str(spec), 3, len(key) + 5)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["spec", "config"])
+def test_key_given_twice_is_rejected_at_its_second_line(
+        tmp_path, monkeypatch, capsys, source):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)  # every default --out is relative to it
+    path = tmp_path / "twice.txt"
+    if source == "spec":
+        key = "left_amp"
+        path.write_text("family = A1\nleft_amp = 1.0\nright_amp = 2.0\n"
+                        "  left_amp = 1.0\n")
+        argv = ["data", "--spec", str(path)]
+    else:
+        key = "N"
+        path.write_text("N = 16\nn_t = 9\n  N = 16\n")
+        argv = ["solve", "linear", "--config", str(path)]
+    assert main(argv) == 2
+    record = _last_record(capsys)
+    assert record["error"] == "ParseError"
+    assert repr(key) in record["message"]
+    # the second line, at the key's column
+    assert (record["file"], record["line"], record["column"]) == (
+        str(path), 3 + (source == "spec"), 3)
+    assert os.listdir(cwd) == []
+
+
+def _cut_trajectory(directory, smooth_spec, cut):
+    """A solve's export directory, then cut(directory) to damage it."""
+    assert main(["solve", "linear", "--N", "16", "--n-t", "9",
+                 "--data", smooth_spec, "--out", directory]) == 0
+    cut(directory)
+    return directory
+
+
+def _drop_file_column(directory):
+    path = os.path.join(directory, "manifest.csv")
+    text = open(path).read()
+    open(path, "w").write(text.replace("time,file,", "time,name,", 1))
+
+
+def _cut_inside_header(directory):
+    path = os.path.join(directory, "snapshot_00000.cwgrid")
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:len(b"CWGRID1") + 6])
+
+
+# name -> (argv of a run whose input or output path it cannot use, given
+# tmp_path, a data spec and an existing regular file; the error it exits with)
+_BAD_PATHS = {
+    "config-is-a-directory": (lambda tmp, spec, file: [
+        "solve", "linear", "--config", str(tmp)], "IsADirectoryError"),
+    "data-is-a-directory": (lambda tmp, spec, file: [
+        "solve", "linear", "--data", str(tmp)], "IsADirectoryError"),
+    "solve-out-is-a-file": (lambda tmp, spec, file: [
+        "solve", "linear", "--N", "16", "--n-t", "9", "--data", spec,
+        "--out", file], "FileExistsError"),
+    "opalg-out-is-a-file": (lambda tmp, spec, file: [
+        "opalg", "verify", "--m", "1", "--n", "1", "--out", file],
+        "FileExistsError"),
+    "manifest-without-file-column": (lambda tmp, spec, file: [
+        "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
+                                           _drop_file_column)],
+        "ParameterError"),
+    "snapshot-cut-inside-its-header": (lambda tmp, spec, file: [
+        "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
+                                           _cut_inside_header)],
+        "DomainError"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_PATHS))
+def test_unusable_path_exits_two_with_a_record(tmp_path, monkeypatch, capsys,
+                                               smooth_spec, name):
+    argv_of, error = _BAD_PATHS[name]
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    argv = argv_of(tmp_path, smooth_spec, str(existing))
+    capsys.readouterr()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == error
+    assert existing.read_text() == ""
+    assert os.listdir(cwd) == []
+    if name == "manifest-without-file-column":
+        assert "manifest.csv" in record["message"]
+        assert "'file'" in record["message"]
+
+
+@pytest.mark.parametrize("route", ["preview", "solve"])
+@pytest.mark.parametrize("angular", ["1:nan:0", "1:inf:0", "1:1:nan",
+                                     "1:1:inf"])
+def test_non_finite_angular_term_exits_two_before_writing(
+        tmp_path, monkeypatch, capsys, angular, route):
+    spec = tmp_path / "a2.txt"
+    spec.write_text("family = A2\nangular = %s\n" % angular)
+    monkeypatch.chdir(tmp_path)
+    if route == "preview":
+        argv = ["data", "--spec", str(spec), "--n", "2", "--N", "16",
+                "--preview", "1"]
+    else:
+        argv = ["solve", "linear", "--n", "2", "--N", "16", "--n-t", "9",
+                "--data", str(spec), "--out", "run"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == (
+        "ParameterError")
+    assert os.listdir(tmp_path) == ["a2.txt"]
+
+
+def test_readme_data_spec_example_and_family_keys():
+    """README's data-spec example parses, and its table lists each family's
+    keys with their defaults as FAMILIES has them."""
+    text = open(README).read().split("### Data spec files", 1)[1]
+    text = text.split("\n## ", 1)[0]
+    example = re.search(r"```\n(.*?)```", text, re.S).group(1)
+    assert parse_data_spec(example).family == "A1"
+    listed = {family: dict(re.findall(r"`(\w+) = ([^`]*)`", cells))
+              for family, cells in re.findall(r"^\| `(\w+)` \| (.*) \|$",
+                                              text, re.M)}
+    assert listed == {family: {key: default for key, (_, default)
+                               in keys.items()}
+                      for family, (_, keys) in FAMILIES.items()}

@@ -3,6 +3,7 @@ import pytest
 
 from cuspwave.errors import DomainError, ParameterError, ParseError
 from cuspwave.initial_data import (
+    FAMILIES,
     AngularTerm,
     BumpSpec,
     InitialDataSpec,
@@ -189,3 +190,20 @@ def test_parse_data_spec():
             parse_data_spec(text, path="spec.txt")
         assert (ei.value.line, ei.value.column) == place
         assert ei.value.path == "spec.txt"
+
+
+_ALL_KEYS = set().union(*(keys for _, keys in FAMILIES.values()))
+# each family with every key of another family, and a misspelt key of none
+_FOREIGN = [(family, key) for family, (_, keys) in FAMILIES.items()
+            for key in sorted(_ALL_KEYS - set(keys)) + ["rigth_amp"]]
+
+
+@pytest.mark.parametrize("family, key", _FOREIGN,
+                         ids=["%s-%s" % pair for pair in _FOREIGN])
+def test_key_of_another_family_is_rejected_at_its_line(family, key):
+    text = "family = %s\n# not this family's\n  %s = 1.0\n" % (family, key)
+    with pytest.raises(ParseError) as ei:
+        parse_data_spec(text, path="spec.txt")
+    assert (ei.value.line, ei.value.column, ei.value.path) == (3, 3, "spec.txt")
+    assert repr(key) in str(ei.value)
+
