@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -91,7 +92,10 @@ def _read(path, parse):
 
 def _resolve(args) -> dict:
     """Merge the defaults of the command's keys (args.keys, key -> (parser,
-    default)), config file values and explicit flags, each parsed once."""
+    default)), config file values and explicit flags, each parsed once.
+
+    An out that names an existing file other than a directory is an error
+    here, before the command does any work (unless it only previews)."""
     keys = args.keys
     resolved = {key: default for key, (_, default) in keys.items()}
     texts = [(key, entry[0]) for key, entry in
@@ -106,6 +110,10 @@ def _resolve(args) -> dict:
         except ValueError as exc:
             raise ParameterError("%s: cannot read %r (%s)"
                                  % (key, text, exc)) from None
+    out = resolved.get("out", "").strip()
+    if out and not resolved.get("preview") and os.path.exists(out) \
+            and not os.path.isdir(out):
+        raise FileExistsError(errno.EEXIST, "out names an existing file", out)
     return resolved
 
 

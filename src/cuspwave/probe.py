@@ -15,8 +15,11 @@ from .fields import VectorFieldId
 from .spectral import (
     Field,
     SpectralTrajectory,
-    dft_forward,
-    dft_inverse,
+    half_forward,
+    half_inverse,
+    hermitian_completion,
+    hermitian_edges,
+    real_half,
     sobolev_norm,
     spectral_derivative,
 )
@@ -67,77 +70,90 @@ def _weigh(factor, coord: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
         np.multiply(f * coord, s, out=o)
 
 
-class _Level(SpectralTrajectory):
-    """A word of a vector-field scan, held in buffers that later words
-    overwrite.
+class _Level:
+    """A word of a vector-field scan, as the half spectrum of a real field
+    (spectral.real_half), held in buffers that later words overwrite.
 
-    Besides the word u (the trajectory itself at depth 0) it holds
-    time_diff, the 4th-order time difference of u when a field reads the
-    t slot; kept, the physical derivatives of the slots that two or more
-    x-weighted terms of the alphabet read; dest, which receives Z u (the
-    next level's word, or the scan's last buffer); and scratch, through
-    which every other derivative and product streams and which all
-    levels of a scan share.
+    Besides the word u (the trajectory's own half spectrum at depth 0) it
+    holds time_diff, the 4th-order time difference of u when a field reads
+    the t slot; kept, the real physical derivatives of the slots that two
+    or more x-weighted terms of the alphabet read; and dest, the half
+    spectrum that receives Z u (the next level's word, or the scan's last
+    buffer).  All levels of a scan share three more arrays: acc, the real
+    array in which the x-weighted terms are summed; phys, through which
+    every other physical derivative and weighted product streams; and
+    spec, the half-spectrum scratch of the derivatives and of the terms
+    without an x factor.
     """
 
-    def __init__(self, traj: SpectralTrajectory, u, dest, scratch, h: float,
-                 reads_t: bool, shared):
-        super().__init__(traj.grid, traj.times, u)
-        self.dest, self.scratch, self.h = dest, scratch, h
-        self.time_diff = np.empty_like(u) if reads_t else None
-        self.kept = {slot: np.empty_like(u) for slot in shared}
+    def __init__(self, grid, times, u, dest, shared_buffers, h: float,
+                 reads_t: bool, kept_slots):
+        self.grid, self.times, self.h = grid, times, h
+        self.u, self.dest = u, dest
+        self.acc, self.phys, self.spec = shared_buffers
+        self.time_diff = np.empty(u.shape, dtype=complex) if reads_t else None
+        self.kept = {slot: np.empty_like(self.phys) for slot in kept_slots}
 
     def refresh(self) -> None:
         """Recompute time_diff and the kept derivatives from the word."""
         if self.time_diff is not None:
-            _time_derivative(self.u, self.h, self.time_diff, self.scratch)
+            _time_derivative(self.u, self.h, self.time_diff, self.spec)
         for slot, buf in self.kept.items():
             self.physical(slot, buf)
 
     def physical(self, slot, out: np.ndarray) -> np.ndarray:
-        """d_slot u in physical space, written into out."""
+        """d_slot u in physical space, written into the real array out."""
         if slot == "t":
-            src = Field(self.grid, self.time_diff, "spectral")
-        else:
-            src = spectral_derivative(self.as_field(), slot, out=out)
-        return dft_inverse(src, out=out).values
+            return half_inverse(self.time_diff, self.grid, out, work=self.spec)
+        spectral_derivative(Field(self.grid, self.u, "half"), slot, out=self.spec)
+        return half_inverse(self.spec, self.grid, out, work=self.spec)
 
 
 def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
-    """The levels of a scan of fields to the given depth over traj, each
-    array allocated once, with level 0 refreshed.  Level k writes into
-    level k+1's word; the last level writes into one more array, in which
-    it sums its x-weighted terms and transforms them in place."""
+    """The levels of a scan of fields to the given depth over the half
+    spectrum of traj, each array allocated once, with level 0 refreshed.
+    Level k writes into level k+1's word; the last level writes into one
+    more half spectrum."""
+    grid = traj.grid
     h = np.diff(traj.times)
     if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
         raise DomainError("apply_vector_field needs a uniform time grid")
-    terms = [term for fid in fields for term in fid.terms(traj.grid.n)]
+    terms = [term for fid in fields for term in fid.terms(grid.n)]
     weighted_slots = [slot for _, _, axis, slot in terms if axis is not None]
-    shared = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
+    kept = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
     reads_t = any(slot == "t" for *_, slot in terms)
-    words = [traj.u] + [np.empty_like(traj.u) for _ in range(depth)]
-    scratch = np.empty_like(traj.u)
-    levels = [_Level(traj, words[k], words[k + 1], scratch, float(h[0]),
-                     reads_t, shared) for k in range(depth)]
+    half_shape = (len(traj.times),) + grid.half_sizes
+    words = [real_half(traj).values]
+    words += [np.empty(half_shape, dtype=complex) for _ in range(depth)]
+    real_shape = (len(traj.times),) + grid.sizes
+    shared = (np.empty(real_shape), np.empty(real_shape),
+              np.empty(half_shape, dtype=complex))
+    levels = [_Level(grid, traj.times, words[k], words[k + 1], shared,
+                     float(h[0]), reads_t, kept) for k in range(depth)]
     levels[0].refresh()
     return levels
 
 
 def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
-                       t_floor: float | None = None) -> SpectralTrajectory:
-    """Z u on the trajectory's own (t, x) grid.
+                       t_floor: float | None = None
+                       ) -> SpectralTrajectory | np.ndarray:
+    """Z u on the trajectory's own (t, x) grid, for a real u.
 
-    Spatial derivatives are spectral and the time derivative is a
-    4th-order finite difference, which needs a uniform grid of at least 6
-    times.  The field's terms come from VectorFieldId.terms.  A term
-    without an x factor (the t term of V0, the d_l term of Vbar, TDt, N3,
-    N4 and Rl) acts in spectral space as one multiply.  The terms with an x factor multiply pointwise in physical
-    space and are summed there, in the result's array, which costs one
-    dft_inverse per term and one in-place dft_forward per field.  Besides
-    the result, the call allocates one scratch array and, when the field
-    reads the t slot, one time difference, each the size of the
-    trajectory.  The words of conormal_scan come with these arrays
-    already made, and their results overwrite the scan's next word.
+    u must be the spectrum of a real field (spectral.real_half); the
+    field works on its half spectrum and returns the full one, completed
+    from the half exactly, so the result is exactly Hermitian.  Spatial
+    derivatives are spectral and the time derivative is a 4th-order
+    finite difference, which needs a uniform grid of at least 6 times.
+    The field's terms come from VectorFieldId.terms.  A term without an x
+    factor (the t term of V0, the d_l term of Vbar, TDt, N3, N4 and Rl)
+    acts in spectral space as one multiply.  The terms with an x factor
+    multiply pointwise in physical space and are summed there, in a real
+    array, which costs one half_inverse per term and one half_forward per
+    field.  Besides the result, the call allocates half-size arrays: a
+    real accumulator and scratch, a half-spectrum scratch and, when the
+    field reads the t slot, a time difference.  Given one of
+    conormal_scan's levels instead of a trajectory, Z u overwrites the
+    scan's next word, which the call returns as a half spectrum.
 
     Fields with a negative power of t (Vbar) are evaluated only for
     t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
@@ -155,29 +171,40 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     # fields singular at t = 0 act only from the first time >= t_floor on
     start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
-    scratch = level.scratch[start:]
     coords = grid.coords()
     terms = fid.terms(grid.n)
-    dest.fill(0)
     weighted = [term for term in terms if term[2] is not None]
+    # in each of the two sums below, the first term goes straight into the
+    # sum's array and the others through scratch
     if weighted:
-        for c, p, axis, slot in weighted:
+        acc = level.acc
+        acc[:start] = 0
+        for i, (c, p, axis, slot) in enumerate(weighted):
             phys = level.kept.get(slot)
             if phys is None:
-                phys = level.physical(slot, level.scratch)
-            _weigh(_factor(c, p, t), coords[axis], phys[start:], scratch)
-            dest[start:] += scratch
-        dft_forward(Field(grid, dest), out=dest)
-    for c, p, axis, slot in terms:
-        if axis is None:
-            if slot == "t":
-                spectral = level.time_diff[start:]
-            else:
-                spectral = spectral_derivative(
-                    Field(grid, level.u[start:], "spectral"), slot, out=scratch).values
-            np.multiply(_factor(c, p, t), spectral, out=scratch)
-            dest[start:] += scratch
-    return SpectralTrajectory(grid, times, dest)
+                phys = level.physical(slot, level.phys)
+            product = level.phys[start:] if i else acc[start:]
+            _weigh(_factor(c, p, t), coords[axis], phys[start:], product)
+            if i:
+                acc[start:] += product
+        half_forward(acc, grid, out=dest)
+    else:
+        dest[:start] = 0
+    spec = level.spec[start:]
+    for i, (c, p, _, slot) in enumerate(term for term in terms if term[2] is None):
+        if slot == "t":
+            spectral = level.time_diff[start:]
+        else:
+            spectral = spectral_derivative(
+                Field(grid, level.u[start:], "half"), slot, out=spec).values
+        first = not (weighted or i)
+        np.multiply(_factor(c, p, t), spectral, out=dest[start:] if first else spec)
+        if not first:
+            dest[start:] += spec
+    hermitian_edges(dest, grid)
+    if traj is level:
+        return dest
+    return SpectralTrajectory(grid, times, hermitian_completion(dest, grid))
 
 
 def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
@@ -186,27 +213,29 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
 
     Returns a dict mapping word labels (comma-joined field labels, '' for
     the empty word) to the sup norm over snapshots with t >= t_floor,
-    ordered by word length.  Words are computed depth first by
-    apply_vector_field, in arrays allocated once per scan and overwritten
-    word after word: per depth below the last one word (the trajectory
-    itself at depth 0) and its time difference, plus one physical
-    derivative for each slot that two or more x-weighted terms of the
-    alphabet read; one array for the last depth's words, which are summed,
-    transformed and reduced to their norms there; and one scratch array.
-    At depth 2 without shared slots that is five arrays the size of the
-    trajectory, besides the trajectory itself.
+    ordered by word length.  u must be the spectrum of a real field, and
+    every word is held and measured as a half spectrum.  Words are
+    computed depth first by apply_vector_field, in arrays allocated once
+    per scan and overwritten word after word: per depth below the last one
+    word (the trajectory itself at depth 0) and its time difference, plus
+    one real physical derivative for each slot that two or more x-weighted
+    terms of the alphabet read; one half spectrum for the last depth's
+    words; and the shared real accumulator, real scratch and half-spectrum
+    scratch.  Each of these is half the size of the trajectory, so at depth
+    2 without shared slots they add up to about 3.6 trajectories.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
     if not np.isfinite(s):
         raise ParameterError(f"scan needs a finite Sobolev index, got s={s}")
+    grid = traj.grid
     h = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else 0.0
     if t_floor is None:
         t_floor = 4.0 * h
     keep = traj.times >= t_floor
 
-    def sup_norm(tr):
-        return float(np.max(sobolev_norm(tr, s)[keep]))
+    def sup_norm(half):
+        return float(np.max(sobolev_norm(Field(grid, half, "half"), s)[keep]))
 
     def label(word):
         return ",".join(f.label() for f in word)
@@ -214,7 +243,9 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     table = dict.fromkeys(
         label(word) for k in range(depth + 1)
         for word in itertools.product(fields, repeat=k))
-    table[""] = sup_norm(traj)
+    if not depth:
+        table[""] = sup_norm(real_half(traj).values)
+        return table
 
     def scan(k, word):
         for fid in fields:
@@ -225,24 +256,30 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
                 levels[k + 1].refresh()
                 scan(k + 1, longer)
 
-    if depth:
-        levels = _levels(traj, fields, depth)
-        scan(0, ())
+    levels = _levels(traj, fields, depth)
+    table[""] = sup_norm(levels[0].u)
+    scan(0, ())
     return table
 
 
 # ridge extraction ----------------------------------------------------------
 
 
-def gradient_magnitude(snapshot: Field) -> np.ndarray:
-    """|grad u| in physical space, per time level for a stacked Field."""
-    total = np.zeros(snapshot.values.shape)
-    # every derivative is taken and inverted in the one complex buffer d
-    d = np.empty(snapshot.values.shape, dtype=complex)
-    for axis in range(snapshot.grid.n):
-        spectral_derivative(snapshot, axis, out=d)
-        dft_inverse(snapshot.copy_with(d), out=d)
-        total += np.abs(d) ** 2
+def gradient_magnitude(snapshot) -> np.ndarray:
+    """|grad u| in physical space of a real u, given as a spectral Field
+    (per time level for a stacked one) or a SpectralTrajectory."""
+    half = real_half(snapshot)
+    grid = half.grid
+    # every derivative is taken and inverted in one half-spectrum buffer d
+    # and one real buffer d_phys
+    total = np.zeros(half.values.shape[:-1] + grid.sizes[-1:])
+    d_phys = np.empty_like(total)
+    d = np.empty(half.values.shape, dtype=complex)
+    for axis in range(grid.n):
+        spectral_derivative(half, axis, out=d)
+        half_inverse(d, grid, d_phys, work=d)
+        np.square(d_phys, out=d_phys)
+        total += d_phys
     return np.sqrt(total, out=total)
 
 
@@ -254,7 +291,7 @@ def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
     if not np.isfinite(threshold):
         raise ParameterError(f"ridge threshold must be finite, got {threshold}")
     grid = traj.grid
-    mag = gradient_magnitude(traj.as_field())
+    mag = gradient_magnitude(traj)
     peak = np.max(mag, axis=grid.axes, keepdims=True)
     is_max = mag > threshold * peak
     for axis in grid.axes:

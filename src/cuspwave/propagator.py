@@ -47,9 +47,12 @@ def sample_arrays(m: int, t, rho):
     up = gamma(1 - nu) * (0.5 * phi) ** nu
     down = gamma(1 + nu) * (0.5 * phi) ** -nu
     j = jv(nu, phi)
-    v1 = up * jv(-nu, phi)
+    j1 = jv(1 - nu, phi)
+    # J_{-nu} = (2(1-nu)/phi) J_{1-nu} - J_{2-nu} (DLMF 10.6.1), which spares
+    # the slower negative-order evaluation
+    v1 = up * (2 * (1 - nu) / phi * j1 - jv(2 - nu, phi))
     v2 = t * down * j
-    dt_v1 = -up * jv(1 - nu, phi) * t ** (0.5 * m) * rho
+    dt_v1 = -up * j1 * t ** (0.5 * m) * rho
     dt_v2 = down * (j - s * jv(1 + nu, phi))
     if np.any(zero):
         v1 = np.where(zero, 1.0, v1)

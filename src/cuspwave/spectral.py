@@ -5,6 +5,13 @@ continuous frequencies xi = pi * k / L, and the DFT is orthonormal so Parseval
 holds without extra factors.  Physical norms carry the cell measure (2L/N)^n.
 Transforms, derivatives and norms act on the trailing (spatial) axes only, so
 they apply unchanged to a Field stacked over a leading time axis.
+
+An odd derivative zeroes the Nyquist mode k = -N/2 of the axis it
+differentiates, so that the derivative of a real field is real.  A real
+field can also be carried by its rfft half spectrum, the modes 0..N/2 of
+the last axis (shape Grid.half_sizes): a Field in the space "half", which
+spectral_derivative and sobolev_norm take like a spectral one and
+half_forward / half_inverse transform to and from real arrays.
 """
 
 from __future__ import annotations
@@ -59,33 +66,56 @@ class Grid:
         return np.pi / self.L * np.fft.fftfreq(s, d=1.0 / s)
 
     @cached_property
-    def _xi(self):
+    def _xi_norm(self):
         mesh = np.meshgrid(*(self.axis_xi(a) for a in range(self.n)), indexing="ij")
         norm = np.sqrt(sum(x * x for x in mesh))
-        for a in (*mesh, norm):
-            a.flags.writeable = False
-        return tuple(mesh), norm
-
-    def xi_mesh(self):
-        """Frequency meshgrid, one array per axis; built once, read-only."""
-        return self._xi[0]
+        norm.flags.writeable = False
+        return norm
 
     def xi_norm(self) -> np.ndarray:
         """|xi| on the spectral grid; built once, read-only."""
-        return self._xi[1]
+        return self._xi_norm
 
     @property
     def axes(self) -> tuple:
         """The spatial axes of an array whose trailing shape is sizes."""
         return tuple(range(-self.n, 0))
 
+    @property
+    def half_sizes(self) -> tuple:
+        """Trailing shape of an rfft half spectrum: modes 0..N/2 of the
+        last axis."""
+        return self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
+
+    @cached_property
+    def _symbols(self):
+        symbols = []
+        for a, s in enumerate(self.sizes):
+            xi = self.axis_xi(a)
+            xi[s // 2] = 0.0  # the Nyquist mode k = -N/2
+            shape = [1] * self.n
+            shape[a] = s
+            symbols.append((1j * xi).reshape(shape))
+        symbols.append(symbols[-1][..., : self.half_sizes[-1]])
+        for a in symbols:
+            a.flags.writeable = False
+        return symbols
+
+    def derivative_symbol(self, axis: int, half: bool = False) -> np.ndarray:
+        """i xi_axis with the Nyquist mode zeroed, shaped to broadcast over
+        sizes (half_sizes when half); built once, read-only."""
+        if not 0 <= axis < self.n:
+            raise ParameterError(f"axis {axis} out of range for n={self.n}")
+        return self._symbols[self.n if half and axis == self.n - 1 else axis]
+
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples on a grid, in either physical or spectral space.
+    """Complex samples on a grid, in physical or spectral space, or the
+    half spectrum of a real field (space "half", see real_half).
 
-    values has shape grid.sizes, or (n_t, *grid.sizes) for a stack of time
-    levels.
+    values has shape grid.sizes (grid.half_sizes for a half spectrum), or
+    that shape behind a leading axis for a stack of time levels.
     """
 
     grid: Grid
@@ -93,11 +123,13 @@ class Field:
     space: str = "physical"
 
     def __post_init__(self):
-        if self.space not in ("physical", "spectral"):
-            raise ParameterError(f"space must be physical or spectral, got {self.space!r}")
+        if self.space not in ("physical", "spectral", "half"):
+            raise ParameterError(
+                f"space must be physical, spectral or half, got {self.space!r}")
+        shape = self.grid.half_sizes if self.space == "half" else self.grid.sizes
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape[vals.ndim - self.grid.n:] != self.grid.sizes:
-            vals = vals.reshape(self.grid.sizes)
+        if vals.shape[vals.ndim - self.grid.n:] != shape:
+            vals = vals.reshape(shape)
         object.__setattr__(self, "values", vals)
 
     def copy_with(self, values, space=None) -> "Field":
@@ -141,9 +173,9 @@ class SpectralTrajectory:
         return Field(self.grid, self.u, "spectral")
 
 
-def _require_space(f: Field, space: str) -> None:
-    if f.space != space:
-        raise ParameterError(f"expected a {space} field, got {f.space}")
+def _require_space(f: Field, *spaces: str) -> None:
+    if f.space not in spaces:
+        raise ParameterError(f"expected a {' or '.join(spaces)} field, got {f.space}")
 
 
 def require_same_grid(*fields) -> Grid:
@@ -172,13 +204,20 @@ def dft_inverse(f: Field, out: np.ndarray | None = None) -> Field:
 def sobolev_norm(f, s: float):
     """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2).
 
-    f is a spectral Field (one float, or one per time level of a stacked
-    Field) or a SpectralTrajectory (an array with one norm per time).
+    f is a spectral or half Field (one float, or one per time level of a
+    stacked Field) or a SpectralTrajectory (an array with one norm per
+    time).  In a half spectrum the columns 1..N/2-1 of the last axis stand
+    for their conjugate twins too and count twice.
     """
     if isinstance(f, SpectralTrajectory):
         f = f.as_field()
-    _require_space(f, "spectral")
-    w = (1.0 + f.grid.xi_norm() ** 2) ** s
+    _require_space(f, "spectral", "half")
+    grid = f.grid
+    if f.space == "half":
+        w = (1.0 + grid.xi_norm()[..., : grid.half_sizes[-1]] ** 2) ** s
+        w[..., 1 : grid.sizes[-1] // 2] *= 2.0
+    else:
+        w = (1.0 + grid.xi_norm() ** 2) ** s
     # w * |v|^2 in one real array, squared and weighted in place
     density = np.abs(f.values)
     np.square(density, out=density)
@@ -188,12 +227,93 @@ def sobolev_norm(f, s: float):
 
 
 def spectral_derivative(f: Field, axis: int, out: np.ndarray | None = None) -> Field:
-    """i xi_axis * f; out, as in dft_forward, receives the result."""
-    _require_space(f, "spectral")
-    if not 0 <= axis < f.grid.n:
-        raise ParameterError(f"axis {axis} out of range for n={f.grid.n}")
-    xi = f.grid.xi_mesh()[axis]
-    return f.copy_with(np.multiply(1j * xi, f.values, out=out))
+    """i xi_axis * f, zero on the axis's Nyquist mode, for a spectral or
+    half Field; out, as in dft_forward, receives the result."""
+    _require_space(f, "spectral", "half")
+    symbol = f.grid.derivative_symbol(axis, half=f.space == "half")
+    return f.copy_with(np.multiply(symbol, f.values, out=out))
+
+
+# half spectra of real fields --------------------------------------------------
+
+_HERMITIAN_TOL = 1e-12
+
+
+def _negate(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """a at the wavenumbers -k on the given axes (a copy; a itself when
+    there are none)."""
+    return np.roll(np.flip(a, axes), 1, axes) if axes else a
+
+
+def real_half(f) -> Field:
+    """The half spectrum u[..., :N//2+1] (a view, as a half Field) of a
+    spectral Field or a SpectralTrajectory of a real field.
+
+    u must be Hermitian, u(-k) = conj u(k), to 1e-12 of max|u| in the
+    real and imaginary parts; otherwise it is not the spectrum of a real
+    field and the call raises a DomainError that names the worst time
+    level.  The check runs one time level at a time in spectral space.
+    """
+    if isinstance(f, SpectralTrajectory):
+        values, times = f.u, f.times
+    else:
+        _require_space(f, "spectral")
+        values, times = f.values, None
+    grid = f.grid
+    stack = values.reshape((-1,) + grid.sizes)
+    defect, scale = np.empty(len(stack)), np.empty(len(stack))
+    for i, level in enumerate(stack):
+        diff = np.conj(_negate(level, grid.axes), order="C")
+        diff -= level
+        parts = diff.view(float)  # the defect's largest real or imaginary part
+        defect[i] = np.max(np.abs(parts, out=parts))
+        scale[i] = np.max(np.abs(level))
+    worst, scale = int(np.argmax(defect)), np.max(scale)
+    if defect[worst] > _HERMITIAN_TOL * scale:
+        where = f"time level {worst}"
+        if times is not None:
+            where += f" (t = {float(times[worst])!r})"
+        raise DomainError(
+            f"not the spectrum of a real field: Hermitian defect "
+            f"{defect[worst] / scale:.3g} of max|u| at {where}")
+    return Field(grid, values[..., : grid.half_sizes[-1]], "half")
+
+
+def half_forward(phys: np.ndarray, grid: Grid,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal rfft of the real array phys over the spatial axes; out,
+    of shape (..., *grid.half_sizes), receives the half spectrum."""
+    return np.fft.rfftn(phys, s=grid.sizes, axes=grid.axes, norm="ortho", out=out)
+
+
+def half_inverse(half: np.ndarray, grid: Grid, out: np.ndarray,
+                 work: np.ndarray) -> np.ndarray:
+    """Inverse of half_forward, from the half spectrum array half into the
+    real array out.  The complex passes over the leading spatial axes run
+    in work, which may be half itself."""
+    for axis in grid.axes[:-1]:
+        half = np.fft.ifft(half, axis=axis, norm="ortho", out=work)
+    return np.fft.irfft(half, n=grid.sizes[-1], axis=-1, norm="ortho", out=out)
+
+
+def hermitian_edges(half: np.ndarray, grid: Grid) -> None:
+    """Make the columns 0 and N/2 of the last axis, which have no twin in
+    the half spectrum, exactly Hermitian in the other spatial axes, in
+    place; rfft leaves them so only to rounding."""
+    edges = half[..., :: grid.sizes[-1] // 2]  # a view of both columns
+    edges += np.conj(_negate(edges, grid.axes[:-1]))
+    edges *= 0.5
+
+
+def hermitian_completion(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """The full spectrum whose half spectrum is half: column N-j of the
+    last axis is the conjugate of column j at -k on the other axes."""
+    n_last = grid.sizes[-1]
+    full = np.empty(half.shape[:-1] + (n_last,), dtype=complex)
+    full[..., : n_last // 2 + 1] = half
+    twins = _negate(half[..., n_last // 2 - 1 : 0 : -1], grid.axes[:-1])
+    np.conj(twins, out=full[..., n_last // 2 + 1 :])
+    return full
 
 
 def dealias(f: Field) -> Field:

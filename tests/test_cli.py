@@ -295,6 +295,23 @@ class TestProbeAndRates:
             else:
                 assert "TDt" in (probe_dir / "scan.csv").read_text()
 
+    def test_probe_rejects_a_complex_trajectory(self, tmp_path, capsys):
+        # i u is not a real field; probe reads real trajectories only
+        from cuspwave.spectral import Field, load_field, save_field
+
+        run_dir = str(tmp_path / "run")
+        self._write_trajectory(run_dir, 6)
+        path = os.path.join(run_dir, "snapshot_00003.cwgrid")
+        f = load_field(path, "spectral")
+        save_field(path, Field(f.grid, 1j * f.values, "spectral"))
+        probe_dir = tmp_path / "probe"
+        probe_dir.mkdir()
+        assert main(["probe", "--traj", run_dir, "--out", str(probe_dir)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DomainError"
+        assert "time level 3 (t = 0.30000000000000004)" in record["message"]
+        assert os.listdir(probe_dir) == []
+
     def test_loaded_trajectory_has_no_time_derivative(self, tmp_path,
                                                       smooth_spec):
         run_dir = str(tmp_path / "run")
@@ -815,6 +832,46 @@ def test_unusable_path_exits_two_with_a_record(tmp_path, monkeypatch, capsys,
     if name == "manifest-without-file-column":
         assert "manifest.csv" in record["message"]
         assert "'file'" in record["message"]
+
+
+# command -> (argv before --out, given a data spec; the first work the
+# command does, none of which may run)
+_OUT_FIRST = {
+    "solve": (lambda spec: ["solve", "linear", "--N", "16", "--n-t", "9",
+                            "--data", spec],
+              ["cuspwave.cli.propagator_table", "cuspwave.cli._read"]),
+    "probe": (lambda spec: ["probe", "--traj", "run"],
+              ["cuspwave.cli.load_trajectory"]),
+    "rates": (lambda spec: ["rates", "--N", "64"],
+              ["cuspwave.cli.propagator_table"]),
+    "opalg": (lambda spec: ["opalg", "verify", "--m", "1", "--n", "1"],
+              ["cuspwave.opalg.catalog_verify"]),
+    "data": (lambda spec: ["data", "--spec", spec], ["cuspwave.cli._read"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_FIRST))
+def test_out_file_is_rejected_before_any_work(tmp_path, monkeypatch, capsys,
+                                              smooth_spec, command):
+    argv_of, work = _OUT_FIRST[command]
+    for target in work:
+        monkeypatch.setattr(target, lambda *a, target=target, **k: pytest.fail(
+            "%s ran before --out was checked" % target))
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    assert main(argv_of(smooth_spec) + ["--out", str(existing)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "FileExistsError"
+    assert str(existing) in record["message"]
+    assert existing.read_text() == ""
+
+
+def test_preview_ignores_an_out_file(tmp_path, monkeypatch, smooth_spec):
+    # a preview writes nothing, so the default out may name a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").write_text("")
+    assert main(["data", "--spec", smooth_spec, "--N", "16",
+                 "--preview", "1"]) == 0
 
 
 @pytest.mark.parametrize("route", ["preview", "solve"])

@@ -11,7 +11,11 @@ from cuspwave.spectral import (
     dealias,
     dft_forward,
     dft_inverse,
+    half_forward,
+    half_inverse,
+    hermitian_completion,
     load_field,
+    real_half,
     require_same_grid,
     save_field,
     sobolev_norm,
@@ -119,6 +123,48 @@ def test_derivatives():
         spectral_derivative(Field(g, X), 0)
 
 
+def test_odd_derivative_zeroes_nyquist():
+    g = Grid(2, (16, 8), 1.5)
+    X, Y = g.coords()
+    # a real field with energy on both Nyquist planes
+    f = dft_forward(Field(g, np.cos(16 * np.pi / 3 * X) + np.cos(8 * np.pi / 3 * Y)
+                          + np.exp(np.sin(X) * np.cos(2 * Y))))
+    assert np.abs(f.values[8]).max() > 0.1 and np.abs(f.values[:, 4]).max() > 0.1
+    for axis, size in enumerate(g.sizes):
+        d = spectral_derivative(f, axis).values
+        assert not np.any(np.take(d, size // 2, axis=axis))
+        phys = dft_inverse(Field(g, d, "spectral")).values
+        assert np.max(np.abs(phys.imag)) <= 1e-14 * np.max(np.abs(phys.real))
+
+
+@pytest.mark.parametrize("sizes", [(16,), (8, 16), (8, 16, 8)])
+def test_half_spectrum_matches_full(sizes):
+    g = Grid(len(sizes), sizes, 1.5)
+    real = np.random.default_rng(3).standard_normal((2,) + sizes)
+    f = dft_forward(Field(g, real))
+    h = real_half(f)
+    assert h.space == "half" and h.values.shape == (2,) + g.half_sizes
+    np.testing.assert_allclose(sobolev_norm(h, 0.7), sobolev_norm(f, 0.7),
+                               rtol=1e-14)
+    cols = g.half_sizes[-1]
+    for axis in range(g.n):
+        assert np.array_equal(spectral_derivative(h, axis).values,
+                              spectral_derivative(f, axis).values[..., :cols])
+    back = half_inverse(h.values, g, np.empty(real.shape), work=h.values.copy())
+    np.testing.assert_allclose(back, real, atol=1e-14 * np.abs(real).max())
+    fwd = half_forward(real, g)
+    np.testing.assert_allclose(fwd, h.values, atol=1e-14 * np.abs(fwd).max())
+    full = hermitian_completion(fwd, g)
+    np.testing.assert_allclose(full, f.values, atol=1e-14 * np.abs(fwd).max())
+    assert np.array_equal(full[..., :cols], fwd)
+
+
+def test_real_half_rejects_a_complex_field():
+    g = Grid(1, (16,), 1.0)
+    with pytest.raises(DomainError, match="time level 0"):
+        real_half(dft_forward(random_field(g)))
+
+
 def test_dealias():
     g = Grid(1, (32,), 1.0)
     f = dft_forward(random_field(g, 9))
@@ -212,7 +258,9 @@ def test_stacked_field_matches_per_snapshot():
 def test_frequency_tables_built_once_and_read_only():
     g = Grid(2, (8, 16), 2.0)
     assert g.xi_norm() is g.xi_norm()
-    assert g.xi_mesh()[1] is g.xi_mesh()[1]
+    assert g.derivative_symbol(1) is g.derivative_symbol(1)
     with pytest.raises(ValueError):
         g.xi_norm()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.derivative_symbol(0, half=True)[1] = 1.0
     assert Grid(2, (8, 16), 2.0) == g
