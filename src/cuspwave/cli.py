@@ -33,6 +33,7 @@ from .linear_solver import (
     export_trajectory,
     load_trajectory,
     propagator_table,
+    real_data,
     solve_homogeneous,
 )
 from .probe import (
@@ -53,6 +54,7 @@ from .spectral import (
     Field,
     Grid,
     dft_forward,
+    real_half,
     save_field,
     sobolev_norm,
 )
@@ -197,8 +199,9 @@ _FOURTH_KEYS = {**_SOLVE_COMMON, **_PICARD_KEYS, "m1": (int, 2),
 
 def _solve_linear(cfg, pic, phi0, phi1):
     times = pic.times()
-    table = propagator_table(cfg["m"], times, phi0.grid.xi_norm())
-    return solve_homogeneous(table, phi0, phi1, times), None
+    data = real_data(data=phi0, data_dt=phi1)
+    table = propagator_table(cfg["m"], times, phi0.grid.half_xi_norm())
+    return solve_homogeneous(table, *data, times), None
 
 
 # kind -> (keys, solver(cfg, Picard config, *data) -> (trajectory, Picard
@@ -259,10 +262,12 @@ def cmd_probe(args) -> int:
     cfg = _resolve(args)
     traj = load_trajectory(cfg["traj"])
     fields = parse_fields(cfg["fields"], cfg["m"], traj.grid.n)
-    # nothing is written until the ridge and the scan (which checks the
-    # depth) have both succeeded
-    points = ridge_extract(traj, threshold=cfg["threshold"])
-    table = conormal_scan(traj, fields, depth=cfg["depth"], s=cfg["s"])
+    # the ridge and the scan share one check that u is real; nothing is
+    # written until both (the scan checks the depth) have succeeded
+    half = real_half(traj)
+    points = ridge_extract(traj, threshold=cfg["threshold"], half=half)
+    table = conormal_scan(traj, fields, depth=cfg["depth"], s=cfg["s"],
+                          half=half)
     out = cfg["out"]
     _write_manifest(out, "probe", cfg)
     ridge = os.path.join(out, "ridge.csv")
@@ -303,11 +308,11 @@ def cmd_rates(args) -> int:
     grid = Grid(1, (cfg["N"],), cfg["L"])
     x = grid.coords()[0]
     jump = np.where(x >= 0, 1.0, -1.0) * np.exp(-(x / cfg["width"]) ** 2)
-    phi = dft_forward(Field(grid, jump))
+    data = real_data(jump=dft_forward(Field(grid, jump)), zero=_zero_field(grid))
     times = np.geomspace(cfg["t_lo"], cfg["t_hi"], cfg["n_t"])
     all_times = np.concatenate(([0.0], times))
-    traj = solve_homogeneous(propagator_table(m, all_times, grid.xi_norm()),
-                             phi, _zero_field(grid), all_times)
+    traj = solve_homogeneous(propagator_table(m, all_times, grid.half_xi_norm()),
+                             *data, all_times)
     fit = fit_power_law(times, sobolev_norm(traj, cfg["s1"] + 1.0)[1:])
     out = cfg["out"]
     _write_manifest(out, "rates", cfg)

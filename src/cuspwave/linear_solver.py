@@ -6,6 +6,15 @@ variation-of-constants kernel V2(t)V1(tau) - V1(t)V2(tau) (the Wronskian is
 one), evaluated with cumulative Simpson so a whole trajectory costs O(N_t).
 Both solves read a propagator table that the caller builds once per solve.
 
+The arithmetic is per mode, so the same solve_homogeneous, duhamel and
+cumulative_simpson serve full spectra and the rfft half spectra of real
+solutions.  The package's own solves (cuspwave solve, rates) take real
+data only: real_data checks each field and keeps its half spectrum, the
+table is gathered onto the half grid, which halves it, the solves write
+into arrays the caller allocates once (out=), and complete_trajectory
+turns the half spectra of the result into an exactly Hermitian
+SpectralTrajectory.
+
 An export directory holds one snapshot_%05d.cwgrid file per time level and
 a manifest.csv of times, file names and H^s norms; export_trajectory writes
 it and load_trajectory reads it back.
@@ -18,12 +27,15 @@ import os
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError, QuadratureError
+from .errors import DomainError, GridMismatchError, ParameterError, QuadratureError
 from .propagator import sample_arrays
 from .spectral import (
     Field,
     SpectralTrajectory,
+    hermitian_completion,
+    hermitian_edges,
     load_field,
+    real_half,
     require_same_grid,
     save_field,
     sobolev_norm,
@@ -39,13 +51,15 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def cumulative_simpson(y, times) -> np.ndarray:
+def cumulative_simpson(y, times, out=None) -> np.ndarray:
     """Running composite-Simpson integral of y along axis 0, zero at times[0].
 
     The time grid must be uniform with an odd number of nodes.  Each
     two-step panel is split at its middle node, the first half weighted
     h/12 * (5, 8, -1) and the second h/12 * (-1, 8, 5), which is the rule
-    scipy's cumulative_simpson applies on a uniform grid.
+    scipy's cumulative_simpson applies on a uniform grid.  out, an array
+    of y's shape other than y itself, receives the result; the halves are
+    formed in its rows, so nothing else is allocated.
     """
     y = np.asarray(y)
     times = np.asarray(times, dtype=float)
@@ -58,21 +72,34 @@ def cumulative_simpson(y, times) -> np.ndarray:
     h = steps[0]
     if np.max(np.abs(steps - h)) > 1e-10 * h:
         raise QuadratureError("Simpson needs a uniform time grid")
+    if out is None:
+        out = np.empty(y.shape, dtype=np.result_type(y, float))
     a, b, c = y[:-2:2], y[1:-1:2], y[2::2]
-    parts = np.empty(y.shape, dtype=np.result_type(y, float))
-    parts[0] = 0.0
-    parts[1::2] = h / 12 * (5 * a + 8 * b - c)
-    parts[2::2] = h / 12 * (-a + 8 * b + 5 * c)
-    return np.cumsum(parts, axis=0)
+    first, second = out[1::2], out[2::2]
+    # with S = a + 4b + c the halves are 2S + 3(a - c) and 2S - 3(a - c)
+    np.multiply(b, 4, out=first)
+    np.add(a, c, out=second)
+    second += first  # S
+    second *= 2
+    np.subtract(a, c, out=first)
+    first *= 3
+    first += second  # 2S + 3(a - c)
+    second *= 2
+    second -= first  # 4S - (2S + 3(a - c))
+    out[0] = 0.0
+    out[1:] *= h / 12
+    return np.cumsum(out, axis=0, out=out)
 
 
 def propagator_table(m: int, times, rho: np.ndarray):
     """(v1, v2, dt_v1, dt_v2) arrays of shape (n_times,) + rho.shape.
 
     The pair depends on xi only through rho = |xi|, so it is evaluated once
-    per distinct rho (radial shell) and gathered back onto the grid.  A
-    solver builds the table once and passes it to every solve_homogeneous
-    and duhamel call on that (m, time grid, frequency set).
+    per distinct rho (radial shell) and gathered back onto rho, which is
+    the grid's xi_norm or, for the half spectra of real solutions, its
+    half_xi_norm.  A solver builds the table once and passes it to every
+    solve_homogeneous and duhamel call on that (m, time grid, frequency
+    set).
     """
     times = np.asarray(times, dtype=float)
     shells, where = np.unique(rho, return_inverse=True)
@@ -82,41 +109,109 @@ def propagator_table(m: int, times, rho: np.ndarray):
                  for a in sample_arrays(m, times[:, None], shells[None, :]))
 
 
-def _require_table(table, grid, times) -> None:
-    shape = (len(times),) + grid.sizes
+def _require_table(table, shape) -> None:
     if table[0].shape != shape:
         raise GridMismatchError(
             f"propagator table has shape {table[0].shape}, the solve needs {shape}")
 
 
-def solve_homogeneous(table, phi1: Field, phi2: Field, times) -> SpectralTrajectory:
-    """u_hat(t) = V1(t,|xi|) phi1_hat + V2(t,|xi|) phi2_hat per mode."""
+def real_data(**data) -> list:
+    """The half spectra (spectral.real_half) of the named spectral data on
+    one grid, in order.  Data that are not the spectrum of a real field
+    raise the DomainError of real_half with their name in front."""
+    require_same_grid(*data.values())
+    halves = []
+    for name, f in data.items():
+        try:
+            halves.append(real_half(f))
+        except DomainError as exc:
+            raise DomainError(f"{name}: {exc}") from None
+    return halves
+
+
+def complete_trajectory(grid, times, u, dt=None) -> SpectralTrajectory:
+    """The SpectralTrajectory of a real solution given by the half spectra
+    u and dt: spectral.hermitian_edges makes them exactly Hermitian, in
+    place, and spectral.hermitian_completion adds the other half."""
+    full = []
+    for a in (u, dt):
+        if a is not None:
+            hermitian_edges(a, grid)
+            a = hermitian_completion(a, grid)
+        full.append(a)
+    return SpectralTrajectory(grid, times, *full)
+
+
+def solve_homogeneous(table, phi1: Field, phi2: Field, times, out=None):
+    """u_hat(t) = V1(t,|xi|) phi1_hat + V2(t,|xi|) phi2_hat per mode, and
+    d_t u_hat = dt_V1 phi1_hat + dt_V2 phi2_hat.
+
+    The data are spectral Fields with a table on the grid's xi_norm,
+    answered by a SpectralTrajectory; or half Fields (real_data) with a
+    table on its half_xi_norm, answered by the completed trajectory
+    (complete_trajectory), or, given out = (u, dt), by the half spectra
+    written into out.
+    """
     grid = require_same_grid(phi1, phi2)
-    for f in (phi1, phi2):
-        if f.space != "spectral":
-            raise ParameterError("solve_homogeneous expects spectral data")
+    if phi1.space != phi2.space or phi1.space not in ("spectral", "half"):
+        raise ParameterError("solve_homogeneous expects spectral or half data")
     times = _check_times(times)
-    _require_table(table, grid, times)
+    shape = (len(times),) + phi1.values.shape
+    _require_table(table, shape)
     v1, v2, dt_v1, dt_v2 = table
-    return SpectralTrajectory(grid, times,
-                              v1 * phi1.values + v2 * phi2.values,
-                              dt_v1 * phi1.values + dt_v2 * phi2.values)
+    u, dt = out or (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+    np.multiply(v2, phi2.values, out=dt)
+    np.multiply(v1, phi1.values, out=u)
+    u += dt
+    np.multiply(dt_v1, phi1.values, out=dt)
+    dt += dt_v2 * phi2.values
+    if out is not None:
+        return out
+    if phi1.space == "half":
+        return complete_trajectory(grid, times, u, dt)
+    return SpectralTrajectory(grid, times, u, dt)
 
 
-def duhamel(table, forcing: SpectralTrajectory) -> SpectralTrajectory:
-    """Zero-data response to the forcing trajectory.
+def duhamel(table, forcing, times=None, out=None):
+    """Zero-data response to the forcing F_hat.
 
     u_hat(t) = V2(t) I1(t) - V1(t) I2(t) with I1 = int_0^t V1 F_hat dtau and
     I2 = int_0^t V2 F_hat dtau; differentiating in t only hits the outer
-    factors because the kernel vanishes on the diagonal.
+    factors because the kernel vanishes on the diagonal (duhamel_dt).
+
+    forcing is a SpectralTrajectory, answered by one with u and dt.  The
+    solvers pass instead the array of F_hat on the table's modes, here half
+    spectra, with its times and out = (u, i1, i2): u_hat and the two
+    integrals are written into out, which is returned, and forcing is
+    overwritten as scratch.  The arithmetic is the same per mode.
     """
-    times = _check_times(forcing.times)
-    _require_table(table, forcing.grid, times)
-    v1, v2, dt_v1, dt_v2 = table
-    i1 = cumulative_simpson(v1 * forcing.u, times)
-    i2 = cumulative_simpson(v2 * forcing.u, times)
-    return SpectralTrajectory(forcing.grid, times,
-                              v2 * i1 - v1 * i2, dt_v2 * i1 - dt_v1 * i2)
+    traj = forcing if isinstance(forcing, SpectralTrajectory) else None
+    if traj is not None:
+        times, forcing = traj.times, traj.u.copy()
+        out = tuple(np.empty_like(forcing) for _ in range(3))
+    times = _check_times(times)
+    _require_table(table, (len(times),) + forcing.shape[1:])
+    v1, v2, _, _ = table
+    u, i1, i2 = out
+    np.multiply(v1, forcing, out=u)
+    cumulative_simpson(u, times, out=i1)
+    np.multiply(v2, forcing, out=u)
+    cumulative_simpson(u, times, out=i2)
+    np.multiply(v2, i1, out=u)
+    u -= np.multiply(v1, i2, out=forcing)
+    if traj is None:
+        return out
+    return SpectralTrajectory(traj.grid, times, u, duhamel_dt(table, i1, i2))
+
+
+def duhamel_dt(table, i1, i2) -> np.ndarray:
+    """d_t u_hat = dt_V2 I1 - dt_V1 I2 of a Duhamel response, from its
+    integrals (duhamel's out); formed in i1, with i2 overwritten."""
+    _, _, dt_v1, dt_v2 = table
+    i1 *= dt_v2
+    i2 *= dt_v1
+    i1 -= i2
+    return i1
 
 
 def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):

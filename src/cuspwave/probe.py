@@ -109,11 +109,12 @@ class _Level:
         return half_inverse(self.spec, self.grid, out, work=self.spec)
 
 
-def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
-    """The levels of a scan of fields to the given depth over the half
-    spectrum of traj, each array allocated once, with level 0 refreshed.
-    Level k writes into level k+1's word; the last level writes into one
-    more half spectrum."""
+def _levels(traj: SpectralTrajectory, fields, depth: int,
+            half: Field) -> list[_Level]:
+    """The levels of a scan of fields to the given depth over half, the
+    checked half spectrum of traj (real_half), each array allocated once,
+    with level 0 refreshed.  Level k writes into level k+1's word; the last
+    level writes into one more half spectrum."""
     grid = traj.grid
     h = np.diff(traj.times)
     if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
@@ -123,7 +124,7 @@ def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
     kept = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
     reads_t = any(slot == "t" for *_, slot in terms)
     half_shape = (len(traj.times),) + grid.half_sizes
-    words = [real_half(traj).values]
+    words = [half.values]
     words += [np.empty(half_shape, dtype=complex) for _ in range(depth)]
     real_shape = (len(traj.times),) + grid.sizes
     shared = (np.empty(real_shape), np.empty(real_shape),
@@ -159,7 +160,10 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
     Passing t_floor = 0 for such a field raises a domain error.
     """
-    level = traj if isinstance(traj, _Level) else _levels(traj, [fid], 1)[0]
+    if isinstance(traj, _Level):
+        level = traj
+    else:
+        level = _levels(traj, [fid], 1, real_half(traj))[0]
     grid, times, dest = level.grid, level.times, level.dest
     if t_floor is None:
         t_floor = 4.0 * level.h
@@ -207,22 +211,35 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     return SpectralTrajectory(grid, times, hermitian_completion(dest, grid))
 
 
+def _words(levels: list[_Level], fields, depth: int, t_floor, k=0, word=()):
+    """Depth first from level k, each word longer than word with Z u in
+    the scan's buffers, which the next word overwrites."""
+    for fid in fields:
+        longer = word + (fid,)
+        yield longer, apply_vector_field(fid, levels[k], t_floor=t_floor)
+        if len(longer) < depth:
+            levels[k + 1].refresh()
+            yield from _words(levels, fields, depth, t_floor, k + 1, longer)
+
+
 def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
-                  t_floor: float | None = None):
+                  t_floor: float | None = None, half: Field | None = None):
     """Sup-in-t H^s norms of Z_1 ... Z_k u over all words up to the depth.
 
     Returns a dict mapping word labels (comma-joined field labels, '' for
     the empty word) to the sup norm over snapshots with t >= t_floor,
     ordered by word length.  u must be the spectrum of a real field, and
-    every word is held and measured as a half spectrum.  Words are
-    computed depth first by apply_vector_field, in arrays allocated once
-    per scan and overwritten word after word: per depth below the last one
-    word (the trajectory itself at depth 0) and its time difference, plus
-    one real physical derivative for each slot that two or more x-weighted
+    every word is held and measured as a half spectrum; a caller that has
+    checked u already passes half = real_half(traj).  Words are computed
+    depth first by apply_vector_field, in arrays allocated once per scan
+    and overwritten word after word: per depth below the last one word
+    (the trajectory itself at depth 0) and its time difference, plus one
+    real physical derivative for each slot that two or more x-weighted
     terms of the alphabet read; one half spectrum for the last depth's
     words; and the shared real accumulator, real scratch and half-spectrum
     scratch.  Each of these is half the size of the trajectory, so at depth
-    2 without shared slots they add up to about 3.6 trajectories.
+    2 without shared slots they add up to about 3.6 trajectories.  They
+    are freed when the call returns.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
@@ -233,6 +250,8 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     if t_floor is None:
         t_floor = 4.0 * h
     keep = traj.times >= t_floor
+    if half is None:
+        half = real_half(traj)
 
     def sup_norm(half):
         return float(np.max(sobolev_norm(Field(grid, half, "half"), s)[keep]))
@@ -244,21 +263,12 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
         label(word) for k in range(depth + 1)
         for word in itertools.product(fields, repeat=k))
     if not depth:
-        table[""] = sup_norm(real_half(traj).values)
+        table[""] = sup_norm(half.values)
         return table
-
-    def scan(k, word):
-        for fid in fields:
-            longer = word + (fid,)
-            applied = apply_vector_field(fid, levels[k], t_floor=t_floor)
-            table[label(longer)] = sup_norm(applied)
-            if len(longer) < depth:
-                levels[k + 1].refresh()
-                scan(k + 1, longer)
-
-    levels = _levels(traj, fields, depth)
+    levels = _levels(traj, fields, depth, half)
     table[""] = sup_norm(levels[0].u)
-    scan(0, ())
+    for word, applied in _words(levels, fields, depth, t_floor):
+        table[label(word)] = sup_norm(applied)
     return table
 
 
@@ -267,8 +277,12 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
 
 def gradient_magnitude(snapshot) -> np.ndarray:
     """|grad u| in physical space of a real u, given as a spectral Field
-    (per time level for a stacked one) or a SpectralTrajectory."""
-    half = real_half(snapshot)
+    (per time level for a stacked one), a SpectralTrajectory, or a half
+    Field that real_half has checked already."""
+    if isinstance(snapshot, Field) and snapshot.space == "half":
+        half = snapshot
+    else:
+        half = real_half(snapshot)
     grid = half.grid
     # every derivative is taken and inverted in one half-spectrum buffer d
     # and one real buffer d_phys
@@ -283,15 +297,18 @@ def gradient_magnitude(snapshot) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
-    """Local maxima of |grad u| above threshold x per-snapshot max.
+def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5,
+                  half: Field | None = None):
+    """Local maxima of |grad u| above threshold x per-snapshot max, for a
+    real u; a caller that has checked u already passes half =
+    real_half(traj).
 
     Returns a list of (t, coordinates tuple, strength) records.
     """
     if not np.isfinite(threshold):
         raise ParameterError(f"ridge threshold must be finite, got {threshold}")
     grid = traj.grid
-    mag = gradient_magnitude(traj)
+    mag = gradient_magnitude(traj if half is None else half)
     peak = np.max(mag, axis=grid.axes, keepdims=True)
     is_max = mag > threshold * peak
     for axis in grid.axes:

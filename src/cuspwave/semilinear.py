@@ -13,9 +13,18 @@ second-order Duhamel map D_m:
 * fourth order:  (d_t^2 - t^m1 Lap)(d_t^2 - t^m2 Lap) u = f(u);
   flow = V_m2(psi0, psi1) + D_m2(V_m1(psi2, psi3)), K = D_m2 D_m1
 
-Each solve builds its propagator table once per order.  Each nonlinearity
-evaluation happens pointwise in physical space with 2/3 dealiasing before
-the result re-enters the mode-wise linear solve.
+The data and the solution are real.  Each solver takes the half spectrum
+of every data field once (linear_solver.real_data), so complex data raise
+a DomainError before any table is built, and iterates on rfft half
+spectra: each order's propagator table is gathered onto the half grid
+(Grid.half_xi_norm), and each nonlinearity evaluation happens pointwise
+in one real physical array, between half_inverse and half_forward, with
+2/3 dealiasing on the half grid before the result re-enters the mode-wise
+linear solve.  The loop's arrays are allocated once per solve and the
+Duhamel and Simpson steps write into them.  Iterates carry only u; d_t u
+is formed once, from the flow and the last step's Duhamel integrals, and
+only the returned trajectory is completed to full, exactly Hermitian
+spectra.
 """
 
 from __future__ import annotations
@@ -27,18 +36,21 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .linear_solver import (
+    complete_trajectory,
     cumulative_simpson,
     duhamel,
+    duhamel_dt,
     propagator_table,
+    real_data,
     solve_homogeneous,
 )
 from .spectral import (
     Field,
     SpectralTrajectory,
     dealias,
-    dft_forward,
-    dft_inverse,
-    require_same_grid,
+    half_forward,
+    half_inverse,
+    real_half,
     sobolev_norm,
 )
 
@@ -47,8 +59,7 @@ from .spectral import (
 class NonlinearitySpec:
     """Pointwise polynomial source term f(u) = sum c_k u^k.
 
-    evaluate receives a whole trajectory of physical values u at once and
-    returns an array of the same shape.
+    evaluate receives a whole trajectory of physical values u at once.
     """
 
     coefficients: tuple = ()
@@ -58,11 +69,21 @@ class NonlinearitySpec:
             raise ParameterError(
                 f"nonlinearity coefficients must be finite, got {self.coefficients}")
 
-    def evaluate(self, u):
-        out = np.zeros_like(u)
-        for k, c in enumerate(self.coefficients):
-            if c:
-                out = out + c * u**k
+    def evaluate(self, u, out=None):
+        """sum c_k u^k, summed in increasing k, into out (which may be u
+        itself) or a new array.  Only the terms below the top one take
+        arrays of their own."""
+        terms = [(k, c) for k, c in enumerate(self.coefficients) if c]
+        if not terms:
+            out = np.empty_like(u) if out is None else out
+            out[...] = 0
+            return out
+        lower = sum(c * u**k for k, c in terms[:-1])
+        k, c = terms[-1]
+        out = np.power(u, k, out=out)
+        out *= c
+        if len(terms) > 1:
+            out += lower
         return out
 
 
@@ -112,64 +133,109 @@ class PicardReport:
         self.wall_times.append(wall)
 
 
-def _sup_norm_distance(a: SpectralTrajectory, b: SpectralTrajectory, s: float) -> float:
-    return float(np.max(sobolev_norm(Field(a.grid, a.u - b.u, "spectral"), s)))
+def evaluate_forcing(f: NonlinearitySpec, u, out=None):
+    """f(u), 2/3-dealiased, in spectral space, for a real u.
+
+    u is a SpectralTrajectory of a real field (spectral.real_half),
+    answered by the exactly Hermitian trajectory of f(u).  The Picard loop
+    passes instead the half Field of u stacked over time and out =
+    (g, phys): g receives the half spectrum of f(u) and is also the work
+    array of half_inverse, phys is the real physical array in which f is
+    evaluated.  out is returned.
+    """
+    traj = u if isinstance(u, SpectralTrajectory) else None
+    if traj is not None:
+        u = real_half(traj)
+        out = (np.empty(u.values.shape, dtype=complex),
+               np.empty((len(traj.times),) + traj.grid.sizes))
+    grid, (g, phys) = u.grid, out
+    half_inverse(u.values, grid, phys, work=g)
+    f.evaluate(phys, out=phys)
+    dealias(Field(grid, half_forward(phys, grid, out=g), "half"), out=g)
+    if traj is None:
+        return out
+    return complete_trajectory(grid, traj.times, g)
 
 
-def _plus(a: SpectralTrajectory, b: SpectralTrajectory) -> SpectralTrajectory:
-    return SpectralTrajectory(a.grid, a.times, a.u + b.u, a.dt + b.dt)
+def _half_arrays(grid, times, count: int) -> list:
+    shape = (len(times),) + grid.half_sizes
+    return [np.empty(shape, dtype=complex) for _ in range(count)]
 
 
-def evaluate_forcing(f: NonlinearitySpec, traj: SpectralTrajectory) -> SpectralTrajectory:
-    """Trajectory of f(u), dealiased, in spectral space."""
-    grid = traj.grid
-    u_phys = dft_inverse(Field(grid, traj.u, "spectral")).values
-    f_hat = dealias(dft_forward(Field(grid, f.evaluate(u_phys)))).values
-    return SpectralTrajectory(grid, traj.times, f_hat)
+def _add_duhamel(table, flow, g, times) -> None:
+    """flow += D(g), both u and dt, in place; g is overwritten."""
+    d, i1, i2 = duhamel(table, g, times, out=[np.empty_like(g) for _ in range(3)])
+    flow[0] += d
+    flow[1] += duhamel_dt(table, i1, i2)
 
 
-def _picard(flow: SpectralTrajectory, kernel, f: NonlinearitySpec, cfg: PicardConfig):
+def _picard(grid, times, flow, kernel, table, f: NonlinearitySpec,
+            cfg: PicardConfig):
     """Iterate u <- flow + kernel(f(u)) from u = flow until the monitored
-    distance between successive iterates drops below tol."""
+    distance between successive iterates drops below tol.
+
+    Everything runs on half spectra.  flow is the pair (u, dt) of the
+    flow's; kernel(g, spare, i1, i2) overwrites g and spare, leaves K(g) in
+    one of them, which it returns, and the integrals of its last Duhamel
+    map, whose table is table, in i1 and i2.  The iterates carry only u:
+    dt is formed once, from flow's dt and the last step's integrals, and
+    only the returned trajectory is completed to full spectra.
+    """
     report = PicardReport()
-    u = flow
+    flow_u, flow_dt = flow
+    u = flow_u.copy()
+    g, spare, i1, i2 = _half_arrays(grid, times, 4)
+    phys = np.empty((len(times),) + grid.sizes)
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
-        u_next = _plus(flow, kernel(evaluate_forcing(f, u)))
-        dist = _sup_norm_distance(u_next, u, cfg.s_mon)
+        evaluate_forcing(f, Field(grid, u, "half"), out=(g, phys))
+        u_next = kernel(g, spare, i1, i2)
+        u_next += flow_u
+        u -= u_next  # the step, in the old iterate's array
+        dist = float(np.max(sobolev_norm(Field(grid, u, "half"), cfg.s_mon)))
         report.record(dist, time.perf_counter() - t0)
+        g, spare = (u, spare) if u_next is g else (g, u)
         u = u_next
         if dist <= cfg.tol:
             report.converged = True
             break
-    return u, report
+    # the scratch goes before the full spectra are built
+    del g, spare, phys
+    dt = duhamel_dt(table, i1, i2)
+    del i2
+    dt += flow_dt
+    return complete_trajectory(grid, times, u, dt), report
 
 
 def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                        cfg: PicardConfig):
     """Fixed point of u -> V(phi0, phi1) + D_m(f(u))."""
-    grid = require_same_grid(phi0, phi1)
-    times = cfg.times()
-    table = propagator_table(m, times, grid.xi_norm())
-    flow = solve_homogeneous(table, phi0, phi1, times)
-    return _picard(flow, lambda g: duhamel(table, g), f, cfg)
+    h0, h1 = real_data(phi0=phi0, phi1=phi1)
+    grid, times = h0.grid, cfg.times()
+    table = propagator_table(m, times, grid.half_xi_norm())
+    flow = solve_homogeneous(table, h0, h1, times, out=_half_arrays(grid, times, 2))
+
+    def kernel(g, spare, i1, i2):
+        return duhamel(table, g, times, out=(spare, i1, i2))[0]
+
+    return _picard(grid, times, flow, kernel, table, f, cfg)
 
 
 def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                       phi2: Field, cfg: PicardConfig):
     """Fixed point of u -> V(phi0, phi1) + D_m(phi2 + int_0^t f(u) ds)."""
-    grid = require_same_grid(phi0, phi1, phi2)
-    times = cfg.times()
-    table = propagator_table(m, times, grid.xi_norm())
-    data = np.broadcast_to(phi2.values, (len(times),) + grid.sizes)
-    flow = _plus(solve_homogeneous(table, phi0, phi1, times),
-                 duhamel(table, SpectralTrajectory(grid, times, data)))
+    h0, h1, h2 = real_data(phi0=phi0, phi1=phi1, phi2=phi2)
+    grid, times = h0.grid, cfg.times()
+    table = propagator_table(m, times, grid.half_xi_norm())
+    flow = solve_homogeneous(table, h0, h1, times, out=_half_arrays(grid, times, 2))
+    data = np.broadcast_to(h2.values, (len(times),) + grid.half_sizes)
+    _add_duhamel(table, flow, data.copy(), times)
 
-    def kernel(g):
-        return duhamel(table, SpectralTrajectory(grid, times,
-                                                 cumulative_simpson(g.u, times)))
+    def kernel(g, spare, i1, i2):
+        cumulative_simpson(g, times, out=spare)
+        return duhamel(table, spare, times, out=(g, i1, i2))[0]
 
-    return _picard(flow, kernel, f, cfg)
+    return _picard(grid, times, flow, kernel, table, f, cfg)
 
 
 def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
@@ -183,13 +249,20 @@ def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
     """
     if m1 == m2:
         raise ParameterError("the factored solver needs distinct orders m1 != m2")
-    grid = require_same_grid(psi0, psi1, psi2, psi3)
-    times = cfg.times()
-    table1 = propagator_table(m1, times, grid.xi_norm())
-    table2 = propagator_table(m2, times, grid.xi_norm())
-    flow = _plus(solve_homogeneous(table2, psi0, psi1, times),
-                 duhamel(table2, solve_homogeneous(table1, psi2, psi3, times)))
-    return _picard(flow, lambda g: duhamel(table2, duhamel(table1, g)), f, cfg)
+    h0, h1, h2, h3 = real_data(psi0=psi0, psi1=psi1, psi2=psi2, psi3=psi3)
+    grid, times = h0.grid, cfg.times()
+    table1 = propagator_table(m1, times, grid.half_xi_norm())
+    table2 = propagator_table(m2, times, grid.half_xi_norm())
+    flow = solve_homogeneous(table2, h0, h1, times, out=_half_arrays(grid, times, 2))
+    inner = solve_homogeneous(table1, h2, h3, times, out=_half_arrays(grid, times, 2))[0]
+    _add_duhamel(table2, flow, inner, times)
+    del inner
+
+    def kernel(g, spare, i1, i2):
+        duhamel(table1, g, times, out=(spare, i1, i2))
+        return duhamel(table2, spare, times, out=(g, i1, i2))[0]
+
+    return _picard(grid, times, flow, kernel, table2, f, cfg)
 
 
 def require_converged(report: PicardReport) -> None:

@@ -76,6 +76,11 @@ class Grid:
         """|xi| on the spectral grid; built once, read-only."""
         return self._xi_norm
 
+    def half_xi_norm(self) -> np.ndarray:
+        """|xi| on the modes of a half spectrum (half_sizes), a read-only
+        view of xi_norm."""
+        return self._xi_norm[..., : self.half_sizes[-1]]
+
     @property
     def axes(self) -> tuple:
         """The spatial axes of an array whose trailing shape is sizes."""
@@ -194,13 +199,6 @@ def dft_forward(f: Field, out: np.ndarray | None = None) -> Field:
         np.fft.fftn(f.values, axes=f.grid.axes, norm="ortho", out=out), "spectral")
 
 
-def dft_inverse(f: Field, out: np.ndarray | None = None) -> Field:
-    """Inverse of dft_forward, with the same out."""
-    _require_space(f, "spectral")
-    return f.copy_with(
-        np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho", out=out), "physical")
-
-
 def sobolev_norm(f, s: float):
     """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2).
 
@@ -214,7 +212,7 @@ def sobolev_norm(f, s: float):
     _require_space(f, "spectral", "half")
     grid = f.grid
     if f.space == "half":
-        w = (1.0 + grid.xi_norm()[..., : grid.half_sizes[-1]] ** 2) ** s
+        w = (1.0 + grid.half_xi_norm() ** 2) ** s
         w[..., 1 : grid.sizes[-1] // 2] *= 2.0
     else:
         w = (1.0 + grid.xi_norm() ** 2) ** s
@@ -316,15 +314,18 @@ def hermitian_completion(half: np.ndarray, grid: Grid) -> np.ndarray:
     return full
 
 
-def dealias(f: Field) -> Field:
-    """Zero every mode with any |k| > size/3 (the 2/3 rule)."""
-    _require_space(f, "spectral")
-    vals = f.values.copy()
+def dealias(f: Field, out: np.ndarray | None = None) -> Field:
+    """Zero every mode with any |k| > size/3 (the 2/3 rule) of a spectral
+    or half Field; out, as in dft_forward, receives the result."""
+    _require_space(f, "spectral", "half")
+    vals = f.values
     for axis, s in enumerate(f.grid.sizes):
         k = np.abs(np.fft.fftfreq(s, d=1.0 / s))
+        if f.space == "half" and axis == f.grid.n - 1:
+            k = k[: f.grid.half_sizes[-1]]
         shape = [1] * f.grid.n
-        shape[axis] = s
-        vals = vals * (k <= s / 3.0).reshape(shape)
+        shape[axis] = len(k)
+        vals = out = np.multiply(vals, (k <= s / 3.0).reshape(shape), out=out)
     return f.copy_with(vals)
 
 

@@ -2,8 +2,10 @@
 
 None of these is reached by a `cuspwave` command, so they live with the
 tests: an RK4 integration of each Fourier mode, the finite-difference
-residual of the propagator's ODE, and the defining functions of the
-characteristic sets where the paper places the singular support.
+residual of the propagator's ODE, the defining functions of the
+characteristic sets where the paper places the singular support, and the
+inverse of `spectral.dft_forward` for complex fields (the package itself
+inverts only half spectra of real fields).
 """
 
 from __future__ import annotations
@@ -16,6 +18,15 @@ from cuspwave.errors import DomainError, GridMismatchError, ParameterError
 from cuspwave.linear_solver import _check_times
 from cuspwave.propagator import _check_args, sample_arrays
 from cuspwave.spectral import Field, SpectralTrajectory, require_same_grid
+
+
+def dft_inverse(f: Field) -> Field:
+    """Inverse of spectral.dft_forward: the orthonormal inverse DFT of a
+    spectral Field over the spatial axes, as a physical Field."""
+    if f.space != "spectral":
+        raise ParameterError(f"expected a spectral field, got {f.space}")
+    return f.copy_with(
+        np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho"), "physical")
 
 
 def rk4_oracle(m: int, phi1: Field, phi2: Field,

@@ -40,12 +40,17 @@ from cuspwave.spectral import (
     Field,
     Grid,
     dft_forward,
-    dft_inverse,
     sobolev_norm,
     spectral_derivative,
 )
 
-from oracles import CharSurface, ode_residual, rk4_oracle, surface_distance
+from oracles import (
+    CharSurface,
+    dft_inverse,
+    ode_residual,
+    rk4_oracle,
+    surface_distance,
+)
 
 
 def zero_field(grid):

@@ -312,6 +312,26 @@ class TestProbeAndRates:
         assert "time level 3 (t = 0.30000000000000004)" in record["message"]
         assert os.listdir(probe_dir) == []
 
+    def test_probe_checks_the_trajectory_once(self, tmp_path, monkeypatch,
+                                              smooth_spec):
+        # the ridge and the scan share one Hermitian check of the input
+        import cuspwave.probe
+        from cuspwave.spectral import real_half
+
+        run_dir = str(tmp_path / "run")
+        assert main(["solve", "linear", "--n", "2", "--N", "16",
+                     "--n-t", "9", "--data", smooth_spec,
+                     "--out", run_dir]) == 0
+        checked = []
+        for module in (cuspwave.cli, cuspwave.probe):
+            monkeypatch.setattr(module, "real_half",
+                                lambda f: checked.append(f) or real_half(f),
+                                raising=False)
+        assert main(["probe", "--traj", run_dir, "--depth", "2",
+                     "--fields", "V0,TDt", "--out",
+                     str(tmp_path / "probe")]) == 0
+        assert len(checked) == 1
+
     def test_loaded_trajectory_has_no_time_derivative(self, tmp_path,
                                                       smooth_spec):
         run_dir = str(tmp_path / "run")

@@ -1,10 +1,13 @@
 """Picard solvers checked against independent RK4 oracles on the per-mode
 first-order systems (which never touch the Duhamel machinery)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cuspwave.errors import ConvergenceError, ParameterError
+from cuspwave.errors import ConvergenceError, DomainError, ParameterError
+from cuspwave.initial_data import make_a2, parse_data_spec
 from cuspwave.semilinear import (
     NonlinearitySpec,
     PicardConfig,
@@ -26,9 +29,11 @@ from cuspwave.spectral import (
     Grid,
     SpectralTrajectory,
     dft_forward,
-    dft_inverse,
+    hermitian_completion,
     sobolev_norm,
 )
+
+from oracles import dft_inverse
 
 
 def gaussian_field(grid, amp=1.0, width=0.5):
@@ -74,7 +79,12 @@ def test_zero_nonlinearity_is_linear_flow():
     assert rep.iterate_distances == [0.0]
     times = cfg.times()
     hom = solve_homogeneous(table(1, g, times), gaussian_field(g), zero_field(g), times)
-    assert np.array_equal(tr.u, hom.u)
+    # the solver runs on half spectra: columns 1..N/2-1 are the flow's bit
+    # for bit, columns 0 and N/2 its exactly real part, and the rest their
+    # exact completion
+    assert np.array_equal(tr.u[:, 1:32], hom.u[:, 1:32])
+    assert np.array_equal(tr.u[:, [0, 32]], hom.u[:, [0, 32]].real)
+    assert np.array_equal(tr.u, hermitian_completion(tr.u[:, :33], g))
 
 
 def test_constant_source_zero_mode():
@@ -240,7 +250,7 @@ def test_fourth_order_matches_rk4():
     cfg = PicardConfig(T=0.5, n_t=129, tol=1e-12)
     f = NonlinearitySpec((0.0, 1.0))
     vals = np.zeros(32, dtype=complex)
-    vals[3] = 1.0
+    vals[3] = vals[-3] = 0.5  # a real mode
     psi0 = Field(g, vals, "spectral")
     z = zero_field(g)
     tr, rep = solve_fourth_order(2, 1, f, psi0, z, z, z, cfg)
@@ -361,3 +371,84 @@ def test_report_derives_iterations_and_ratio():
     rep.record(0.0, 0.1)
     rep.record(0.5, 0.1)  # after a zero distance there is no ratio
     assert rep.contraction_ratio == pytest.approx(0.2)
+
+
+def _a2_solve(order, grid, max_iters):
+    """One solve of each order on A2 data (angular modes 1 and 3) with
+    f = u^2/2: the data in every first slot, zero elsewhere."""
+    spec = parse_data_spec("family = A2\nangular = 1:1:0, 3:0.5:0\n")
+    phi, z = dft_forward(make_a2(spec, grid)), zero_field(grid)
+    f = NonlinearitySpec((0.0, 0.0, 0.5))
+    cfg = PicardConfig(T=1.0, n_t=33, max_iters=max_iters)
+    return {"second": lambda: solve_second_order(1, f, phi, z, cfg),
+            "third": lambda: solve_third_order(1, f, phi, z, z, cfg),
+            "fourth": lambda: solve_fourth_order(2, 1, f, phi, z, z, z, cfg)}[order]
+
+
+# the peak per byte of the returned u, with the margin of each bound: the
+# half-grid tables (4 real arrays per order, about 1 u each), the flow's
+# u and dt, the iterate, the forcing, a spare, the two Duhamel integrals
+# (half a u each) and one real physical array, and at the end the full
+# u and dt
+_SOLVE_PEAKS = {"second": (5.66, 0.84), "third": (5.64, 0.86),
+                "fourth": (6.68, 1.32)}
+
+
+@pytest.mark.parametrize("order", sorted(_SOLVE_PEAKS))
+def test_solve_memory_is_bounded(order):
+    g = Grid(2, (64, 64), np.pi)
+    solve = _a2_solve(order, g, 4)
+    g.xi_norm()  # warm the grid cache
+    tracemalloc.start()
+    try:
+        tr, rep = solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations >= 3
+    measured, margin = _SOLVE_PEAKS[order]
+    assert peak / tr.u.nbytes <= measured + margin
+
+
+def _negated(a, axes):
+    """a at the wavenumbers -k on the given axes."""
+    for axis in axes:
+        a = np.take(a, -np.arange(a.shape[axis]), axis=axis)
+    return a
+
+
+_REAL_SIZES = {1: (16,), 2: (16, 8), 3: (8, 8, 8)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_data_in_exactly_real_solutions_out(n, monkeypatch):
+    import cuspwave.semilinear as semilinear
+
+    g = Grid(n, _REAL_SIZES[n], 2.0)
+    rng = np.random.default_rng(n)
+    data = [dft_forward(Field(g, 0.3 * rng.standard_normal(g.sizes)))
+            for _ in range(4)]
+    f = NonlinearitySpec((0.0, 0.0, 0.5))
+    cfg = PicardConfig(T=0.3, n_t=17)
+    solves = {"second": (lambda *d: solve_second_order(1, f, *d, cfg),
+                         ("phi0", "phi1")),
+              "third": (lambda *d: solve_third_order(1, f, *d, cfg),
+                        ("phi0", "phi1", "phi2")),
+              "fourth": (lambda *d: solve_fourth_order(2, 1, f, *d, cfg),
+                         ("psi0", "psi1", "psi2", "psi3"))}
+    axes = g.axes
+    for solve, names in solves.values():
+        tr, rep = solve(*data[:len(names)])
+        require_converged(rep)
+        for a in (tr.u, tr.dt):
+            assert np.array_equal(a, np.conj(_negated(a, axes)))
+    # a spectrum that is not Hermitian is rejected, by name, before the
+    # propagator table is built
+    monkeypatch.setattr(semilinear, "propagator_table",
+                        lambda *args: pytest.fail("table built for complex data"))
+    for solve, names in solves.values():
+        for i, name in enumerate(names):
+            bad = list(data[:len(names)])
+            bad[i] = Field(g, 1j * data[i].values, "spectral")
+            with pytest.raises(DomainError, match="^%s: not the spectrum" % name):
+                solve(*bad)

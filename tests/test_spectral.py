@@ -10,7 +10,6 @@ from cuspwave.spectral import (
     SpectralTrajectory,
     dealias,
     dft_forward,
-    dft_inverse,
     half_forward,
     half_inverse,
     hermitian_completion,
@@ -21,6 +20,8 @@ from cuspwave.spectral import (
     sobolev_norm,
     spectral_derivative,
 )
+
+from oracles import dft_inverse
 
 
 def random_field(grid, seed=0):
