@@ -38,19 +38,17 @@ def _time_derivative(stack: np.ndarray, h: float, out: np.ndarray,
     """4th-order finite differences along axis 0 on a uniform grid.
 
     The result goes to out; work is scratch of the same shape.  The
-    interior stencil (-u[i+2] + 8 u[i+1] - 8 u[i-1] + u[i-2]) / 12h is
-    evaluated term by term in that order, in place.
+    interior stencil ((u[i-2] - u[i+2]) + 8 (u[i+1] - u[i-1])) / 12h takes
+    five whole-buffer passes, in place.
     """
     nt = stack.shape[0]
     if nt < 6:
         raise DomainError("need at least 6 snapshots for 4th-order time differences")
     mid, eight = out[2:-2], work[2:-2]
-    np.negative(stack[4:], out=mid)
-    np.multiply(8, stack[3:-1], out=eight)
+    np.subtract(stack[:-4], stack[4:], out=mid)
+    np.subtract(stack[3:-1], stack[1:-3], out=eight)
+    eight *= 8
     mid += eight
-    np.multiply(8, stack[1:-3], out=eight)
-    mid -= eight
-    mid += stack[:-4]
     mid /= 12 * h
     fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
     for i in (0, 1):

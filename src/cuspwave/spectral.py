@@ -250,7 +250,8 @@ def real_half(f) -> Field:
     u must be Hermitian, u(-k) = conj u(k), to 1e-12 of max|u| in the
     real and imaginary parts; otherwise it is not the spectrum of a real
     field and the call raises a DomainError that names the worst time
-    level.  The check runs one time level at a time in spectral space.
+    level of a trajectory or stacked Field.  The check runs one time level
+    at a time in spectral space.
     """
     if isinstance(f, SpectralTrajectory):
         values, times = f.u, f.times
@@ -268,12 +269,14 @@ def real_half(f) -> Field:
         scale[i] = np.max(np.abs(level))
     worst, scale = int(np.argmax(defect)), np.max(scale)
     if defect[worst] > _HERMITIAN_TOL * scale:
-        where = f"time level {worst}"
-        if times is not None:
-            where += f" (t = {float(times[worst])!r})"
+        where = ""
+        if values.shape != grid.sizes:  # a trajectory or a stacked Field
+            where = f" at time level {worst}"
+            if times is not None:
+                where += f" (t = {float(times[worst])!r})"
         raise DomainError(
             f"not the spectrum of a real field: Hermitian defect "
-            f"{defect[worst] / scale:.3g} of max|u| at {where}")
+            f"{defect[worst] / scale:.3g} of max|u|{where}")
     return Field(grid, values[..., : grid.half_sizes[-1]], "half")
 
 

@@ -470,17 +470,47 @@ class TestData:
         assert "l2 = " in text
 
 
-def test_cli_import_does_not_load_sympy():
-    # only `opalg verify` needs sympy; the numeric commands must not pay
-    # for importing it
+def _fresh_python(code, *args):
+    """The last stdout line of code run in a new interpreter on this
+    checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cuspwave.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, cuspwave.cli; print('sympy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_does_not_load_sympy():
+    # only `opalg verify` needs sympy; the numeric commands must not pay
+    # for importing it
+    code = "import sys, cuspwave.cli; print('sympy' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+_NUMERIC_RUNS = """
+import sys
+from cuspwave.cli import main
+out, spec = sys.argv[1:]
+small = ["--N", "16", "--n-t", "9", "--T", "0.3", "--data", spec,
+         "--f-coefficients", "0,0,1"]
+for argv in (["solve", "second", *small, "--out", out + "/second"],
+             ["solve", "fourth", *small, "--m1", "3", "--data-3", spec,
+              "--out", out + "/fourth"],
+             ["rates", "--N", "64", "--n-t", "5", "--t-lo", "0.5",
+              "--t-hi", "1.5", "--out", out + "/rates"],
+             ["probe", "--traj", out + "/second", "--fields", "V0,TDt",
+              "--out", out + "/probe"]):
+    assert main(argv) == 0, argv
+print("scipy" in sys.modules)
+"""
+
+
+def test_numeric_commands_do_not_load_scipy(tmp_path, smooth_spec):
+    # the Bessel pair is evaluated in numpy, so no numeric command pays
+    # for importing scipy
+    assert _fresh_python(_NUMERIC_RUNS, str(tmp_path), smooth_spec) == "False"
 
 
 

@@ -1,7 +1,8 @@
 """Fundamental-pair sampler checked against three independent oracles:
 a per-mode RK4 integration of u'' + t^m rho^2 u = 0, the Bessel-J
-closed form for V1, and the confluent hypergeometric form
-e^(-z/2) Phi(a, 2a; z) evaluated by mpmath at 60 digits."""
+closed form for V1 (scipy's jv), and the confluent hypergeometric form
+e^(-z/2) Phi(a, 2a; z) evaluated by mpmath at 60 digits.  The numpy
+Bessel evaluator behind the sampler is checked against mpmath's besselj."""
 
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 from scipy.special import gamma, jv
 
 from cuspwave.errors import DomainError, ParameterError
-from cuspwave.propagator import sample_arrays
+from cuspwave.propagator import _j_pair, sample_arrays
 
 from oracles import ode_residual
 
@@ -61,6 +62,32 @@ def test_bessel_identity(m):
         v1 = sample_arrays(m, t, rho)[0]
         assert v1.real == pytest.approx(ref, rel=1e-9, abs=1e-9)
         assert abs(v1.imag) < 1e-10 * max(1.0, abs(ref))
+
+
+# log-spaced and uniform arguments, both sides of the regime switches at
+# x = 2 and 30, and x near 4.5e6, where a phase formed as cos(x - c)
+# loses 1e-10 to the rounding of x - c
+BESSEL_X = np.unique(np.concatenate([
+    np.geomspace(1e-12, 5e6, 90),
+    np.linspace(0.0, 60.0, 121)[1:],
+    [np.nextafter(c, c + d) for c in (2.0, 30.0) for d in (-1.0, 0.0, 1.0)],
+    [4.5e6 - 0.3, 4.5e6, 4.5e6 + 0.7],
+]))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_j_pair_against_mpmath(m):
+    # the error is measured against max(|J|, sqrt(2/(pi x))), the envelope
+    # of J, so that zeros of J do not demand an infinite relative accuracy
+    nu = 1.0 / (m + 2)
+    with mp.workdps(40):
+        for mu in (nu, 1 - nu):
+            for order, got in zip((mu, mu + 1), _j_pair(mu, BESSEL_X)):
+                for x, g in zip(BESSEL_X, got):
+                    ref = mp.besselj(mp.mpf(order), mp.mpf(x))
+                    env = max(abs(float(ref)), np.sqrt(2 / (np.pi * x)))
+                    err = abs(float(mp.mpf(float(g)) - ref))
+                    assert err <= 2e-14 * env, (m, order, x, g, ref)
 
 
 def test_wronskian_normalisation():
@@ -206,7 +233,7 @@ def test_table_memory_is_bounded():
     # of memory; the closed form needs a few float arrays per point
     t = np.linspace(0.0, 1.0, 65)
     rho = np.linspace(0.0, 30.0, 400)
-    sample_arrays(1, t[:, None], rho[None, :])  # warm the scipy ufuncs
+    sample_arrays(1, t[:, None], rho[None, :])  # warm up numpy
     tracemalloc.start()
     try:
         out = sample_arrays(1, t[:, None], rho[None, :])

@@ -162,8 +162,10 @@ def test_half_spectrum_matches_full(sizes):
 
 def test_real_half_rejects_a_complex_field():
     g = Grid(1, (16,), 1.0)
-    with pytest.raises(DomainError, match="time level 0"):
+    # a single Field has no time axis, so the message names no time level
+    with pytest.raises(DomainError, match=r"of max\|u\|$") as info:
         real_half(dft_forward(random_field(g)))
+    assert "time level" not in str(info.value)
 
 
 def test_dealias():
