@@ -3,8 +3,8 @@
 None of these is reached by a `cuspwave` command, so they live with the
 tests: an RK4 integration of each Fourier mode, the finite-difference
 residual of the propagator's ODE, the defining functions of the
-characteristic sets where the paper places the singular support, and the
-inverse of `spectral.dft_forward` for complex fields (the package itself
+characteristic sets where the paper places the singular support, the
+self-similar plane front of the linear problem, and the inverse of `spectral.dft_forward` for complex fields (the package itself
 inverts only half spectra of real fields).
 """
 
@@ -153,3 +153,19 @@ def surface_distance(s: CharSurface, t, x) -> float:
     if s.kind == "L0":
         return float(np.linalg.norm(x))
     return float(t)  # Sigma0
+
+
+def plane_front(m: int, s) -> np.ndarray:
+    """The self-similar profile G(s) of the linear solution with Heaviside
+    data H(x1): u(t, x) = G(x1 / rho_m(t)), rho_m = 2 t^((m+2)/2) / (m+2).
+
+    G(s) = 1/2 + sign(s)/2 * I_{min(s^2, 1)}(1/2, 1/2 - nu), nu = 1/(m+2),
+    the regularized incomplete beta function (DLMF 8.17), which solves
+    D^2 G + 2 nu D G - G'' = 0 with D = s d/ds: 0 for s <= -1 and 1 for
+    s >= 1, with the cusp front 1 - G ~ (1 - s)^(1/2 - nu) at s = 1.
+    """
+    from scipy.special import betainc
+
+    s = np.asarray(s, dtype=float)
+    nu = 1.0 / (m + 2)
+    return 0.5 + 0.5 * np.sign(s) * betainc(0.5, 0.5 - nu, np.minimum(s * s, 1.0))

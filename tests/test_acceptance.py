@@ -48,6 +48,7 @@ from oracles import (
     CharSurface,
     dft_inverse,
     ode_residual,
+    plane_front,
     rk4_oracle,
     surface_distance,
 )
@@ -72,6 +73,14 @@ def jump_data(grid, amp=1.0, wl=1.2, wr=0.9):
     spec = InitialDataSpec("A1", left=BumpSpec(amp, wl),
                            right=BumpSpec(-amp, wr))
     return dft_forward(make_a1(spec, grid))
+
+
+def linear_profile(m, grid, phi0, t):
+    """u(t) in physical space of the linear solve with the real data
+    (phi0, 0), phi0 sampled on the grid."""
+    times = np.array([0.0, t])
+    traj = homogeneous(m, dft_forward(Field(grid, phi0)), zero_field(grid), times)
+    return dft_inverse(traj.snapshot_at(t)).values.real
 
 
 NO_FORCING = NonlinearitySpec()
@@ -165,6 +174,40 @@ def test_solver_matches_rk4_oracle(m, family):
         diff = np.linalg.norm(spec_traj.u[i] - oracle.u[i])
         ref = np.linalg.norm(oracle.u[i])
         assert diff / ref <= 1e-6
+
+
+# 4b. the linear solve against an exact self-similar solution ---------------
+
+# max error away from the fronts at N = 256, 1024, 4096, as measured when
+# this test was added: m = 1 4.21e-4, 5.91e-5, 3.16e-6; m = 2 6.31e-4,
+# 4.36e-5, 1.69e-6; m = 4 6.33e-4, 2.89e-5, 1.49e-6.  Each bound is about
+# twice the measurement.
+_FRONT_BOUNDS = {1: (8.4e-4, 1.2e-4, 6.4e-6),
+                 2: (1.3e-3, 8.8e-5, 3.4e-6),
+                 4: (1.3e-3, 5.8e-5, 3.0e-6)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_square_wave_matches_plane_front(m):
+    # a square wave on [-pi, pi) jumps up at 0 and down at +-pi and is
+    # homogeneous of degree 0 near both jumps, so while rho_m(t) < pi/2 the
+    # solution is G(x / rho) near 0 and 1 - G((x -+ pi) / rho) near +-pi
+    t = 1.0
+    rho = CharSurface("Gamma", m).radius(t)
+    errors = []
+    for N, bound in zip((256, 1024, 4096), _FRONT_BOUNDS[m]):
+        grid = Grid(1, (N,), np.pi)
+        (x,) = grid.coords()
+        wave = (x > 0).astype(float)
+        wave[(x == 0) | (x == -np.pi)] = 0.5  # the jump points take the mean
+        u = linear_profile(m, grid, wave, t)
+        exact = np.where(np.abs(x) < np.pi / 2, plane_front(m, x / rho),
+                         1.0 - plane_front(m, (x - np.sign(x) * np.pi) / rho))
+        fronts = np.array([rho, -rho, np.pi - rho, rho - np.pi])
+        away = np.min(np.abs(x[:, None] - fronts), axis=1) > 0.1
+        errors.append(np.max(np.abs(u - exact)[away]))
+        assert errors[-1] <= bound, (N, errors[-1])
+    assert errors[0] > errors[1] > errors[2]
 
 
 # 5. frequency-ring decay rate of the first propagator ----------------------
