@@ -29,13 +29,7 @@ from .errors import (
 )
 from .fields import parse_fields
 from .initial_data import FAMILIES, parse_data_spec, read_key_values
-from .linear_solver import (
-    export_trajectory,
-    load_trajectory,
-    propagator_table,
-    real_data,
-    solve_homogeneous,
-)
+from .linear_solver import export_trajectory, load_trajectory, solve_linear
 from .probe import (
     conormal_scan,
     decay_exponent,
@@ -50,14 +44,7 @@ from .semilinear import (
     solve_second_order,
     solve_third_order,
 )
-from .spectral import (
-    Field,
-    Grid,
-    dft_forward,
-    real_half,
-    save_field,
-    sobolev_norm,
-)
+from .spectral import Field, Grid, half_field, save_field, sobolev_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -168,11 +155,11 @@ def _build_grid(cfg) -> Grid:
 
 def _spectral_data(path, grid) -> Field:
     spec = _read(path, parse_data_spec)
-    return dft_forward(FAMILIES[spec.family][0](spec, grid))
+    return half_field(FAMILIES[spec.family][0](spec, grid))
 
 
 def _zero_field(grid) -> Field:
-    return Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
+    return Field(grid, np.zeros(grid.half_sizes, dtype=complex), "half")
 
 
 def _nonlinearity(cfg) -> NonlinearitySpec:
@@ -197,18 +184,12 @@ _FOURTH_KEYS = {**_SOLVE_COMMON, **_PICARD_KEYS, "m1": (int, 2),
                 "m2": (int, 1), "data_2": (str, ""), "data_3": (str, "")}
 
 
-def _solve_linear(cfg, pic, phi0, phi1):
-    times = pic.times()
-    data = real_data(data=phi0, data_dt=phi1)
-    table = propagator_table(cfg["m"], times, phi0.grid.half_xi_norm())
-    return solve_homogeneous(table, *data, times), None
-
-
 # kind -> (keys, solver(cfg, Picard config, *data) -> (trajectory, Picard
 # report or None)); the data are the kind's keys among data, data_dt,
 # data_2 and data_3, in that order
 _SOLVE_KINDS = {
-    "linear": (_LINEAR_KEYS, _solve_linear),
+    "linear": (_LINEAR_KEYS, lambda cfg, pic, *data: (
+        solve_linear(cfg["m"], *data, pic.times()), None)),
     "second": (_SECOND_KEYS, lambda cfg, pic, *data: solve_second_order(
         cfg["m"], _nonlinearity(cfg), *data, pic)),
     "third": (_THIRD_KEYS, lambda cfg, pic, *data: solve_third_order(
@@ -262,12 +243,9 @@ def cmd_probe(args) -> int:
     cfg = _resolve(args)
     traj = load_trajectory(cfg["traj"])
     fields = parse_fields(cfg["fields"], cfg["m"], traj.grid.n)
-    # the ridge and the scan share one check that u is real; nothing is
-    # written until both (the scan checks the depth) have succeeded
-    half = real_half(traj)
-    points = ridge_extract(traj, threshold=cfg["threshold"], half=half)
-    table = conormal_scan(traj, fields, depth=cfg["depth"], s=cfg["s"],
-                          half=half)
+    # nothing is written until both (the scan checks the depth) have succeeded
+    points = ridge_extract(traj, threshold=cfg["threshold"])
+    table = conormal_scan(traj, fields, depth=cfg["depth"], s=cfg["s"])
     out = cfg["out"]
     _write_manifest(out, "probe", cfg)
     ridge = os.path.join(out, "ridge.csv")
@@ -308,11 +286,9 @@ def cmd_rates(args) -> int:
     grid = Grid(1, (cfg["N"],), cfg["L"])
     x = grid.coords()[0]
     jump = np.where(x >= 0, 1.0, -1.0) * np.exp(-(x / cfg["width"]) ** 2)
-    data = real_data(jump=dft_forward(Field(grid, jump)), zero=_zero_field(grid))
     times = np.geomspace(cfg["t_lo"], cfg["t_hi"], cfg["n_t"])
-    all_times = np.concatenate(([0.0], times))
-    traj = solve_homogeneous(propagator_table(m, all_times, grid.half_xi_norm()),
-                             *data, all_times)
+    traj = solve_linear(m, half_field(Field(grid, jump)), _zero_field(grid),
+                        np.concatenate(([0.0], times)))
     fit = fit_power_law(times, sobolev_norm(traj, cfg["s1"] + 1.0)[1:])
     out = cfg["out"]
     _write_manifest(out, "rates", cfg)
@@ -378,7 +354,7 @@ def cmd_data(args) -> int:
     field = FAMILIES[spec.family][0](spec, grid)
     if cfg["preview"]:
         print("family = %s" % spec.family)
-        print("l2 = %r" % sobolev_norm(dft_forward(field), 0.0))
+        print("l2 = %r" % sobolev_norm(half_field(field), 0.0))
         print("extrema = %r %r" % (float(np.min(field.values.real)),
                                    float(np.max(field.values.real))))
         return EXIT_OK

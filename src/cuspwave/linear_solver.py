@@ -6,18 +6,18 @@ variation-of-constants kernel V2(t)V1(tau) - V1(t)V2(tau) (the Wronskian is
 one), evaluated with cumulative Simpson so a whole trajectory costs O(N_t).
 Both solves read a propagator table that the caller builds once per solve.
 
-The arithmetic is per mode, so the same solve_homogeneous, duhamel and
-cumulative_simpson serve full spectra and the rfft half spectra of real
-solutions.  The package's own solves (cuspwave solve, rates) take real
-data only: real_data checks each field and keeps its half spectrum, the
-table is gathered onto the half grid, which halves it, the solves write
-into arrays the caller allocates once (out=), and complete_trajectory
-turns the half spectra of the result into an exactly Hermitian
-SpectralTrajectory.
+The data and the solutions are real, and every solve works on rfft half
+spectra: the data are half Fields (half_data checks them), the table is
+gathered onto the half grid (Grid.half_xi_norm), and duhamel writes into
+arrays the caller may allocate once (out=).  solve_linear returns the
+linear solution as a SpectralTrajectory whose edge columns are exactly
+Hermitian (spectral.hermitian_edges).
 
 An export directory holds one snapshot_%05d.cwgrid file per time level and
-a manifest.csv of times, file names and H^s norms; export_trajectory writes
-it and load_trajectory reads it back.
+a manifest.csv of times, file names and H^s norms.  The files hold full
+spectra: export_trajectory completes each level as it writes it, and
+load_trajectory checks that each level it reads is the spectrum of a real
+field and keeps its half (spectral.real_half).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import os
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, ParameterError, QuadratureError
+from .errors import GridMismatchError, ParameterError, QuadratureError
 from .propagator import sample_arrays
 from .spectral import (
     Field,
@@ -95,11 +95,10 @@ def propagator_table(m: int, times, rho: np.ndarray):
     """(v1, v2, dt_v1, dt_v2) arrays of shape (n_times,) + rho.shape.
 
     The pair depends on xi only through rho = |xi|, so it is evaluated once
-    per distinct rho (radial shell) and gathered back onto rho, which is
-    the grid's xi_norm or, for the half spectra of real solutions, its
-    half_xi_norm.  A solver builds the table once and passes it to every
-    solve_homogeneous and duhamel call on that (m, time grid, frequency
-    set).
+    per distinct rho (radial shell) and gathered back onto rho, the grid's
+    half_xi_norm for the solves here.  A solver builds the table once and
+    passes it to every solve_homogeneous and duhamel call on that (m, time
+    grid, frequency set).
     """
     times = np.asarray(times, dtype=float)
     shells, where = np.unique(rho, return_inverse=True)
@@ -115,93 +114,72 @@ def _require_table(table, shape) -> None:
             f"propagator table has shape {table[0].shape}, the solve needs {shape}")
 
 
-def real_data(**data) -> list:
-    """The half spectra (spectral.real_half) of the named spectral data on
-    one grid, in order.  Data that are not the spectrum of a real field
-    raise the DomainError of real_half with their name in front."""
-    require_same_grid(*data.values())
-    halves = []
+def half_data(**data) -> list:
+    """The named data, in order, checked to be half Fields (the half
+    spectra of real fields) on one grid; any other raises a
+    ParameterError with its name in front."""
     for name, f in data.items():
-        try:
-            halves.append(real_half(f))
-        except DomainError as exc:
-            raise DomainError(f"{name}: {exc}") from None
-    return halves
+        if f.space != "half":
+            raise ParameterError(f"{name}: expected the half spectrum of a real "
+                                 f"field, got a {f.space} field")
+    require_same_grid(*data.values())
+    return list(data.values())
 
 
-def complete_trajectory(grid, times, u, dt=None) -> SpectralTrajectory:
-    """The SpectralTrajectory of a real solution given by the half spectra
-    u and dt: spectral.hermitian_edges makes them exactly Hermitian, in
-    place, and spectral.hermitian_completion adds the other half."""
-    full = []
-    for a in (u, dt):
-        if a is not None:
-            hermitian_edges(a, grid)
-            a = hermitian_completion(a, grid)
-        full.append(a)
-    return SpectralTrajectory(grid, times, *full)
-
-
-def solve_homogeneous(table, phi1: Field, phi2: Field, times, out=None):
+def solve_homogeneous(table, phi1: Field, phi2: Field, times):
     """u_hat(t) = V1(t,|xi|) phi1_hat + V2(t,|xi|) phi2_hat per mode, and
     d_t u_hat = dt_V1 phi1_hat + dt_V2 phi2_hat.
 
-    The data are spectral Fields with a table on the grid's xi_norm,
-    answered by a SpectralTrajectory; or half Fields (real_data) with a
-    table on its half_xi_norm, answered by the completed trajectory
-    (complete_trajectory), or, given out = (u, dt), by the half spectra
-    written into out.
+    The data are half Fields and the table is on the grid's half_xi_norm.
+    Returns the pair (u_hat, d_t u_hat) of half-spectrum arrays.
     """
-    grid = require_same_grid(phi1, phi2)
-    if phi1.space != phi2.space or phi1.space not in ("spectral", "half"):
-        raise ParameterError("solve_homogeneous expects spectral or half data")
     times = _check_times(times)
     shape = (len(times),) + phi1.values.shape
     _require_table(table, shape)
     v1, v2, dt_v1, dt_v2 = table
-    u, dt = out or (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+    u, dt = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     np.multiply(v2, phi2.values, out=dt)
     np.multiply(v1, phi1.values, out=u)
     u += dt
     np.multiply(dt_v1, phi1.values, out=dt)
     dt += dt_v2 * phi2.values
-    if out is not None:
-        return out
-    if phi1.space == "half":
-        return complete_trajectory(grid, times, u, dt)
-    return SpectralTrajectory(grid, times, u, dt)
+    return u, dt
 
 
-def duhamel(table, forcing, times=None, out=None):
-    """Zero-data response to the forcing F_hat.
+def solve_linear(m: int, phi1: Field, phi2: Field, times) -> SpectralTrajectory:
+    """The solution of d_t^2 u - t^m Lap u = 0 with the real data u = phi1
+    and d_t u = phi2 at t = 0, given as half Fields, with exactly
+    Hermitian edge columns."""
+    phi1, phi2 = half_data(phi1=phi1, phi2=phi2)
+    times = _check_times(times)
+    table = propagator_table(m, times, phi1.grid.half_xi_norm())
+    u, dt = solve_homogeneous(table, phi1, phi2, times)
+    for a in (u, dt):
+        hermitian_edges(a, phi1.grid)
+    return SpectralTrajectory(phi1.grid, times, u, dt)
+
+
+def duhamel(table, forcing, times, out=None):
+    """Zero-data response to the forcing F_hat, an array of half spectra
+    on the table's modes, one per entry of times.
 
     u_hat(t) = V2(t) I1(t) - V1(t) I2(t) with I1 = int_0^t V1 F_hat dtau and
     I2 = int_0^t V2 F_hat dtau; differentiating in t only hits the outer
     factors because the kernel vanishes on the diagonal (duhamel_dt).
-
-    forcing is a SpectralTrajectory, answered by one with u and dt.  The
-    solvers pass instead the array of F_hat on the table's modes, here half
-    spectra, with its times and out = (u, i1, i2): u_hat and the two
-    integrals are written into out, which is returned, and forcing is
-    overwritten as scratch.  The arithmetic is the same per mode.
+    Returns (u_hat, I1, I2), written into out = (u, i1, i2) when it is
+    given; forcing is overwritten as scratch.
     """
-    traj = forcing if isinstance(forcing, SpectralTrajectory) else None
-    if traj is not None:
-        times, forcing = traj.times, traj.u.copy()
-        out = tuple(np.empty_like(forcing) for _ in range(3))
     times = _check_times(times)
     _require_table(table, (len(times),) + forcing.shape[1:])
     v1, v2, _, _ = table
-    u, i1, i2 = out
+    u, i1, i2 = out or [np.empty_like(forcing) for _ in range(3)]
     np.multiply(v1, forcing, out=u)
     cumulative_simpson(u, times, out=i1)
     np.multiply(v2, forcing, out=u)
     cumulative_simpson(u, times, out=i2)
     np.multiply(v2, i1, out=u)
     u -= np.multiply(v1, i2, out=forcing)
-    if traj is None:
-        return out
-    return SpectralTrajectory(traj.grid, times, u, duhamel_dt(table, i1, i2))
+    return u, i1, i2
 
 
 def duhamel_dt(table, i1, i2) -> np.ndarray:
@@ -215,25 +193,40 @@ def duhamel_dt(table, i1, i2) -> np.ndarray:
 
 
 def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
-    """Write one grid file per snapshot plus a CSV manifest of H^s norms."""
+    """Write one grid file per snapshot plus a CSV manifest of H^s norms.
+
+    Each file holds the full spectrum of its level: the level's half
+    spectrum, made exactly Hermitian (spectral.hermitian_edges) and
+    completed (spectral.hermitian_completion).  Levels are completed in
+    blocks of about 1 MB as they are written, so no full stack is held and
+    small levels do not pay two calls each.
+    """
     os.makedirs(directory, exist_ok=True)
     manifest = os.path.join(directory, "manifest.csv")
     norms = [sobolev_norm(traj, s) for s in s_list]
+    grid = traj.grid
+    block = max(1, 2**20 // (16 * int(np.prod(grid.sizes))))
     with open(manifest, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "file"] + [f"h{s}" for s in s_list])
-        for i, t in enumerate(traj.times):
-            name = f"snapshot_{i:05d}.cwgrid"
-            save_field(os.path.join(directory, name),
-                       Field(traj.grid, traj.u[i], "spectral"))
-            w.writerow([repr(float(t)), name] + [repr(float(v[i])) for v in norms])
+        for start in range(0, len(traj.times), block):
+            full = hermitian_completion(traj.u[start : start + block], grid)
+            hermitian_edges(full[..., : grid.half_sizes[-1]], grid)
+            for i, level in enumerate(full, start):
+                name = f"snapshot_{i:05d}.cwgrid"
+                save_field(os.path.join(directory, name), Field(grid, level, "spectral"))
+                w.writerow([repr(float(traj.times[i])), name]
+                           + [repr(float(v[i])) for v in norms])
     return manifest
 
 
 def load_trajectory(directory) -> SpectralTrajectory:
     """Rebuild a trajectory from an export directory's manifest.
 
-    Only u is stored, so the loaded trajectory has dt = None.
+    The files are read one at a time, and each level must be the spectrum
+    of a real field, of which only the half spectrum is kept
+    (spectral.real_half, which raises a DomainError naming the worst
+    level).  Only u is stored, so the loaded trajectory has dt = None.
     """
     manifest = os.path.join(directory, "manifest.csv")
     with open(manifest, newline="") as fh:
@@ -244,14 +237,17 @@ def load_trajectory(directory) -> SpectralTrajectory:
         if column not in rows[0]:
             raise ParameterError("trajectory manifest %r has no %r column"
                                  % (manifest, column))
-    grid = None
-    for i, row in enumerate(rows):
-        f = load_field(os.path.join(directory, row["file"]), space="spectral")
-        if grid is None:
-            grid = f.grid
-            u = np.empty((len(rows),) + grid.sizes, dtype=complex)
-        elif f.grid != grid:
-            raise GridMismatchError("%s: grid differs from the first snapshot"
-                                    % row["file"])
-        u[i] = f.values
-    return SpectralTrajectory(grid, [float(r["time"]) for r in rows], u)
+    first = load_field(os.path.join(directory, rows[0]["file"]), space="spectral")
+    grid = first.grid
+
+    def levels():
+        yield first.values
+        for row in rows[1:]:
+            f = load_field(os.path.join(directory, row["file"]), space="spectral")
+            if f.grid != grid:
+                raise GridMismatchError("%s: grid differs from the first snapshot"
+                                        % row["file"])
+            yield f.values
+
+    times = [float(r["time"]) for r in rows]
+    return SpectralTrajectory(grid, times, real_half(levels(), grid, times))

@@ -1,6 +1,9 @@
 """Singular-support diagnostics: the tangent fields of cuspwave.fields
 applied to trajectories, conormal-norm scans, gradient-ridge extraction,
 and power-law rate fitting.
+
+A trajectory holds the half spectra of a real u (spectral), and every
+word Z_1 ... Z_k u is held and measured as a half spectrum too.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from .spectral import (
     SpectralTrajectory,
     half_forward,
     half_inverse,
-    hermitian_completion,
     hermitian_edges,
-    real_half,
     sobolev_norm,
     spectral_derivative,
 )
@@ -69,8 +70,8 @@ def _weigh(factor, coord: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
 
 
 class _Level:
-    """A word of a vector-field scan, as the half spectrum of a real field
-    (spectral.real_half), held in buffers that later words overwrite.
+    """A word of a vector-field scan, as the half spectrum of a real field,
+    held in buffers that later words overwrite.
 
     Besides the word u (the trajectory's own half spectrum at depth 0) it
     holds time_diff, the 4th-order time difference of u when a field reads
@@ -107,12 +108,10 @@ class _Level:
         return half_inverse(self.spec, self.grid, out, work=self.spec)
 
 
-def _levels(traj: SpectralTrajectory, fields, depth: int,
-            half: Field) -> list[_Level]:
-    """The levels of a scan of fields to the given depth over half, the
-    checked half spectrum of traj (real_half), each array allocated once,
-    with level 0 refreshed.  Level k writes into level k+1's word; the last
-    level writes into one more half spectrum."""
+def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
+    """The levels of a scan of fields to the given depth over traj, each
+    array allocated once, with level 0 refreshed.  Level k writes into
+    level k+1's word; the last level writes into one more half spectrum."""
     grid = traj.grid
     h = np.diff(traj.times)
     if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
@@ -122,7 +121,7 @@ def _levels(traj: SpectralTrajectory, fields, depth: int,
     kept = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
     reads_t = any(slot == "t" for *_, slot in terms)
     half_shape = (len(traj.times),) + grid.half_sizes
-    words = [half.values]
+    words = [traj.u]
     words += [np.empty(half_shape, dtype=complex) for _ in range(depth)]
     real_shape = (len(traj.times),) + grid.sizes
     shared = (np.empty(real_shape), np.empty(real_shape),
@@ -136,23 +135,22 @@ def _levels(traj: SpectralTrajectory, fields, depth: int,
 def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
                        t_floor: float | None = None
                        ) -> SpectralTrajectory | np.ndarray:
-    """Z u on the trajectory's own (t, x) grid, for a real u.
+    """Z u on the trajectory's own (t, x) grid, as a trajectory of half
+    spectra whose edge columns are exactly Hermitian
+    (spectral.hermitian_edges).  Spatial derivatives are spectral and the
+    time derivative is a 4th-order finite difference, which needs a
+    uniform grid of at least 6 times.
 
-    u must be the spectrum of a real field (spectral.real_half); the
-    field works on its half spectrum and returns the full one, completed
-    from the half exactly, so the result is exactly Hermitian.  Spatial
-    derivatives are spectral and the time derivative is a 4th-order
-    finite difference, which needs a uniform grid of at least 6 times.
     The field's terms come from VectorFieldId.terms.  A term without an x
     factor (the t term of V0, the d_l term of Vbar, TDt, N3, N4 and Rl)
     acts in spectral space as one multiply.  The terms with an x factor
     multiply pointwise in physical space and are summed there, in a real
     array, which costs one half_inverse per term and one half_forward per
-    field.  Besides the result, the call allocates half-size arrays: a
-    real accumulator and scratch, a half-spectrum scratch and, when the
-    field reads the t slot, a time difference.  Given one of
-    conormal_scan's levels instead of a trajectory, Z u overwrites the
-    scan's next word, which the call returns as a half spectrum.
+    field.  Besides the result, the call allocates arrays of the
+    trajectory's size: a real accumulator and scratch, a half-spectrum
+    scratch and, when the field reads the t slot, a time difference.
+    Given one of conormal_scan's levels instead of a trajectory, Z u
+    overwrites the scan's next word, which the call returns as an array.
 
     Fields with a negative power of t (Vbar) are evaluated only for
     t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
@@ -161,7 +159,7 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     if isinstance(traj, _Level):
         level = traj
     else:
-        level = _levels(traj, [fid], 1, real_half(traj))[0]
+        level = _levels(traj, [fid], 1)[0]
     grid, times, dest = level.grid, level.times, level.dest
     if t_floor is None:
         t_floor = 4.0 * level.h
@@ -206,7 +204,7 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     hermitian_edges(dest, grid)
     if traj is level:
         return dest
-    return SpectralTrajectory(grid, times, hermitian_completion(dest, grid))
+    return SpectralTrajectory(grid, times, dest)
 
 
 def _words(levels: list[_Level], fields, depth: int, t_floor, k=0, word=()):
@@ -221,23 +219,21 @@ def _words(levels: list[_Level], fields, depth: int, t_floor, k=0, word=()):
 
 
 def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
-                  t_floor: float | None = None, half: Field | None = None):
+                  t_floor: float | None = None):
     """Sup-in-t H^s norms of Z_1 ... Z_k u over all words up to the depth.
 
     Returns a dict mapping word labels (comma-joined field labels, '' for
     the empty word) to the sup norm over snapshots with t >= t_floor,
-    ordered by word length.  u must be the spectrum of a real field, and
-    every word is held and measured as a half spectrum; a caller that has
-    checked u already passes half = real_half(traj).  Words are computed
-    depth first by apply_vector_field, in arrays allocated once per scan
-    and overwritten word after word: per depth below the last one word
+    ordered by word length.  Words are computed depth first by
+    apply_vector_field, in arrays allocated once per scan and overwritten
+    word after word: per depth below the last one word
     (the trajectory itself at depth 0) and its time difference, plus one
     real physical derivative for each slot that two or more x-weighted
     terms of the alphabet read; one half spectrum for the last depth's
     words; and the shared real accumulator, real scratch and half-spectrum
-    scratch.  Each of these is half the size of the trajectory, so at depth
-    2 without shared slots they add up to about 3.6 trajectories.  They
-    are freed when the call returns.
+    scratch.  Each of these is about the size of u, so at depth 2 without
+    shared slots they add up to about 7 times u's bytes.  They are freed
+    when the call returns.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
@@ -248,8 +244,6 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     if t_floor is None:
         t_floor = 4.0 * h
     keep = traj.times >= t_floor
-    if half is None:
-        half = real_half(traj)
 
     def sup_norm(half):
         return float(np.max(sobolev_norm(Field(grid, half, "half"), s)[keep]))
@@ -260,27 +254,20 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     table = dict.fromkeys(
         label(word) for k in range(depth + 1)
         for word in itertools.product(fields, repeat=k))
-    if not depth:
-        table[""] = sup_norm(half.values)
-        return table
-    levels = _levels(traj, fields, depth, half)
-    table[""] = sup_norm(levels[0].u)
-    for word, applied in _words(levels, fields, depth, t_floor):
-        table[label(word)] = sup_norm(applied)
+    table[""] = sup_norm(traj.u)
+    if depth:
+        levels = _levels(traj, fields, depth)
+        for word, applied in _words(levels, fields, depth, t_floor):
+            table[label(word)] = sup_norm(applied)
     return table
 
 
 # ridge extraction ----------------------------------------------------------
 
 
-def gradient_magnitude(snapshot) -> np.ndarray:
-    """|grad u| in physical space of a real u, given as a spectral Field
-    (per time level for a stacked one), a SpectralTrajectory, or a half
-    Field that real_half has checked already."""
-    if isinstance(snapshot, Field) and snapshot.space == "half":
-        half = snapshot
-    else:
-        half = real_half(snapshot)
+def gradient_magnitude(half: Field) -> np.ndarray:
+    """|grad u| in physical space of a real u, given as a half Field (per
+    time level for a stacked one)."""
     grid = half.grid
     # every derivative is taken and inverted in one half-spectrum buffer d
     # and one real buffer d_phys
@@ -295,18 +282,15 @@ def gradient_magnitude(snapshot) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5,
-                  half: Field | None = None):
-    """Local maxima of |grad u| above threshold x per-snapshot max, for a
-    real u; a caller that has checked u already passes half =
-    real_half(traj).
+def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
+    """Local maxima of |grad u| above threshold x per-snapshot max.
 
     Returns a list of (t, coordinates tuple, strength) records.
     """
     if not np.isfinite(threshold):
         raise ParameterError(f"ridge threshold must be finite, got {threshold}")
     grid = traj.grid
-    mag = gradient_magnitude(traj if half is None else half)
+    mag = gradient_magnitude(traj.as_field())
     peak = np.max(mag, axis=grid.axes, keepdims=True)
     is_max = mag > threshold * peak
     for axis in grid.axes:

@@ -13,18 +13,18 @@ second-order Duhamel map D_m:
 * fourth order:  (d_t^2 - t^m1 Lap)(d_t^2 - t^m2 Lap) u = f(u);
   flow = V_m2(psi0, psi1) + D_m2(V_m1(psi2, psi3)), K = D_m2 D_m1
 
-The data and the solution are real.  Each solver takes the half spectrum
-of every data field once (linear_solver.real_data), so complex data raise
-a DomainError before any table is built, and iterates on rfft half
+The data and the solution are real, and are carried by their rfft half
+spectra.  Each solver checks that its data are half Fields
+(linear_solver.half_data) before any table is built, and iterates on half
 spectra: each order's propagator table is gathered onto the half grid
 (Grid.half_xi_norm), and each nonlinearity evaluation happens pointwise
 in one real physical array, between half_inverse and half_forward, with
 2/3 dealiasing on the half grid before the result re-enters the mode-wise
 linear solve.  The loop's arrays are allocated once per solve and the
 Duhamel and Simpson steps write into them.  Iterates carry only u; d_t u
-is formed once, from the flow and the last step's Duhamel integrals, and
-only the returned trajectory is completed to full, exactly Hermitian
-spectra.
+is formed once, from the flow and the last step's Duhamel integrals.  The
+returned trajectory holds the half spectra with exactly Hermitian edge
+columns (spectral.hermitian_edges).
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .linear_solver import (
-    complete_trajectory,
     cumulative_simpson,
     duhamel,
     duhamel_dt,
+    half_data,
     propagator_table,
-    real_data,
     solve_homogeneous,
 )
 from .spectral import (
@@ -50,7 +49,7 @@ from .spectral import (
     dealias,
     half_forward,
     half_inverse,
-    real_half,
+    hermitian_edges,
     sobolev_norm,
 )
 
@@ -133,28 +132,21 @@ class PicardReport:
         self.wall_times.append(wall)
 
 
-def evaluate_forcing(f: NonlinearitySpec, u, out=None):
-    """f(u), 2/3-dealiased, in spectral space, for a real u.
+def evaluate_forcing(f: NonlinearitySpec, u: Field, out=None):
+    """f(u), 2/3-dealiased, for the half Field u of a real field (stacked
+    over time or not).
 
-    u is a SpectralTrajectory of a real field (spectral.real_half),
-    answered by the exactly Hermitian trajectory of f(u).  The Picard loop
-    passes instead the half Field of u stacked over time and out =
-    (g, phys): g receives the half spectrum of f(u) and is also the work
-    array of half_inverse, phys is the real physical array in which f is
-    evaluated.  out is returned.
+    Returns the pair (g, phys), written into out when it is given: g
+    receives the half spectrum of f(u) and is also the work array of
+    half_inverse, phys is the real physical array in which f is evaluated.
     """
-    traj = u if isinstance(u, SpectralTrajectory) else None
-    if traj is not None:
-        u = real_half(traj)
-        out = (np.empty(u.values.shape, dtype=complex),
-               np.empty((len(traj.times),) + traj.grid.sizes))
-    grid, (g, phys) = u.grid, out
+    grid = u.grid
+    g, phys = out or (np.empty(u.values.shape, dtype=complex),
+                      np.empty(u.values.shape[:-1] + grid.sizes[-1:]))
     half_inverse(u.values, grid, phys, work=g)
     f.evaluate(phys, out=phys)
     dealias(Field(grid, half_forward(phys, grid, out=g), "half"), out=g)
-    if traj is None:
-        return out
-    return complete_trajectory(grid, traj.times, g)
+    return g, phys
 
 
 def _half_arrays(grid, times, count: int) -> list:
@@ -164,9 +156,10 @@ def _half_arrays(grid, times, count: int) -> list:
 
 def _add_duhamel(table, flow, g, times) -> None:
     """flow += D(g), both u and dt, in place; g is overwritten."""
-    d, i1, i2 = duhamel(table, g, times, out=[np.empty_like(g) for _ in range(3)])
-    flow[0] += d
-    flow[1] += duhamel_dt(table, i1, i2)
+    u, dt = flow
+    d, i1, i2 = duhamel(table, g, times)
+    u += d
+    dt += duhamel_dt(table, i1, i2)
 
 
 def _picard(grid, times, flow, kernel, table, f: NonlinearitySpec,
@@ -178,8 +171,7 @@ def _picard(grid, times, flow, kernel, table, f: NonlinearitySpec,
     flow's; kernel(g, spare, i1, i2) overwrites g and spare, leaves K(g) in
     one of them, which it returns, and the integrals of its last Duhamel
     map, whose table is table, in i1 and i2.  The iterates carry only u:
-    dt is formed once, from flow's dt and the last step's integrals, and
-    only the returned trajectory is completed to full spectra.
+    dt is formed once, from flow's dt and the last step's integrals.
     """
     report = PicardReport()
     flow_u, flow_dt = flow
@@ -199,21 +191,20 @@ def _picard(grid, times, flow, kernel, table, f: NonlinearitySpec,
         if dist <= cfg.tol:
             report.converged = True
             break
-    # the scratch goes before the full spectra are built
-    del g, spare, phys
     dt = duhamel_dt(table, i1, i2)
-    del i2
     dt += flow_dt
-    return complete_trajectory(grid, times, u, dt), report
+    for a in (u, dt):
+        hermitian_edges(a, grid)
+    return SpectralTrajectory(grid, times, u, dt), report
 
 
 def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                        cfg: PicardConfig):
     """Fixed point of u -> V(phi0, phi1) + D_m(f(u))."""
-    h0, h1 = real_data(phi0=phi0, phi1=phi1)
+    h0, h1 = half_data(phi0=phi0, phi1=phi1)
     grid, times = h0.grid, cfg.times()
     table = propagator_table(m, times, grid.half_xi_norm())
-    flow = solve_homogeneous(table, h0, h1, times, out=_half_arrays(grid, times, 2))
+    flow = solve_homogeneous(table, h0, h1, times)
 
     def kernel(g, spare, i1, i2):
         return duhamel(table, g, times, out=(spare, i1, i2))[0]
@@ -224,10 +215,10 @@ def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
 def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                       phi2: Field, cfg: PicardConfig):
     """Fixed point of u -> V(phi0, phi1) + D_m(phi2 + int_0^t f(u) ds)."""
-    h0, h1, h2 = real_data(phi0=phi0, phi1=phi1, phi2=phi2)
+    h0, h1, h2 = half_data(phi0=phi0, phi1=phi1, phi2=phi2)
     grid, times = h0.grid, cfg.times()
     table = propagator_table(m, times, grid.half_xi_norm())
-    flow = solve_homogeneous(table, h0, h1, times, out=_half_arrays(grid, times, 2))
+    flow = solve_homogeneous(table, h0, h1, times)
     data = np.broadcast_to(h2.values, (len(times),) + grid.half_sizes)
     _add_duhamel(table, flow, data.copy(), times)
 
@@ -249,12 +240,12 @@ def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
     """
     if m1 == m2:
         raise ParameterError("the factored solver needs distinct orders m1 != m2")
-    h0, h1, h2, h3 = real_data(psi0=psi0, psi1=psi1, psi2=psi2, psi3=psi3)
+    h0, h1, h2, h3 = half_data(psi0=psi0, psi1=psi1, psi2=psi2, psi3=psi3)
     grid, times = h0.grid, cfg.times()
     table1 = propagator_table(m1, times, grid.half_xi_norm())
     table2 = propagator_table(m2, times, grid.half_xi_norm())
-    flow = solve_homogeneous(table2, h0, h1, times, out=_half_arrays(grid, times, 2))
-    inner = solve_homogeneous(table1, h2, h3, times, out=_half_arrays(grid, times, 2))[0]
+    flow = solve_homogeneous(table2, h0, h1, times)
+    inner = solve_homogeneous(table1, h2, h3, times)[0]
     _add_duhamel(table2, flow, inner, times)
     del inner
 

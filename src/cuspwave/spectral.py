@@ -6,12 +6,18 @@ holds without extra factors.  Physical norms carry the cell measure (2L/N)^n.
 Transforms, derivatives and norms act on the trailing (spatial) axes only, so
 they apply unchanged to a Field stacked over a leading time axis.
 
-An odd derivative zeroes the Nyquist mode k = -N/2 of the axis it
-differentiates, so that the derivative of a real field is real.  A real
-field can also be carried by its rfft half spectrum, the modes 0..N/2 of
-the last axis (shape Grid.half_sizes): a Field in the space "half", which
-spectral_derivative and sobolev_norm take like a spectral one and
-half_forward / half_inverse transform to and from real arrays.
+Every field the package computes on is real, and is carried by its rfft
+half spectrum: the modes 0..N/2 of the last axis (shape Grid.half_sizes),
+a Field in the space "half".  half_forward and half_inverse transform to
+and from real arrays, half_field a real physical Field to its half Field;
+spectral_derivative, sobolev_norm and dealias act on half spectra.  An
+odd derivative zeroes the Nyquist mode k = -N/2 of the axis it
+differentiates, so that the derivative of a real field is real.
+
+Full spectra exist only in snapshot files (save_field / load_field, the
+space "spectral"): hermitian_completion builds one from a half spectrum,
+and real_half checks stored ones and keeps their halves.  This module is
+the only one that calls numpy's FFTs.
 """
 
 from __future__ import annotations
@@ -95,29 +101,29 @@ class Grid:
     @cached_property
     def _symbols(self):
         symbols = []
-        for a, s in enumerate(self.sizes):
-            xi = self.axis_xi(a)
-            xi[s // 2] = 0.0  # the Nyquist mode k = -N/2
+        for a, s in enumerate(self.half_sizes):
+            xi = self.axis_xi(a)[:s]
+            xi[self.sizes[a] // 2] = 0.0  # the Nyquist mode k = -N/2
             shape = [1] * self.n
             shape[a] = s
-            symbols.append((1j * xi).reshape(shape))
-        symbols.append(symbols[-1][..., : self.half_sizes[-1]])
-        for a in symbols:
-            a.flags.writeable = False
+            symbol = (1j * xi).reshape(shape)
+            symbol.flags.writeable = False
+            symbols.append(symbol)
         return symbols
 
-    def derivative_symbol(self, axis: int, half: bool = False) -> np.ndarray:
+    def derivative_symbol(self, axis: int) -> np.ndarray:
         """i xi_axis with the Nyquist mode zeroed, shaped to broadcast over
-        sizes (half_sizes when half); built once, read-only."""
+        half_sizes; built once, read-only."""
         if not 0 <= axis < self.n:
             raise ParameterError(f"axis {axis} out of range for n={self.n}")
-        return self._symbols[self.n if half and axis == self.n - 1 else axis]
+        return self._symbols[axis]
 
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples on a grid, in physical or spectral space, or the
-    half spectrum of a real field (space "half", see real_half).
+    """Complex samples on a grid: in physical space, as the half spectrum
+    of a real field (space "half"), or as the full spectrum of a snapshot
+    file (space "spectral").
 
     values has shape grid.sizes (grid.half_sizes for a half spectrum), or
     that shape behind a leading axis for a stack of time levels.
@@ -143,10 +149,10 @@ class Field:
 
 @dataclass
 class SpectralTrajectory:
-    """Spectral samples of u, and of d_t u when a solver produces it.
+    """Half spectra of a real u, and of d_t u when a solver produces it.
 
-    u and dt are complex arrays of shape (n_t, *grid.sizes), one row per
-    entry of times; dt is None when the time derivative is not known.
+    u and dt are complex arrays of shape (n_t, *grid.half_sizes), one row
+    per entry of times; dt is None when the time derivative is not known.
     """
 
     grid: Grid
@@ -156,7 +162,7 @@ class SpectralTrajectory:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        shape = (len(self.times),) + self.grid.sizes
+        shape = (len(self.times),) + self.grid.half_sizes
         self.u = np.asarray(self.u, dtype=complex)
         if self.dt is not None:
             self.dt = np.asarray(self.dt, dtype=complex)
@@ -171,16 +177,16 @@ class SpectralTrajectory:
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
             raise DomainError(f"no snapshot at t={t}; nearest is {self.times[i]}")
-        return Field(self.grid, self.u[i], "spectral")
+        return Field(self.grid, self.u[i], "half")
 
     def as_field(self) -> Field:
-        """u as one spectral Field stacked over the time axis."""
-        return Field(self.grid, self.u, "spectral")
+        """u as one half Field stacked over the time axis."""
+        return Field(self.grid, self.u, "half")
 
 
-def _require_space(f: Field, *spaces: str) -> None:
-    if f.space not in spaces:
-        raise ParameterError(f"expected a {' or '.join(spaces)} field, got {f.space}")
+def _require_space(f: Field, space: str) -> None:
+    if f.space != space:
+        raise ParameterError(f"expected a {space} field, got {f.space}")
 
 
 def require_same_grid(*fields) -> Grid:
@@ -191,31 +197,20 @@ def require_same_grid(*fields) -> Grid:
     return g
 
 
-def dft_forward(f: Field, out: np.ndarray | None = None) -> Field:
-    """Orthonormal DFT of the spatial axes; out (which may be f.values)
-    receives the result instead of a new array."""
-    _require_space(f, "physical")
-    return f.copy_with(
-        np.fft.fftn(f.values, axes=f.grid.axes, norm="ortho", out=out), "spectral")
-
-
 def sobolev_norm(f, s: float):
     """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2).
 
-    f is a spectral or half Field (one float, or one per time level of a
-    stacked Field) or a SpectralTrajectory (an array with one norm per
-    time).  In a half spectrum the columns 1..N/2-1 of the last axis stand
-    for their conjugate twins too and count twice.
+    f is a half Field (one float, or one per time level of a stacked
+    Field) or a SpectralTrajectory (an array with one norm per time).  The
+    columns 1..N/2-1 of the last axis stand for their conjugate twins too
+    and count twice.
     """
     if isinstance(f, SpectralTrajectory):
         f = f.as_field()
-    _require_space(f, "spectral", "half")
+    _require_space(f, "half")
     grid = f.grid
-    if f.space == "half":
-        w = (1.0 + grid.half_xi_norm() ** 2) ** s
-        w[..., 1 : grid.sizes[-1] // 2] *= 2.0
-    else:
-        w = (1.0 + grid.xi_norm() ** 2) ** s
+    w = (1.0 + grid.half_xi_norm() ** 2) ** s
+    w[..., 1 : grid.sizes[-1] // 2] *= 2.0
     # w * |v|^2 in one real array, squared and weighted in place
     density = np.abs(f.values)
     np.square(density, out=density)
@@ -225,14 +220,14 @@ def sobolev_norm(f, s: float):
 
 
 def spectral_derivative(f: Field, axis: int, out: np.ndarray | None = None) -> Field:
-    """i xi_axis * f, zero on the axis's Nyquist mode, for a spectral or
-    half Field; out, as in dft_forward, receives the result."""
-    _require_space(f, "spectral", "half")
-    symbol = f.grid.derivative_symbol(axis, half=f.space == "half")
-    return f.copy_with(np.multiply(symbol, f.values, out=out))
+    """i xi_axis * f, zero on the axis's Nyquist mode, for a half Field;
+    out (which may be f.values) receives the result instead of a new
+    array."""
+    _require_space(f, "half")
+    return f.copy_with(np.multiply(f.grid.derivative_symbol(axis), f.values, out=out))
 
 
-# half spectra of real fields --------------------------------------------------
+# half and full spectra ---------------------------------------------------------
 
 _HERMITIAN_TOL = 1e-12
 
@@ -243,41 +238,32 @@ def _negate(a: np.ndarray, axes: tuple) -> np.ndarray:
     return np.roll(np.flip(a, axes), 1, axes) if axes else a
 
 
-def real_half(f) -> Field:
-    """The half spectrum u[..., :N//2+1] (a view, as a half Field) of a
-    spectral Field or a SpectralTrajectory of a real field.
+def real_half(levels, grid: Grid, times) -> np.ndarray:
+    """The half spectra, shape (n_t, *grid.half_sizes), of the full spectra
+    that the iterable levels yields, one per entry of times.
 
-    u must be Hermitian, u(-k) = conj u(k), to 1e-12 of max|u| in the
-    real and imaginary parts; otherwise it is not the spectrum of a real
-    field and the call raises a DomainError that names the worst time
-    level of a trajectory or stacked Field.  The check runs one time level
-    at a time in spectral space.
+    Each level must be Hermitian, u(-k) = conj u(k), to 1e-12 of the
+    largest |u| of all levels in the real and imaginary parts; otherwise
+    it is not the spectrum of a real field and the call raises a
+    DomainError that names the worst time level and its t.  Levels are
+    read, checked and halved one at a time, so no full stack is held.
     """
-    if isinstance(f, SpectralTrajectory):
-        values, times = f.u, f.times
-    else:
-        _require_space(f, "spectral")
-        values, times = f.values, None
-    grid = f.grid
-    stack = values.reshape((-1,) + grid.sizes)
-    defect, scale = np.empty(len(stack)), np.empty(len(stack))
-    for i, level in enumerate(stack):
+    half = np.empty((len(times),) + grid.half_sizes, dtype=complex)
+    defect, scale = np.empty(len(times)), np.empty(len(times))
+    for i, level in enumerate(levels):
         diff = np.conj(_negate(level, grid.axes), order="C")
         diff -= level
         parts = diff.view(float)  # the defect's largest real or imaginary part
         defect[i] = np.max(np.abs(parts, out=parts))
         scale[i] = np.max(np.abs(level))
+        half[i] = level[..., : grid.half_sizes[-1]]
     worst, scale = int(np.argmax(defect)), np.max(scale)
     if defect[worst] > _HERMITIAN_TOL * scale:
-        where = ""
-        if values.shape != grid.sizes:  # a trajectory or a stacked Field
-            where = f" at time level {worst}"
-            if times is not None:
-                where += f" (t = {float(times[worst])!r})"
         raise DomainError(
             f"not the spectrum of a real field: Hermitian defect "
-            f"{defect[worst] / scale:.3g} of max|u|{where}")
-    return Field(grid, values[..., : grid.half_sizes[-1]], "half")
+            f"{defect[worst] / scale:.3g} of max|u| at time level {worst} "
+            f"(t = {float(times[worst])!r})")
+    return half
 
 
 def half_forward(phys: np.ndarray, grid: Grid,
@@ -285,6 +271,14 @@ def half_forward(phys: np.ndarray, grid: Grid,
     """Orthonormal rfft of the real array phys over the spatial axes; out,
     of shape (..., *grid.half_sizes), receives the half spectrum."""
     return np.fft.rfftn(phys, s=grid.sizes, axes=grid.axes, norm="ortho", out=out)
+
+
+def half_field(f: Field) -> Field:
+    """The half spectrum of the real physical Field f, as a half Field."""
+    _require_space(f, "physical")
+    if np.any(f.values.imag):
+        raise DomainError("not a real field: the samples have imaginary parts")
+    return f.copy_with(half_forward(f.values.real, f.grid), "half")
 
 
 def half_inverse(half: np.ndarray, grid: Grid, out: np.ndarray,
@@ -318,16 +312,14 @@ def hermitian_completion(half: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def dealias(f: Field, out: np.ndarray | None = None) -> Field:
-    """Zero every mode with any |k| > size/3 (the 2/3 rule) of a spectral
-    or half Field; out, as in dft_forward, receives the result."""
-    _require_space(f, "spectral", "half")
+    """Zero every mode with any |k| > size/3 (the 2/3 rule) of a half
+    Field; out, as in spectral_derivative, receives the result."""
+    _require_space(f, "half")
     vals = f.values
-    for axis, s in enumerate(f.grid.sizes):
-        k = np.abs(np.fft.fftfreq(s, d=1.0 / s))
-        if f.space == "half" and axis == f.grid.n - 1:
-            k = k[: f.grid.half_sizes[-1]]
+    for axis, (s, h) in enumerate(zip(f.grid.sizes, f.grid.half_sizes)):
+        k = np.abs(np.fft.fftfreq(s, d=1.0 / s))[:h]
         shape = [1] * f.grid.n
-        shape[axis] = len(k)
+        shape[axis] = h
         vals = out = np.multiply(vals, (k <= s / 3.0).reshape(shape), out=out)
     return f.copy_with(vals)
 

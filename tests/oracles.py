@@ -1,15 +1,21 @@
-"""Independent oracles the tests check the package against.
+"""Independent oracles the tests check the package against, and the
+helpers the tests share.
 
 None of these is reached by a `cuspwave` command, so they live with the
 tests: an RK4 integration of each Fourier mode, the finite-difference
 residual of the propagator's ODE, the defining functions of the
 characteristic sets where the paper places the singular support, the
-self-similar plane front of the linear problem, and the inverse of `spectral.dft_forward` for complex fields (the package itself
-inverts only half spectra of real fields).
+self-similar plane front of the linear problem, and the full complex DFT
+and its inverse (the package itself transforms only real fields, to and
+from half spectra).  The oracles work on full spectra; a test compares
+the package's half spectra with them after spectral.hermitian_completion,
+which is exact.
 """
 
 from __future__ import annotations
 
+import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,26 +23,115 @@ import numpy as np
 from cuspwave.errors import DomainError, GridMismatchError, ParameterError
 from cuspwave.linear_solver import _check_times
 from cuspwave.propagator import _check_args, sample_arrays
-from cuspwave.spectral import Field, SpectralTrajectory, require_same_grid
+from cuspwave.spectral import (
+    Field,
+    hermitian_completion,
+    require_same_grid,
+    save_field,
+)
+
+
+def dft_forward(f: Field) -> Field:
+    """The orthonormal DFT of a physical Field over the spatial axes: its
+    full spectrum, as a spectral Field."""
+    if f.space != "physical":
+        raise ParameterError(f"expected a physical field, got {f.space}")
+    return f.copy_with(
+        np.fft.fftn(f.values, axes=f.grid.axes, norm="ortho"), "spectral")
 
 
 def dft_inverse(f: Field) -> Field:
-    """Inverse of spectral.dft_forward: the orthonormal inverse DFT of a
-    spectral Field over the spatial axes, as a physical Field."""
+    """Inverse of dft_forward: the orthonormal inverse DFT of a spectral
+    Field over the spatial axes, as a physical Field.  A half Field is
+    completed first (full_field)."""
+    if f.space == "half":
+        f = full_field(f)
     if f.space != "spectral":
         raise ParameterError(f"expected a spectral field, got {f.space}")
     return f.copy_with(
         np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho"), "physical")
 
 
-def rk4_oracle(m: int, phi1: Field, phi2: Field,
-               forcing: SpectralTrajectory | None, times,
-               substeps: int | None = None) -> SpectralTrajectory:
+def full_field(f: Field) -> Field:
+    """The full spectrum of the half Field f, completed exactly
+    (spectral.hermitian_completion)."""
+    if f.space != "half":
+        raise ParameterError(f"expected a half field, got {f.space}")
+    return f.copy_with(hermitian_completion(f.values, f.grid), "spectral")
+
+
+def half_of(f: Field) -> Field:
+    """The half spectrum of the full spectrum f, the modes 0..N/2 of its
+    last axis, as a half Field."""
+    if f.space != "spectral":
+        raise ParameterError(f"expected a spectral field, got {f.space}")
+    return f.copy_with(f.values[..., : f.grid.half_sizes[-1]], "half")
+
+
+def zero_field(grid, space: str = "half") -> Field:
+    """The zero Field of the given space on grid."""
+    shape = grid.half_sizes if space == "half" else grid.sizes
+    return Field(grid, np.zeros(shape, dtype=complex), space)
+
+
+def real_mode(grid, k) -> Field:
+    """The full spectrum of the real field cos(xi_k . x): the modes k and
+    -k (the index tuple k negated modulo the sizes) each 1/2."""
+    vals = np.zeros(grid.sizes, dtype=complex)
+    k = tuple(np.atleast_1d(k))
+    vals[k] += 0.5
+    vals[tuple(-i % s for i, s in zip(k, grid.sizes))] += 0.5
+    return Field(grid, vals, "spectral")
+
+
+def full_derivative(grid, values, axis: int) -> np.ndarray:
+    """i xi_axis * values for full spectra values, zero on the axis's
+    Nyquist mode k = -N/2."""
+    xi = grid.axis_xi(axis)
+    xi[grid.sizes[axis] // 2] = 0.0
+    shape = [1] * grid.n
+    shape[axis] = len(xi)
+    return 1j * xi.reshape(shape) * values
+
+
+def full_sobolev_norm(grid, values, s: float):
+    """The discrete H^s norm of full spectra values (one per time level of
+    a stack): sqrt(sum (1+|xi|^2)^s |v|^2 * cell measure)."""
+    density = (1.0 + grid.xi_norm() ** 2) ** s * np.abs(values) ** 2
+    return np.sqrt(np.sum(density, axis=grid.axes) * grid.cell_measure)
+
+
+def write_full_spectra(directory, grid, times, levels) -> None:
+    """An export directory of the full spectra levels at times, one
+    CWGRID1 file per level plus manifest.csv, in the layout that the
+    probe-2d benchmark input is written in."""
+    os.makedirs(directory)
+    with open(os.path.join(directory, "manifest.csv"), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "file"])
+        for i, (t, level) in enumerate(zip(times, levels)):
+            name = "snapshot_%05d.cwgrid" % i
+            save_field(os.path.join(directory, name), Field(grid, level, "spectral"))
+            w.writerow([repr(float(t)), name])
+
+
+def negated(a, axes):
+    """a at the wavenumbers -k on the given axes."""
+    for axis in axes:
+        a = np.take(a, -np.arange(a.shape[axis]), axis=axis)
+    return a
+
+
+def rk4_oracle(m: int, phi1: Field, phi2: Field, forcing, times,
+               substeps: int | None = None):
     """Independent check: classical RK4 on (u, v)' = (v, -t^m rho^2 u + F).
 
-    The forcing between stored samples is interpolated linearly in t.  The
+    phi1 and phi2 are spectral Fields (full spectra); forcing is None or
+    the full spectra of F at times, an array of shape (n_t, *sizes).  The
+    forcing between stored samples is interpolated linearly in t.  The
     number of internal substeps per stored interval defaults to enough to
-    resolve the fastest mode (period ~ 2 pi / (t^(m/2) rho_max)).
+    resolve the fastest mode (period ~ 2 pi / (t^(m/2) rho_max)).  Returns
+    the full spectra (u, d_t u) at times.
     """
     times = _check_times(times)
     if len(times) < 2:
@@ -54,10 +149,10 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field,
         substeps = int(max(16, min(4096, 40 * omega_max * h0[0])))
 
     if forcing is not None:
-        if forcing.grid != grid:
-            raise GridMismatchError("forcing grid differs from data grid")
-        f_times = forcing.times
-        f_vals = forcing.u
+        if forcing.shape != (len(times),) + grid.sizes:
+            raise GridMismatchError("forcing shape differs from the data's")
+        f_times = times
+        f_vals = forcing
 
         def f_at(t):
             i = np.searchsorted(f_times, t) - 1
@@ -91,7 +186,7 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field,
             v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
             t += h
         u_out[i + 1], dt_out[i + 1] = u, v
-    return SpectralTrajectory(grid, times, u_out, dt_out)
+    return u_out, dt_out
 
 
 def ode_residual(m: int, t: float, rho: float, which: str = "v1") -> float:

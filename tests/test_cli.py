@@ -314,7 +314,9 @@ class TestProbeAndRates:
 
     def test_probe_checks_the_trajectory_once(self, tmp_path, monkeypatch,
                                               smooth_spec):
-        # the ridge and the scan share one Hermitian check of the input
+        # the input is checked once, as it is loaded; the ridge and the
+        # scan check nothing again
+        import cuspwave.linear_solver
         import cuspwave.probe
         from cuspwave.spectral import real_half
 
@@ -323,9 +325,9 @@ class TestProbeAndRates:
                      "--n-t", "9", "--data", smooth_spec,
                      "--out", run_dir]) == 0
         checked = []
-        for module in (cuspwave.cli, cuspwave.probe):
+        for module in (cuspwave.cli, cuspwave.linear_solver, cuspwave.probe):
             monkeypatch.setattr(module, "real_half",
-                                lambda f: checked.append(f) or real_half(f),
+                                lambda *a: checked.append(a) or real_half(*a),
                                 raising=False)
         assert main(["probe", "--traj", run_dir, "--depth", "2",
                      "--fields", "V0,TDt", "--out",
@@ -339,7 +341,7 @@ class TestProbeAndRates:
               "--data", smooth_spec, "--out", run_dir])
         traj = load_trajectory(run_dir)
         assert traj.dt is None
-        assert traj.u.shape == (9, 32)
+        assert traj.u.shape == (9, 17)  # the half spectra
         # a snapshot on another grid is rejected, not stacked
         from cuspwave.spectral import Field, Grid, save_field
 
@@ -889,11 +891,11 @@ def test_unusable_path_exits_two_with_a_record(tmp_path, monkeypatch, capsys,
 _OUT_FIRST = {
     "solve": (lambda spec: ["solve", "linear", "--N", "16", "--n-t", "9",
                             "--data", spec],
-              ["cuspwave.cli.propagator_table", "cuspwave.cli._read"]),
+              ["cuspwave.linear_solver.propagator_table", "cuspwave.cli._read"]),
     "probe": (lambda spec: ["probe", "--traj", "run"],
               ["cuspwave.cli.load_trajectory"]),
     "rates": (lambda spec: ["rates", "--N", "64"],
-              ["cuspwave.cli.propagator_table"]),
+              ["cuspwave.linear_solver.propagator_table"]),
     "opalg": (lambda spec: ["opalg", "verify", "--m", "1", "--n", "1"],
               ["cuspwave.opalg.catalog_verify"]),
     "data": (lambda spec: ["data", "--spec", spec], ["cuspwave.cli._read"]),

@@ -7,61 +7,78 @@ from cuspwave.errors import GridMismatchError, ParameterError, QuadratureError
 from cuspwave.linear_solver import (
     cumulative_simpson,
     duhamel,
+    duhamel_dt,
     export_trajectory,
+    load_trajectory,
     propagator_table,
     solve_homogeneous,
+    solve_linear,
 )
 from cuspwave.propagator import sample_arrays
-from cuspwave.spectral import Field, Grid, SpectralTrajectory, dft_forward
+from cuspwave.spectral import (
+    Field,
+    Grid,
+    half_field,
+    hermitian_completion,
+    load_field,
+)
 
-from oracles import rk4_oracle
+from oracles import (
+    full_field,
+    real_mode,
+    rk4_oracle,
+    write_full_spectra,
+    zero_field,
+)
 
 
 def gaussian_field(grid, width=0.5):
     (x,) = grid.coords()
-    return dft_forward(Field(grid, np.exp(-((x / width) ** 2))))
+    return half_field(Field(grid, np.exp(-((x / width) ** 2))))
 
 
-def zero_field(grid):
-    return Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
-
-
-def relative_l2_distance(a, b, t):
-    fa, fb = a.snapshot_at(t).values, b.snapshot_at(t).values
-    return np.linalg.norm(fa - fb) / np.linalg.norm(fb)
+def relative_l2_distance(grid, a, b, i):
+    """|a[i] - b[i]| / |b[i]| of the half spectra a of a real solution,
+    completed exactly, against the full spectra b."""
+    fa = hermitian_completion(a[i], grid)
+    return np.linalg.norm(fa - b[i]) / np.linalg.norm(b[i])
 
 
 def table(m, grid, times):
-    return propagator_table(m, times, grid.xi_norm())
+    return propagator_table(m, times, grid.half_xi_norm())
 
 
-def homogeneous(m, phi1, phi2, times):
-    return solve_homogeneous(table(m, phi1.grid, times), phi1, phi2, times)
-
-
-def zero_data_response(m, forcing):
-    return duhamel(table(m, forcing.grid, forcing.times), forcing)
+def zero_data_response(m, grid, times, forcing):
+    """(u, d_t u) of the Duhamel response to the half spectra forcing."""
+    tab = table(m, grid, times)
+    u, i1, i2 = duhamel(tab, forcing.copy(), times)
+    return u, duhamel_dt(tab, i1, i2)
 
 
 def constant_forcing(grid, times, value=1.0):
+    """The full spectra of the forcing F = value."""
     vals = np.zeros((len(times),) + grid.sizes, dtype=complex)
     vals[(slice(None),) + (0,) * grid.n] = value
-    return SpectralTrajectory(grid, times, vals)
+    return vals
+
+
+def half(full, grid):
+    return full[..., : grid.half_sizes[-1]]
 
 
 def test_homogeneous_zero_mode():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 5)
     phi1 = zero_field(g)
-    vals = np.zeros(16, dtype=complex)
+    vals = np.zeros(9, dtype=complex)
     vals[0] = 2.0
-    phi2 = Field(g, vals, "spectral")
-    tr = homogeneous(1, phi1, phi2, times)
+    phi2 = Field(g, vals, "half")
+    tr = solve_linear(1, phi1, phi2, times)
     # V2(t, 0) = t so the zero mode is 2t
     for i, t in enumerate(times):
         assert tr.u[i][0] == pytest.approx(2.0 * t)
         assert tr.dt[i][0] == pytest.approx(2.0)
-    tr2 = homogeneous(1, phi2, phi1, times)
+    tr2 = solve_linear(1, phi2, phi1, times)
     for i in range(len(times)):
         assert tr2.u[i][0] == pytest.approx(2.0)
 
@@ -70,7 +87,7 @@ def test_data_reproduced_at_zero():
     g = Grid(1, (64,), 4.0)
     phi1 = gaussian_field(g)
     phi2 = gaussian_field(g, 0.3)
-    tr = homogeneous(2, phi1, phi2, np.linspace(0, 1, 9))
+    tr = solve_linear(2, phi1, phi2, np.linspace(0, 1, 9))
     assert np.array_equal(tr.u[0], phi1.values)
     assert np.array_equal(tr.dt[0], phi2.values)
 
@@ -78,27 +95,27 @@ def test_data_reproduced_at_zero():
 def test_duhamel_zero_mode_quadratic():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 33)
-    tr = zero_data_response(1, constant_forcing(g, times))
+    u, dt = zero_data_response(1, g, times, half(constant_forcing(g, times), g))
     # at xi = 0 the response to F=1 is t^2/2, and Simpson is exact on it
     for i, t in enumerate(times):
-        assert tr.u[i][0] == pytest.approx(t * t / 2, abs=1e-12)
-        assert tr.dt[i][0] == pytest.approx(t, abs=1e-12)
+        assert u[i][0] == pytest.approx(t * t / 2, abs=1e-12)
+        assert dt[i][0] == pytest.approx(t, abs=1e-12)
 
 
 def test_duhamel_zero_forcing():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 9)
-    z = np.zeros((9, 16), dtype=complex)
-    tr = zero_data_response(2, SpectralTrajectory(g, times, z))
-    for s in tr.u:
+    z = np.zeros((9, 9), dtype=complex)
+    u, _ = zero_data_response(2, g, times, z)
+    for s in u:
         assert np.all(s == 0)
 
 
 def test_duhamel_needs_three_points():
     g = Grid(1, (16,), 2.0)
-    z = np.zeros((2, 16), dtype=complex)
+    z = np.zeros((2, 9), dtype=complex)
     with pytest.raises(QuadratureError):
-        zero_data_response(1, SpectralTrajectory(g, [0.0, 1.0], z))
+        zero_data_response(1, g, np.array([0.0, 1.0]), z)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -107,21 +124,20 @@ def test_homogeneous_matches_rk4(m):
     phi1 = gaussian_field(g)
     phi2 = gaussian_field(g, 0.7)
     times = np.linspace(0, 1, 65)
-    spec_tr = homogeneous(m, phi1, phi2, times)
-    rk_tr = rk4_oracle(m, phi1, phi2, None, times)
-    assert relative_l2_distance(spec_tr, rk_tr, 1.0) < 1e-6
-    assert relative_l2_distance(spec_tr, rk_tr, 0.5) < 1e-6
+    spec_tr = solve_linear(m, phi1, phi2, times)
+    rk_u, _ = rk4_oracle(m, full_field(phi1), full_field(phi2), None, times)
+    assert relative_l2_distance(g, spec_tr.u, rk_u, 64) < 1e-6  # t = 1
+    assert relative_l2_distance(g, spec_tr.u, rk_u, 32) < 1e-6  # t = 0.5
 
 
 def test_single_mode_forcing_matches_rk4():
     g = Grid(1, (64,), 4.0)
     times = np.linspace(0, 1, 257)
-    vals = np.zeros(64, dtype=complex)
-    vals[5] = 1.0
-    forcing = SpectralTrajectory(g, times, np.tile(vals, (len(times), 1)))
-    spec_tr = zero_data_response(1, forcing)
-    rk_tr = rk4_oracle(1, zero_field(g), zero_field(g), forcing, times)
-    assert relative_l2_distance(spec_tr, rk_tr, 1.0) < 1e-6
+    forcing = np.tile(real_mode(g, 5).values, (len(times), 1))
+    u, _ = zero_data_response(1, g, times, half(forcing, g))
+    z = zero_field(g, "spectral")
+    rk_u, _ = rk4_oracle(1, z, z, forcing, times)
+    assert relative_l2_distance(g, u, rk_u, -1) < 1e-6
 
 
 def test_inhomogeneous_superposition():
@@ -129,11 +145,10 @@ def test_inhomogeneous_superposition():
     times = np.linspace(0, 1, 33)
     phi1, phi2 = gaussian_field(g), gaussian_field(g, 0.3)
     forcing = constant_forcing(g, times)
-    hom = homogeneous(2, phi1, phi2, times)
-    par = zero_data_response(2, forcing)
-    full = SpectralTrajectory(g, times, hom.u + par.u)
-    rk = rk4_oracle(2, phi1, phi2, forcing, times)
-    assert relative_l2_distance(full, rk, 1.0) < 1e-6
+    hom = solve_linear(2, phi1, phi2, times)
+    par, _ = zero_data_response(2, g, times, half(forcing, g))
+    rk_u, _ = rk4_oracle(2, full_field(phi1), full_field(phi2), forcing, times)
+    assert relative_l2_distance(g, hom.u + par, rk_u, -1) < 1e-6
 
 
 def test_rk4_convergence_order():
@@ -141,12 +156,13 @@ def test_rk4_convergence_order():
     vals = np.zeros(8, dtype=complex)
     vals[3] = 1.0
     phi1 = Field(g, vals, "spectral")
+    z = zero_field(g, "spectral")
     times = np.array([0.0, 1.0])
     errs = []
-    ref = rk4_oracle(1, phi1, zero_field(g), None, times, substeps=4096)
+    ref, _ = rk4_oracle(1, phi1, z, None, times, substeps=4096)
     for n in (64, 128, 256):
-        tr = rk4_oracle(1, phi1, zero_field(g), None, times, substeps=n)
-        errs.append(abs(tr.u[-1][3] - ref.u[-1][3]))
+        u, _ = rk4_oracle(1, phi1, z, None, times, substeps=n)
+        errs.append(abs(u[-1][3] - ref[-1][3]))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert order[0] == pytest.approx(4.0, abs=0.2)
     assert order[1] == pytest.approx(4.0, abs=0.2)
@@ -154,7 +170,7 @@ def test_rk4_convergence_order():
 
 def test_rk4_requires_uniform_times():
     g = Grid(1, (8,), 2.0)
-    z = zero_field(g)
+    z = zero_field(g, "spectral")
     with pytest.raises(ParameterError):
         rk4_oracle(1, z, z, None, np.array([0.0, 0.1, 0.5]))
 
@@ -253,26 +269,54 @@ def test_table_of_wrong_shape_is_rejected():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 9)
     phi = gaussian_field(g)
-    forcing = constant_forcing(g, times)
+    forcing = half(constant_forcing(g, times), g)
     for bad in (table(1, Grid(1, (32,), 2.0), times),
                 table(1, g, np.linspace(0, 1, 17))):
         with pytest.raises(GridMismatchError):
             solve_homogeneous(bad, phi, phi, times)
         with pytest.raises(GridMismatchError):
-            duhamel(bad, forcing)
+            duhamel(bad, forcing, times)
+
+
+_SIZES = {1: (16,), 2: (16, 8), 3: (8, 8, 8)}
 
 
 def test_export_trajectory(tmp_path):
-    g = Grid(1, (16,), 2.0)
+    # a solve's half spectra come back bit for bit in 1-3 D; each file
+    # holds the completed full spectrum of its level.  The export completes
+    # levels in blocks of about 1 MB, one level per block on the 256^2 grid
     times = np.linspace(0, 1, 5)
-    tr = homogeneous(1, gaussian_field(g), zero_field(g), times)
-    manifest = export_trajectory(tmp_path / "run", tr, s_list=(0.0, 1.0))
-    rows = open(manifest).read().strip().splitlines()
-    assert rows[0] == "time,file,h0.0,h1.0"
-    assert len(rows) == 6
-    from cuspwave.spectral import load_field
-    f0 = load_field(tmp_path / "run" / "snapshot_00000.cwgrid", "spectral")
-    assert np.array_equal(f0.values, tr.u[0])
+    for n, sizes in [*_SIZES.items(), (2, (256, 256))]:
+        g = Grid(n, sizes, 2.0)
+        rng = np.random.default_rng(n)
+        data = [half_field(Field(g, rng.standard_normal(sizes))) for _ in range(2)]
+        tr = solve_linear(1, *data, times)
+        run = tmp_path / ("run%d_%d" % (n, sizes[-1]))
+        manifest = export_trajectory(run, tr, s_list=(0.0, 1.0))
+        rows = open(manifest).read().strip().splitlines()
+        assert rows[0] == "time,file,h0.0,h1.0"
+        assert len(rows) == 6
+        for i in range(len(times)):
+            f = load_field(run / ("snapshot_%05d.cwgrid" % i), "spectral")
+            assert np.array_equal(f.values, hermitian_completion(tr.u[i], g))
+        back = load_trajectory(run)
+        assert back.grid == g and back.dt is None
+        assert np.array_equal(back.times, times)
+        assert np.array_equal(back.u, tr.u)
+
+
+def test_load_keeps_the_half_of_full_spectra(tmp_path):
+    # the layout of the probe-2d benchmark input, per level np.fft.fftn of
+    # a real field: the load keeps exactly the columns 0..N/2 of each
+    g = Grid(2, (32, 32), np.pi)
+    x, y = g.coords()
+    r = np.hypot(x, y)
+    times = np.linspace(0.0, 1.0, 9)
+    levels = np.stack([np.fft.fftn(np.exp(-r ** 2) * (r < t), norm="ortho")
+                       for t in times])
+    write_full_spectra(str(tmp_path / "run"), g, times, levels)
+    tr = load_trajectory(tmp_path / "run")
+    assert np.array_equal(tr.u, levels[..., :17])
 
 
 def test_cumulative_simpson_matches_scipy():

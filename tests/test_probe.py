@@ -15,17 +15,26 @@ from cuspwave.probe import (
     gradient_magnitude,
     ridge_extract,
 )
+from cuspwave.linear_solver import load_trajectory
 from cuspwave.spectral import (
     Field,
     Grid,
     SpectralTrajectory,
-    dft_forward,
-    real_half,
+    half_field,
+    hermitian_completion,
     sobolev_norm,
-    spectral_derivative,
 )
 
-from oracles import CharSurface, dft_inverse, surface_distance
+from oracles import (
+    CharSurface,
+    dft_forward,
+    dft_inverse,
+    full_derivative,
+    full_sobolev_norm,
+    negated,
+    surface_distance,
+    write_full_spectra,
+)
 
 
 def make_trajectory(grid, times, func):
@@ -34,8 +43,8 @@ def make_trajectory(grid, times, func):
     snaps, dts = [], []
     eps = 1e-6
     for t in times:
-        snaps.append(dft_forward(Field(grid, func(t, *coords))).values)
-        dts.append(dft_forward(Field(
+        snaps.append(half_field(Field(grid, func(t, *coords))).values)
+        dts.append(half_field(Field(
             grid, (func(t + eps, *coords) - func(t - eps, *coords)) / (2 * eps))).values)
     return SpectralTrajectory(grid, times, np.stack(snaps), np.stack(dts))
 
@@ -299,27 +308,37 @@ def _reference_time_derivative(stack, h):
     return out
 
 
-def _reference_apply(fid, traj, t_floor=None):
-    """Every term's derivative through its own inverse FFT, the t-slot by
-    differencing u in physical space, one forward FFT per field."""
+def _reference_apply(fid, traj, t_floor=None, full=None):
+    """The full spectra of Z u: every term's derivative through its own
+    inverse FFT, the t-slot by differencing u in physical space, one
+    forward FFT per field.  u is given by full, its full spectra, or else
+    by traj's half spectra completed exactly."""
     grid, times = traj.grid, traj.times
+    if full is None:
+        full = hermitian_completion(traj.u, grid)
     h = float(times[1] - times[0])
     if t_floor is None:
         t_floor = 4.0 * h
     start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
-    u = Field(grid, traj.u[start:], "spectral")
     coords = grid.coords()
     dt_phys = _reference_time_derivative(
-        dft_inverse(traj.as_field()).values, h)[start:]
-    out = np.zeros_like(traj.u)
+        dft_inverse(Field(grid, full, "spectral")).values, h)[start:]
+    out = np.zeros_like(full)
     for coeff, slot in _reference_terms(fid, grid.n):
         if slot == "t":
             d = dt_phys
         else:
-            d = dft_inverse(spectral_derivative(u, slot)).values
+            d = dft_inverse(Field(
+                grid, full_derivative(grid, full[start:], slot), "spectral")).values
         out[start:] += coeff(t, coords) * d
-    return SpectralTrajectory(grid, times, dft_forward(Field(grid, out)).values)
+    return dft_forward(Field(grid, out)).values
+
+
+def _applied(fid, traj, t_floor=None):
+    """The full spectra of apply_vector_field's half word, completed."""
+    return hermitian_completion(apply_vector_field(fid, traj, t_floor=t_floor).u,
+                                traj.grid)
 
 
 def _busy_trajectory(n, N, n_t):
@@ -328,10 +347,16 @@ def _busy_trajectory(n, N, n_t):
     c = g.coords()
     times = np.linspace(0.0, 1.0, n_t)
     u = np.stack([
-        dft_forward(Field(g, np.exp(-sum((x - 0.3 * t) ** 2 for x in c)) * (1 + t * t)
-                          + 0.1 * np.sin(c[0]) * t ** 3)).values
+        half_field(Field(g, np.exp(-sum((x - 0.3 * t) ** 2 for x in c)) * (1 + t * t)
+                         + 0.1 * np.sin(c[0]) * t ** 3)).values
         for t in times])
     return SpectralTrajectory(g, times, u)
+
+
+def _full_bytes(tr):
+    """The bytes of tr's full spectra, n_t * prod(sizes) * 16: the memory
+    bounds below were set against this denominator."""
+    return len(tr.times) * int(np.prod(tr.grid.sizes)) * 16
 
 
 def _alphabet(n, m):
@@ -355,8 +380,8 @@ def test_apply_vector_field_matches_reference(n, t_floor):
     tr = _busy_trajectory(n, _SIZES[n], 17)
     for m in (1, 2):
         for fid in _alphabet(n, m):
-            got = apply_vector_field(fid, tr, t_floor=t_floor).u
-            ref = _reference_apply(fid, tr, t_floor=t_floor).u
+            got = _applied(fid, tr, t_floor=t_floor)
+            ref = _reference_apply(fid, tr, t_floor=t_floor)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), \
                 (m, fid.label())
 
@@ -374,12 +399,12 @@ def test_conormal_scan_matches_reference(n):
     table = conormal_scan(tr, fields, depth=2, s=0.5)
     keep = tr.times >= 4.0 * (tr.times[1] - tr.times[0])
     level1 = {f.label(): _reference_apply(f, tr) for f in fields}
-    level2 = {a + "," + f.label(): _reference_apply(f, z)
+    level2 = {a + "," + f.label(): _reference_apply(f, tr, full=z)
               for a, z in level1.items() for f in fields}
-    expected = {"": tr, **level1, **level2}
+    expected = {"": hermitian_completion(tr.u, tr.grid), **level1, **level2}
     assert list(table) == list(expected)  # words by length, as they always were
     for word, ref in expected.items():
-        want = float(np.max(sobolev_norm(ref, 0.5)[keep]))
+        want = float(np.max(full_sobolev_norm(tr.grid, ref, 0.5)[keep]))
         assert table[word] == pytest.approx(want, rel=1e-12, abs=0.0), word
 
 
@@ -397,7 +422,7 @@ def test_scan_words_equal_fresh_applications(n):
     keep = tr.times >= 4.0 * (tr.times[1] - tr.times[0])
 
     def sup(z):  # the scan's own norm, on the half spectrum
-        return float(np.max(sobolev_norm(real_half(z), 0.5)[keep]))
+        return float(np.max(sobolev_norm(z, 0.5)[keep]))
 
     for a in fields:
         za = apply_vector_field(a, tr)
@@ -443,7 +468,8 @@ def test_scan_transform_count_with_shared_slots(monkeypatch):
 
 
 def _scan_peak(fields):
-    """Peak traced bytes of a depth-2 2-D scan over the trajectory's bytes."""
+    """Peak traced bytes of a depth-2 2-D scan over the bytes of the
+    trajectory's full spectra."""
     tr = _busy_trajectory(2, 32, 33)
     conormal_scan(tr, fields, depth=1, s=0.0)  # warm the grid caches
     tracemalloc.start()
@@ -452,26 +478,27 @@ def _scan_peak(fields):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / tr.u.nbytes
+    return peak / _full_bytes(tr)
 
 
 def test_scan_memory_is_bounded():
-    # half-size arrays: the time difference of the input, one first-level
-    # word and its time difference, the last words' half spectrum, the real
-    # accumulator and scratch, the half-spectrum scratch and the norm's real
-    # temporary, with numpy's fixed 64 kB ufunc buffer: 4.2 trajectories
-    # measured, bound with a margin of 0.8
+    # arrays of half the full spectra's size: the time difference of the
+    # input, one first-level word and its time difference, the last words'
+    # half spectrum, the real accumulator and scratch, the half-spectrum
+    # scratch and the norm's real temporary, with numpy's fixed 64 kB ufunc
+    # buffer: 4.08 full trajectories measured (4.2 when the probe checked
+    # its input itself), bound with a margin of 0.9
     assert _scan_peak(_PROBE_2D_FIELDS) <= 5
 
 
 def test_scan_memory_with_shared_slots():
-    # plus d0 and d1 kept as real arrays at both levels: 6.2 measured
+    # plus d0 and d1 kept as real arrays at both levels: 6.07 measured
     assert _scan_peak(_SHARED_FIELDS) <= 5 + 2 * 2 * 0.5
 
 
 def test_scan_frees_its_buffers_on_return():
     # the scan's buffers go when it returns, without waiting for the cyclic
-    # garbage collector: of two scans 0.06 trajectories are left (their
+    # garbage collector: of two scans 0.04 trajectories are left (their
     # results and tracemalloc's own records), where buffers kept alive by
     # a reference cycle leave 7.4
     tr = _busy_trajectory(2, 32, 33)
@@ -486,13 +513,14 @@ def test_scan_frees_its_buffers_on_return():
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert current < 0.1 * tr.u.nbytes
+    assert current < 0.1 * _full_bytes(tr)
 
 
 def test_ridge_memory_is_bounded():
     # |grad u| accumulates in one real array while each derivative is taken
     # in one half-spectrum buffer and inverted into one real buffer, where it
-    # is squared: 1.64 trajectories measured, bound with a margin of 0.36
+    # is squared: 1.58 full trajectories measured (1.64 when the ridge
+    # checked its input itself), bound with a margin of 0.42
     tr = _busy_trajectory(2, 64, 33)
     ridge_extract(tr)  # warm the grid caches
     tracemalloc.start()
@@ -501,41 +529,38 @@ def test_ridge_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / tr.u.nbytes <= 2
-
-
-def _negated(a, axes):
-    """a at the wavenumbers -k on the given axes."""
-    for axis in axes:
-        a = np.take(a, -np.arange(a.shape[axis]), axis=axis)
-    return a
+    assert peak / _full_bytes(tr) <= 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_applied_words_are_exactly_hermitian(n):
-    # every field works on the half spectrum and completes it exactly, so a
-    # real trajectory's words and words of words are spectra of real fields
+    # every field works on the half spectrum and makes its edge columns
+    # exactly Hermitian, so the completed words and words of words of a
+    # real trajectory are spectra of real fields
     tr = _busy_trajectory(n, _SIZES[n] // 2, 9)
     for fid in _alphabet(n, 1):
         z = apply_vector_field(fid, tr)
         for word in (z, apply_vector_field(VectorFieldId("V0"), z)):
-            assert np.array_equal(word.u, np.conj(_negated(word.u, tr.grid.axes))), \
+            full = hermitian_completion(word.u, tr.grid)
+            assert np.array_equal(full, np.conj(negated(full, tr.grid.axes))), \
                 fid.label()
 
 
-def test_non_real_trajectory_is_rejected():
+def test_non_real_trajectory_is_rejected(tmp_path):
+    # a stored trajectory is checked as it is loaded, before any probe
     tr = _busy_trajectory(2, 16, 9)
-    u = tr.u.copy()
-    u[5, 1, 2] += 1e-6 * np.max(np.abs(u))  # its twin at (-1, -2) stays
-    bad = SpectralTrajectory(tr.grid, tr.times, u)
-    for call in (lambda: apply_vector_field(VectorFieldId("TDt"), bad),
-                 lambda: conormal_scan(bad, _PROBE_2D_FIELDS, depth=0, s=0.0),
-                 lambda: ridge_extract(bad)):
-        with pytest.raises(DomainError, match="time level 5"):
-            call()
+    full = hermitian_completion(tr.u, tr.grid)
+    bad = full.copy()
+    bad[5, 1, 2] += 1e-6 * np.max(np.abs(full))  # its twin at (-1, -2) stays
+    write_full_spectra(str(tmp_path / "bad"), tr.grid, tr.times, bad)
+    with pytest.raises(DomainError, match=r"time level 5 \(t = 0\.625\)"):
+        load_trajectory(tmp_path / "bad")
     # rounding stays below the 1e-12 tolerance
-    u[5, 1, 2] = tr.u[5, 1, 2] + 1e-14 * np.max(np.abs(u))
-    ridge_extract(SpectralTrajectory(tr.grid, tr.times, u))
+    bad[5, 1, 2] = full[5, 1, 2] + 1e-14 * np.max(np.abs(full))
+    write_full_spectra(str(tmp_path / "ok"), tr.grid, tr.times, bad)
+    loaded = load_trajectory(tmp_path / "ok")
+    assert np.array_equal(loaded.u, bad[..., :9])
+    ridge_extract(loaded)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -545,10 +570,10 @@ def test_ridge_neighbours_wrap_periodically(n):
     tr = _busy_trajectory(n, _SIZES[n], 5)
     mag = gradient_magnitude(tr.as_field())
     corner = np.unravel_index(np.argmax(mag[-1]), mag.shape[1:])
-    phys = np.roll(dft_inverse(tr.as_field()).values,
+    phys = np.roll(dft_inverse(tr.as_field()).values.real,
                    [-k for k in corner], axis=tr.grid.axes)
     tr = SpectralTrajectory(tr.grid, tr.times,
-                            dft_forward(Field(tr.grid, phys)).values)
+                            half_field(Field(tr.grid, phys)).values)
     mag = gradient_magnitude(tr.as_field())
     is_max = mag > 0.1 * np.max(mag, axis=tr.grid.axes, keepdims=True)
     for axis in tr.grid.axes:
@@ -570,8 +595,8 @@ def test_time_derivative_needs_six_levels(n_t, ok):
         with pytest.raises(DomainError, match="6 snapshots"):
             apply_vector_field(VectorFieldId("TDt"), tr)
         return
-    got = apply_vector_field(VectorFieldId("TDt"), tr).u
-    ref = _reference_apply(VectorFieldId("TDt"), tr).u
+    got = _applied(VectorFieldId("TDt"), tr)
+    ref = _reference_apply(VectorFieldId("TDt"), tr)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

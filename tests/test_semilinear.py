@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cuspwave.errors import ConvergenceError, DomainError, ParameterError
+from cuspwave.errors import ConvergenceError, ParameterError
 from cuspwave.initial_data import make_a2, parse_data_spec
 from cuspwave.semilinear import (
     NonlinearitySpec,
@@ -27,32 +27,47 @@ from cuspwave.linear_solver import (
 from cuspwave.spectral import (
     Field,
     Grid,
-    SpectralTrajectory,
-    dft_forward,
+    half_field,
     hermitian_completion,
     sobolev_norm,
 )
 
-from oracles import dft_inverse
+from oracles import (
+    dft_inverse,
+    full_field,
+    half_of,
+    negated,
+    real_mode,
+    zero_field,
+)
 
 
 def gaussian_field(grid, amp=1.0, width=0.5):
     (x,) = grid.coords()
-    return dft_forward(Field(grid, amp * np.exp(-((x / width) ** 2))))
-
-
-def zero_field(grid):
-    return Field(grid, np.zeros(grid.sizes, dtype=complex), "spectral")
+    return half_field(Field(grid, amp * np.exp(-((x / width) ** 2))))
 
 
 def table(m, grid, times):
-    return propagator_table(m, times, grid.xi_norm())
+    return propagator_table(m, times, grid.half_xi_norm())
 
 
-def integrated_duhamel(m, g):
+def flow(m, grid, times, phi1, phi2):
+    """u of the linear flow of the half data (phi1, phi2)."""
+    return solve_homogeneous(table(m, grid, times), phi1, phi2, times)[0]
+
+
+def response(m, grid, times, g):
+    """Zero-data solution of (d_t^2 - t^m Lap) v = g, for half spectra g."""
+    return duhamel(table(m, grid, times), g.copy(), times)[0]
+
+
+def integrated_duhamel(m, grid, times, g):
     """Zero-data solution of d_t (d_t^2 - t^m Lap) v = g."""
-    big_g = SpectralTrajectory(g.grid, g.times, cumulative_simpson(g.u, g.times))
-    return duhamel(table(m, g.grid, g.times), big_g)
+    return response(m, grid, times, cumulative_simpson(g, times))
+
+
+def completed(grid, half):
+    return hermitian_completion(half, grid)
 
 
 def rk4_system(rhs, y0, t_end, n_steps):
@@ -78,13 +93,11 @@ def test_zero_nonlinearity_is_linear_flow():
     assert rep.converged and rep.iterations == 1
     assert rep.iterate_distances == [0.0]
     times = cfg.times()
-    hom = solve_homogeneous(table(1, g, times), gaussian_field(g), zero_field(g), times)
-    # the solver runs on half spectra: columns 1..N/2-1 are the flow's bit
-    # for bit, columns 0 and N/2 its exactly real part, and the rest their
-    # exact completion
-    assert np.array_equal(tr.u[:, 1:32], hom.u[:, 1:32])
-    assert np.array_equal(tr.u[:, [0, 32]], hom.u[:, [0, 32]].real)
-    assert np.array_equal(tr.u, hermitian_completion(tr.u[:, :33], g))
+    hom = flow(1, g, times, gaussian_field(g), zero_field(g))
+    # columns 1..N/2-1 are the flow's bit for bit, columns 0 and N/2 its
+    # exactly real part
+    assert np.array_equal(tr.u[:, 1:32], hom[:, 1:32])
+    assert np.array_equal(tr.u[:, [0, 32]], hom[:, [0, 32]].real)
 
 
 def test_constant_source_zero_mode():
@@ -115,31 +128,29 @@ def test_second_order_matches_rk4():
         u, v = y
         return [v, -(t * rho2 + 1.0) * u]
 
-    u_ref, _ = rk4_system(rhs, [phi0.values, np.zeros(64, dtype=complex)], 0.5, 4000)
-    err = np.linalg.norm(tr.u[-1] - u_ref) / np.linalg.norm(u_ref)
+    u_ref, _ = rk4_system(rhs, [full_field(phi0).values, np.zeros(64, dtype=complex)],
+                          0.5, 4000)
+    err = np.linalg.norm(completed(g, tr.u[-1]) - u_ref) / np.linalg.norm(u_ref)
     assert err < 1e-5
 
 
 def test_third_order_kernel_cubic():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 33)
-    vals = np.zeros(16, dtype=complex)
+    vals = np.zeros(9, dtype=complex)
     vals[0] = 6.0
-    traj = SpectralTrajectory(g, times, np.tile(vals, (33, 1)))
-    out = integrated_duhamel(1, traj)
+    out = integrated_duhamel(1, g, times, np.tile(vals, (33, 1)))
     # zero mode: d_t^3 u = 6 with zero data gives t^3, Simpson-exact
     for i, t in enumerate(times):
-        assert out.u[i][0] == pytest.approx(t**3, abs=1e-12)
+        assert out[i][0] == pytest.approx(t**3, abs=1e-12)
 
 
 def test_third_order_kernel_single_mode_oracle():
     g = Grid(1, (32,), 4.0)
     times = np.linspace(0, 0.8, 161)
-    vals = np.zeros(32, dtype=complex)
-    vals[4] = 1.0
-    mode = Field(g, vals, "spectral")
-    traj = SpectralTrajectory(g, times, np.tile(vals, (len(times), 1)))
-    out = integrated_duhamel(1, traj)
+    mode = real_mode(g, 4)
+    out = integrated_duhamel(1, g, times,
+                             np.tile(half_of(mode).values, (len(times), 1)))
 
     rho2 = g.xi_norm() ** 2
 
@@ -149,7 +160,7 @@ def test_third_order_kernel_single_mode_oracle():
 
     z = np.zeros(32, dtype=complex)
     u_ref, _, _ = rk4_system(rhs, [z, z, z], 0.8, 4000)
-    err = abs(out.u[-1][4] - u_ref[4]) / abs(u_ref[4])
+    err = abs(completed(g, out[-1])[4] - u_ref[4]) / abs(u_ref[4])
     assert err < 1e-5
 
 
@@ -187,11 +198,11 @@ def test_third_order_linear_reduction():
     g = Grid(1, (16,), 2.0)
     cfg = PicardConfig(T=1.0, n_t=33)
     f = NonlinearitySpec((0.0,))
-    vals = np.zeros(16, dtype=complex)
+    vals = np.zeros(9, dtype=complex)
     vals[0] = 1.5
-    phi2 = Field(g, vals, "spectral")
-    phi0 = Field(g, 2.0 * vals, "spectral")
-    phi1 = Field(g, -1.0 * vals, "spectral")
+    phi2 = Field(g, vals, "half")
+    phi0 = Field(g, 2.0 * vals, "half")
+    phi1 = Field(g, -1.0 * vals, "half")
     tr, _ = solve_third_order(2, f, phi0, phi1, phi2, cfg)
     t = 1.0
     expected = 3.0 + (-1.5) * t + 1.5 * t * t / 2
@@ -216,8 +227,8 @@ def test_third_order_quadratic_matches_rk4():
         return [v, w - t * rho2 * u, f_hat]
 
     z = np.zeros(n, dtype=complex)
-    u_ref, _, _ = rk4_system(rhs, [phi0.values, z, z], 0.4, 2000)
-    err = np.linalg.norm(tr.u[-1] - u_ref) / np.linalg.norm(u_ref)
+    u_ref, _, _ = rk4_system(rhs, [full_field(phi0).values, z, z], 0.4, 2000)
+    err = np.linalg.norm(completed(g, tr.u[-1]) - u_ref) / np.linalg.norm(u_ref)
     assert err < 1e-4
 
 
@@ -240,8 +251,8 @@ def test_fourth_order_zero_f_reduces():
     z = zero_field(g)
     tr, _ = solve_fourth_order(2, 1, f, psi0, psi1, z, z, cfg)
     times = cfg.times()
-    hom = solve_homogeneous(table(1, g, times), psi0, psi1, times)
-    err = np.linalg.norm(tr.u[-1] - hom.u[-1])
+    hom = flow(1, g, times, psi0, psi1)
+    err = np.linalg.norm(completed(g, tr.u[-1]) - completed(g, hom[-1]))
     assert err < 1e-9
 
 
@@ -249,11 +260,9 @@ def test_fourth_order_matches_rk4():
     g = Grid(1, (32,), 4.0)
     cfg = PicardConfig(T=0.5, n_t=129, tol=1e-12)
     f = NonlinearitySpec((0.0, 1.0))
-    vals = np.zeros(32, dtype=complex)
-    vals[3] = vals[-3] = 0.5  # a real mode
-    psi0 = Field(g, vals, "spectral")
+    mode = real_mode(g, 3)
     z = zero_field(g)
-    tr, rep = solve_fourth_order(2, 1, f, psi0, z, z, z, cfg)
+    tr, rep = solve_fourth_order(2, 1, f, half_of(mode), z, z, z, cfg)
     require_converged(rep)
 
     rho2 = g.xi_norm() ** 2
@@ -264,8 +273,8 @@ def test_fourth_order_matches_rk4():
         return [v, q - t**1 * rho2 * u, qd, u - t**2 * rho2 * q]
 
     zv = np.zeros(32, dtype=complex)
-    u_ref = rk4_system(rhs, [psi0.values, zv, zv, zv], 0.5, 4000)[0]
-    err = np.linalg.norm(tr.u[-1] - u_ref) / np.linalg.norm(u_ref)
+    u_ref = rk4_system(rhs, [mode.values, zv, zv, zv], 0.5, 4000)[0]
+    err = np.linalg.norm(completed(g, tr.u[-1]) - u_ref) / np.linalg.norm(u_ref)
     assert err < 1e-4
 
 
@@ -286,29 +295,30 @@ def test_fixed_point_residual():
     f = NonlinearitySpec((0.0, 0.0, 0.5))
     phi0, z = gaussian_field(g, amp=0.3), zero_field(g)
     phi2 = gaussian_field(g, amp=0.2, width=0.3)
-    t1, t2 = table(1, g, times), table(2, g, times)
 
     def residual(tr, again):
-        return np.max(sobolev_norm(Field(g, again - tr.u, "spectral"), 0.0))
+        return np.max(sobolev_norm(Field(g, again - tr.u, "half"), 0.0))
+
+    def forcing(tr):
+        return evaluate_forcing(f, tr.as_field())[0]
 
     tr, rep = solve_second_order(1, f, phi0, z, cfg)
     require_converged(rep)
-    again = (solve_homogeneous(t1, phi0, z, times).u
-             + duhamel(t1, evaluate_forcing(f, tr)).u)
+    again = flow(1, g, times, phi0, z) + response(1, g, times, forcing(tr))
     assert residual(tr, again) <= 2 * cfg.tol
 
     tr, rep = solve_third_order(1, f, phi0, z, phi2, cfg)
     require_converged(rep)
-    data = SpectralTrajectory(g, times, np.tile(phi2.values, (len(times), 1)))
-    again = (solve_homogeneous(t1, phi0, z, times).u + duhamel(t1, data).u
-             + integrated_duhamel(1, evaluate_forcing(f, tr)).u)
+    data = np.tile(phi2.values, (len(times), 1))
+    again = (flow(1, g, times, phi0, z) + response(1, g, times, data)
+             + integrated_duhamel(1, g, times, forcing(tr)))
     assert residual(tr, again) <= 2 * cfg.tol
 
     tr, rep = solve_fourth_order(2, 1, f, phi0, z, phi2, z, cfg)
     require_converged(rep)
-    again = (solve_homogeneous(t1, phi0, z, times).u
-             + duhamel(t1, solve_homogeneous(t2, phi2, z, times)).u
-             + duhamel(t1, duhamel(t2, evaluate_forcing(f, tr))).u)
+    again = (flow(1, g, times, phi0, z)
+             + response(1, g, times, flow(2, g, times, phi2, z))
+             + response(1, g, times, response(2, g, times, forcing(tr))))
     assert residual(tr, again) <= 2 * cfg.tol
 
 
@@ -321,7 +331,7 @@ def test_time_refinement_order():
         cfg = PicardConfig(T=0.5, n_t=n_t, tol=1e-13)
         tr, rep = solve_second_order(1, f, phi0, zero_field(g), cfg)
         require_converged(rep)
-        finals.append(tr.u[-1])
+        finals.append(completed(g, tr.u[-1]))
     d1 = np.linalg.norm(finals[1] - finals[0])
     d2 = np.linalg.norm(finals[2] - finals[1])
     assert np.log2(d1 / d2) >= 3.5
@@ -377,7 +387,7 @@ def _a2_solve(order, grid, max_iters):
     """One solve of each order on A2 data (angular modes 1 and 3) with
     f = u^2/2: the data in every first slot, zero elsewhere."""
     spec = parse_data_spec("family = A2\nangular = 1:1:0, 3:0.5:0\n")
-    phi, z = dft_forward(make_a2(spec, grid)), zero_field(grid)
+    phi, z = half_field(make_a2(spec, grid)), zero_field(grid)
     f = NonlinearitySpec((0.0, 0.0, 0.5))
     cfg = PicardConfig(T=1.0, n_t=33, max_iters=max_iters)
     return {"second": lambda: solve_second_order(1, f, phi, z, cfg),
@@ -385,13 +395,14 @@ def _a2_solve(order, grid, max_iters):
             "fourth": lambda: solve_fourth_order(2, 1, f, phi, z, z, z, cfg)}[order]
 
 
-# the peak per byte of the returned u, with the margin of each bound: the
-# half-grid tables (4 real arrays per order, about 1 u each), the flow's
-# u and dt, the iterate, the forcing, a spare, the two Duhamel integrals
-# (half a u each) and one real physical array, and at the end the full
-# u and dt
-_SOLVE_PEAKS = {"second": (5.66, 0.84), "third": (5.64, 0.86),
-                "fourth": (6.68, 1.32)}
+# the peak per byte of the full spectra of the returned u, n_t * 64^2 * 16
+# (the denominator these bounds were set against), with the margin of each
+# bound: the half-grid tables (4 real arrays per order, about 1/2 each),
+# the flow's u and dt, the iterate, the forcing, a spare and the two
+# Duhamel integrals (1/2 each) and one real physical array.  Before the
+# solvers returned half spectra the peaks were 5.66, 5.64 and 6.68.
+_SOLVE_PEAKS = {"second": (5.44, 1.06), "third": (5.44, 1.06),
+                "fourth": (6.47, 1.53)}
 
 
 @pytest.mark.parametrize("order", sorted(_SOLVE_PEAKS))
@@ -407,14 +418,7 @@ def test_solve_memory_is_bounded(order):
         tracemalloc.stop()
     assert rep.iterations >= 3
     measured, margin = _SOLVE_PEAKS[order]
-    assert peak / tr.u.nbytes <= measured + margin
-
-
-def _negated(a, axes):
-    """a at the wavenumbers -k on the given axes."""
-    for axis in axes:
-        a = np.take(a, -np.arange(a.shape[axis]), axis=axis)
-    return a
+    assert peak / (len(tr.times) * 64 * 64 * 16) <= measured + margin
 
 
 _REAL_SIZES = {1: (16,), 2: (16, 8), 3: (8, 8, 8)}
@@ -426,7 +430,7 @@ def test_real_data_in_exactly_real_solutions_out(n, monkeypatch):
 
     g = Grid(n, _REAL_SIZES[n], 2.0)
     rng = np.random.default_rng(n)
-    data = [dft_forward(Field(g, 0.3 * rng.standard_normal(g.sizes)))
+    data = [half_field(Field(g, 0.3 * rng.standard_normal(g.sizes)))
             for _ in range(4)]
     f = NonlinearitySpec((0.0, 0.0, 0.5))
     cfg = PicardConfig(T=0.3, n_t=17)
@@ -436,19 +440,24 @@ def test_real_data_in_exactly_real_solutions_out(n, monkeypatch):
                         ("phi0", "phi1", "phi2")),
               "fourth": (lambda *d: solve_fourth_order(2, 1, f, *d, cfg),
                          ("psi0", "psi1", "psi2", "psi3"))}
-    axes = g.axes
+    edges = (slice(None),) * n + (slice(None, None, g.sizes[-1] // 2),)
     for solve, names in solves.values():
         tr, rep = solve(*data[:len(names)])
         require_converged(rep)
+        # the half spectra's edge columns 0 and N/2, which have no twin in
+        # the half, are exactly Hermitian in the other axes
         for a in (tr.u, tr.dt):
-            assert np.array_equal(a, np.conj(_negated(a, axes)))
-    # a spectrum that is not Hermitian is rejected, by name, before the
-    # propagator table is built
+            e = a[edges]
+            assert np.array_equal(e, np.conj(negated(e, g.axes[:-1])))
+    # data that are not half spectra (a full spectrum, physical samples)
+    # are rejected, by name, before the propagator table is built
     monkeypatch.setattr(semilinear, "propagator_table",
-                        lambda *args: pytest.fail("table built for complex data"))
+                        lambda *args: pytest.fail("table built for bad data"))
     for solve, names in solves.values():
         for i, name in enumerate(names):
-            bad = list(data[:len(names)])
-            bad[i] = Field(g, 1j * data[i].values, "spectral")
-            with pytest.raises(DomainError, match="^%s: not the spectrum" % name):
-                solve(*bad)
+            for wrong in (full_field(data[i]), Field(g, rng.standard_normal(g.sizes))):
+                bad = list(data[:len(names)])
+                bad[i] = wrong
+                with pytest.raises(ParameterError,
+                                   match="^%s: expected the half spectrum" % name):
+                    solve(*bad)
