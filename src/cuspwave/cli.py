@@ -44,7 +44,7 @@ from .semilinear import (
     solve_second_order,
     solve_third_order,
 )
-from .spectral import Field, Grid, half_field, save_field, sobolev_norm
+from .spectral import Field, Grid, half_forward, save_field, sobolev_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,13 +153,13 @@ def _build_grid(cfg) -> Grid:
     return Grid(cfg["n"], (cfg["N"],) * cfg["n"], cfg["L"])
 
 
-def _spectral_data(path, grid) -> Field:
+def _data_field(path, grid) -> Field:
     spec = _read(path, parse_data_spec)
-    return half_field(FAMILIES[spec.family][0](spec, grid))
+    return FAMILIES[spec.family][0](spec, grid)
 
 
 def _zero_field(grid) -> Field:
-    return Field(grid, np.zeros(grid.half_sizes, dtype=complex), "half")
+    return Field(grid, np.zeros(grid.sizes))
 
 
 def _nonlinearity(cfg) -> NonlinearitySpec:
@@ -219,7 +219,7 @@ def cmd_solve(args) -> int:
                           if key in cfg})
     paths = [cfg[key].strip() for key in
              ("data", "data_dt", "data_2", "data_3") if key in cfg]
-    data = [_spectral_data(p, grid) if p else _zero_field(grid) for p in paths]
+    data = [_data_field(p, grid) if p else _zero_field(grid) for p in paths]
     traj, report = _SOLVE_KINDS[args.kind][1](cfg, pic, *data)
     out = cfg["out"]
     _write_manifest(out, "solve %s" % args.kind, cfg)
@@ -287,9 +287,9 @@ def cmd_rates(args) -> int:
     x = grid.coords()[0]
     jump = np.where(x >= 0, 1.0, -1.0) * np.exp(-(x / cfg["width"]) ** 2)
     times = np.geomspace(cfg["t_lo"], cfg["t_hi"], cfg["n_t"])
-    traj = solve_linear(m, half_field(Field(grid, jump)), _zero_field(grid),
+    traj = solve_linear(m, Field(grid, jump), _zero_field(grid),
                         np.concatenate(([0.0], times)))
-    fit = fit_power_law(times, sobolev_norm(traj, cfg["s1"] + 1.0)[1:])
+    fit = fit_power_law(times, sobolev_norm(traj.u, grid, cfg["s1"] + 1.0)[1:])
     out = cfg["out"]
     _write_manifest(out, "rates", cfg)
     _write_csv(os.path.join(out, "fits.csv"), [
@@ -354,9 +354,9 @@ def cmd_data(args) -> int:
     field = FAMILIES[spec.family][0](spec, grid)
     if cfg["preview"]:
         print("family = %s" % spec.family)
-        print("l2 = %r" % sobolev_norm(half_field(field), 0.0))
-        print("extrema = %r %r" % (float(np.min(field.values.real)),
-                                   float(np.max(field.values.real))))
+        print("l2 = %r" % sobolev_norm(half_forward(field.values, grid), grid, 0.0))
+        print("extrema = %r %r" % (float(np.min(field.values)),
+                                   float(np.max(field.values))))
         return EXIT_OK
     out = cfg["out"]
     _write_manifest(out, "data", cfg)

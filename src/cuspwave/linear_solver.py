@@ -7,7 +7,8 @@ one), evaluated with cumulative Simpson so a whole trajectory costs O(N_t).
 Both solves read a propagator table that the caller builds once per solve.
 
 The data and the solutions are real, and every solve works on rfft half
-spectra: the data are half Fields (half_data checks them), the table is
+spectra, arrays passed with their Grid: the data enter as physical Fields
+(float64 samples), which half_data checks and transforms, the table is
 gathered onto the half grid (Grid.half_xi_norm), and duhamel writes into
 arrays the caller may allocate once (out=).  solve_linear returns the
 linear solution as a SpectralTrajectory whose edge columns are exactly
@@ -32,6 +33,7 @@ from .propagator import sample_arrays
 from .spectral import (
     Field,
     SpectralTrajectory,
+    half_forward,
     hermitian_completion,
     hermitian_edges,
     load_field,
@@ -114,49 +116,53 @@ def _require_table(table, shape) -> None:
             f"propagator table has shape {table[0].shape}, the solve needs {shape}")
 
 
-def half_data(**data) -> list:
-    """The named data, in order, checked to be half Fields (the half
-    spectra of real fields) on one grid; any other raises a
-    ParameterError with its name in front."""
+def half_data(**data):
+    """The grid and the half spectra (half_forward) of the named data, in
+    order.  Every datum must be one level of a physical Field, all on one
+    grid; any other raises a ParameterError with its name in front before
+    anything is transformed."""
     for name, f in data.items():
-        if f.space != "half":
-            raise ParameterError(f"{name}: expected the half spectrum of a real "
-                                 f"field, got a {f.space} field")
-    require_same_grid(*data.values())
-    return list(data.values())
+        if not (isinstance(f, Field) and f.space == "physical"
+                and f.values.shape == f.grid.sizes):
+            got = (f"a {f.space} Field of shape {f.values.shape}"
+                   if isinstance(f, Field) else type(f).__name__)
+            raise ParameterError(f"{name}: expected the samples of a real field "
+                                 f"(one level of a physical Field), got {got}")
+    grid = require_same_grid(*data.values())
+    return grid, [half_forward(f.values, grid) for f in data.values()]
 
 
-def solve_homogeneous(table, phi1: Field, phi2: Field, times):
+def solve_homogeneous(table, phi1: np.ndarray, phi2: np.ndarray, times):
     """u_hat(t) = V1(t,|xi|) phi1_hat + V2(t,|xi|) phi2_hat per mode, and
     d_t u_hat = dt_V1 phi1_hat + dt_V2 phi2_hat.
 
-    The data are half Fields and the table is on the grid's half_xi_norm.
+    The data are half spectra and the table is on the grid's half_xi_norm.
     Returns the pair (u_hat, d_t u_hat) of half-spectrum arrays.
     """
     times = _check_times(times)
-    shape = (len(times),) + phi1.values.shape
+    shape = (len(times),) + phi1.shape
     _require_table(table, shape)
     v1, v2, dt_v1, dt_v2 = table
     u, dt = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    np.multiply(v2, phi2.values, out=dt)
-    np.multiply(v1, phi1.values, out=u)
+    np.multiply(v2, phi2, out=dt)
+    np.multiply(v1, phi1, out=u)
     u += dt
-    np.multiply(dt_v1, phi1.values, out=dt)
-    dt += dt_v2 * phi2.values
+    np.multiply(dt_v1, phi1, out=dt)
+    dt += dt_v2 * phi2
     return u, dt
 
 
 def solve_linear(m: int, phi1: Field, phi2: Field, times) -> SpectralTrajectory:
     """The solution of d_t^2 u - t^m Lap u = 0 with the real data u = phi1
-    and d_t u = phi2 at t = 0, given as half Fields, with exactly
-    Hermitian edge columns."""
-    phi1, phi2 = half_data(phi1=phi1, phi2=phi2)
+    and d_t u = phi2 at t = 0, given as physical Fields, as half spectra
+    with exactly Hermitian edge columns."""
+    grid, (h1, h2) = half_data(phi1=phi1, phi2=phi2)
     times = _check_times(times)
-    table = propagator_table(m, times, phi1.grid.half_xi_norm())
-    u, dt = solve_homogeneous(table, phi1, phi2, times)
+    table = propagator_table(m, times, grid.half_xi_norm())
+    u, dt = solve_homogeneous(table, h1, h2, times)
     for a in (u, dt):
-        hermitian_edges(a, phi1.grid)
-    return SpectralTrajectory(phi1.grid, times, u, dt)
+        hermitian_edges(a, grid)
+    return SpectralTrajectory(grid, times, u, dt)
 
 
 def duhamel(table, forcing, times, out=None):
@@ -203,8 +209,8 @@ def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
     """
     os.makedirs(directory, exist_ok=True)
     manifest = os.path.join(directory, "manifest.csv")
-    norms = [sobolev_norm(traj, s) for s in s_list]
     grid = traj.grid
+    norms = [sobolev_norm(traj.u, grid, s) for s in s_list]
     block = max(1, 2**20 // (16 * int(np.prod(grid.sizes))))
     with open(manifest, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -73,12 +73,6 @@ class CoeffContext:
         """t raised to half_exponent/2, encoded as a power of h."""
         return CoeffExpr(self, self._h ** half_exponent, reduce=False)
 
-    def t(self):
-        return self.t_pow(2)
-
-    def h(self):
-        return self.t_pow(1)
-
     def x(self, i):
         if not 1 <= i <= self.n:
             raise ParameterError("coordinate index %d out of range" % i)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .fields import VectorFieldId
 from .spectral import (
-    Field,
+    Grid,
     SpectralTrajectory,
     half_forward,
     half_inverse,
@@ -104,7 +104,7 @@ class _Level:
         """d_slot u in physical space, written into the real array out."""
         if slot == "t":
             return half_inverse(self.time_diff, self.grid, out, work=self.spec)
-        spectral_derivative(Field(self.grid, self.u, "half"), slot, out=self.spec)
+        spectral_derivative(self.u, self.grid, slot, out=self.spec)
         return half_inverse(self.spec, self.grid, out, work=self.spec)
 
 
@@ -195,8 +195,7 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
         if slot == "t":
             spectral = level.time_diff[start:]
         else:
-            spectral = spectral_derivative(
-                Field(grid, level.u[start:], "half"), slot, out=spec).values
+            spectral = spectral_derivative(level.u[start:], grid, slot, out=spec)
         first = not (weighted or i)
         np.multiply(_factor(c, p, t), spectral, out=dest[start:] if first else spec)
         if not first:
@@ -246,7 +245,7 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     keep = traj.times >= t_floor
 
     def sup_norm(half):
-        return float(np.max(sobolev_norm(Field(grid, half, "half"), s)[keep]))
+        return float(np.max(sobolev_norm(half, grid, s)[keep]))
 
     def label(word):
         return ",".join(f.label() for f in word)
@@ -265,17 +264,16 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
 # ridge extraction ----------------------------------------------------------
 
 
-def gradient_magnitude(half: Field) -> np.ndarray:
-    """|grad u| in physical space of a real u, given as a half Field (per
-    time level for a stacked one)."""
-    grid = half.grid
+def gradient_magnitude(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """|grad u| in physical space of a real u, given by its half spectrum
+    half on grid (per time level for a stack)."""
     # every derivative is taken and inverted in one half-spectrum buffer d
     # and one real buffer d_phys
-    total = np.zeros(half.values.shape[:-1] + grid.sizes[-1:])
+    total = np.zeros(half.shape[:-1] + grid.sizes[-1:])
     d_phys = np.empty_like(total)
-    d = np.empty(half.values.shape, dtype=complex)
+    d = np.empty(half.shape, dtype=complex)
     for axis in range(grid.n):
-        spectral_derivative(half, axis, out=d)
+        spectral_derivative(half, grid, axis, out=d)
         half_inverse(d, grid, d_phys, work=d)
         np.square(d_phys, out=d_phys)
         total += d_phys
@@ -290,7 +288,7 @@ def ridge_extract(traj: SpectralTrajectory, threshold: float = 0.5):
     if not np.isfinite(threshold):
         raise ParameterError(f"ridge threshold must be finite, got {threshold}")
     grid = traj.grid
-    mag = gradient_magnitude(traj.as_field())
+    mag = gradient_magnitude(traj.u, grid)
     peak = np.max(mag, axis=grid.axes, keepdims=True)
     is_max = mag > threshold * peak
     for axis in grid.axes:

@@ -13,14 +13,14 @@ second-order Duhamel map D_m:
 * fourth order:  (d_t^2 - t^m1 Lap)(d_t^2 - t^m2 Lap) u = f(u);
   flow = V_m2(psi0, psi1) + D_m2(V_m1(psi2, psi3)), K = D_m2 D_m1
 
-The data and the solution are real, and are carried by their rfft half
-spectra.  Each solver checks that its data are half Fields
-(linear_solver.half_data) before any table is built, and iterates on half
-spectra: each order's propagator table is gathered onto the half grid
-(Grid.half_xi_norm), and each nonlinearity evaluation happens pointwise
-in one real physical array, between half_inverse and half_forward, with
-2/3 dealiasing on the half grid before the result re-enters the mode-wise
-linear solve.  The loop's arrays are allocated once per solve and the
+The data and the solution are real.  The data enter as physical Fields
+(float64 samples), which each solver checks and transforms to their rfft
+half spectra (linear_solver.half_data) before any table is built, and the
+solver iterates on half spectra, as arrays: each order's propagator table
+is gathered onto the half grid (Grid.half_xi_norm), and each nonlinearity
+evaluation (evaluate_forcing) happens pointwise in one real physical
+array, between half_inverse and half_forward, with 2/3 dealiasing on the
+half grid before the result re-enters the mode-wise linear solve.  The loop's arrays are allocated once per solve and the
 Duhamel and Simpson steps write into them.  Iterates carry only u; d_t u
 is formed once, from the flow and the last step's Duhamel integrals.  The
 returned trajectory holds the half spectra with exactly Hermitian edge
@@ -45,6 +45,7 @@ from .linear_solver import (
 )
 from .spectral import (
     Field,
+    Grid,
     SpectralTrajectory,
     dealias,
     half_forward,
@@ -120,32 +121,24 @@ class PicardReport:
     def iterations(self) -> int:
         return len(self.iterate_distances)
 
-    @property
-    def contraction_ratio(self) -> float:
-        """max d_i / d_(i-1) over i >= 2 with d_(i-1) > 0; NaN if none."""
-        ds = self.iterate_distances
-        ratios = [ds[i] / ds[i - 1] for i in range(2, len(ds)) if ds[i - 1] > 0]
-        return max(ratios) if ratios else float("nan")
-
     def record(self, distance: float, wall: float) -> None:
         self.iterate_distances.append(distance)
         self.wall_times.append(wall)
 
 
-def evaluate_forcing(f: NonlinearitySpec, u: Field, out=None):
-    """f(u), 2/3-dealiased, for the half Field u of a real field (stacked
-    over time or not).
+def evaluate_forcing(f: NonlinearitySpec, half: np.ndarray, grid: Grid, out=None):
+    """f(u), 2/3-dealiased, for the half spectrum half of a real u on grid
+    (stacked over time or not).
 
     Returns the pair (g, phys), written into out when it is given: g
     receives the half spectrum of f(u) and is also the work array of
     half_inverse, phys is the real physical array in which f is evaluated.
     """
-    grid = u.grid
-    g, phys = out or (np.empty(u.values.shape, dtype=complex),
-                      np.empty(u.values.shape[:-1] + grid.sizes[-1:]))
-    half_inverse(u.values, grid, phys, work=g)
+    g, phys = out or (np.empty(half.shape, dtype=complex),
+                      np.empty(half.shape[:-1] + grid.sizes[-1:]))
+    half_inverse(half, grid, phys, work=g)
     f.evaluate(phys, out=phys)
-    dealias(Field(grid, half_forward(phys, grid, out=g), "half"), out=g)
+    dealias(half_forward(phys, grid, out=g), grid, out=g)
     return g, phys
 
 
@@ -180,11 +173,11 @@ def _picard(grid, times, flow, kernel, table, f: NonlinearitySpec,
     phys = np.empty((len(times),) + grid.sizes)
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
-        evaluate_forcing(f, Field(grid, u, "half"), out=(g, phys))
+        evaluate_forcing(f, u, grid, out=(g, phys))
         u_next = kernel(g, spare, i1, i2)
         u_next += flow_u
         u -= u_next  # the step, in the old iterate's array
-        dist = float(np.max(sobolev_norm(Field(grid, u, "half"), cfg.s_mon)))
+        dist = float(np.max(sobolev_norm(u, grid, cfg.s_mon)))
         report.record(dist, time.perf_counter() - t0)
         g, spare = (u, spare) if u_next is g else (g, u)
         u = u_next
@@ -201,8 +194,8 @@ def _picard(grid, times, flow, kernel, table, f: NonlinearitySpec,
 def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                        cfg: PicardConfig):
     """Fixed point of u -> V(phi0, phi1) + D_m(f(u))."""
-    h0, h1 = half_data(phi0=phi0, phi1=phi1)
-    grid, times = h0.grid, cfg.times()
+    grid, (h0, h1) = half_data(phi0=phi0, phi1=phi1)
+    times = cfg.times()
     table = propagator_table(m, times, grid.half_xi_norm())
     flow = solve_homogeneous(table, h0, h1, times)
 
@@ -215,11 +208,11 @@ def solve_second_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
 def solve_third_order(m: int, f: NonlinearitySpec, phi0: Field, phi1: Field,
                       phi2: Field, cfg: PicardConfig):
     """Fixed point of u -> V(phi0, phi1) + D_m(phi2 + int_0^t f(u) ds)."""
-    h0, h1, h2 = half_data(phi0=phi0, phi1=phi1, phi2=phi2)
-    grid, times = h0.grid, cfg.times()
+    grid, (h0, h1, h2) = half_data(phi0=phi0, phi1=phi1, phi2=phi2)
+    times = cfg.times()
     table = propagator_table(m, times, grid.half_xi_norm())
     flow = solve_homogeneous(table, h0, h1, times)
-    data = np.broadcast_to(h2.values, (len(times),) + grid.half_sizes)
+    data = np.broadcast_to(h2, (len(times),) + grid.half_sizes)
     _add_duhamel(table, flow, data.copy(), times)
 
     def kernel(g, spare, i1, i2):
@@ -240,8 +233,8 @@ def solve_fourth_order(m1: int, m2: int, f: NonlinearitySpec,
     """
     if m1 == m2:
         raise ParameterError("the factored solver needs distinct orders m1 != m2")
-    h0, h1, h2, h3 = half_data(psi0=psi0, psi1=psi1, psi2=psi2, psi3=psi3)
-    grid, times = h0.grid, cfg.times()
+    grid, (h0, h1, h2, h3) = half_data(psi0=psi0, psi1=psi1, psi2=psi2, psi3=psi3)
+    times = cfg.times()
     table1 = propagator_table(m1, times, grid.half_xi_norm())
     table2 = propagator_table(m2, times, grid.half_xi_norm())
     flow = solve_homogeneous(table2, h0, h1, times)

@@ -4,20 +4,22 @@ The convention throughout: integer wavenumbers k (numpy fft ordering) map to
 continuous frequencies xi = pi * k / L, and the DFT is orthonormal so Parseval
 holds without extra factors.  Physical norms carry the cell measure (2L/N)^n.
 Transforms, derivatives and norms act on the trailing (spatial) axes only, so
-they apply unchanged to a Field stacked over a leading time axis.
+they apply unchanged to arrays stacked over a leading time axis.
 
 Every field the package computes on is real, and is carried by its rfft
 half spectrum: the modes 0..N/2 of the last axis (shape Grid.half_sizes),
-a Field in the space "half".  half_forward and half_inverse transform to
-and from real arrays, half_field a real physical Field to its half Field;
-spectral_derivative, sobolev_norm and dealias act on half spectra.  An
-odd derivative zeroes the Nyquist mode k = -N/2 of the axis it
-differentiates, so that the derivative of a real field is real.
+a complex array passed with its Grid.  half_forward and half_inverse
+transform to and from real arrays; spectral_derivative, sobolev_norm and
+dealias act on half spectra.  An odd derivative zeroes the Nyquist mode
+k = -N/2 of the axis it differentiates, so that the derivative of a real
+field is real.
 
-Full spectra exist only in snapshot files (save_field / load_field, the
-space "spectral"): hermitian_completion builds one from a half spectrum,
-and real_half checks stored ones and keeps their halves.  This module is
-the only one that calls numpy's FFTs.
+A Field is the type of the package's two edges only: the float64 samples
+of a real field (space "physical"), as the data enter, and the full
+spectrum of a snapshot file (space "spectral"; save_field / load_field).
+hermitian_completion builds a full spectrum from a half spectrum, and
+real_half checks stored ones and keeps their halves.  This module is the
+only one that calls numpy's FFTs.
 """
 
 from __future__ import annotations
@@ -72,20 +74,17 @@ class Grid:
         return np.pi / self.L * np.fft.fftfreq(s, d=1.0 / s)
 
     @cached_property
-    def _xi_norm(self):
-        mesh = np.meshgrid(*(self.axis_xi(a) for a in range(self.n)), indexing="ij")
+    def _half_xi_norm(self):
+        mesh = np.meshgrid(*(self.axis_xi(a)[:s] for a, s in enumerate(self.half_sizes)),
+                           indexing="ij")
         norm = np.sqrt(sum(x * x for x in mesh))
         norm.flags.writeable = False
         return norm
 
-    def xi_norm(self) -> np.ndarray:
-        """|xi| on the spectral grid; built once, read-only."""
-        return self._xi_norm
-
     def half_xi_norm(self) -> np.ndarray:
-        """|xi| on the modes of a half spectrum (half_sizes), a read-only
-        view of xi_norm."""
-        return self._xi_norm[..., : self.half_sizes[-1]]
+        """|xi| on the modes of a half spectrum (half_sizes); built once,
+        read-only."""
+        return self._half_xi_norm
 
     @property
     def axes(self) -> tuple:
@@ -121,12 +120,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples on a grid: in physical space, as the half spectrum
-    of a real field (space "half"), or as the full spectrum of a snapshot
-    file (space "spectral").
+    """Samples on a grid at the package's edges: the float64 samples of a
+    real field (space "physical") or the complex full spectrum of a
+    snapshot file (space "spectral").
 
-    values has shape grid.sizes (grid.half_sizes for a half spectrum), or
-    that shape behind a leading axis for a stack of time levels.
+    values has shape grid.sizes, or that shape behind leading axes for a
+    stack of time levels; any other shape is a ParameterError.  Physical
+    samples with a nonzero imaginary part are a DomainError.
     """
 
     grid: Grid
@@ -134,17 +134,22 @@ class Field:
     space: str = "physical"
 
     def __post_init__(self):
-        if self.space not in ("physical", "spectral", "half"):
+        if self.space not in ("physical", "spectral"):
             raise ParameterError(
-                f"space must be physical, spectral or half, got {self.space!r}")
-        shape = self.grid.half_sizes if self.space == "half" else self.grid.sizes
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape[vals.ndim - self.grid.n:] != shape:
-            vals = vals.reshape(shape)
+                f"space must be physical or spectral, got {self.space!r}")
+        vals = np.asarray(self.values)
+        if vals.shape[-self.grid.n:] != self.grid.sizes:
+            raise ParameterError(f"{self.space} values must have the trailing shape "
+                                 f"{self.grid.sizes}, got {vals.shape}")
+        if self.space == "spectral":
+            vals = vals.astype(complex, copy=False)
+        else:
+            if np.iscomplexobj(vals):
+                if np.any(vals.imag):
+                    raise DomainError("not a real field: the samples have imaginary parts")
+                vals = vals.real
+            vals = np.ascontiguousarray(vals, dtype=float)
         object.__setattr__(self, "values", vals)
-
-    def copy_with(self, values, space=None) -> "Field":
-        return Field(self.grid, values, space or self.space)
 
 
 @dataclass
@@ -173,21 +178,6 @@ class SpectralTrajectory:
         if np.any(np.diff(self.times) <= 0):
             raise ParameterError("trajectory times must be strictly increasing")
 
-    def snapshot_at(self, t: float) -> Field:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise DomainError(f"no snapshot at t={t}; nearest is {self.times[i]}")
-        return Field(self.grid, self.u[i], "half")
-
-    def as_field(self) -> Field:
-        """u as one half Field stacked over the time axis."""
-        return Field(self.grid, self.u, "half")
-
-
-def _require_space(f: Field, space: str) -> None:
-    if f.space != space:
-        raise ParameterError(f"expected a {space} field, got {f.space}")
-
 
 def require_same_grid(*fields) -> Grid:
     g = fields[0].grid
@@ -197,34 +187,28 @@ def require_same_grid(*fields) -> Grid:
     return g
 
 
-def sobolev_norm(f, s: float):
-    """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2).
-
-    f is a half Field (one float, or one per time level of a stacked
-    Field) or a SpectralTrajectory (an array with one norm per time).  The
-    columns 1..N/2-1 of the last axis stand for their conjugate twins too
-    and count twice.
+def sobolev_norm(half: np.ndarray, grid: Grid, s: float):
+    """Discrete H^s norm with the exact multiplier (1+|xi|^2)^(s/2) of the
+    half spectrum half on grid: one float, or one per time level of a
+    stack.  The columns 1..N/2-1 of the last axis stand for their
+    conjugate twins too and count twice.
     """
-    if isinstance(f, SpectralTrajectory):
-        f = f.as_field()
-    _require_space(f, "half")
-    grid = f.grid
     w = (1.0 + grid.half_xi_norm() ** 2) ** s
     w[..., 1 : grid.sizes[-1] // 2] *= 2.0
     # w * |v|^2 in one real array, squared and weighted in place
-    density = np.abs(f.values)
+    density = np.abs(half)
     np.square(density, out=density)
     density *= w
-    out = np.sqrt(np.sum(density, axis=f.grid.axes) * f.grid.cell_measure)
+    out = np.sqrt(np.sum(density, axis=grid.axes) * grid.cell_measure)
     return float(out) if out.ndim == 0 else out
 
 
-def spectral_derivative(f: Field, axis: int, out: np.ndarray | None = None) -> Field:
-    """i xi_axis * f, zero on the axis's Nyquist mode, for a half Field;
-    out (which may be f.values) receives the result instead of a new
-    array."""
-    _require_space(f, "half")
-    return f.copy_with(np.multiply(f.grid.derivative_symbol(axis), f.values, out=out))
+def spectral_derivative(half: np.ndarray, grid: Grid, axis: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """i xi_axis * half, zero on the axis's Nyquist mode, for a half
+    spectrum; out (which may be half) receives the result instead of a
+    new array."""
+    return np.multiply(grid.derivative_symbol(axis), half, out=out)
 
 
 # half and full spectra ---------------------------------------------------------
@@ -273,14 +257,6 @@ def half_forward(phys: np.ndarray, grid: Grid,
     return np.fft.rfftn(phys, s=grid.sizes, axes=grid.axes, norm="ortho", out=out)
 
 
-def half_field(f: Field) -> Field:
-    """The half spectrum of the real physical Field f, as a half Field."""
-    _require_space(f, "physical")
-    if np.any(f.values.imag):
-        raise DomainError("not a real field: the samples have imaginary parts")
-    return f.copy_with(half_forward(f.values.real, f.grid), "half")
-
-
 def half_inverse(half: np.ndarray, grid: Grid, out: np.ndarray,
                  work: np.ndarray) -> np.ndarray:
     """Inverse of half_forward, from the half spectrum array half into the
@@ -311,17 +287,15 @@ def hermitian_completion(half: np.ndarray, grid: Grid) -> np.ndarray:
     return full
 
 
-def dealias(f: Field, out: np.ndarray | None = None) -> Field:
+def dealias(half: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Zero every mode with any |k| > size/3 (the 2/3 rule) of a half
-    Field; out, as in spectral_derivative, receives the result."""
-    _require_space(f, "half")
-    vals = f.values
-    for axis, (s, h) in enumerate(zip(f.grid.sizes, f.grid.half_sizes)):
+    spectrum; out, as in spectral_derivative, receives the result."""
+    for axis, (s, h) in enumerate(zip(grid.sizes, grid.half_sizes)):
         k = np.abs(np.fft.fftfreq(s, d=1.0 / s))[:h]
-        shape = [1] * f.grid.n
+        shape = [1] * grid.n
         shape[axis] = h
-        vals = out = np.multiply(vals, (k <= s / 3.0).reshape(shape), out=out)
-    return f.copy_with(vals)
+        half = out = np.multiply(half, (k <= s / 3.0).reshape(shape), out=out)
+    return half
 
 
 _MAGIC = b"CWGRID1"

@@ -7,9 +7,9 @@ residual of the propagator's ODE, the defining functions of the
 characteristic sets where the paper places the singular support, the
 self-similar plane front of the linear problem, and the full complex DFT
 and its inverse (the package itself transforms only real fields, to and
-from half spectra).  The oracles work on full spectra; a test compares
-the package's half spectra with them after spectral.hermitian_completion,
-which is exact.
+from half spectra).  The oracles work on full spectra, as arrays; a test
+compares the package's half spectra with them after
+spectral.hermitian_completion, which is exact.
 """
 
 from __future__ import annotations
@@ -31,47 +31,54 @@ from cuspwave.spectral import (
 )
 
 
-def dft_forward(f: Field) -> Field:
-    """The orthonormal DFT of a physical Field over the spatial axes: its
-    full spectrum, as a spectral Field."""
-    if f.space != "physical":
-        raise ParameterError(f"expected a physical field, got {f.space}")
-    return f.copy_with(
-        np.fft.fftn(f.values, axes=f.grid.axes, norm="ortho"), "spectral")
+def xi_norm(grid) -> np.ndarray:
+    """|xi| on the full spectral grid (the package keeps only its half,
+    Grid.half_xi_norm)."""
+    mesh = np.meshgrid(*(grid.axis_xi(a) for a in range(grid.n)), indexing="ij")
+    return np.sqrt(sum(x * x for x in mesh))
 
 
-def dft_inverse(f: Field) -> Field:
-    """Inverse of dft_forward: the orthonormal inverse DFT of a spectral
-    Field over the spatial axes, as a physical Field.  A half Field is
-    completed first (full_field)."""
-    if f.space == "half":
-        f = full_field(f)
-    if f.space != "spectral":
-        raise ParameterError(f"expected a spectral field, got {f.space}")
-    return f.copy_with(
-        np.fft.ifftn(f.values, axes=f.grid.axes, norm="ortho"), "physical")
+def dft_forward(values, grid) -> np.ndarray:
+    """The orthonormal DFT of the samples values over grid's spatial axes:
+    their full spectrum."""
+    return np.fft.fftn(values, axes=grid.axes, norm="ortho")
 
 
-def full_field(f: Field) -> Field:
-    """The full spectrum of the half Field f, completed exactly
+def dft_inverse(values, grid) -> np.ndarray:
+    """Inverse of dft_forward: the complex samples of the full spectrum
+    values, or of a half spectrum, which is completed exactly first
     (spectral.hermitian_completion)."""
-    if f.space != "half":
-        raise ParameterError(f"expected a half field, got {f.space}")
-    return f.copy_with(hermitian_completion(f.values, f.grid), "spectral")
+    if values.shape[-1] != grid.sizes[-1]:
+        values = hermitian_completion(values, grid)
+    return np.fft.ifftn(values, axes=grid.axes, norm="ortho")
 
 
-def half_of(f: Field) -> Field:
-    """The half spectrum of the full spectrum f, the modes 0..N/2 of its
-    last axis, as a half Field."""
-    if f.space != "spectral":
-        raise ParameterError(f"expected a spectral field, got {f.space}")
-    return f.copy_with(f.values[..., : f.grid.half_sizes[-1]], "half")
+def physical(values, grid) -> Field:
+    """The physical Field of the real field whose full or half spectrum is
+    values."""
+    return Field(grid, dft_inverse(values, grid).real)
 
 
-def zero_field(grid, space: str = "half") -> Field:
+def snapshot(traj, t: float) -> np.ndarray:
+    """The half spectrum of traj.u at the time t, which must be one of
+    traj.times to 1e-12."""
+    i = int(np.argmin(np.abs(traj.times - t)))
+    if abs(traj.times[i] - t) > 1e-12 * max(1.0, abs(t)):
+        raise DomainError(f"no snapshot at t={t}; nearest is {traj.times[i]}")
+    return traj.u[i]
+
+
+def contraction_ratio(report) -> float:
+    """max d_i / d_(i-1) over i >= 2 with d_(i-1) > 0 of a PicardReport's
+    iterate distances; NaN if there is none."""
+    ds = report.iterate_distances
+    ratios = [ds[i] / ds[i - 1] for i in range(2, len(ds)) if ds[i - 1] > 0]
+    return max(ratios) if ratios else float("nan")
+
+
+def zero_field(grid, space: str = "physical") -> Field:
     """The zero Field of the given space on grid."""
-    shape = grid.half_sizes if space == "half" else grid.sizes
-    return Field(grid, np.zeros(shape, dtype=complex), space)
+    return Field(grid, np.zeros(grid.sizes), space)
 
 
 def real_mode(grid, k) -> Field:
@@ -97,7 +104,7 @@ def full_derivative(grid, values, axis: int) -> np.ndarray:
 def full_sobolev_norm(grid, values, s: float):
     """The discrete H^s norm of full spectra values (one per time level of
     a stack): sqrt(sum (1+|xi|^2)^s |v|^2 * cell measure)."""
-    density = (1.0 + grid.xi_norm() ** 2) ** s * np.abs(values) ** 2
+    density = (1.0 + xi_norm(grid) ** 2) ** s * np.abs(values) ** 2
     return np.sqrt(np.sum(density, axis=grid.axes) * grid.cell_measure)
 
 
@@ -126,7 +133,8 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field, forcing, times,
                substeps: int | None = None):
     """Independent check: classical RK4 on (u, v)' = (v, -t^m rho^2 u + F).
 
-    phi1 and phi2 are spectral Fields (full spectra); forcing is None or
+    phi1 and phi2 are Fields: full spectra, or physical data, which are
+    transformed with dft_forward first; forcing is None or
     the full spectra of F at times, an array of shape (n_t, *sizes).  The
     forcing between stored samples is interpolated linearly in t.  The
     number of internal substeps per stored interval defaults to enough to
@@ -141,7 +149,7 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field, forcing, times,
         raise ParameterError("rk4_oracle requires uniform times")
     grid = phi1.grid
     require_same_grid(phi1, phi2)
-    rho = grid.xi_norm()
+    rho = xi_norm(grid)
     rho2 = rho * rho
     t_end = times[-1]
     omega_max = t_end ** (m / 2) * float(np.max(rho))
@@ -165,8 +173,8 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field, forcing, times,
         def f_at(t):
             return zero
 
-    u = phi1.values.astype(complex).copy()
-    v = phi2.values.astype(complex).copy()
+    u, v = (f.values.copy() if f.space == "spectral" else dft_forward(f.values, grid)
+            for f in (phi1, phi2))
     u_out = np.empty((len(times),) + grid.sizes, dtype=complex)
     dt_out = np.empty_like(u_out)
     u_out[0], dt_out[0] = u, v

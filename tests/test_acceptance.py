@@ -39,7 +39,7 @@ from cuspwave.semilinear import (
 from cuspwave.spectral import (
     Field,
     Grid,
-    half_field,
+    half_forward,
     hermitian_completion,
     sobolev_norm,
     spectral_derivative,
@@ -47,34 +47,37 @@ from cuspwave.spectral import (
 
 from oracles import (
     CharSurface,
+    contraction_ratio,
     dft_inverse,
-    full_field,
     ode_residual,
+    physical,
     plane_front,
     rk4_oracle,
+    snapshot,
     surface_distance,
+    xi_norm,
     zero_field,
 )
 
 
 def gaussian_bump(grid, width=0.8):
     spec = InitialDataSpec("smooth", smooth=BumpSpec(1.0, width))
-    return half_field(make_smooth(spec, grid))
+    return make_smooth(spec, grid)
 
 
 def jump_data(grid, amp=1.0, wl=1.2, wr=0.9):
-    """Half spectrum of a sign-flipping Heaviside-type profile."""
+    """Samples of a sign-flipping Heaviside-type profile."""
     spec = InitialDataSpec("A1", left=BumpSpec(amp, wl),
                            right=BumpSpec(-amp, wr))
-    return half_field(make_a1(spec, grid))
+    return make_a1(spec, grid)
 
 
 def linear_profile(m, grid, phi0, t):
     """u(t) in physical space of the linear solve with the real data
     (phi0, 0), phi0 sampled on the grid."""
     times = np.array([0.0, t])
-    traj = solve_linear(m, half_field(Field(grid, phi0)), zero_field(grid), times)
-    return dft_inverse(traj.snapshot_at(t)).values.real
+    traj = solve_linear(m, Field(grid, phi0), zero_field(grid), times)
+    return dft_inverse(snapshot(traj, t), grid).real
 
 
 NO_FORCING = NonlinearitySpec()
@@ -163,8 +166,7 @@ def test_solver_matches_rk4_oracle(m, family):
     phi = gaussian_bump(grid, 0.7) if family == "gaussian" else jump_data(grid)
     times = np.linspace(0.0, 1.0, 257)
     spec_traj = solve_linear(m, phi, zero_field(grid), times)
-    oracle, _ = rk4_oracle(m, full_field(phi), zero_field(grid, "spectral"), None,
-                           times)
+    oracle, _ = rk4_oracle(m, phi, zero_field(grid), None, times)
     for i in (128, 256):
         diff = np.linalg.norm(hermitian_completion(spec_traj.u[i], grid) - oracle[i])
         ref = np.linalg.norm(oracle[i])
@@ -212,11 +214,10 @@ def test_square_wave_matches_plane_front(m):
 def test_high_frequency_ring_rate(m, s1, t_lo, t_hi):
     grid = Grid(1, (2048,), np.pi)
     xi = grid.half_xi_norm()
-    ring = Field(grid, ((np.abs(xi) >= 700) & (np.abs(xi) <= 900))
-                 .astype(complex), "half")
+    ring = physical(((xi >= 700) & (xi <= 900)).astype(complex), grid)
     ts = np.geomspace(t_lo, t_hi, 17)
     traj = solve_linear(m, ring, zero_field(grid), np.concatenate(([0.0], ts)))
-    norms = [sobolev_norm(traj.snapshot_at(t), s1) for t in ts]
+    norms = [sobolev_norm(snapshot(traj, t), grid, s1) for t in ts]
     fit = fit_power_law(ts, norms)
     # on a fixed ring the envelope of |V1| decays as t^(-m/4) for every s1
     expected = -m / 4
@@ -231,11 +232,11 @@ def test_zero_mode_exactness():
     cfg = PicardConfig(T=1.0, n_t=129, max_iters=20, tol=1e-12, s_mon=0.0)
     f6 = NonlinearitySpec(coefficients=(6.0,))
     traj, _ = solve_third_order(1, f6, z, z, z, cfg)
-    u0 = dft_inverse(traj.snapshot_at(1.0)).values.real.mean()
+    u0 = dft_inverse(snapshot(traj, 1.0), grid).real.mean()
     assert abs(u0 - 1.0) <= 1e-8  # u(t) = t^3 at t = 1
     f24 = NonlinearitySpec(coefficients=(24.0,))
     traj, _ = solve_fourth_order(2, 1, f24, z, z, z, z, cfg)
-    u0 = dft_inverse(traj.snapshot_at(1.0)).values.real.mean()
+    u0 = dft_inverse(snapshot(traj, 1.0), grid).real.mean()
     assert abs(u0 - 1.0) <= 1e-7  # u(t) = t^4 at t = 1
 
 
@@ -250,7 +251,7 @@ def test_picard_contraction_monotone_in_horizon():
         cfg = PicardConfig(T=T, n_t=33, max_iters=30, tol=1e-12, s_mon=0.0)
         _, report = solve_second_order(1, f, phi, zero_field(grid), cfg)
         assert report.converged
-        ratios[T] = report.contraction_ratio
+        ratios[T] = contraction_ratio(report)
     assert ratios[0.4] < 1.0
     assert ratios[0.2] < ratios[0.4]
 
@@ -269,7 +270,7 @@ def test_fourth_order_factorization_residual():
     U = hermitian_completion(traj.u[::2], grid)
     t = traj.times[::2]
     h = t[1] - t[0]
-    xi2 = grid.xi_norm()**2
+    xi2 = xi_norm(grid)**2
 
     def d2(A):
         return (-A[4:] + 16 * A[3:-1] - 30 * A[2:-2] + 16 * A[1:-3]
@@ -295,7 +296,7 @@ def test_ridge_positions_and_quiet_region(cusp_run):
     for target in (-2.0 / 3.0, 0.0, 2.0 / 3.0):
         nearest = min(abs(p[1][0] - target) for p in points)
         assert nearest <= 2 * dx
-    mag = gradient_magnitude(traj.snapshot_at(1.0))
+    mag = gradient_magnitude(snapshot(traj, 1.0), grid)
     surfaces = [CharSurface("GammaPM", m=1, sign="+"),
                 CharSurface("GammaPM", m=1, sign="-"),
                 CharSurface("Gamma0")]
@@ -314,8 +315,8 @@ def test_fourth_order_cusp_pair_ridges():
     phi_b = jump_data(grid, wl=1.1, wr=0.8)
     # superpose one homogeneous flow per factor: the slower-cusp branch
     # enters through the data slots (psi0 += phi_b, psi3 = lap phi_b)
-    psi0 = Field(grid, phi_a.values + phi_b.values, "half")
-    psi3 = Field(grid, -(grid.half_xi_norm()**2) * phi_b.values, "half")
+    psi0 = Field(grid, phi_a.values + phi_b.values)
+    psi3 = physical(-(grid.half_xi_norm()**2) * half_forward(phi_b.values, grid), grid)
     cfg = PicardConfig(T=1.0, n_t=129, max_iters=10, tol=1e-10, s_mon=0.0)
     traj, _ = solve_fourth_order(2, 1, NO_FORCING, psi0, z, z, psi3, cfg)
     dx = grid.axis_coords(0)[1] - grid.axis_coords(0)[0]
@@ -335,11 +336,11 @@ def test_log_squared_bound_and_boundedness():
     spec = InitialDataSpec("A2", radial=BumpSpec(1.0, 1.0),
                            angular=(AngularTerm(1, 1.0, 0.0),
                                     AngularTerm(3, 0.7, 0.4)))
-    phi = half_field(make_a2(spec, grid2))
+    phi = make_a2(spec, grid2)
     traj = solve_linear(1, phi, phi, np.concatenate(([0.0], ts)))
-    maxes = np.array([np.abs(dft_inverse(traj.snapshot_at(t)).values).max()
+    maxes = np.array([np.abs(dft_inverse(snapshot(traj, t), grid2)).max()
                       for t in ts])
-    data_max = np.abs(dft_inverse(phi).values).max()
+    data_max = np.abs(phi.values).max()
     ratio = max(mx / (1.0 + abs(np.log(t)))**2 for t, mx in zip(ts, maxes))
     assert ratio <= 10.0 * data_max
     low = ts <= 0.1
@@ -349,9 +350,9 @@ def test_log_squared_bound_and_boundedness():
     grid1 = Grid(1, (512,), np.pi)
     traj1 = solve_linear(1, jump_data(grid1), zero_field(grid1),
                          np.concatenate(([0.0], ts)))
-    maxes1 = [np.abs(dft_inverse(traj1.snapshot_at(t)).values).max()
+    maxes1 = [np.abs(dft_inverse(snapshot(traj1, t), grid1)).max()
               for t in ts]
-    data_max1 = np.abs(dft_inverse(jump_data(grid1)).values).max()
+    data_max1 = np.abs(jump_data(grid1).values).max()
     assert max(maxes1) <= 3.0 * data_max1
 
 
@@ -388,8 +389,8 @@ def test_conormal_discriminator(cusp_run):
         h = traj.times[1] - traj.times[0]
         keep = traj.times >= 4 * h
         d11[N] = max(
-            sobolev_norm(spectral_derivative(
-                spectral_derivative(traj.snapshot_at(t), 0), 0), s)
+            sobolev_norm(spectral_derivative(spectral_derivative(
+                snapshot(traj, t), traj.grid, 0), traj.grid, 0), traj.grid, s)
             for t in traj.times[keep])
     for word in tables[512]:
         assert tables[1024][word] / tables[512][word] < 50.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from cuspwave.initial_data import (
     make_smooth,
     parse_data_spec,
 )
-from cuspwave.spectral import Grid, half_field, sobolev_norm
+from cuspwave.spectral import Grid, half_forward, sobolev_norm
 
-from oracles import dft_forward
+from oracles import dft_forward, xi_norm
 
 
 def a1_spec(left_amp=0.0, right_amp=1.0, width=1.0):
@@ -32,6 +34,23 @@ def test_bump_support_and_smoothness():
     assert np.all(v[np.abs(r) >= 1.0] == 0)
     assert v[200] == pytest.approx(1.0)  # value at center equals amplitude
     assert np.all(v >= 0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_maker_field_holds_eight_bytes_per_sample(family):
+    # the samples of real data are float64, not a complex copy of twice
+    # the size: what the returned Field keeps alive is its samples
+    g = Grid(2, (256, 256), 4.0)
+    spec = parse_data_spec("family = %s\n" % family)
+    tracemalloc.start()
+    try:
+        f = FAMILIES[family][0](spec, g)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = 256 * 256
+    assert f.values.dtype == np.float64 and f.values.nbytes == 8 * samples
+    assert kept <= 8 * samples + 4096
 
 
 def test_a1_jump_height():
@@ -60,9 +79,9 @@ def test_a1_sobolev_threshold():
     n45, n55 = [], []
     for N in (256, 1024, 4096, 16384):
         g = Grid(1, (N,), 4.0)
-        fh = half_field(make_a1(a1_spec(), g))
-        n45.append(sobolev_norm(fh, 0.45))
-        n55.append(sobolev_norm(fh, 0.55))
+        fh = half_forward(make_a1(a1_spec(), g).values, g)
+        n45.append(sobolev_norm(fh, g, 0.45))
+        n55.append(sobolev_norm(fh, g, 0.55))
     d45 = np.diff(n45)
     d55 = np.diff(n55)
     assert np.all(d45 > 0) and np.all(np.diff(d45) < 0)
@@ -103,9 +122,9 @@ def test_a2_fourier_decay_exponent():
         "A2", radial=BumpSpec(1.0, 1.5), angular=(AngularTerm(1, 1.0, 0.0),)
     )
     g = Grid(2, (512, 512), 4.0)
-    fh = dft_forward(make_a2(spec, g))
-    rho = g.xi_norm()
-    mag = np.abs(fh.values)
+    fh = dft_forward(make_a2(spec, g).values, g)
+    rho = xi_norm(g)
+    mag = np.abs(fh)
     sel = (rho >= 10.0) & (rho <= 100.0) & (mag > 0)
     logr = np.log(rho[sel])
     # remove the logarithmic factor before fitting the power
@@ -130,7 +149,7 @@ def test_heaviside_split_no_jump():
     g = Grid(1, (256,), 4.0)
     spec = InitialDataSpec("A1", left=BumpSpec(1.0, 1.0), right=BumpSpec(1.0, 1.0))
     with pytest.warns(UserWarning, match="no jump"):
-        odd = dft_forward(make_a1(spec, g)).values.imag
+        odd = dft_forward(make_a1(spec, g).values, g).imag
     assert np.max(np.abs(odd)) < 1e-12
 
 
@@ -138,7 +157,7 @@ def test_heaviside_split_tail():
     # the odd part sign(x1) (phi1 - phi2)/2 carries the slow 1/xi tail of
     # the jump
     g = Grid(1, (2048,), 4.0)
-    odd = dft_forward(make_a1(a1_spec(), g)).values.imag
+    odd = dft_forward(make_a1(a1_spec(), g).values, g).imag
     xi = g.axis_xi(0)
     sel = (xi > 20) & (xi < 200)
     slope = np.polyfit(np.log(xi[sel]), np.log(np.abs(odd[sel])), 1)[0]

@@ -18,23 +18,24 @@ from cuspwave.propagator import sample_arrays
 from cuspwave.spectral import (
     Field,
     Grid,
-    half_field,
+    half_forward,
     hermitian_completion,
     load_field,
 )
 
 from oracles import (
-    full_field,
+    physical,
     real_mode,
     rk4_oracle,
     write_full_spectra,
+    xi_norm,
     zero_field,
 )
 
 
 def gaussian_field(grid, width=0.5):
     (x,) = grid.coords()
-    return half_field(Field(grid, np.exp(-((x / width) ** 2))))
+    return Field(grid, np.exp(-((x / width) ** 2)))
 
 
 def relative_l2_distance(grid, a, b, i):
@@ -72,7 +73,7 @@ def test_homogeneous_zero_mode():
     phi1 = zero_field(g)
     vals = np.zeros(9, dtype=complex)
     vals[0] = 2.0
-    phi2 = Field(g, vals, "half")
+    phi2 = physical(vals, g)
     tr = solve_linear(1, phi1, phi2, times)
     # V2(t, 0) = t so the zero mode is 2t
     for i, t in enumerate(times):
@@ -88,8 +89,8 @@ def test_data_reproduced_at_zero():
     phi1 = gaussian_field(g)
     phi2 = gaussian_field(g, 0.3)
     tr = solve_linear(2, phi1, phi2, np.linspace(0, 1, 9))
-    assert np.array_equal(tr.u[0], phi1.values)
-    assert np.array_equal(tr.dt[0], phi2.values)
+    assert np.array_equal(tr.u[0], half_forward(phi1.values, g))
+    assert np.array_equal(tr.dt[0], half_forward(phi2.values, g))
 
 
 def test_duhamel_zero_mode_quadratic():
@@ -125,7 +126,7 @@ def test_homogeneous_matches_rk4(m):
     phi2 = gaussian_field(g, 0.7)
     times = np.linspace(0, 1, 65)
     spec_tr = solve_linear(m, phi1, phi2, times)
-    rk_u, _ = rk4_oracle(m, full_field(phi1), full_field(phi2), None, times)
+    rk_u, _ = rk4_oracle(m, phi1, phi2, None, times)
     assert relative_l2_distance(g, spec_tr.u, rk_u, 64) < 1e-6  # t = 1
     assert relative_l2_distance(g, spec_tr.u, rk_u, 32) < 1e-6  # t = 0.5
 
@@ -147,7 +148,7 @@ def test_inhomogeneous_superposition():
     forcing = constant_forcing(g, times)
     hom = solve_linear(2, phi1, phi2, times)
     par, _ = zero_data_response(2, g, times, half(forcing, g))
-    rk_u, _ = rk4_oracle(2, full_field(phi1), full_field(phi2), forcing, times)
+    rk_u, _ = rk4_oracle(2, phi1, phi2, forcing, times)
     assert relative_l2_distance(g, hom.u + par, rk_u, -1) < 1e-6
 
 
@@ -250,8 +251,8 @@ def test_propagator_table_once_per_solve(monkeypatch):
     # evaluated once per radial shell |xi| and gathered back onto the grid
     times = np.linspace(0, 1, 9)
     g2 = Grid(2, (16, 8), 2.0)
-    tab = propagator_table(2, times, g2.xi_norm())
-    direct = sample_arrays(2, times[:, None, None], g2.xi_norm()[None])
+    tab = propagator_table(2, times, xi_norm(g2))
+    direct = sample_arrays(2, times[:, None, None], xi_norm(g2)[None])
     for got, ref in zip(tab, direct):
         assert got.shape == (9, 16, 8)
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
@@ -262,13 +263,13 @@ def test_propagator_table_is_c_contiguous():
     # the products of the solves and the sums of the norms run in memory order
     times = np.linspace(0, 1, 9)
     for g in (Grid(1, (16,), 2.0), Grid(2, (16, 8), 2.0)):
-        for a in propagator_table(1, times, g.xi_norm()):
+        for a in propagator_table(1, times, xi_norm(g)):
             assert a.flags.c_contiguous, a.strides
 
 def test_table_of_wrong_shape_is_rejected():
     g = Grid(1, (16,), 2.0)
     times = np.linspace(0, 1, 9)
-    phi = gaussian_field(g)
+    phi = half_forward(gaussian_field(g).values, g)
     forcing = half(constant_forcing(g, times), g)
     for bad in (table(1, Grid(1, (32,), 2.0), times),
                 table(1, g, np.linspace(0, 1, 17))):
@@ -289,7 +290,7 @@ def test_export_trajectory(tmp_path):
     for n, sizes in [*_SIZES.items(), (2, (256, 256))]:
         g = Grid(n, sizes, 2.0)
         rng = np.random.default_rng(n)
-        data = [half_field(Field(g, rng.standard_normal(sizes))) for _ in range(2)]
+        data = [Field(g, rng.standard_normal(sizes)) for _ in range(2)]
         tr = solve_linear(1, *data, times)
         run = tmp_path / ("run%d_%d" % (n, sizes[-1]))
         manifest = export_trajectory(run, tr, s_list=(0.0, 1.0))

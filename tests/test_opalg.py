@@ -52,18 +52,18 @@ def test_coeff_arithmetic_and_radial_reduction(ctx2):
     back = q * (x1 - r)
     assert back == x1 + r
     assert r.dx(1) == x1 / r
-    assert (ctx2.t() ** 3).dt() == ctx2.rational(3) * ctx2.t() ** 2
+    assert (ctx2.t_pow(2) ** 3).dt() == ctx2.rational(3) * ctx2.t_pow(2) ** 2
 
 
 def test_coeff_half_powers(ctx2):
     h = ctx2.t_pow(1)
-    assert h * h == ctx2.t()
+    assert h * h == ctx2.t_pow(2)
     assert ctx2.t_pow(3).dt() == ctx2.rational(3, 2) * ctx2.t_pow(1)
 
 
 def _sample_coeffs(ctx):
     """Normal-form coefficients, with quotients by r where n >= 2."""
-    h, t, x1 = ctx.h(), ctx.t(), ctx.x(1)
+    h, t, x1 = ctx.t_pow(1), ctx.t_pow(2), ctx.x(1)
     out = [ctx.zero(), ctx.one(), ctx.rational(-3, 2), x1, ctx.t_pow(-3),
            (x1 + ctx.rational(2) * t) / (x1 - h), x1 ** 2 / (t + 1)]
     if ctx.n >= 2:
@@ -176,7 +176,7 @@ def test_axis_map_is_a_field_automorphism(n):
     ctx = CoeffContext(n)
     x1, x2 = ctx.x(1), ctx.x(2)
     # x1 - x2 leads with +x1; its image under 1 <-> 2 leads with -x1
-    samples = _sample_coeffs(ctx) + [(x2 + ctx.h()) / (x1 - x2)]
+    samples = _sample_coeffs(ctx) + [(x2 + ctx.t_pow(1)) / (x1 - x2)]
     ops = [(lambda a, b: a + b), (lambda a, b: a - b),
            (lambda a, b: a * b), (lambda a, b: a / b)]
     flipped = 0
@@ -234,7 +234,7 @@ def test_combination_is_zero(n):
     samples = _sample_coeffs(ctx)
     one, minus_one = ctx.one(), ctx.rational(-1)
     eps = ctx.rational(1, 10 ** 6)
-    x1, h, t = ctx.x(1), ctx.h(), ctx.t()
+    x1, h, t = ctx.x(1), ctx.t_pow(1), ctx.t_pow(2)
     mixed = list(zip(samples, reversed(samples)))
     mixed_sum = sum(a * b for a, b in mixed)
     square = [(x1, x1), (minus_one, x1 ** 2)]
@@ -279,7 +279,7 @@ def test_span_check_rejects_wrong_weights(ctx2, monkeypatch):
 def test_span_check_scales_weights_over_one_denominator(ctx2):
     # weights over distinct non-trivial denominators: two coprime ones, which
     # share no factor with the basis denominators, and their product
-    x1, h, t, r = ctx2.x(1), ctx2.h(), ctx2.t(), ctx2.r()
+    x1, h, t, r = ctx2.x(1), ctx2.t_pow(1), ctx2.t_pow(2), ctx2.r()
     one = ctx2.one()
     dt, d1 = DiffOp.dt(ctx2), DiffOp.dx(ctx2, 1)
     basis = [dt.scaled(r / (x1 + t)), d1 + dt.scaled(x1),
@@ -311,7 +311,7 @@ def test_radial_generator_requires_two_dimensions():
 
 def test_compose_product_rule(ctx2):
     dt = DiffOp.dt(ctx2)
-    t_mult = DiffOp.from_coeff(ctx2.t())
+    t_mult = DiffOp.from_coeff(ctx2.t_pow(2))
     left = compose(dt, t_mult)
     expect = t_mult * dt + DiffOp.identity(ctx2)
     assert (left - expect).is_zero()
@@ -350,7 +350,7 @@ def test_commutator_antisymmetry_and_jacobi():
 def test_scaling_law(ctx2):
     dt = DiffOp.dt(ctx2)
     d1, d2 = DiffOp.dx(ctx2, 1), DiffOp.dx(ctx2, 2)
-    t = ctx2.t()
+    t = ctx2.t_pow(2)
     # Q = Dt^2 - t (D1^2 + D2^2),  V0 = 2t Dt + 3 (x1 D1 + x2 D2)
     Q = compose(dt, dt) - (compose(d1, d1) + compose(d2, d2)).scaled(t)
     V0 = dt.scaled(t * 2) + (d1.scaled(ctx2.x(1)) + d2.scaled(ctx2.x(2))).scaled(3)
@@ -366,8 +366,8 @@ def test_compose_derives_each_coefficient_once(monkeypatch):
     # product of the same operators differentiates nothing
     ctx = CoeffContext(2)
     dt, d1, d2 = DiffOp.dt(ctx), DiffOp.dx(ctx, 1), DiffOp.dx(ctx, 2)
-    Q = compose(dt, dt) - (compose(d1, d1) + compose(d2, d2)).scaled(ctx.t())
-    V0 = dt.scaled(ctx.t() * 2) + (d1.scaled(ctx.x(1)) + d2.scaled(ctx.x(2))).scaled(3)
+    Q = compose(dt, dt) - (compose(d1, d1) + compose(d2, d2)).scaled(ctx.t_pow(2))
+    V0 = dt.scaled(ctx.t_pow(2) * 2) + (d1.scaled(ctx.x(1)) + d2.scaled(ctx.x(2))).scaled(3)
     calls = []
     for name in ("dt", "dx"):
         real = getattr(CoeffExpr, name)
@@ -637,7 +637,7 @@ def test_catalog_serial_runs_agree():
 # alphabet, written out as the reference (coordinates count from 1)
 
 def _ref_V0(ctx, k):
-    out = DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t())
+    out = DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t_pow(2))
     for i in range(1, ctx.n + 1):
         out = out + DiffOp.dx(ctx, i).scaled(ctx.rational(k + 2) * ctx.x(i))
     return out
@@ -656,12 +656,12 @@ def _ref_rotations(ctx):
 
 
 def _ref_Vhalf(ctx, k):
-    return DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t()) \
+    return DiffOp.dt(ctx).scaled(ctx.rational(2) * ctx.t_pow(2)) \
         + DiffOp.dx(ctx, 1).scaled(ctx.rational(k + 2) * ctx.x(1))
 
 
 def _ref_TDt(ctx):
-    return DiffOp.dt(ctx).scaled(ctx.t())
+    return DiffOp.dt(ctx).scaled(ctx.t_pow(2))
 
 
 def _ref_M1(ctx):

@@ -17,10 +17,9 @@ from cuspwave.probe import (
 )
 from cuspwave.linear_solver import load_trajectory
 from cuspwave.spectral import (
-    Field,
     Grid,
     SpectralTrajectory,
-    half_field,
+    half_forward,
     hermitian_completion,
     sobolev_norm,
 )
@@ -32,6 +31,7 @@ from oracles import (
     full_derivative,
     full_sobolev_norm,
     negated,
+    snapshot,
     surface_distance,
     write_full_spectra,
 )
@@ -43,9 +43,9 @@ def make_trajectory(grid, times, func):
     snaps, dts = [], []
     eps = 1e-6
     for t in times:
-        snaps.append(half_field(Field(grid, func(t, *coords))).values)
-        dts.append(half_field(Field(
-            grid, (func(t + eps, *coords) - func(t - eps, *coords)) / (2 * eps))).values)
+        snaps.append(half_forward(func(t, *coords), grid))
+        dts.append(half_forward(
+            (func(t + eps, *coords) - func(t - eps, *coords)) / (2 * eps), grid))
     return SpectralTrajectory(grid, times, np.stack(snaps), np.stack(dts))
 
 
@@ -152,8 +152,8 @@ def test_tangency_smoke():
         z = apply_vector_field(fid, tr)
         i = 48  # away from both time-grid ends and the Vbar t-floor
         j = int(np.argmin(np.abs(x - c * times[i] ** ((m + 2) / 2))))
-        z_phys = dft_inverse(z.snapshot_at(times[i])).values
-        dx_phys = dft_inverse(dx.snapshot_at(times[i])).values
+        z_phys = dft_inverse(snapshot(z, times[i]), g)
+        dx_phys = dft_inverse(snapshot(dx, times[i]), g)
         assert abs(z_phys[j]) < 0.05 * np.max(np.abs(dx_phys)), fid.label()
 
 
@@ -322,17 +322,15 @@ def _reference_apply(fid, traj, t_floor=None, full=None):
     start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
     coords = grid.coords()
-    dt_phys = _reference_time_derivative(
-        dft_inverse(Field(grid, full, "spectral")).values, h)[start:]
+    dt_phys = _reference_time_derivative(dft_inverse(full, grid), h)[start:]
     out = np.zeros_like(full)
     for coeff, slot in _reference_terms(fid, grid.n):
         if slot == "t":
             d = dt_phys
         else:
-            d = dft_inverse(Field(
-                grid, full_derivative(grid, full[start:], slot), "spectral")).values
+            d = dft_inverse(full_derivative(grid, full[start:], slot), grid)
         out[start:] += coeff(t, coords) * d
-    return dft_forward(Field(grid, out)).values
+    return dft_forward(out, grid)
 
 
 def _applied(fid, traj, t_floor=None):
@@ -347,8 +345,8 @@ def _busy_trajectory(n, N, n_t):
     c = g.coords()
     times = np.linspace(0.0, 1.0, n_t)
     u = np.stack([
-        half_field(Field(g, np.exp(-sum((x - 0.3 * t) ** 2 for x in c)) * (1 + t * t)
-                         + 0.1 * np.sin(c[0]) * t ** 3)).values
+        half_forward(np.exp(-sum((x - 0.3 * t) ** 2 for x in c)) * (1 + t * t)
+                     + 0.1 * np.sin(c[0]) * t ** 3, g)
         for t in times])
     return SpectralTrajectory(g, times, u)
 
@@ -422,7 +420,7 @@ def test_scan_words_equal_fresh_applications(n):
     keep = tr.times >= 4.0 * (tr.times[1] - tr.times[0])
 
     def sup(z):  # the scan's own norm, on the half spectrum
-        return float(np.max(sobolev_norm(z, 0.5)[keep]))
+        return float(np.max(sobolev_norm(z.u, z.grid, 0.5)[keep]))
 
     for a in fields:
         za = apply_vector_field(a, tr)
@@ -568,13 +566,12 @@ def test_ridge_neighbours_wrap_periodically(n):
     # the rolled-copy neighbour test is the reference; the data are shifted
     # so that the last level's strongest gradient sits in the grid's corner
     tr = _busy_trajectory(n, _SIZES[n], 5)
-    mag = gradient_magnitude(tr.as_field())
+    mag = gradient_magnitude(tr.u, tr.grid)
     corner = np.unravel_index(np.argmax(mag[-1]), mag.shape[1:])
-    phys = np.roll(dft_inverse(tr.as_field()).values.real,
+    phys = np.roll(dft_inverse(tr.u, tr.grid).real,
                    [-k for k in corner], axis=tr.grid.axes)
-    tr = SpectralTrajectory(tr.grid, tr.times,
-                            half_field(Field(tr.grid, phys)).values)
-    mag = gradient_magnitude(tr.as_field())
+    tr = SpectralTrajectory(tr.grid, tr.times, half_forward(phys, tr.grid))
+    mag = gradient_magnitude(tr.u, tr.grid)
     is_max = mag > 0.1 * np.max(mag, axis=tr.grid.axes, keepdims=True)
     for axis in tr.grid.axes:
         is_max &= (mag >= np.roll(mag, 1, axis=axis)) \

@@ -1,5 +1,6 @@
 """Every public top-level function and class in src/cuspwave is used by the
-package itself, not only by the tests.
+package itself, not only by the tests, and so is every public method and
+property of its classes.
 
 A definition counts as used only through a load that resolves to it: a bare
 name in its own module (outside the definition itself), a name imported
@@ -8,6 +9,9 @@ opalg/__init__), or `alias.name` where alias is bound to its module.
 Imports, __all__ strings and message text are not loads, and a same-named
 attribute of some other object is not a use.  The only exception is the
 console entry point.
+
+A method or property counts as used by name: through any attribute load
+of that name in the package outside its own body.
 """
 
 import ast
@@ -49,9 +53,13 @@ def _bindings(module, tree, files):
     return names, modules
 
 
+def _trees():
+    return {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
 def test_every_public_definition_is_used_by_the_package():
-    trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
-             for path in sorted(PACKAGE.rglob("*.py"))}
+    trees = _trees()
     files = {_dotted(module): module for module in trees}
     defined = {(module, node.name) for module, tree in trees.items()
                for node in tree.body if isinstance(node, _DEFS)}
@@ -87,3 +95,23 @@ def test_every_public_definition_is_used_by_the_package():
     unused = sorted(f"{module}:{name}" for module, name in defined - used - ALLOWED
                     if not name.startswith("_"))
     assert unused == []
+
+
+def test_every_public_method_is_read_by_the_package():
+    trees = _trees()
+    loads = [(module, node.lineno, node.attr)
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                if not any(attr == fn.name and not (
+                        where == module and fn.lineno <= line <= fn.end_lineno)
+                        for where, line, attr in loads):
+                    unread.append(f"{module}:{cls.name}.{fn.name}")
+    assert unread == []
