@@ -103,25 +103,34 @@ class VectorFieldId:
         return [(1, m + 2, None, 0)]
 
 
+_LABEL = re.compile(r"(\w+)(?:\[(-?\d+(?:,-?\d+)*)\])?")
+
+
 def parse_fields(text, m, n):
     """Parse "V0,TDt,L[0,1]", the comma-joined label()s of an alphabet:
     commas inside brackets separate indices.
 
-    Every field is checked against the spatial dimension n.
+    A label is Name or Name[i,...] with integer indices, a field of the
+    alphabet checked against the spatial dimension n; any other is a
+    ParameterError that starts with "fields:" and quotes the label.
     """
     fields = []
     for label in re.split(r",(?![^\[]*\])", str(text)):
         label = label.strip()
         if not label:
             continue
-        if "[" in label:
-            name, rest = label.split("[", 1)
-            indices = tuple(int(v) for v in rest.rstrip("]").split(",") if v)
-        else:
-            name, indices = label, ()
-        fid = VectorFieldId(name, indices, m)
-        fid.terms(n)
+        match = _LABEL.fullmatch(label)
+        if match is None:
+            raise ParameterError(f"fields: {label!r} is not Name or Name[i,...] "
+                                 "with integer indices")
+        name, indices = match.groups()
+        indices = tuple(map(int, indices.split(","))) if indices else ()
+        try:
+            fid = VectorFieldId(name, indices, m)
+            fid.terms(n)
+        except ParameterError as exc:
+            raise ParameterError(f"fields: {label!r}: {exc}") from None
         fields.append(fid)
     if not fields:
-        raise ParameterError("empty vector field alphabet")
+        raise ParameterError("fields: empty vector field alphabet")
     return fields

@@ -11,8 +11,7 @@ spectra, arrays passed with their Grid: the data enter as physical Fields
 (float64 samples), which half_data checks and transforms, the table is
 gathered onto the half grid (Grid.half_xi_norm), and duhamel writes into
 arrays the caller may allocate once (out=).  solve_linear returns the
-linear solution as a SpectralTrajectory whose edge columns are exactly
-Hermitian (spectral.hermitian_edges).
+linear solution as a SpectralTrajectory.
 
 An export directory holds one snapshot_%05d.cwgrid file per time level and
 a manifest.csv of times, file names and H^s norms.  The files hold full
@@ -33,24 +32,15 @@ from .propagator import sample_arrays
 from .spectral import (
     Field,
     SpectralTrajectory,
+    check_times,
     half_forward,
     hermitian_completion,
-    hermitian_edges,
     load_field,
     real_half,
     require_same_grid,
     save_field,
     sobolev_norm,
 )
-
-
-def _check_times(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 1 or times[0] != 0.0:
-        raise ParameterError("times must be a 1-d array starting at 0")
-    if np.any(np.diff(times) <= 0):
-        raise ParameterError("times must be strictly increasing")
-    return times
 
 
 def cumulative_simpson(y, times, out=None) -> np.ndarray:
@@ -139,7 +129,7 @@ def solve_homogeneous(table, phi1: np.ndarray, phi2: np.ndarray, times):
     The data are half spectra and the table is on the grid's half_xi_norm.
     Returns the pair (u_hat, d_t u_hat) of half-spectrum arrays.
     """
-    times = _check_times(times)
+    times = check_times(times)
     shape = (len(times),) + phi1.shape
     _require_table(table, shape)
     v1, v2, dt_v1, dt_v2 = table
@@ -154,15 +144,11 @@ def solve_homogeneous(table, phi1: np.ndarray, phi2: np.ndarray, times):
 
 def solve_linear(m: int, phi1: Field, phi2: Field, times) -> SpectralTrajectory:
     """The solution of d_t^2 u - t^m Lap u = 0 with the real data u = phi1
-    and d_t u = phi2 at t = 0, given as physical Fields, as half spectra
-    with exactly Hermitian edge columns."""
+    and d_t u = phi2 at t = 0, given as physical Fields, as half spectra."""
     grid, (h1, h2) = half_data(phi1=phi1, phi2=phi2)
-    times = _check_times(times)
+    times = check_times(times)
     table = propagator_table(m, times, grid.half_xi_norm())
-    u, dt = solve_homogeneous(table, h1, h2, times)
-    for a in (u, dt):
-        hermitian_edges(a, grid)
-    return SpectralTrajectory(grid, times, u, dt)
+    return SpectralTrajectory(grid, times, *solve_homogeneous(table, h1, h2, times))
 
 
 def duhamel(table, forcing, times, out=None):
@@ -175,7 +161,7 @@ def duhamel(table, forcing, times, out=None):
     Returns (u_hat, I1, I2), written into out = (u, i1, i2) when it is
     given; forcing is overwritten as scratch.
     """
-    times = _check_times(times)
+    times = check_times(times)
     _require_table(table, (len(times),) + forcing.shape[1:])
     v1, v2, _, _ = table
     u, i1, i2 = out or [np.empty_like(forcing) for _ in range(3)]
@@ -201,9 +187,8 @@ def duhamel_dt(table, i1, i2) -> np.ndarray:
 def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
     """Write one grid file per snapshot plus a CSV manifest of H^s norms.
 
-    Each file holds the full spectrum of its level: the level's half
-    spectrum, made exactly Hermitian (spectral.hermitian_edges) and
-    completed (spectral.hermitian_completion).  Levels are completed in
+    Each file holds the full spectrum of its level, the completion of its
+    half spectrum (spectral.hermitian_completion).  Levels are completed in
     blocks of about 1 MB as they are written, so no full stack is held and
     small levels do not pay two calls each.
     """
@@ -217,7 +202,6 @@ def export_trajectory(directory, traj: SpectralTrajectory, s_list=(0.0,)):
         w.writerow(["time", "file"] + [f"h{s}" for s in s_list])
         for start in range(0, len(traj.times), block):
             full = hermitian_completion(traj.u[start : start + block], grid)
-            hermitian_edges(full[..., : grid.half_sizes[-1]], grid)
             for i, level in enumerate(full, start):
                 name = f"snapshot_{i:05d}.cwgrid"
                 save_field(os.path.join(directory, name), Field(grid, level, "spectral"))

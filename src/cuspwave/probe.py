@@ -3,7 +3,10 @@ applied to trajectories, conormal-norm scans, gradient-ridge extraction,
 and power-law rate fitting.
 
 A trajectory holds the half spectra of a real u (spectral), and every
-word Z_1 ... Z_k u is held and measured as a half spectrum too.
+word Z_1 ... Z_k u is held and measured as a half spectrum too.  A word
+has exactly Hermitian edge columns when u has: each term is a real time
+factor times a derivative, the x-weighted ones summed in a real array
+that half_forward transforms.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .spectral import (
     SpectralTrajectory,
     half_forward,
     half_inverse,
-    hermitian_edges,
     sobolev_norm,
     spectral_derivative,
 )
@@ -75,37 +77,32 @@ class _Level:
 
     Besides the word u (the trajectory's own half spectrum at depth 0) it
     holds time_diff, the 4th-order time difference of u when a field reads
-    the t slot; kept, the real physical derivatives of the slots that two
-    or more x-weighted terms of the alphabet read; and dest, the half
-    spectrum that receives Z u (the next level's word, or the scan's last
-    buffer).  All levels of a scan share three more arrays: acc, the real
-    array in which the x-weighted terms are summed; phys, through which
-    every other physical derivative and weighted product streams; and
-    spec, the half-spectrum scratch of the derivatives and of the terms
-    without an x factor.
+    the t slot, and dest, the half spectrum that receives Z u (the next
+    level's word, or the scan's last buffer).  All levels of a scan share
+    three more arrays: acc, the real array in which the x-weighted terms
+    are summed; phys, through which each physical derivative and weighted
+    product streams; and spec, the half-spectrum scratch of the
+    derivatives and of the terms without an x factor.
     """
 
     def __init__(self, grid, times, u, dest, shared_buffers, h: float,
-                 reads_t: bool, kept_slots):
+                 reads_t: bool):
         self.grid, self.times, self.h = grid, times, h
         self.u, self.dest = u, dest
         self.acc, self.phys, self.spec = shared_buffers
         self.time_diff = np.empty(u.shape, dtype=complex) if reads_t else None
-        self.kept = {slot: np.empty_like(self.phys) for slot in kept_slots}
 
     def refresh(self) -> None:
-        """Recompute time_diff and the kept derivatives from the word."""
+        """Recompute time_diff from the word."""
         if self.time_diff is not None:
             _time_derivative(self.u, self.h, self.time_diff, self.spec)
-        for slot, buf in self.kept.items():
-            self.physical(slot, buf)
 
-    def physical(self, slot, out: np.ndarray) -> np.ndarray:
-        """d_slot u in physical space, written into the real array out."""
+    def physical(self, slot) -> np.ndarray:
+        """d_slot u in physical space, written into the real scratch phys."""
         if slot == "t":
-            return half_inverse(self.time_diff, self.grid, out, work=self.spec)
+            return half_inverse(self.time_diff, self.grid, self.phys, work=self.spec)
         spectral_derivative(self.u, self.grid, slot, out=self.spec)
-        return half_inverse(self.spec, self.grid, out, work=self.spec)
+        return half_inverse(self.spec, self.grid, self.phys, work=self.spec)
 
 
 def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
@@ -116,10 +113,7 @@ def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
     h = np.diff(traj.times)
     if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
         raise DomainError("apply_vector_field needs a uniform time grid")
-    terms = [term for fid in fields for term in fid.terms(grid.n)]
-    weighted_slots = [slot for _, _, axis, slot in terms if axis is not None]
-    kept = {slot for slot in weighted_slots if weighted_slots.count(slot) > 1}
-    reads_t = any(slot == "t" for *_, slot in terms)
+    reads_t = any(slot == "t" for fid in fields for *_, slot in fid.terms(grid.n))
     half_shape = (len(traj.times),) + grid.half_sizes
     words = [traj.u]
     words += [np.empty(half_shape, dtype=complex) for _ in range(depth)]
@@ -127,7 +121,7 @@ def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
     shared = (np.empty(real_shape), np.empty(real_shape),
               np.empty(half_shape, dtype=complex))
     levels = [_Level(grid, traj.times, words[k], words[k + 1], shared,
-                     float(h[0]), reads_t, kept) for k in range(depth)]
+                     float(h[0]), reads_t) for k in range(depth)]
     levels[0].refresh()
     return levels
 
@@ -136,10 +130,9 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
                        t_floor: float | None = None
                        ) -> SpectralTrajectory | np.ndarray:
     """Z u on the trajectory's own (t, x) grid, as a trajectory of half
-    spectra whose edge columns are exactly Hermitian
-    (spectral.hermitian_edges).  Spatial derivatives are spectral and the
-    time derivative is a 4th-order finite difference, which needs a
-    uniform grid of at least 6 times.
+    spectra.  Spatial derivatives are spectral and the time derivative is
+    a 4th-order finite difference, which needs a uniform grid of at least
+    6 times.
 
     The field's terms come from VectorFieldId.terms.  A term without an x
     factor (the t term of V0, the d_l term of Vbar, TDt, N3, N4 and Rl)
@@ -180,9 +173,7 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
         acc = level.acc
         acc[:start] = 0
         for i, (c, p, axis, slot) in enumerate(weighted):
-            phys = level.kept.get(slot)
-            if phys is None:
-                phys = level.physical(slot, level.phys)
+            phys = level.physical(slot)
             product = level.phys[start:] if i else acc[start:]
             _weigh(_factor(c, p, t), coords[axis], phys[start:], product)
             if i:
@@ -200,7 +191,6 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
         np.multiply(_factor(c, p, t), spectral, out=dest[start:] if first else spec)
         if not first:
             dest[start:] += spec
-    hermitian_edges(dest, grid)
     if traj is level:
         return dest
     return SpectralTrajectory(grid, times, dest)
@@ -225,14 +215,12 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     the empty word) to the sup norm over snapshots with t >= t_floor,
     ordered by word length.  Words are computed depth first by
     apply_vector_field, in arrays allocated once per scan and overwritten
-    word after word: per depth below the last one word
-    (the trajectory itself at depth 0) and its time difference, plus one
-    real physical derivative for each slot that two or more x-weighted
-    terms of the alphabet read; one half spectrum for the last depth's
-    words; and the shared real accumulator, real scratch and half-spectrum
-    scratch.  Each of these is about the size of u, so at depth 2 without
-    shared slots they add up to about 7 times u's bytes.  They are freed
-    when the call returns.
+    word after word: per depth below the last one word (the trajectory
+    itself at depth 0) and its time difference; one half spectrum for the
+    last depth's words; and the shared real accumulator, real scratch and
+    half-spectrum scratch.  Each of these is about the size of u, so at
+    depth 2 they add up to about 7 times u's bytes.  They are freed when
+    the call returns.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")

@@ -20,11 +20,10 @@ solver iterates on half spectra, as arrays: each order's propagator table
 is gathered onto the half grid (Grid.half_xi_norm), and each nonlinearity
 evaluation (evaluate_forcing) happens pointwise in one real physical
 array, between half_inverse and half_forward, with 2/3 dealiasing on the
-half grid before the result re-enters the mode-wise linear solve.  The loop's arrays are allocated once per solve and the
-Duhamel and Simpson steps write into them.  Iterates carry only u; d_t u
-is formed once, from the flow and the last step's Duhamel integrals.  The
-returned trajectory holds the half spectra with exactly Hermitian edge
-columns (spectral.hermitian_edges).
+half grid before the result re-enters the mode-wise linear solve.  The
+loop's arrays are allocated once per solve and the Duhamel and Simpson
+steps write into them.  Iterates carry only u; d_t u is formed once, from
+the flow and the last step's Duhamel integrals.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .spectral import (
     dealias,
     half_forward,
     half_inverse,
-    hermitian_edges,
     sobolev_norm,
 )
 
@@ -186,8 +184,6 @@ def _picard(grid, times, flow, kernel, table, f: NonlinearitySpec,
             break
     dt = duhamel_dt(table, i1, i2)
     dt += flow_dt
-    for a in (u, dt):
-        hermitian_edges(a, grid)
     return SpectralTrajectory(grid, times, u, dt), report
 
 

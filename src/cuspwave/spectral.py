@@ -14,6 +14,13 @@ dealias act on half spectra.  An odd derivative zeroes the Nyquist mode
 k = -N/2 of the axis it differentiates, so that the derivative of a real
 field is real.
 
+The edge columns 0 and N/2 of the last axis have no twin in a half
+spectrum, so they must be Hermitian in the other axes by themselves.
+half_forward and real_half, where half spectra are born, make them
+exactly so, and every later operation keeps them so bit for bit: real
+multipliers equal at k and -k, i xi with its Nyquist mode zeroed, and
+real linear combinations.
+
 A Field is the type of the package's two edges only: the float64 samples
 of a real field (space "physical"), as the data enter, and the full
 spectrum of a snapshot file (space "spectral"; save_field / load_field).
@@ -157,7 +164,9 @@ class SpectralTrajectory:
     """Half spectra of a real u, and of d_t u when a solver produces it.
 
     u and dt are complex arrays of shape (n_t, *grid.half_sizes), one row
-    per entry of times; dt is None when the time derivative is not known.
+    per entry of times (check_times); dt is None when the time derivative
+    is not known.  Their edge columns 0 and N/2 are exactly Hermitian, like
+    those of every half spectrum the package makes.
     """
 
     grid: Grid
@@ -166,17 +175,24 @@ class SpectralTrajectory:
     dt: np.ndarray | None = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_times(self.times)
         shape = (len(self.times),) + self.grid.half_sizes
         self.u = np.asarray(self.u, dtype=complex)
         if self.dt is not None:
             self.dt = np.asarray(self.dt, dtype=complex)
         if self.u.shape != shape or (self.dt is not None and self.dt.shape != shape):
             raise ParameterError(f"u and dt must have shape {shape}")
-        if len(self.times) and self.times[0] != 0.0:
-            raise ParameterError("trajectory times must start at 0")
-        if np.any(np.diff(self.times) <= 0):
-            raise ParameterError("trajectory times must be strictly increasing")
+
+
+def check_times(times) -> np.ndarray:
+    """times as a float array, which must be a finite, strictly increasing
+    1-d grid that starts at 0; otherwise a ParameterError."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 1 or times[0] != 0.0:
+        raise ParameterError("times must be a 1-d array starting at 0")
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise ParameterError("times must be finite and strictly increasing")
+    return times
 
 
 def require_same_grid(*fields) -> Grid:
@@ -230,7 +246,8 @@ def real_half(levels, grid: Grid, times) -> np.ndarray:
     largest |u| of all levels in the real and imaginary parts; otherwise
     it is not the spectrum of a real field and the call raises a
     DomainError that names the worst time level and its t.  Levels are
-    read, checked and halved one at a time, so no full stack is held.
+    read, checked and halved one at a time, so no full stack is held; the
+    halves' edge columns are then made exactly Hermitian.
     """
     half = np.empty((len(times),) + grid.half_sizes, dtype=complex)
     defect, scale = np.empty(len(times)), np.empty(len(times))
@@ -247,14 +264,18 @@ def real_half(levels, grid: Grid, times) -> np.ndarray:
             f"not the spectrum of a real field: Hermitian defect "
             f"{defect[worst] / scale:.3g} of max|u| at time level {worst} "
             f"(t = {float(times[worst])!r})")
+    _hermitian_edges(half, grid)
     return half
 
 
 def half_forward(phys: np.ndarray, grid: Grid,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal rfft of the real array phys over the spatial axes; out,
-    of shape (..., *grid.half_sizes), receives the half spectrum."""
-    return np.fft.rfftn(phys, s=grid.sizes, axes=grid.axes, norm="ortho", out=out)
+    """Orthonormal rfft of the real array phys over the spatial axes, with
+    exactly Hermitian edge columns; out, of shape (..., *grid.half_sizes),
+    receives the half spectrum."""
+    half = np.fft.rfftn(phys, s=grid.sizes, axes=grid.axes, norm="ortho", out=out)
+    _hermitian_edges(half, grid)
+    return half
 
 
 def half_inverse(half: np.ndarray, grid: Grid, out: np.ndarray,
@@ -267,7 +288,7 @@ def half_inverse(half: np.ndarray, grid: Grid, out: np.ndarray,
     return np.fft.irfft(half, n=grid.sizes[-1], axis=-1, norm="ortho", out=out)
 
 
-def hermitian_edges(half: np.ndarray, grid: Grid) -> None:
+def _hermitian_edges(half: np.ndarray, grid: Grid) -> None:
     """Make the columns 0 and N/2 of the last axis, which have no twin in
     the half spectrum, exactly Hermitian in the other spatial axes, in
     place; rfft leaves them so only to rounding."""

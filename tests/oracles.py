@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspwave.errors import DomainError, GridMismatchError, ParameterError
-from cuspwave.linear_solver import _check_times
 from cuspwave.propagator import _check_args, sample_arrays
 from cuspwave.spectral import (
     Field,
+    check_times,
     hermitian_completion,
     require_same_grid,
     save_field,
@@ -141,7 +141,7 @@ def rk4_oracle(m: int, phi1: Field, phi2: Field, forcing, times,
     resolve the fastest mode (period ~ 2 pi / (t^(m/2) rho_max)).  Returns
     the full spectra (u, d_t u) at times.
     """
-    times = _check_times(times)
+    times = check_times(times)
     if len(times) < 2:
         raise ParameterError("rk4_oracle needs at least two time points")
     h0 = np.diff(times)

@@ -231,9 +231,13 @@ class TestProbeAndRates:
 
     @pytest.mark.parametrize("bad", [["--fields", "L[0,5]"],
                                      ["--fields", "Vbar"],
+                                     ["--fields", "Vbar[0"],
+                                     ["--fields", "Vbar[0]]"],
+                                     ["--fields", "Rl[1]]]"],
+                                     ["--fields", "Vbar[x]"],
                                      ["--depth", "3"]])
     def test_probe_rejects_bad_alphabet_or_depth_before_writing(
-            self, tmp_path, smooth_spec, bad):
+            self, tmp_path, smooth_spec, capsys, bad):
         run_dir = str(tmp_path / "run")
         assert main(["solve", "linear", "--n", "2", "--N", "16",
                      "--n-t", "9", "--data", smooth_spec,
@@ -243,6 +247,10 @@ class TestProbeAndRates:
         assert main(["probe", "--traj", run_dir, "--out", str(probe_dir)]
                     + bad) == 2
         assert os.listdir(probe_dir) == []
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ParameterError"
+        if bad[0] == "--fields":
+            assert record["message"].startswith("fields: %r" % bad[1])
 
     @pytest.mark.parametrize("bad", [["--s", "nan"], ["--s", "inf"],
                                      ["--threshold", "nan"],
@@ -833,6 +841,15 @@ def _drop_file_column(directory):
     open(path, "w").write(text.replace("time,file,", "time,name,", 1))
 
 
+def _nan_time_at_level_3(directory):
+    path = os.path.join(directory, "manifest.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[4][0] = "nan"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _cut_inside_header(directory):
     path = os.path.join(directory, "snapshot_00000.cwgrid")
     data = open(path, "rb").read()
@@ -856,6 +873,10 @@ _BAD_PATHS = {
         "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
                                            _drop_file_column)],
         "ParameterError"),
+    "manifest-with-a-nan-time": (lambda tmp, spec, file: [
+        "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
+                                           _nan_time_at_level_3),
+        "--fields", "V0,TDt"], "ParameterError"),
     "snapshot-cut-inside-its-header": (lambda tmp, spec, file: [
         "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
                                            _cut_inside_header)],

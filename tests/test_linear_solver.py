@@ -24,6 +24,7 @@ from cuspwave.spectral import (
 )
 
 from oracles import (
+    negated,
     physical,
     real_mode,
     rk4_oracle,
@@ -308,7 +309,8 @@ def test_export_trajectory(tmp_path):
 
 def test_load_keeps_the_half_of_full_spectra(tmp_path):
     # the layout of the probe-2d benchmark input, per level np.fft.fftn of
-    # a real field: the load keeps exactly the columns 0..N/2 of each
+    # a real field: the load keeps exactly the columns 0..N/2 of each, with
+    # the edge columns 0 and N/2 made exactly Hermitian
     g = Grid(2, (32, 32), np.pi)
     x, y = g.coords()
     r = np.hypot(x, y)
@@ -317,7 +319,10 @@ def test_load_keeps_the_half_of_full_spectra(tmp_path):
                        for t in times])
     write_full_spectra(str(tmp_path / "run"), g, times, levels)
     tr = load_trajectory(tmp_path / "run")
-    assert np.array_equal(tr.u, levels[..., :17])
+    half = levels[..., :17].copy()
+    edges = half[..., ::16]
+    edges[:] = 0.5 * (edges + np.conj(negated(edges, g.axes[:-1])))
+    assert np.array_equal(tr.u, half)
 
 
 def test_cumulative_simpson_matches_scipy():

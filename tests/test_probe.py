@@ -459,10 +459,10 @@ def test_scan_transform_count(monkeypatch):
 
 
 def test_scan_transform_count_with_shared_slots(monkeypatch):
-    # each input keeps d0 and d1 in physical space: 3 inverse FFTs (d0, d1,
-    # dt) and 3 forward FFTs (V0, L, Vbar) for the trajectory and each of its
-    # 3 first words
-    assert _count_transforms(monkeypatch, _SHARED_FIELDS) == 24
+    # each x-weighted term inverts its own derivative: 5 inverse FFTs (d0
+    # and d1 for V0, d1 and d0 for L, dt for Vbar) and 3 forward FFTs (V0,
+    # L, Vbar) for the trajectory and each of its 3 first words
+    assert _count_transforms(monkeypatch, _SHARED_FIELDS) == 32
 
 
 def _scan_peak(fields):
@@ -490,7 +490,8 @@ def test_scan_memory_is_bounded():
 
 
 def test_scan_memory_with_shared_slots():
-    # plus d0 and d1 kept as real arrays at both levels: 6.07 measured
+    # each x-weighted term inverts its derivative into the shared scratch,
+    # so slots read by two terms add no array: 4.07 measured
     assert _scan_peak(_SHARED_FIELDS) <= 5 + 2 * 2 * 0.5
 
 
@@ -532,9 +533,9 @@ def test_ridge_memory_is_bounded():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_applied_words_are_exactly_hermitian(n):
-    # every field works on the half spectrum and makes its edge columns
-    # exactly Hermitian, so the completed words and words of words of a
-    # real trajectory are spectra of real fields
+    # every field works on the half spectrum and keeps its exactly
+    # Hermitian edge columns, so the completed words and words of words of
+    # a real trajectory are spectra of real fields
     tr = _busy_trajectory(n, _SIZES[n] // 2, 9)
     for fid in _alphabet(n, 1):
         z = apply_vector_field(fid, tr)

@@ -25,6 +25,7 @@ from oracles import (
     dft_inverse,
     full_derivative,
     full_sobolev_norm,
+    negated,
     xi_norm,
 )
 
@@ -181,7 +182,7 @@ def test_odd_derivative_zeroes_nyquist():
         assert np.max(np.abs(phys.imag)) <= 1e-14 * np.max(np.abs(phys.real))
 
 
-@pytest.mark.parametrize("sizes", [(16,), (8, 16), (8, 16, 8)])
+@pytest.mark.parametrize("sizes", [(16,), (8, 16), (8, 16, 8), (16, 32)])
 def test_half_spectrum_matches_full(sizes):
     # the package's half spectra against the oracles' full ones
     g = Grid(len(sizes), sizes, 1.5)
@@ -199,6 +200,15 @@ def test_half_spectrum_matches_full(sizes):
     np.testing.assert_allclose(back, real, atol=1e-14 * np.abs(real).max())
     fwd = half_forward(real, g)
     np.testing.assert_allclose(fwd, h, atol=1e-14 * np.abs(fwd).max())
+    # the edge columns 0 and N/2 are exactly Hermitian in the other axes,
+    # for a stack, for one level and into out (rfftn leaves them so only
+    # to rounding from 16 points on the other axes)
+    edges = (..., slice(None, None, sizes[-1] // 2))
+    one = np.empty(g.half_sizes, dtype=complex)
+    for a in (fwd, half_forward(real[1], g), half_forward(real[1], g, out=one)):
+        e = a[edges]
+        assert np.array_equal(e, np.conj(negated(e, g.axes[:-1])))
+    assert np.array_equal(one, fwd[1])
     full = hermitian_completion(fwd, g)
     np.testing.assert_allclose(full, f, atol=1e-14 * np.abs(fwd).max())
     assert np.array_equal(full[..., :cols], fwd)
@@ -240,6 +250,9 @@ def test_trajectory_validation():
         SpectralTrajectory(g, [0.1, 1.0], two, two)
     with pytest.raises(ParameterError):
         SpectralTrajectory(g, [0.0, 0.0], two, two)
+    for bad in ([0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ParameterError, match="finite"):
+            SpectralTrajectory(g, bad, two, two)
     SpectralTrajectory(g, [0.0, 0.5], two, two)
     with pytest.raises(ParameterError):  # full spectra
         SpectralTrajectory(g, [0.0, 0.5], np.zeros((2, 8), dtype=complex))
