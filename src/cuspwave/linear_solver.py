@@ -227,6 +227,14 @@ def load_trajectory(directory) -> SpectralTrajectory:
         if column not in rows[0]:
             raise ParameterError("trajectory manifest %r has no %r column"
                                  % (manifest, column))
+    times = []
+    for level, row in enumerate(rows):
+        try:
+            times.append(float(row["time"]))
+        except (TypeError, ValueError):
+            raise ParameterError("trajectory manifest %r: the time %r of level %d"
+                                 " (file %r) is not a number"
+                                 % (manifest, row["time"], level, row["file"])) from None
     first = load_field(os.path.join(directory, rows[0]["file"]), space="spectral")
     grid = first.grid
 
@@ -239,5 +247,4 @@ def load_trajectory(directory) -> SpectralTrajectory:
                                         % row["file"])
             yield f.values
 
-    times = [float(r["time"]) for r in rows]
     return SpectralTrajectory(grid, times, real_half(levels(), grid, times))

@@ -362,28 +362,22 @@ def _axis_map(n, i):
     return (i,) + tuple(k for k in range(1, n + 1) if k != i)
 
 
-def _identical(a, b):
-    """Whether two operators carry the same normal form at every
-    multi-index; normal forms are canonical, so no gcd is needed."""
-    return a.terms.keys() == b.terms.keys() and all(
-        c.frac == b.terms[index].frac for index, c in a.terms.items())
-
-
 def _square_solution(target, basis, first, sigma):
     """(target, basis, weights, null vectors) of target = sum w_j basis_j.
 
     first is the solved axis-1 system of the same normal-field family, or
     None.  When sigma carries its target and each of its basis columns
-    onto target and basis, term for term, sigma (an automorphism of the
-    operator algebra, since r**2 = sum x_i**2 is symmetric) carries its
-    weights and null vectors onto a solution of this system; a system
-    that is not the image is eliminated by span_decompose.
+    onto target and basis, term for term (operator equality: normal
+    forms are canonical, so it needs no gcd), sigma (an automorphism of
+    the operator algebra, since r**2 = sum x_i**2 is symmetric) carries
+    its weights and null vectors onto a solution of this system; a
+    system that is not the image is eliminated by span_decompose.
     """
     if first is not None:
         target1, basis1, weights, null_vectors = first
         if len(basis1) == len(basis) \
-                and _identical(target1.permuted(sigma), target) \
-                and all(_identical(a.permuted(sigma), b)
+                and target1.permuted(sigma) == target \
+                and all(a.permuted(sigma) == b
                         for a, b in zip(basis1, basis)):
             if weights is None:
                 return target, basis, None, None
@@ -395,8 +389,8 @@ def _square_solution(target, basis, first, sigma):
 
 def _square_rows(label, normals, c_expected, alphabet):
     """The square-decomposition rows of one normal-field family, one per
-    axis i (label % i); normals is [None, N_1, .., N_n].  Only the
-    axis-1 system is eliminated, see _square_decomp_row."""
+    axis i (label % i); normals is [None, N_1, .., N_n].  Each system
+    after the first goes through _square_solution with the axis-1 one."""
     n = c_expected.ctx.n
     rows = []
     first = None
@@ -417,19 +411,15 @@ def _square_decomp_row(name, system, c_expected):
     the full weight vector, confirms a solution exists, and then checks
     the one weight that every solution must share: the coefficient of
     x_i times the normal field composed with the anisotropic scaling.
-    system is (target, basis, weights, null vectors).  In each family
-    only the axis-1 system is eliminated by span_decompose; the axis-i
-    system is its image under the axis map sigma_i, so it takes sigma_i
-    of the axis-1 weights and null vectors, once sigma_i of the axis-1
-    target and basis is checked to equal it term for term.  A system
-    that fails that check is eliminated in its own right.
+    system is (target, basis, weights, null vectors), as _square_solution
+    returns it.
     """
     target, _, weights, null_vectors = system
     if weights is None:
         return CatalogRow(name, "unsolvable", len(target.terms),
                           "zero", _DECOMP_DETAIL)
     pinned = all(vec[2].is_zero() for vec in null_vectors)
-    if not pinned or not (weights[2] - c_expected).is_zero():
+    if not pinned or weights[2] != c_expected:
         return CatalogRow(name, "nonzero", 1, "zero", _DECOMP_DETAIL)
     return CatalogRow(name, "solvable", 0, "zero", _DECOMP_DETAIL)
 

@@ -2,15 +2,21 @@
 
 Coefficients live in the fraction field Q(h, x1..xn, r) subject to the
 algebraic relation r**2 = x1**2 + ... + xn**2, where h = t**(1/2) carries
-the half-integer time powers.  Every element is kept in a normal form:
-a numerator and a denominator in Z[h, x1..xn, r] with no common factor
-(their integer contents included), the radical r to degree at most one
-in the numerator, the denominator r-free (rationalized by the
-r-conjugate) and its leading coefficient positive.  The field is built
-over the ground ring ZZ, so all coefficient arithmetic is on Python
-ints; a rational constant p/q is the pair (p, q).  In one space
-dimension the radical generator is omitted, since adjoining r with
-r**2 = x1**2 would create zero divisors.
+the half-integer time powers.  A coefficient is stored as a pair
+(num, den) of polynomials in Z[h, x1..xn, r], in a normal form: no
+common factor (their integer contents included), the radical r to
+degree at most one in num, den r-free (rationalized by the r-conjugate)
+and its leading coefficient positive.  The normal form of an element is
+unique, so two coefficients are equal exactly when their pairs are.
+Only CoeffContext.normal reduces a pair to its normal form; the
+constructors build pairs that already are one.  The ring is built over
+the ground ring ZZ, so all coefficient arithmetic is on Python ints; a
+rational constant p/q is the pair (p, q).  In one space dimension the
+radical generator is omitted, since adjoining r with r**2 = x1**2 would
+create zero divisors.
+
+This is the only module that touches the polynomials: the operator
+algebra and the catalog use CoeffContext and CoeffExpr alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from ..errors import ParameterError
 
 from sympy import ZZ
-from sympy.polys.fields import field
+from sympy.polys.rings import ring
 
 __all__ = ["CoeffContext", "CoeffExpr"]
 
@@ -32,18 +38,12 @@ class CoeffContext:
         if n not in (1, 2, 3):
             raise ParameterError("space dimension must be 1, 2 or 3")
         self.n = n
-        # (normal form, multi-index) -> CoeffExpr, kept by CoeffExpr.derivative
+        # (num, den, multi-index) -> CoeffExpr, kept by CoeffExpr.derivative
         self._derivatives = {}
         names = ["h"] + ["x%d" % i for i in range(1, n + 1)]
         if n >= 2:
             names.append("r")
-        unpacked = field(",".join(names), ZZ)
-        self.field = unpacked[0]
-        gens = unpacked[1:]
-        self._h = gens[0]
-        self._x = gens[1:1 + n]
-        self._r = gens[1 + n] if n >= 2 else None
-        self.poly_ring = self._h.numer.ring
+        self.poly_ring = ring(",".join(names), ZZ)[0]
         self.r_index = 1 + n if n >= 2 else None
         if self.r_index is not None:
             self._r_poly = self.poly_ring.gens[self.r_index]
@@ -55,34 +55,39 @@ class CoeffContext:
 
     # -- constructors ----------------------------------------------------
 
+    # each builds a pair that is already a normal form
+
     def zero(self):
-        return CoeffExpr(self, self.field.zero)
+        return CoeffExpr(self, self.poly_ring.zero, self.poly_ring.one)
 
     def one(self):
-        return CoeffExpr(self, self.field.one)
+        return CoeffExpr(self, self.poly_ring.one, self.poly_ring.one)
 
     def rational(self, p, q=1):
         # a reduced fraction with a positive denominator is a normal form
         value = Fraction(p, q)
-        ring = self.poly_ring
-        elem = self.field.raw_new(ring.ground_new(value.numerator),
-                                  ring.ground_new(value.denominator))
-        return CoeffExpr(self, elem, reduce=False)
+        ground = self.poly_ring.ground_new
+        return CoeffExpr(self, ground(value.numerator),
+                         ground(value.denominator))
 
     def t_pow(self, half_exponent):
         """t raised to half_exponent/2, encoded as a power of h."""
-        return CoeffExpr(self, self._h ** half_exponent, reduce=False)
+        one = self.poly_ring.one
+        power = self.poly_ring.gens[0] ** abs(half_exponent)
+        if half_exponent < 0:
+            return CoeffExpr(self, one, power)
+        return CoeffExpr(self, power, one)
 
     def x(self, i):
         if not 1 <= i <= self.n:
             raise ParameterError("coordinate index %d out of range" % i)
-        return CoeffExpr(self, self._x[i - 1], reduce=False)
+        return CoeffExpr(self, self.poly_ring.gens[i], self.poly_ring.one)
 
     def r(self):
-        if self._r is None:
+        if self._r_poly is None:
             raise ParameterError(
                 "the radial generator is not available in one dimension")
-        return CoeffExpr(self, self._r, reduce=False)
+        return CoeffExpr(self, self._r_poly, self.poly_ring.one)
 
     # -- normal form helpers ---------------------------------------------
 
@@ -118,7 +123,7 @@ class CoeffContext:
         return a, b
 
     def normal(self, num, den):
-        """Return the normal form of num/den, for polynomials num, den.
+        """The coefficient num/den, for polynomials num and den != 0.
 
         The one gcd of the normal form is the closing cancel, so callers
         pass the pair uncancelled.
@@ -134,11 +139,7 @@ class CoeffContext:
         num, den = num.cancel(den)
         if den.LC < 0:
             num, den = -num, -den
-        return self.field.raw_new(num, den)
-
-    def normalize(self, frac):
-        """Return the normal form of a raw fraction-field element."""
-        return self.normal(frac.numer, frac.denom)
+        return CoeffExpr(self, num, den)
 
     def axis_image(self, poly, sigma):
         """poly with each x_k renamed x_sigma[k-1]; h and r stay.
@@ -153,6 +154,19 @@ class CoeffContext:
             source[image] = k
         return poly.new({tuple(monom[j] for j in source): coeff
                          for monom, coeff in poly.items()})
+
+    def clear_denominators(self, coeffs):
+        """(scaled, L): L is the lcm of the distinct denominators of the
+        nonzero coeffs, and scaled[j] = coeffs[j] * L; each is a
+        polynomial over 1, found by exact division alone."""
+        dens = list(dict.fromkeys(c.den for c in coeffs if not c.is_zero()))
+        lcm = dens[0] if dens else self.poly_ring.one
+        for den in dens[1:]:
+            lcm = lcm.lcm(den)
+        one = self.poly_ring.one
+        scaled = [CoeffExpr(self, c.num * lcm.exquo(c.den), one)
+                  for c in coeffs]
+        return scaled, CoeffExpr(self, lcm, one)
 
     def combination_is_zero(self, pairs):
         """Whether sum(a * b for a, b in pairs) is exactly zero.
@@ -169,9 +183,8 @@ class CoeffContext:
         for a, b in pairs:
             if a.is_zero() or b.is_zero():
                 continue
-            fa, fb = a.frac, b.frac
-            den = fa.denom * fb.denom
-            num = fa.numer * fb.numer
+            den = a.den * b.den
+            num = a.num * b.num
             groups[den] = groups[den] + num if den in groups else num
         if not groups:
             return True
@@ -186,13 +199,15 @@ class CoeffContext:
 
 
 class CoeffExpr:
-    """One element of the coefficient field, in normal form."""
+    """One element of the coefficient field, as its normal-form pair
+    (num, den); see the module docstring."""
 
-    __slots__ = ("ctx", "frac")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx, frac, reduce=True):
+    def __init__(self, ctx, num, den):
         self.ctx = ctx
-        self.frac = ctx.normalize(frac) if reduce else frac
+        self.num = num
+        self.den = den
 
     # -- ring operations -------------------------------------------------
 
@@ -205,9 +220,6 @@ class CoeffExpr:
             return self.ctx.rational(other)
         return NotImplemented
 
-    def _new(self, num, den):
-        return CoeffExpr(self.ctx, self.ctx.normal(num, den), reduce=False)
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -216,22 +228,16 @@ class CoeffExpr:
             return self
         if self.is_zero():
             return other
-        a, b = self.frac, other.frac
-        if a.denom == b.denom:
-            return self._new(a.numer + b.numer, a.denom)
-        return self._new(a.numer * b.denom + b.numer * a.denom,
-                         a.denom * b.denom)
-
-    __radd__ = __add__
+        if self.den == other.den:
+            return self.ctx.normal(self.num + other.num, self.den)
+        return self.ctx.normal(self.num * other.den + other.num * self.den,
+                               self.den * other.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -241,10 +247,7 @@ class CoeffExpr:
             return self
         if other.is_zero():
             return other
-        a, b = self.frac, other.frac
-        return self._new(a.numer * b.numer, a.denom * b.denom)
-
-    __rmul__ = __mul__
+        return self.ctx.normal(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -254,38 +257,32 @@ class CoeffExpr:
             raise ZeroDivisionError("division by zero coefficient")
         if self.is_zero():
             return self
-        a, b = self.frac, other.frac
-        return self._new(a.numer * b.denom, a.denom * b.numer)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        return self.ctx.normal(self.num * other.den, self.den * other.num)
 
     def __neg__(self):
-        return CoeffExpr(self.ctx, -self.frac, reduce=False)
+        return CoeffExpr(self.ctx, -self.num, self.den)
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("coefficient exponents must be integers")
-        return CoeffExpr(self.ctx, self.frac ** exponent)
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(
+                "coefficient exponents must be nonnegative integers")
+        return self.ctx.normal(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).is_zero()
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((id(self.ctx), self.frac))
+        return hash((self.num, self.den))
 
     def is_zero(self):
-        return not self.frac.numer
+        return not self.num
 
     def size(self):
         """Number of numerator plus denominator terms."""
-        return len(self.frac.numer) + len(self.frac.denom)
+        return len(self.num) + len(self.den)
 
     def permuted(self, sigma):
         """The image under the axis map x_k -> x_sigma[k-1]; h and r stay.
@@ -296,11 +293,11 @@ class CoeffExpr:
         LC(den) > 0 is restored, since the lex-leading term can move.
         """
         ctx = self.ctx
-        num = ctx.axis_image(self.frac.numer, sigma)
-        den = ctx.axis_image(self.frac.denom, sigma)
+        num = ctx.axis_image(self.num, sigma)
+        den = ctx.axis_image(self.den, sigma)
         if den.LC < 0:
             num, den = -num, -den
-        return CoeffExpr(ctx, ctx.field.raw_new(num, den), reduce=False)
+        return CoeffExpr(ctx, num, den)
 
     # -- derivations -----------------------------------------------------
 
@@ -310,24 +307,24 @@ class CoeffExpr:
     def dt(self):
         """Derivative in t, via d/dt = (2h)**-1 d/dh."""
         ctx = self.ctx
-        n, d = self.frac.numer, self.frac.denom
+        n, d = self.num, self.den
         h = ctx.poly_ring.gens[0]
-        return self._new(n.diff(h) * d - n * d.diff(h), 2 * h * d ** 2)
+        return ctx.normal(n.diff(h) * d - n * d.diff(h), 2 * h * d ** 2)
 
     def dx(self, i):
         """Derivative in x_i, with the chain rule through r = |x|."""
         ctx = self.ctx
         if not 1 <= i <= ctx.n:
             raise ParameterError("coordinate index %d out of range" % i)
-        n, d = self.frac.numer, self.frac.denom
+        n, d = self.num, self.den
         xi = ctx.poly_ring.gens[i]
         num = n.diff(xi) * d - n * d.diff(xi)
         if ctx.r_index is None:
-            return self._new(num, d ** 2)
+            return ctx.normal(num, d ** 2)
         # x_i / r equals x_i * r / (x1**2 + ... + xn**2)
         sum_x2, r = ctx._sum_x2_poly, ctx._r_poly
-        return self._new(num * sum_x2 + n.diff(r) * xi * r * d,
-                         d ** 2 * sum_x2)
+        return ctx.normal(num * sum_x2 + n.diff(r) * xi * r * d,
+                          d ** 2 * sum_x2)
 
     def derivative(self, gamma):
         """Dt**gamma[0] * prod_i Di**gamma[i] applied to this coefficient.
@@ -338,7 +335,7 @@ class CoeffExpr:
         if not any(gamma):
             return self
         memo = self.ctx._derivatives
-        key = (self.frac, tuple(gamma))
+        key = (self.num, self.den, tuple(gamma))
         out = memo.get(key)
         if out is None:
             out = self
@@ -351,4 +348,6 @@ class CoeffExpr:
         return out
 
     def __repr__(self):
-        return "CoeffExpr(%s)" % (self.frac,)
+        if self.den == 1:
+            return "CoeffExpr(%s)" % (self.num,)
+        return "CoeffExpr((%s)/(%s))" % (self.num, self.den)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from math import comb
 from itertools import product
 
-from .coeff import CoeffExpr
-
 __all__ = ["DiffOp", "compose", "commutator", "verify_identity",
            "span_decompose"]
 
@@ -40,15 +38,6 @@ class DiffOp:
     @classmethod
     def zero(cls, ctx):
         return cls(ctx)
-
-    @classmethod
-    def identity(cls, ctx):
-        return cls.from_coeff(ctx.one())
-
-    @classmethod
-    def from_coeff(cls, coeff):
-        ctx = coeff.ctx
-        return cls(ctx, {(0,) * (ctx.n + 1): coeff})
 
     @classmethod
     def dt(cls, ctx):
@@ -94,24 +83,6 @@ class DiffOp:
         return DiffOp(self.ctx,
                       {idx: coeff * c for idx, c in self.terms.items()})
 
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (CoeffExpr, int)):
-            return self.scaled(coeff)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, DiffOp):
-            return compose(self, other)
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("operator powers must be nonnegative integers")
-        out = DiffOp.identity(self.ctx)
-        for _ in range(exponent):
-            out = compose(out, self)
-        return out
-
     def permuted(self, sigma):
         """The image under the axis map x_k -> x_sigma[k-1] and
         D_k -> D_sigma[k-1]; t and Dt stay.  See CoeffExpr.permuted."""
@@ -129,9 +100,12 @@ class DiffOp:
         return not self.terms
 
     def __eq__(self, other):
+        # zero terms are dropped and normal forms are canonical, so equal
+        # operators carry identical term maps
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return (self - other).is_zero()
+        self._check(other)
+        return self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -147,7 +121,7 @@ class DiffOp:
                     names.append("D%d^%d" % (i, index[i])
                                  if index[i] > 1 else "D%d" % i)
             body = "*".join(names) if names else "1"
-            parts.append("[%s] %s" % (self.terms[index].frac, body))
+            parts.append("%r*%s" % (self.terms[index], body))
         return "DiffOp(%s)" % " + ".join(parts)
 
 
@@ -205,7 +179,8 @@ def span_decompose(target, basis):
     one multi-index at a time.  The weights are first brought over one
     denominator for the whole system: L_w, the lcm of the distinct
     denominators of the nonzero weights, and each w_j becomes the
-    polynomial w_j * L_w over 1.  Each equation is then checked as
+    polynomial w_j * L_w over 1 (``CoeffContext.clear_denominators``).
+    Each equation is then checked as
     sum (w_j L_w) * B_j[idx] - L_w * target[idx] = 0 by
     ``CoeffContext.combination_is_zero``: the products stay unreduced,
     are brought over the lcm of their distinct denominators, which now
@@ -281,19 +256,8 @@ def _indices(target, basis):
 def _reproduces(target, basis, weights):
     """Whether sum w_j * basis_j equals target exactly; see span_decompose."""
     ctx = target.ctx
-    ring = ctx.poly_ring
-    dens = list(dict.fromkeys(w.frac.denom for w in weights
-                              if not w.is_zero()))
-    lcm_w = dens[0] if dens else ring.one
-    for den in dens[1:]:
-        lcm_w = lcm_w.lcm(den)
-
-    def over_one(poly):
-        return CoeffExpr(ctx, ctx.field.raw_new(poly, ring.one), reduce=False)
-
-    scaled = [over_one(w.frac.numer * lcm_w.exquo(w.frac.denom))
-              for w in weights]
-    minus_lcm = over_one(-lcm_w)
+    scaled, lcm_w = ctx.clear_denominators(weights)
+    minus_lcm = -lcm_w
     for idx in _indices(target, basis):
         pairs = [(w, op.terms[idx]) for w, op in zip(scaled, basis)
                  if idx in op.terms]

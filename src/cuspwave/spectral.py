@@ -31,6 +31,7 @@ only one that calls numpy's FFTs.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -347,9 +348,14 @@ def load_field(path, space: str = "physical") -> Field:
             (L,) = struct.unpack("<d", fh.read(8))
         except struct.error:
             raise DomainError(f"{path}: truncated header") from None
-        count = int(np.prod(sizes))
-        payload = fh.read(16 * count)
-        if len(payload) != 16 * count:
-            raise DomainError(f"{path}: truncated sample payload")
-    vals = np.frombuffer(payload, dtype="<c16").astype(complex)
-    return Field(Grid(n, tuple(sizes), L), vals.reshape(sizes), space)
+        try:
+            grid = Grid(n, sizes, L)
+        except ParameterError as exc:
+            raise DomainError(f"{path}: {exc}") from None
+        # the read is bounded by the file, not by the sizes its header claims
+        payload = fh.read()
+    count = math.prod(grid.sizes)
+    if len(payload) < 16 * count:
+        raise DomainError(f"{path}: truncated sample payload")
+    vals = np.frombuffer(payload, dtype="<c16", count=count).astype(complex)
+    return Field(grid, vals.reshape(grid.sizes), space)

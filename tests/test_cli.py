@@ -12,6 +12,7 @@ import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -850,6 +851,22 @@ def _nan_time_at_level_3(directory):
         csv.writer(fh).writerows(rows)
 
 
+def _text_time_at_level_2(directory):
+    path = os.path.join(directory, "manifest.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][0] = "abc"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _header_claims_more_than_the_file(directory):
+    # sizes (2**20, 2**20, 2**20) over a 64-byte payload
+    path = os.path.join(directory, "snapshot_00000.cwgrid")
+    open(path, "wb").write(b"CWGRID1" + struct.pack("<4I", 3, *(2 ** 20,) * 3)
+                           + struct.pack("<d", 1.0) + bytes(64))
+
+
 def _cut_inside_header(directory):
     path = os.path.join(directory, "snapshot_00000.cwgrid")
     data = open(path, "rb").read()
@@ -877,6 +894,14 @@ _BAD_PATHS = {
         "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
                                            _nan_time_at_level_3),
         "--fields", "V0,TDt"], "ParameterError"),
+    "manifest-with-a-text-time": (lambda tmp, spec, file: [
+        "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
+                                           _text_time_at_level_2),
+        "--fields", "V0,TDt"], "ParameterError"),
+    "snapshot-header-claims-more-than-the-file": (lambda tmp, spec, file: [
+        "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
+                                           _header_claims_more_than_the_file)],
+        "DomainError"),
     "snapshot-cut-inside-its-header": (lambda tmp, spec, file: [
         "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
                                            _cut_inside_header)],
@@ -905,6 +930,12 @@ def test_unusable_path_exits_two_with_a_record(tmp_path, monkeypatch, capsys,
     if name == "manifest-without-file-column":
         assert "manifest.csv" in record["message"]
         assert "'file'" in record["message"]
+    if name == "manifest-with-a-text-time":
+        assert "manifest.csv" in record["message"]
+        assert "'abc' of level 2" in record["message"]
+    if name == "snapshot-header-claims-more-than-the-file":
+        assert "snapshot_00000.cwgrid: truncated sample payload" \
+            in record["message"]
 
 
 # command -> (argv before --out, given a data spec; the first work the

@@ -308,6 +308,18 @@ def test_binary_layout(tmp_path):
         (tmp_path / "short.cwgrid").write_bytes(p.read_bytes()[:-cut])
         with pytest.raises(DomainError):
             load_field(tmp_path / "short.cwgrid")
+    # a header whose sizes claim far more than the file holds is a short
+    # file too: nothing of the claimed size is read or allocated
+    claims = b"CWGRID1" + struct.pack("<4I", 3, *(2 ** 20,) * 3) \
+        + struct.pack("<d", 1.5) + bytes(64)
+    (tmp_path / "claims.cwgrid").write_bytes(claims)
+    with pytest.raises(DomainError, match="truncated sample payload"):
+        load_field(tmp_path / "claims.cwgrid")
+    # a header no Grid takes is named with its file
+    (tmp_path / "seven.cwgrid").write_bytes(
+        b"CWGRID1" + struct.pack("<2I", 1, 7) + struct.pack("<d", 1.5) + bytes(112))
+    with pytest.raises(DomainError, match="seven.cwgrid: grid sizes must be powers of two"):
+        load_field(tmp_path / "seven.cwgrid")
 
 
 def test_stacked_field_matches_per_snapshot():
