@@ -229,6 +229,9 @@ def load_trajectory(directory) -> SpectralTrajectory:
                                  % (manifest, column))
     times = []
     for level, row in enumerate(rows):
+        if not row["file"]:
+            raise ParameterError("trajectory manifest %r: level %d names no file"
+                                 % (manifest, level))
         try:
             times.append(float(row["time"]))
         except (TypeError, ValueError):

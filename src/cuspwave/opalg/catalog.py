@@ -1,7 +1,7 @@
 """The verified identity catalog for the degenerate operators.
 
 Every row checks one exact operator identity: the scaling laws of
-Q_k = Dt^2 - t^k*Lap and P1 = Dt*Q_m against the cone and half-space
+Q_m = Dt^2 - t^m*Lap and P1 = Dt*Q_m against the cone and half-space
 vector fields, the square decompositions of the normal fields near the
 cusp cone and the cusp planes, the radial-field eliminations, and the
 cross-exponent relation used when two degeneracies coexist.  Rows whose
@@ -9,13 +9,21 @@ right sides contain admissible-but-unspecified lower-order coefficients
 are checked modulo the span of the permitted first-order fields, by
 solving for those coefficients exactly.
 
+A single-exponent run commutes one alphabet through the operator, and
+_Alphabet(ctx, m) builds it once: Dt, the D_i and their squares, Lap,
+Q_m, P1, the cone fields V0, Vbar_i, L_ij and t*Dt, the rotation sums
+x_k L_ik and the half-space scaling field V.  The exponent m enters the
+run there; the row builders read the alphabet and m's rational
+constants from it.  The cone normal fields are one table of
+coefficients c, each family c*D_i.
+
 The cusp cone and its alphabet are symmetric in the x-coordinates, so
-of each cone normal-field family (N1_i, N2_i, N4_i) only the axis-1
-square system is eliminated by span_decompose.  The axis-i system takes
-the axis-1 weights and null vectors through the order-preserving axis
-map sending axis 1 to i, after that map is checked to carry the axis-1
-target and basis onto the axis-i ones term for term; a system that
-fails the check is eliminated in its own right.
+of each cone normal-field family only the axis-1 square system is
+eliminated by span_decompose.  The axis-i system takes the axis-1
+weights and null vectors through the order-preserving axis map sending
+axis 1 to i, after that map is checked to carry the axis-1 target and
+basis onto the axis-i ones term for term; a system that fails the check
+is eliminated in its own right.
 """
 
 from __future__ import annotations
@@ -53,18 +61,6 @@ class CatalogRow:
 
 # -- operators and vector fields -------------------------------------------
 
-def _lap(ctx):
-    out = DiffOp.zero(ctx)
-    for i in range(1, ctx.n + 1):
-        out = out + compose(DiffOp.dx(ctx, i), DiffOp.dx(ctx, i))
-    return out
-
-
-def _Q(ctx, k):
-    dt = DiffOp.dt(ctx)
-    return compose(dt, dt) - _lap(ctx).scaled(ctx.t_pow(2 * k))
-
-
 def _field(ctx, name, indices, k):
     """The alphabet field name[indices] at exponent k; axes count from 0."""
     out = DiffOp.zero(ctx)
@@ -79,33 +75,39 @@ def _field(ctx, name, indices, k):
     return out
 
 
-def _cone_fields(ctx, k):
-    """V0, [None, Vbar_1, .., Vbar_n] and the rotations L[i, j] for every
-    pair i != j, with coordinates counted from 1 as in the row names."""
-    n = ctx.n
-    vbars = [None] + [_field(ctx, "Vbar", (i,), k) for i in range(n)]
-    L = {(i + 1, j + 1): _field(ctx, "L", (i, j), k)
-         for i in range(n) for j in range(n) if i != j}
-    return _field(ctx, "V0", (), k), vbars, L
+class _Alphabet:
+    """The operators of the catalog at exponent m, each built once.
 
+    Coordinates count from 1, as in the row names, and the lists D, D2,
+    Vbar and rot hold None at index 0: dt = Dt, dt2 = Dt^2, D[i] = D_i,
+    D2[i] = D_i^2, transverse = sum over l >= 2 of D_l^2, lap, Q = Q_m,
+    P1 = Dt*Q, V0, Vbar[i], L[i, j] for every pair i != j,
+    rot[i] = sum over k != i of x_k L[i, k], TDt = t*Dt and the
+    half-space scaling field V.
+    """
 
-# normal fields near the cusp cone (need the radial generator, n >= 2)
-
-def _N1_0(ctx):
-    return DiffOp.dt(ctx).scaled(ctx.r())
-
-
-def _N1(ctx, m, i):
-    return DiffOp.dx(ctx, i).scaled(ctx.t_pow(m) * ctx.r())
-
-
-def _N2(ctx, m, i):
-    coeff = ctx.r() - ctx.rational(2, m + 2) * ctx.t_pow(m + 2)
-    return DiffOp.dx(ctx, i).scaled(coeff)
-
-
-def _N4(ctx, m, i):
-    return DiffOp.dx(ctx, i).scaled(ctx.t_pow(m + 2))
+    def __init__(self, ctx, m):
+        n = ctx.n
+        axes = range(1, n + 1)
+        self.ctx, self.m = ctx, m
+        zero = DiffOp.zero(ctx)
+        self.dt = DiffOp.dt(ctx)
+        self.dt2 = compose(self.dt, self.dt)
+        self.D = [None] + [DiffOp.dx(ctx, i) for i in axes]
+        self.D2 = [None] + [compose(d, d) for d in self.D[1:]]
+        self.transverse = sum(self.D2[2:], zero)
+        self.lap = self.D2[1] + self.transverse
+        self.Q = self.dt2 - self.lap.scaled(ctx.t_pow(2 * m))
+        self.P1 = compose(self.dt, self.Q)
+        self.V0 = _field(ctx, "V0", (), m)
+        self.Vbar = [None] + [_field(ctx, "Vbar", (i - 1,), m) for i in axes]
+        self.L = {(i, j): _field(ctx, "L", (i - 1, j - 1), m)
+                  for i in axes for j in axes if i != j}
+        self.rot = [None] + [
+            sum((self.L[i, k].scaled(ctx.x(k)) for k in axes if k != i),
+                zero) for i in axes]
+        self.TDt = _field(ctx, "TDt", (), m)
+        self.V = _field(ctx, "Vhalf", (), m)
 
 
 # -- row assembly ---------------------------------------------------------
@@ -117,24 +119,19 @@ def _residual_row(name, lhs, rhs, expected="zero", detail=""):
                       expected, detail)
 
 
-def _cone_rows(ctx, m):
+def _cone_rows(A):
     """Commutator table for the cusp-cone and axis alphabets."""
+    ctx, m = A.ctx, A.m
     n = ctx.n
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
-    k = m
     zero = DiffOp.zero(ctx)
-    dt = DiffOp.dt(ctx)
-    lap = _lap(ctx)
-    Q = _Q(ctx, k)
-    P1 = compose(dt, Q)
-    V0, vbars, L = _cone_fields(ctx, k)
-    tdt = _field(ctx, "TDt", (), k)
+    dt, lap, Q, P1, V0, vbars, L = A.dt, A.lap, A.Q, A.P1, A.V0, A.Vbar, A.L
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
     rows = [_residual_row("[Q, V0] = 4 Q", commutator(Q, V0), Q.scaled(4))]
     for l in range(1, n + 1):
-        rhs = Q.scaled(rat(-k * (k + 2)) * X(l) * tp(-k - 2)) \
-            + vbars[l].scaled(rat(k * (k + 2), 4) * tp(-4))
+        rhs = Q.scaled(rat(-m * (m + 2)) * X(l) * tp(-m - 2)) \
+            + vbars[l].scaled(rat(m * (m + 2), 4) * tp(-4))
         rows.append(_residual_row("[Q, Vbar%d] = lower order" % l,
                                   commutator(Q, vbars[l]), rhs))
     for i, j in pairs:
@@ -145,9 +142,9 @@ def _cone_rows(ctx, m):
                                   commutator(V0, vbars[i]), zero))
     for i, j in pairs:
         vi, vj, lij = vbars[i], vbars[j], L[i, j]
-        rhs = lij.scaled(rat(2 * (k + 1) * (k + 2))) \
-            + vi.scaled(rat(k * (k + 2), 2) * X(j) * tp(-k - 2)) \
-            - vj.scaled(rat(k * (k + 2), 2) * X(i) * tp(-k - 2))
+        rhs = lij.scaled(rat(2 * (m + 1) * (m + 2))) \
+            + vi.scaled(rat(m * (m + 2), 2) * X(j) * tp(-m - 2)) \
+            - vj.scaled(rat(m * (m + 2), 2) * X(i) * tp(-m - 2))
         rows += [
             _residual_row("[V0, L%d%d] = 0" % (i, j),
                           commutator(V0, lij), zero),
@@ -171,10 +168,10 @@ def _cone_rows(ctx, m):
         rows.append(_residual_row("[P1, L%d%d] = 0" % (i, j),
                                   commutator(P1, L[i, j]), zero))
     for i in range(1, n + 1):
-        di = DiffOp.dx(ctx, i)
+        di = A.D[i]
         rhs = P1.scaled(rat(-3 * m * (m + 2), 2) * X(i) * tp(-m - 2)) \
             + compose(Q, di).scaled(rat(m + 2) * tp(m)) \
-            + compose(dt, dt).scaled(
+            + A.dt2.scaled(
                 rat(3 * m * (m + 2) ** 2, 4) * X(i) * tp(-m - 4)) \
             + lap.scaled(rat(-m * (m + 2) ** 2, 2) * X(i) * tp(m - 4)) \
             + compose(dt, di).scaled(rat(m * (m + 2), 2) * tp(m - 2)) \
@@ -191,27 +188,24 @@ def _cone_rows(ctx, m):
         + compose(dt, lap).scaled(rat(m + 2) * tp(2 * m)) \
         + lap.scaled(rat(m * (m + 2)) * tp(2 * m - 2))
     rows.append(_residual_row(
-        "[P1, t*Dt] = 3 P1 + lower order", commutator(P1, tdt), rhs,
+        "[P1, t*Dt] = 3 P1 + lower order", commutator(P1, A.TDt), rhs,
         detail="middle term carries t^m; the source display "
                "omits that factor"))
-    rows.append(_residual_row("[t*Dt, V0] = 0", commutator(tdt, V0), zero))
+    rows.append(_residual_row("[t*Dt, V0] = 0", commutator(A.TDt, V0), zero))
     for i, j in pairs:
         rows.append(_residual_row("[t*Dt, L%d%d] = 0" % (i, j),
-                                  commutator(tdt, L[i, j]), zero))
+                                  commutator(A.TDt, L[i, j]), zero))
     return rows
 
 
-def _plane_rows(ctx, m):
-    """Commutator table for the cusp-plane (half-space) alphabet."""
+def _plane_rows(A):
+    """Commutator table for the cusp-plane (half-space) alphabet, whose
+    transverse translations R_l are the D_l."""
+    ctx, m = A.ctx, A.m
     n = ctx.n
     rat, tp = ctx.rational, ctx.t_pow
     zero = DiffOp.zero(ctx)
-    dt = DiffOp.dt(ctx)
-    Q = _Q(ctx, m)
-    P1 = compose(dt, Q)
-    V = _field(ctx, "Vhalf", (), m)
-    vbar1 = _field(ctx, "Vbar", (0,), m)
-    R = {l: _field(ctx, "Rl", (l - 1,), m) for l in range(2, n + 1)}
+    Q, P1, V, vbar1, R = A.Q, A.P1, A.V, A.Vbar[1], A.D
 
     rows = [_residual_row("[V, Vbar1] = 0", commutator(V, vbar1), zero)]
     for l in range(2, n + 1):
@@ -227,14 +221,11 @@ def _plane_rows(ctx, m):
             _residual_row("[Q, R%d] = 0" % l, commutator(Q, R[l]), zero),
         ]
 
-    rhs_p1 = P1.scaled(6)
-    rhs_q = Q.scaled(4)
-    for l in range(2, n + 1):
-        rl2 = compose(R[l], R[l])
-        rhs_p1 = rhs_p1 \
-            + compose(dt, rl2).scaled(rat(2 * (m + 2)) * tp(2 * m)) \
-            + rl2.scaled(rat(2 * m * (m + 2)) * tp(2 * m - 2))
-        rhs_q = rhs_q + rl2.scaled(rat(2 * (m + 2)) * tp(2 * m))
+    rhs_p1 = P1.scaled(6) \
+        + compose(A.dt, A.transverse).scaled(rat(2 * (m + 2)) * tp(2 * m)) \
+        + A.transverse.scaled(rat(2 * m * (m + 2)) * tp(2 * m - 2))
+    rhs_q = Q.scaled(4) \
+        + A.transverse.scaled(rat(2 * (m + 2)) * tp(2 * m))
     detail = "" if n == 1 else \
         "the clean 4 Q law holds only in one space dimension; " \
         "transverse second derivatives survive otherwise"
@@ -247,17 +238,13 @@ def _plane_rows(ctx, m):
     return rows
 
 
-def _plane_square_rows(ctx, m):
+def _plane_square_rows(A):
     """Square decompositions of the normal fields at the cusp planes."""
-    n = ctx.n
+    ctx, m = A.ctx, A.m
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
     one = ctx.one()
-    Q = _Q(ctx, m)
-    V = _field(ctx, "Vhalf", (), m)
+    Q, V, sumR2 = A.Q, A.V, A.transverse
     V2 = compose(V, V)
-    sumR2 = DiffOp.zero(ctx)
-    for l in range(2, n + 1):
-        sumR2 = sumR2 + compose(DiffOp.dx(ctx, l), DiffOp.dx(ctx, l))
     D = rat((m + 2) ** 2) * X(1) ** 2 - rat(4) * tp(2 * m + 4)
 
     M1 = _field(ctx, "N1", (), m)
@@ -289,7 +276,7 @@ def _plane_square_rows(ctx, m):
             detail="the zeroth-order numerator subtracts the "
                    "branch shift; the source display adds it"))
 
-    M3 = _field(ctx, "N3", (), m)
+    M3 = A.TDt  # the plane normal field N3 = t*Dt
     body = Q.scaled(rat((m + 2) ** 2) * X(1) ** 2 * tp(4)) \
         + V2.scaled(tp(2 * m + 4)) \
         - compose(M3, V).scaled(rat(4) * tp(2 * m + 4)) \
@@ -324,33 +311,33 @@ _DECOMP_DETAIL = (
     "tabulated weights are not consistent in any gauge")
 
 
-def _square_alphabet(ctx, m):
-    """Q, V0, [None, Vbar_1, .., Vbar_n], the L[i, j], sum_j Vbar_j^2,
-    V0^2 and sum_j x_j V0*Vbar_j: what a cone square is decomposed over."""
-    Q = _Q(ctx, m)
-    V0, vbars, L = _cone_fields(ctx, m)
-    sum_vbar2 = DiffOp.zero(ctx)
-    mixed_v0 = DiffOp.zero(ctx)
-    for j in range(1, ctx.n + 1):
-        sum_vbar2 = sum_vbar2 + compose(vbars[j], vbars[j])
-        mixed_v0 = mixed_v0 + compose(V0, vbars[j]).scaled(ctx.x(j))
-    return Q, V0, vbars, L, sum_vbar2, compose(V0, V0), mixed_v0
+def _quadratic(A):
+    """V0^2, sum_j Vbar_j^2 and sum_j x_j V0*Vbar_j: the products of two
+    alphabet fields that every cone square is decomposed over."""
+    ctx = A.ctx
+    zero = DiffOp.zero(ctx)
+    vbars = A.Vbar[1:]
+    sum_vbar2 = sum((compose(v, v) for v in vbars), zero)
+    mixed_v0 = sum((compose(A.V0, v).scaled(ctx.x(j))
+                    for j, v in enumerate(vbars, 1)), zero)
+    return compose(A.V0, A.V0), sum_vbar2, mixed_v0
 
 
-def _square_system(Nf, i, Q, V0, vbars, L, sum_vbar2, v0_sq, mixed_v0):
+def _square_system(Nf, i, A, quadratic):
     """The square of the normal field Nf along axis i, and the quadratic
-    alphabet it is decomposed over."""
-    ctx = Nf.ctx
+    alphabet it is decomposed over; quadratic is _quadratic(A)."""
+    ctx = A.ctx
     n = ctx.n
     X = ctx.x
+    v0_sq, sum_vbar2, mixed_v0 = quadratic
+    vbars = A.Vbar
     mixed_n = DiffOp.zero(ctx)
-    rotated = DiffOp.zero(ctx)
     for kk in range(1, n + 1):
         mixed_n = mixed_n + compose(Nf, vbars[kk]).scaled(X(kk))
-        if kk != i:
-            rotated = rotated + compose(vbars[i], L[i, kk]).scaled(X(kk))
-    basis = [Q, v0_sq, compose(Nf, V0).scaled(X(i)),
-             sum_vbar2, mixed_v0, mixed_n, rotated, V0, Nf] \
+    # Vbar_i kills every x_k with k != i, so this is sum x_k Vbar_i*L_ik
+    rotated = compose(vbars[i], A.rot[i])
+    basis = [A.Q, v0_sq, compose(Nf, A.V0).scaled(X(i)),
+             sum_vbar2, mixed_v0, mixed_n, rotated, A.V0, Nf] \
         + [vbars[j] for j in range(1, n + 1) if j != i]
     return compose(Nf, Nf), basis
 
@@ -387,15 +374,15 @@ def _square_solution(target, basis, first, sigma):
     return (target, basis) + span_decompose(target, basis)
 
 
-def _square_rows(label, normals, c_expected, alphabet):
+def _square_rows(label, normals, c_expected, A, quadratic):
     """The square-decomposition rows of one normal-field family, one per
     axis i (label % i); normals is [None, N_1, .., N_n].  Each system
     after the first goes through _square_solution with the axis-1 one."""
-    n = c_expected.ctx.n
+    n = A.ctx.n
     rows = []
     first = None
     for i in range(1, n + 1):
-        target, basis = _square_system(normals[i], i, *alphabet)
+        target, basis = _square_system(normals[i], i, A, quadratic)
         system = _square_solution(target, basis, first, _axis_map(n, i))
         if first is None:
             first = system
@@ -424,25 +411,39 @@ def _square_decomp_row(name, system, c_expected):
     return CatalogRow(name, "solvable", 0, "zero", _DECOMP_DETAIL)
 
 
-def _cone_square_rows(ctx, m):
-    """Square decompositions and eliminations near the cusp cone."""
+def _cone_square_rows(A):
+    """Square decompositions and eliminations near the cusp cone (they
+    need the radial generator, n >= 2)."""
+    ctx, m = A.ctx, A.m
     n = ctx.n
     rat, tp, X = ctx.rational, ctx.t_pow, ctx.x
     one = ctx.one()
     r = ctx.r()
-    alphabet = _square_alphabet(ctx, m)
-    Q, V0, vbars, L, sum_vbar2 = alphabet[:5]
-    N10 = _N1_0(ctx)
-    N30 = _field(ctx, "TDt", (), m)
+    Q, V0, vbars, rot = A.Q, A.V0, A.Vbar, A.rot
+    quadratic = _quadratic(A)
+    sum_vbar2 = quadratic[1]
+    N10 = A.dt.scaled(r)
+    N30 = A.TDt
     E = rat(4) * tp(2 * m + 4) - rat((m + 2) ** 2) * r ** 2
-    Dp = -one * E
-    # rot[i] = sum over kk != i of x_kk * L_i,kk
-    rot = [None]
-    for i in range(1, n + 1):
-        rot.append(DiffOp.zero(ctx))
-        for kk in range(1, n + 1):
-            if kk != i:
-                rot[i] = rot[i] + L[i, kk].scaled(X(kk))
+    Dp = -E
+
+    # the three normal-field families c*D_i, by their coefficient c; the
+    # pinned weight of each is 2(m+2) c / Dp (see _DECOMP_DETAIL)
+    families = (
+        ("cone square: (t^(m/2)*r*D%d)^2 modulo admissible terms",
+         tp(m) * r),
+        ("cone square: slanted normal field %d modulo admissible terms",
+         r - rat(2, m + 2) * tp(m + 2)),
+        ("cone square: (t^((m+2)/2)*D%d)^2 modulo admissible terms",
+         tp(m + 2)),
+    )
+    normals, squares = [], []
+    for label, c in families:
+        family = [None] + [A.D[i].scaled(c) for i in range(1, n + 1)]
+        normals.append(family)
+        squares.append(_square_rows(label, family, rat(2 * (m + 2)) * c / Dp,
+                                    A, quadratic))
+    (N1, N2, N4), (squares1, squares2, squares4) = normals, squares
 
     body = Q.scaled(rat(-4) * r ** 2 * tp(2 * m + 4)) \
         - sum_vbar2.scaled(r ** 2 * tp(2 * m)) \
@@ -454,16 +455,6 @@ def _cone_square_rows(ctx, m):
     rows = [_residual_row("cone square: (r*Dt)^2",
                           compose(N10, N10), body.scaled(one / E))]
 
-    c1 = rat(2 * (m + 2)) * tp(m) * r / Dp
-    c2 = rat(2 * (m + 2)) * (r - rat(2, m + 2) * tp(m + 2)) / Dp
-    N1 = [None] + [_N1(ctx, m, i) for i in range(1, n + 1)]
-    N2 = [None] + [_N2(ctx, m, i) for i in range(1, n + 1)]
-    squares1 = _square_rows(
-        "cone square: (t^(m/2)*r*D%d)^2 modulo admissible terms",
-        N1, c1, alphabet)
-    squares2 = _square_rows(
-        "cone square: slanted normal field %d modulo admissible terms",
-        N2, c2, alphabet)
     for i in range(1, n + 1):
         rhs_a = V0.scaled(rat(2) * tp(m + 2) * X(i)
                           / (rat(m + 2) * r ** 2)) \
@@ -506,10 +497,6 @@ def _cone_square_rows(ctx, m):
                "first bracket and the radial bracket carries "
                "(m+2)^3/2"))
 
-    N4 = [None] + [_N4(ctx, m, i) for i in range(1, n + 1)]
-    squares4 = _square_rows(
-        "cone square: (t^((m+2)/2)*D%d)^2 modulo admissible terms",
-        N4, rat(2 * (m + 2)) * tp(m + 2) / Dp, alphabet)
     for i in range(1, n + 1):
         rhs_3 = V0.scaled(rat(2) * tp(m + 2) * X(i)
                           / (rat(m + 2) * r ** 2)) \
@@ -563,11 +550,10 @@ def _abstract_rows():
     return rows
 
 
-def _negative_control(ctx, m):
-    Q = _Q(ctx, m)
-    corrupted = Q.scaled(4) + DiffOp.dt(ctx)
+def _negative_control(A):
+    corrupted = A.Q.scaled(4) + A.dt
     return _residual_row("negative control: corrupted scaling law",
-                         commutator(Q, _field(ctx, "V0", (), m)), corrupted,
+                         commutator(A.Q, A.V0), corrupted,
                          expected="nonzero")
 
 
@@ -593,8 +579,8 @@ def catalog_verify(m, n):
         return [_mixed_row(ctx, max(m1, m2), min(m1, m2))]
     if not isinstance(m, int) or not 1 <= m <= 8:
         raise ParameterError("exponent must be an integer in 1..8")
-    rows = _cone_rows(ctx, m) + _plane_rows(ctx, m) \
-        + _plane_square_rows(ctx, m)
+    A = _Alphabet(ctx, m)
+    rows = _cone_rows(A) + _plane_rows(A) + _plane_square_rows(A)
     if n >= 2:
-        rows += _cone_square_rows(ctx, m) + _abstract_rows()
-    return rows + [_negative_control(ctx, m)]
+        rows += _cone_square_rows(A) + _abstract_rows()
+    return rows + [_negative_control(A)]

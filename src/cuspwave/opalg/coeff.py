@@ -155,14 +155,20 @@ class CoeffContext:
         return poly.new({tuple(monom[j] for j in source): coeff
                          for monom, coeff in poly.items()})
 
+    def _lcm(self, dens):
+        """The lcm of the distinct polynomials dens; 1 when there are none."""
+        dens = iter(dens)
+        out = next(dens, self.poly_ring.one)
+        for den in dens:
+            out = out.lcm(den)
+        return out
+
     def clear_denominators(self, coeffs):
         """(scaled, L): L is the lcm of the distinct denominators of the
         nonzero coeffs, and scaled[j] = coeffs[j] * L; each is a
         polynomial over 1, found by exact division alone."""
-        dens = list(dict.fromkeys(c.den for c in coeffs if not c.is_zero()))
-        lcm = dens[0] if dens else self.poly_ring.one
-        for den in dens[1:]:
-            lcm = lcm.lcm(den)
+        lcm = self._lcm(dict.fromkeys(c.den for c in coeffs
+                                      if not c.is_zero()))
         one = self.poly_ring.one
         scaled = [CoeffExpr(self, c.num * lcm.exquo(c.den), one)
                   for c in coeffs]
@@ -188,10 +194,7 @@ class CoeffContext:
             groups[den] = groups[den] + num if den in groups else num
         if not groups:
             return True
-        dens = list(groups)
-        common = dens[0]
-        for den in dens[1:]:
-            common = common.lcm(den)
+        common = self._lcm(groups)
         total = self.poly_ring.zero
         for den, num in groups.items():
             total += num * common.exquo(den) if den != common else num

@@ -196,31 +196,31 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     return SpectralTrajectory(grid, times, dest)
 
 
-def _words(levels: list[_Level], fields, depth: int, t_floor, k=0, word=()):
+def _words(levels: list[_Level], fields, depth: int, k=0, word=()):
     """Depth first from level k, each word longer than word with Z u in
     the scan's buffers, which the next word overwrites."""
     for fid in fields:
         longer = word + (fid,)
-        yield longer, apply_vector_field(fid, levels[k], t_floor=t_floor)
+        yield longer, apply_vector_field(fid, levels[k])
         if len(longer) < depth:
             levels[k + 1].refresh()
-            yield from _words(levels, fields, depth, t_floor, k + 1, longer)
+            yield from _words(levels, fields, depth, k + 1, longer)
 
 
-def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
-                  t_floor: float | None = None):
+def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float):
     """Sup-in-t H^s norms of Z_1 ... Z_k u over all words up to the depth.
 
     Returns a dict mapping word labels (comma-joined field labels, '' for
-    the empty word) to the sup norm over snapshots with t >= t_floor,
-    ordered by word length.  Words are computed depth first by
-    apply_vector_field, in arrays allocated once per scan and overwritten
-    word after word: per depth below the last one word (the trajectory
-    itself at depth 0) and its time difference; one half spectrum for the
-    last depth's words; and the shared real accumulator, real scratch and
-    half-spectrum scratch.  Each of these is about the size of u, so at
-    depth 2 they add up to about 7 times u's bytes.  They are freed when
-    the call returns.
+    the empty word) to the sup norm over snapshots with t >= 4h (h the
+    first time step), ordered by word length; fields singular at t = 0
+    act from apply_vector_field's default floor, the same 4h.  Words are
+    computed depth first by apply_vector_field, in arrays allocated once
+    per scan and overwritten word after word: per depth below the last
+    one word (the trajectory itself at depth 0) and its time difference;
+    one half spectrum for the last depth's words; and the shared real
+    accumulator, real scratch and half-spectrum scratch.  Each of these
+    is about the size of u, so at depth 2 they add up to about 7 times
+    u's bytes.  They are freed when the call returns.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
@@ -228,9 +228,7 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
         raise ParameterError(f"scan needs a finite Sobolev index, got s={s}")
     grid = traj.grid
     h = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else 0.0
-    if t_floor is None:
-        t_floor = 4.0 * h
-    keep = traj.times >= t_floor
+    keep = traj.times >= 4.0 * h
 
     def sup_norm(half):
         return float(np.max(sobolev_norm(half, grid, s)[keep]))
@@ -244,7 +242,7 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float,
     table[""] = sup_norm(traj.u)
     if depth:
         levels = _levels(traj, fields, depth)
-        for word, applied in _words(levels, fields, depth, t_floor):
+        for word, applied in _words(levels, fields, depth):
             table[label(word)] = sup_norm(applied)
     return table
 

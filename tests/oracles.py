@@ -5,16 +5,18 @@ None of these is reached by a `cuspwave` command, so they live with the
 tests: an RK4 integration of each Fourier mode, the finite-difference
 residual of the propagator's ODE, the defining functions of the
 characteristic sets where the paper places the singular support, the
-self-similar plane front of the linear problem, and the full complex DFT
-and its inverse (the package itself transforms only real fields, to and
-from half spectra).  The oracles work on full spectra, as arrays; a test
-compares the package's half spectra with them after
-spectral.hermitian_completion, which is exact.
+self-similar plane front of the linear problem, the digests of the exact
+catalog's rows, and the full complex DFT and its inverse (the package
+itself transforms only real fields, to and from half spectra).  The
+oracles work on full spectra, as arrays; a test compares the package's
+half spectra with them after spectral.hermitian_completion, which is
+exact.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -272,3 +274,34 @@ def plane_front(m: int, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     nu = 1.0 / (m + 2)
     return 0.5 + 0.5 * np.sign(s) * betainc(0.5, 0.5 - nu, np.minimum(s * s, 1.0))
+
+
+# -- the exact catalog --------------------------------------------------------
+
+def catalog_digest(rows) -> str:
+    """sha256 of the columns `opalg verify` writes to catalog.csv (name,
+    status, residual_terms, expected, ok, detail), over every row."""
+    text = repr([(r.name, r.status, r.residual_terms, r.expected, r.ok,
+                  r.detail) for r in rows])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# catalog_digest of catalog_verify(selector, n), recorded from the catalog
+# before its operator alphabet was shared.  No row of a single-exponent run
+# names m and every row passes, so those runs share one digest per n; a pair
+# run's one row names both exponents.
+_SINGLE_SHA256 = {
+    1: "63c21ec38e42bbb1c9b240b333768cb2831ba6516ff3e8d418ee0147d605d775",
+    2: "cb5cc10d18acedbe87102561923b46d68a2752b536133d3b85d76ff471be4831",
+    3: "cb30cfddbe3a063c777eaec95cd56eb805f7fc91a65a2403b7c07b3969d947b7",
+}
+_PAIR_SHA256 = {
+    (2, 1): "93929788e54d9b833383a00e82145c2d1246e065c9ab06f5b841c01085c76ee8",
+    (3, 1): "a30182b77fe28fd649a152965f28374dd7d25e4f2da16f58e45faa97cc995ff3",
+    (4, 2): "934639d74cb6a6b875cfee0fd4175752a8ebb6a2d7b4dadf3176abb1bc8c485e",
+}
+CATALOG_SHA256 = {(m, n): digest for n, digest in _SINGLE_SHA256.items()
+                  for m in range(1, 9)}
+CATALOG_SHA256.update({(pair, n): digest
+                       for pair, digest in _PAIR_SHA256.items()
+                       for n in (1, 2, 3)})

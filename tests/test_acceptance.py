@@ -46,7 +46,9 @@ from cuspwave.spectral import (
 )
 
 from oracles import (
+    CATALOG_SHA256,
     CharSurface,
+    catalog_digest,
     contraction_ratio,
     dft_inverse,
     ode_residual,
@@ -367,13 +369,15 @@ def test_symbolic_catalog_all_orders(n):
         checked = [r for r in rows if r.expected == "zero"]
         bad = [r.name for r in checked if not r.ok]
         assert not bad, "m=%d n=%d failures: %s" % (m, n, bad)
+        assert catalog_digest(rows) == CATALOG_SHA256[m, n], (m, n)
 
 
 @pytest.mark.parametrize("pair", [(2, 1), (3, 1), (4, 2)])
 def test_symbolic_catalog_mixed_pairs(pair):
-    for n in (1, 2):
+    for n in (1, 2, 3):
         rows = catalog_verify(pair, n)
         assert rows and all(r.ok for r in rows)
+        assert catalog_digest(rows) == CATALOG_SHA256[pair, n], (pair, n)
 
 
 # 13. tangent words stay tame under refinement while a transverse

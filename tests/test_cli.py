@@ -860,6 +860,16 @@ def _text_time_at_level_2(directory):
         csv.writer(fh).writerows(rows)
 
 
+def _no_file_at_level_2(directory):
+    # the row of level 2 cut down to its time
+    path = os.path.join(directory, "manifest.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3] = rows[3][:1]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _header_claims_more_than_the_file(directory):
     # sizes (2**20, 2**20, 2**20) over a 64-byte payload
     path = os.path.join(directory, "snapshot_00000.cwgrid")
@@ -898,6 +908,10 @@ _BAD_PATHS = {
         "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
                                            _text_time_at_level_2),
         "--fields", "V0,TDt"], "ParameterError"),
+    "manifest-row-without-a-file": (lambda tmp, spec, file: [
+        "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
+                                           _no_file_at_level_2)],
+        "ParameterError"),
     "snapshot-header-claims-more-than-the-file": (lambda tmp, spec, file: [
         "probe", "--traj", _cut_trajectory(str(tmp / "traj"), spec,
                                            _header_claims_more_than_the_file)],
@@ -933,6 +947,9 @@ def test_unusable_path_exits_two_with_a_record(tmp_path, monkeypatch, capsys,
     if name == "manifest-with-a-text-time":
         assert "manifest.csv" in record["message"]
         assert "'abc' of level 2" in record["message"]
+    if name == "manifest-row-without-a-file":
+        assert "manifest.csv" in record["message"]
+        assert "level 2 names no file" in record["message"]
     if name == "snapshot-header-claims-more-than-the-file":
         assert "snapshot_00000.cwgrid: truncated sample payload" \
             in record["message"]

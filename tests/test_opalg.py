@@ -21,6 +21,8 @@ from cuspwave.opalg import (
 from cuspwave.opalg import catalog, coeff
 from cuspwave.opalg.diffop import _reproduces, span_decompose
 
+from oracles import CATALOG_SHA256, catalog_digest
+
 
 @pytest.fixture(scope="module")
 def ctx2():
@@ -247,7 +249,9 @@ def test_axis_map_commutes_with_compose(n):
     ctx = CoeffContext(n)
     x1, x2 = ctx.x(1), ctx.x(2)
     ops = [random_op(ctx, rng) for _ in range(3)] + [
-        catalog._N2(ctx, 2, 1), catalog._field(ctx, "Vbar", (0,), 2),
+        # the slanted cone normal field at m = 2 on axis 1
+        DiffOp.dx(ctx, 1).scaled(ctx.r() - ctx.rational(1, 2) * ctx.t_pow(4)),
+        catalog._field(ctx, "Vbar", (0,), 2),
         catalog._field(ctx, "L", (0, 1), 1),
         DiffOp.dx(ctx, 2).scaled(ctx.r() / (x1 - x2))]
     for sigma in permutations(range(1, n + 1)):
@@ -543,17 +547,49 @@ def test_catalog_eliminates_one_system_per_family(m, n, monkeypatch):
     rows = catalog_verify(m, n)
     assert all(row.ok for row in rows)
     assert len(calls) == 3
+    assert catalog_digest(rows) == CATALOG_SHA256[m, n]
+
+
+def test_catalog_builds_each_field_once(monkeypatch):
+    # one alphabet per run: a field built twice is work done twice
+    real = catalog._field
+    built = []
+    monkeypatch.setattr(catalog, "_field",
+                        lambda ctx, name, indices, k:
+                        built.append((name, tuple(indices), k))
+                        or real(ctx, name, indices, k))
+    for selector, n in ((2, 2), (1, 3)):
+        built.clear()
+        catalog_verify(selector, n)
+        twice = sorted({key for key in built if built.count(key) > 1})
+        assert built and twice == [], (selector, n, twice)
+
+
+def test_square_system_rotated_column_is_the_rotation_sum():
+    # Vbar_i kills x_k for k != i, so Vbar_i * rot_i is the sum of the
+    # x_k Vbar_i * L_ik
+    for n in (2, 3):
+        ctx = CoeffContext(n)
+        A = catalog._Alphabet(ctx, 2)
+        for i in range(1, n + 1):
+            summed = DiffOp.zero(ctx)
+            for k in range(1, n + 1):
+                if k != i:
+                    summed = summed + compose(A.Vbar[i], A.L[i, k]).scaled(
+                        ctx.x(k))
+            assert compose(A.Vbar[i], A.rot[i]) == summed, (n, i)
 
 
 @pytest.mark.parametrize("change", [None, "swap", "perturb"])
 def test_square_system_off_the_image_is_eliminated(change, monkeypatch):
     ctx, m = CoeffContext(2), 2
-    alphabet = catalog._square_alphabet(ctx, m)
-    target1, basis1 = catalog._square_system(catalog._N1(ctx, m, 1), 1,
-                                             *alphabet)
+    alphabet = catalog._Alphabet(ctx, m)
+    quadratic = catalog._quadratic(alphabet)
+    # the first cone normal-field family t^(m/2) r D_i
+    N1 = [DiffOp.dx(ctx, i).scaled(ctx.t_pow(m) * ctx.r()) for i in (1, 2)]
+    target1, basis1 = catalog._square_system(N1[0], 1, alphabet, quadratic)
     first = (target1, basis1) + span_decompose(target1, basis1)
-    target, basis = catalog._square_system(catalog._N1(ctx, m, 2), 2,
-                                           *alphabet)
+    target, basis = catalog._square_system(N1[1], 2, alphabet, quadratic)
     if change == "swap":
         basis[0], basis[1] = basis[1], basis[0]
     elif change == "perturb":
