@@ -308,7 +308,7 @@ _OPALG_KEYS = {"m": (int, None), "n": (int, 2), "pair": (_pair, _pair("")),
 
 def cmd_opalg(args) -> int:
     # imported here so that the numeric commands do not load sympy
-    from .opalg import catalog_verify
+    from .opalg import catalog_verify, certificate_text
 
     cfg = _resolve(args)
     if cfg["pair"] and cfg["m"] is not None:
@@ -325,6 +325,8 @@ def cmd_opalg(args) -> int:
     if out:
         _write_manifest(out, "opalg verify", cfg)
         _write_csv(os.path.join(out, "catalog.csv"), lines)
+        with open(os.path.join(out, "certificates.txt"), "w") as fh:
+            fh.write(certificate_text(rows))
     else:
         csv.writer(sys.stdout).writerows(lines)
     checked = [r for r in rows if r.expected != "asserted"]

@@ -4,9 +4,9 @@ identity catalog."""
 
 from .coeff import CoeffContext, CoeffExpr
 from .diffop import DiffOp, commutator, compose, verify_identity
-from .catalog import catalog_verify, CatalogRow
+from .catalog import catalog_verify, certificate_text, CatalogRow
 
 __all__ = [
     "CoeffContext", "CoeffExpr", "DiffOp", "commutator", "compose",
-    "verify_identity", "catalog_verify", "CatalogRow",
+    "verify_identity", "catalog_verify", "certificate_text", "CatalogRow",
 ]

@@ -36,12 +36,18 @@ from .coeff import CoeffContext
 from .diffop import DiffOp, commutator, compose, span_decompose, \
     verify_identity
 
-__all__ = ["CatalogRow", "catalog_verify"]
+__all__ = ["CatalogRow", "catalog_verify", "certificate_text"]
 
 
 @dataclass(frozen=True)
 class CatalogRow:
-    """Outcome of one identity check."""
+    """Outcome of one identity check.
+
+    certificate holds the lines of what the check found: for a residual
+    row the normal form of lhs - rhs (no lines when it is zero), for a
+    square row the weights and null vectors of its span system or the
+    word unsolvable, and nothing for an asserted row.
+    """
 
     name: str
     status: str           # "zero", "nonzero", "solvable", "unsolvable",
@@ -49,6 +55,7 @@ class CatalogRow:
     residual_terms: int
     expected: str         # "zero", "nonzero" or "asserted"
     detail: str = ""
+    certificate: tuple = ()
 
     @property
     def ok(self):
@@ -114,9 +121,21 @@ class _Alphabet:
 
 
 def _residual_row(name, lhs, rhs, expected="zero", detail=""):
-    holds, _, terms = verify_identity(lhs, rhs)
+    holds, residual, terms = verify_identity(lhs, rhs)
+    certificate = tuple("%r: %s" % (index, residual.terms[index].text())
+                        for index in sorted(residual.terms))
     return CatalogRow(name, "zero" if holds else "nonzero", terms,
-                      expected, detail)
+                      expected, detail, certificate)
+
+
+def certificate_text(rows):
+    """The certificates of rows as `opalg verify` writes certificates.txt:
+    each row's name on a line, then its certificate lines indented."""
+    lines = []
+    for row in rows:
+        lines.append(row.name)
+        lines += ["  " + line for line in row.certificate]
+    return "".join(line + "\n" for line in lines)
 
 
 def _cone_rows(A):
@@ -404,11 +423,18 @@ def _square_decomp_row(name, system, c_expected):
     target, _, weights, null_vectors = system
     if weights is None:
         return CatalogRow(name, "unsolvable", len(target.terms),
-                          "zero", _DECOMP_DETAIL)
+                          "zero", _DECOMP_DETAIL, ("unsolvable",))
+    certificate = tuple("weight %d: %s" % (j, w.text())
+                        for j, w in enumerate(weights))
+    certificate += tuple("null vector %d, weight %d: %s" % (k, j, w.text())
+                         for k, vec in enumerate(null_vectors)
+                         for j, w in enumerate(vec))
     pinned = all(vec[2].is_zero() for vec in null_vectors)
     if not pinned or weights[2] != c_expected:
-        return CatalogRow(name, "nonzero", 1, "zero", _DECOMP_DETAIL)
-    return CatalogRow(name, "solvable", 0, "zero", _DECOMP_DETAIL)
+        return CatalogRow(name, "nonzero", 1, "zero", _DECOMP_DETAIL,
+                          certificate)
+    return CatalogRow(name, "solvable", 0, "zero", _DECOMP_DETAIL,
+                      certificate)
 
 
 def _cone_square_rows(A):

@@ -350,7 +350,20 @@ class CoeffExpr:
             memo[key] = out
         return out
 
+    # -- text ------------------------------------------------------------
+
+    def text(self):
+        """The pair as "num / den", each polynomial written as
+        {exponent tuple: integer} with its terms in lex order, leading
+        term first; the exponents follow the generators h, x1..xn, r.
+        The text is this module's own, so it is the same over any ring
+        that stores the same normal form."""
+        return "%s / %s" % (_terms_text(self.num), _terms_text(self.den))
+
     def __repr__(self):
-        if self.den == 1:
-            return "CoeffExpr(%s)" % (self.num,)
-        return "CoeffExpr((%s)/(%s))" % (self.num, self.den)
+        return "CoeffExpr(%s)" % self.text()
+
+
+def _terms_text(poly):
+    return "{%s}" % ", ".join("%r: %d" % (monom, coeff) for monom, coeff
+                              in sorted(poly.items(), reverse=True))

@@ -6,8 +6,9 @@ tests: an RK4 integration of each Fourier mode, the finite-difference
 residual of the propagator's ODE, the defining functions of the
 characteristic sets where the paper places the singular support, the
 self-similar plane front of the linear problem, the digests of the exact
-catalog's rows, and the full complex DFT and its inverse (the package
-itself transforms only real fields, to and from half spectra).  The
+catalog's rows and certificates, and the full complex DFT and its inverse
+(the package itself transforms only real fields, to and from half
+spectra).  The
 oracles work on full spectra, as arrays; a test compares the package's
 half spectra with them after spectral.hermitian_completion, which is
 exact.
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspwave.errors import DomainError, GridMismatchError, ParameterError
+from cuspwave.opalg import certificate_text
 from cuspwave.propagator import _check_args, sample_arrays
 from cuspwave.spectral import (
     Field,
@@ -305,3 +307,46 @@ CATALOG_SHA256 = {(m, n): digest for n, digest in _SINGLE_SHA256.items()
 CATALOG_SHA256.update({(pair, n): digest
                        for pair, digest in _PAIR_SHA256.items()
                        for n in (1, 2, 3)})
+
+
+def certificate_digest(rows) -> str:
+    """sha256 of certificates.txt as `opalg verify` writes it for rows."""
+    return hashlib.sha256(certificate_text(rows).encode()).hexdigest()
+
+
+# certificate_digest of catalog_verify(selector, n), recorded over sympy's
+# integer polynomial ring, before the package had a ring of its own.  The
+# weights and null vectors of the square rows carry m, so at n = 2 and 3
+# every exponent has its own digest.  At n = 1 there are no square rows and
+# every residual is zero but the negative control's, which does not depend
+# on m, so those runs share one digest; so do a pair run's at every n.
+_CERTIFICATE_N1_SHA256 = \
+    "b956773aee34d2372b82f4cbe8ca7db247e87ce0b46af54299ee10ef1c8947bb"
+CERTIFICATE_SHA256 = {(m, 1): _CERTIFICATE_N1_SHA256 for m in range(1, 9)}
+CERTIFICATE_SHA256.update({
+    (1, 2): "e80efd67dfb5f11b159d4d4deb99316ba52141bb6cecef4143761aab6c7013c0",
+    (2, 2): "7e086bea2996e0a64ddaad0220d36628aad7d9edb7ec8221ac670dc4914bf1a7",
+    (3, 2): "126dd8bb1d969040e70fe9d2034ae86ae5e660d1432847eee07381702f4a1159",
+    (4, 2): "ba3c55bdbd3b8a8dd57c270b20ee7323c98c81a9af4550cba59c52418675915a",
+    (5, 2): "9fcd17bea1b9b3432f86cdfbcca9706ea701741f385522755192031910597b01",
+    (6, 2): "77f7832379eacba9cb4c47c0578bccd7813830b0114569d6e2c8a12c5462d583",
+    (7, 2): "bb4bbcb1b86a4ed6de19fce9f1d4136164e6e6ad6e2d46c6ffcba79ad1182ec4",
+    (8, 2): "beb28926a806f82f146aa3fee21f311fde759fd95ef330054db8eba54297a9ed",
+    (1, 3): "ef27bce87b1431482318a2609ecf87e837d6635ef3eac34e2e9335c7b1e4e13f",
+    (2, 3): "8ef84211dabd3aec0446db6ff684078a1184c74424caf087349cf407cb5b0788",
+    (3, 3): "21a20f366099d118bae0d6fd69bd3ccca24e252b58e5d096387986fec210feac",
+    (4, 3): "84323bb80f7c32ff216ce4da3a2024a61dcb2d7e0c231664e97dd020faecd4cd",
+    (5, 3): "3ed7950454ba3ff576768686e744c17c4a9bab1d1ca198a3a025b454f92fecc6",
+    (6, 3): "f15f26ec5b4e6a359a8dc702de2e083e9f5b92451c5d0678689caa779f51afce",
+    (7, 3): "18215fd5bfa70b2a5b0d49995110d04ae9678ac6fc4664d4337d969951bd43ec",
+    (8, 3): "b3a20fbbeaa91bbd69313bc7dfae92c38963e5adb7f96a29f5faef4b6a55ad04",
+})
+_CERTIFICATE_PAIR_SHA256 = {
+    (2, 1): "880218cc8d92a3d5ab7b9b742d1080084c5574fb3bf9edb9a8a0dedc3d9ae4d0",
+    (3, 1): "eb90ed6c708bd050e3b064ca778787e556c05bd2a15eb4a82d2eb10d9e52fc62",
+    (4, 2): "f4422c3e58b81e385d28712a706257044447a6bd5c0c4123773d97f6caa859d2",
+}
+CERTIFICATE_SHA256.update({(pair, n): digest
+                           for pair, digest in _CERTIFICATE_PAIR_SHA256.items()
+                           for n in (1, 2, 3)})
+

@@ -47,8 +47,10 @@ from cuspwave.spectral import (
 
 from oracles import (
     CATALOG_SHA256,
+    CERTIFICATE_SHA256,
     CharSurface,
     catalog_digest,
+    certificate_digest,
     contraction_ratio,
     dft_inverse,
     ode_residual,
@@ -370,6 +372,7 @@ def test_symbolic_catalog_all_orders(n):
         bad = [r.name for r in checked if not r.ok]
         assert not bad, "m=%d n=%d failures: %s" % (m, n, bad)
         assert catalog_digest(rows) == CATALOG_SHA256[m, n], (m, n)
+        assert certificate_digest(rows) == CERTIFICATE_SHA256[m, n], (m, n)
 
 
 @pytest.mark.parametrize("pair", [(2, 1), (3, 1), (4, 2)])
@@ -378,6 +381,8 @@ def test_symbolic_catalog_mixed_pairs(pair):
         rows = catalog_verify(pair, n)
         assert rows and all(r.ok for r in rows)
         assert catalog_digest(rows) == CATALOG_SHA256[pair, n], (pair, n)
+        assert certificate_digest(rows) == CERTIFICATE_SHA256[pair, n], \
+            (pair, n)
 
 
 # 13. tangent words stay tame under refinement while a transverse

@@ -7,6 +7,7 @@ artifacts and their bit-for-bit reproducibility, and the option surface.
 import argparse
 import csv
 import filecmp
+import hashlib
 import json
 import os
 import re
@@ -24,6 +25,8 @@ from cuspwave.cli import _COMMANDS, _SOLVE_KINDS, _resolve, build_parser, main
 from cuspwave.errors import GridMismatchError
 from cuspwave.initial_data import FAMILIES, parse_data_spec
 from cuspwave.linear_solver import load_trajectory
+
+from oracles import CERTIFICATE_SHA256
 
 
 @pytest.fixture()
@@ -420,6 +423,20 @@ class TestOpalg:
         assert rows[0].startswith("name,status")
         assert len(rows) > 10
         assert "failed" in capsys.readouterr().err
+
+    def test_verify_writes_certificates_beside_the_catalog(self, tmp_path):
+        # certificates.txt is the text the pinned digests are taken of
+        for argv, key in ((["--m", "2", "--n", "2"], (2, 2)),
+                          (["--pair", "3,1", "--n", "1"], ((3, 1), 1))):
+            out = tmp_path / ("op%d" % len(key))
+            assert main(["opalg", "verify", *argv, "--out", str(out)]) == 0
+            data = (out / "certificates.txt").read_bytes()
+            assert hashlib.sha256(data).hexdigest() \
+                == CERTIFICATE_SHA256[key], argv
+            names = [row["name"] for row in
+                     csv.DictReader(open(out / "catalog.csv", newline=""))]
+            assert [line for line in data.decode().splitlines()
+                     if not line.startswith("  ")] == names
 
     def test_verify_pair_selection(self, tmp_path):
         assert main(["opalg", "verify", "--pair", "3,1", "--n", "2",

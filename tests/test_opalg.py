@@ -21,7 +21,8 @@ from cuspwave.opalg import (
 from cuspwave.opalg import catalog, coeff
 from cuspwave.opalg.diffop import _reproduces, span_decompose
 
-from oracles import CATALOG_SHA256, catalog_digest
+from oracles import (CATALOG_SHA256, CERTIFICATE_SHA256, catalog_digest,
+                     certificate_digest)
 
 
 @pytest.fixture(scope="module")
@@ -548,6 +549,7 @@ def test_catalog_eliminates_one_system_per_family(m, n, monkeypatch):
     assert all(row.ok for row in rows)
     assert len(calls) == 3
     assert catalog_digest(rows) == CATALOG_SHA256[m, n]
+    assert certificate_digest(rows) == CERTIFICATE_SHA256[m, n]
 
 
 def test_catalog_builds_each_field_once(monkeypatch):
