@@ -307,7 +307,7 @@ _OPALG_KEYS = {"m": (int, None), "n": (int, 2), "pair": (_pair, _pair("")),
 
 
 def cmd_opalg(args) -> int:
-    # imported here so that the numeric commands do not load sympy
+    # imported here so that the numeric commands do not load the exact half
     from .opalg import catalog_verify, certificate_text
 
     cfg = _resolve(args)

@@ -9,11 +9,12 @@ degree at most one in num, den r-free (rationalized by the r-conjugate)
 and its leading coefficient positive.  The normal form of an element is
 unique, so two coefficients are equal exactly when their pairs are.
 Only CoeffContext.normal reduces a pair to its normal form; the
-constructors build pairs that already are one.  The ring is built over
-the ground ring ZZ, so all coefficient arithmetic is on Python ints; a
-rational constant p/q is the pair (p, q).  In one space dimension the
-radical generator is omitted, since adjoining r with r**2 = x1**2 would
-create zero divisors.
+constructors build pairs that already are one.  The polynomials are
+those of opalg.poly, sparse maps from exponent tuples to Python ints
+ordered lex over (h, x1..xn, r), so all coefficient arithmetic is on
+Python ints; a rational constant p/q is the pair (p, q).  In one space
+dimension the radical generator is omitted, since adjoining r with
+r**2 = x1**2 would create zero divisors.
 
 This is the only module that touches the polynomials: the operator
 algebra and the catalog use CoeffContext and CoeffExpr alone.
@@ -24,9 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import ParameterError
-
-from sympy import ZZ
-from sympy.polys.rings import ring
+from .poly import PolyRing
 
 __all__ = ["CoeffContext", "CoeffExpr"]
 
@@ -40,15 +39,14 @@ class CoeffContext:
         self.n = n
         # (num, den, multi-index) -> CoeffExpr, kept by CoeffExpr.derivative
         self._derivatives = {}
-        names = ["h"] + ["x%d" % i for i in range(1, n + 1)]
-        if n >= 2:
-            names.append("r")
-        self.poly_ring = ring(",".join(names), ZZ)[0]
+        # generators h, x1..xn and, for n >= 2, r
         self.r_index = 1 + n if n >= 2 else None
+        self.poly_ring = PolyRing(n + 2 if n >= 2 else n + 1)
         if self.r_index is not None:
             self._r_poly = self.poly_ring.gens[self.r_index]
             self._sum_x2_poly = sum(
-                self.poly_ring.gens[1 + i] ** 2 for i in range(n))
+                (self.poly_ring.gens[1 + i] ** 2 for i in range(n)),
+                self.poly_ring.zero)
         else:
             self._r_poly = None
             self._sum_x2_poly = None
@@ -97,16 +95,15 @@ class CoeffContext:
         if idx is None or all(monom[idx] < 2 for monom in p):
             return p
         out = self.poly_ring.zero
-        zero = self.poly_ring.domain.zero
         for monom, coeff in p.items():
             e = monom[idx]
             if e < 2:
-                out[monom] = out.get(monom, zero) + coeff
+                out[monom] = out.get(monom, 0) + coeff
                 continue
             base = monom[:idx] + (e % 2,) + monom[idx + 1:]
             for m2, c2 in (self._sum_x2_poly ** (e // 2)).items():
                 key = tuple(a + b for a, b in zip(base, m2))
-                out[key] = out.get(key, zero) + coeff * c2
+                out[key] = out.get(key, 0) + coeff * c2
         out.strip_zero()
         return out
 
@@ -269,6 +266,8 @@ class CoeffExpr:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(
                 "coefficient exponents must be nonnegative integers")
+        if not exponent:
+            return self.ctx.one()
         return self.ctx.normal(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other):

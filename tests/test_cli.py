@@ -511,10 +511,23 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_does_not_load_sympy():
-    # only `opalg verify` needs sympy; the numeric commands must not pay
-    # for importing it
-    code = "import sys, cuspwave.cli; print('sympy' in sys.modules)"
-    assert _fresh_python(code) == "False"
+    # the exact half is imported by `opalg verify` alone: the numeric
+    # commands, and every command's start-up, must not pay for it
+    code = ("import sys, cuspwave.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'sympy' or m.startswith('cuspwave.opalg')))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_opalg_verify_runs_without_sympy(tmp_path):
+    # the package's own polynomial ring carries the exact half; sympy is
+    # a test dependency only
+    code = ("import sys\n"
+            "from cuspwave.cli import main\n"
+            "rc = main(['opalg', 'verify', '--m', '1', '--n', '1',"
+            " '--out', sys.argv[1]])\n"
+            "print(rc, 'cuspwave.opalg' in sys.modules, sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    assert _fresh_python(code, str(tmp_path / "op")) == "0 True []"
 
 
 _NUMERIC_RUNS = """

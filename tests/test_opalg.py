@@ -6,7 +6,6 @@ import pytest
 
 from sympy import QQ, ZZ
 from sympy.polys.fields import field
-from sympy.polys.rings import PolyElement
 
 from cuspwave.errors import ParameterError
 from cuspwave.opalg import (
@@ -18,8 +17,9 @@ from cuspwave.opalg import (
     compose,
     verify_identity,
 )
-from cuspwave.opalg import catalog, coeff
+from cuspwave.opalg import catalog
 from cuspwave.opalg.diffop import _reproduces, span_decompose
+from cuspwave.opalg.poly import Poly, PolyRing
 
 from oracles import (CATALOG_SHA256, CERTIFICATE_SHA256, catalog_digest,
                      certificate_digest)
@@ -88,10 +88,17 @@ def _sample_coeffs(ctx):
 
 # The oracle is sympy's own fraction field over the same generators: its
 # field operators, then one normalisation, give the normal form, and the
-# pairs are compared term by term as monomial -> int maps.
+# pairs are compared term by term as monomial -> int maps.  Polynomials
+# cross between the two rings as exponent dicts.
 
-def _oracle_field(ctx):
-    return field(ctx.poly_ring.symbols, ZZ)[0]
+def _symbols(ctx):
+    """The generators h, x1..xn and, for n >= 2, r, in the package's order."""
+    return ["h"] + ["x%d" % i for i in range(1, ctx.n + 1)] \
+        + (["r"] if ctx.n >= 2 else [])
+
+
+def _oracle_field(ctx, domain=ZZ):
+    return field(_symbols(ctx), domain)[0]
 
 
 def _as_frac(oracle, c):
@@ -101,11 +108,14 @@ def _as_frac(oracle, c):
                           ring.from_dict(dict(c.den.items())))
 
 
+def _poly(sympy_poly):
+    """A sympy polynomial over ZZ as one of the package's ring."""
+    return Poly({m: int(v) for m, v in sympy_poly.items()})
+
+
 def _normal_of(ctx, frac):
     """The normal form of an oracle field element, as a coefficient."""
-    ring = ctx.poly_ring
-    return ctx.normal(ring.from_dict(dict(frac.numer.items())),
-                      ring.from_dict(dict(frac.denom.items())))
+    return ctx.normal(_poly(frac.numer), _poly(frac.denom))
 
 
 def _pair(c):
@@ -141,28 +151,54 @@ def _terms(poly):
             for monom, c in poly.items()}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_coeff_ops_match_rational_ground_field(n, monkeypatch):
-    # the same normal forms from a context built over QQ, whose cancel
-    # clears denominators and returns to QQ around every gcd
-    ctx = CoeffContext(n)
-    assert ctx.poly_ring.domain == ZZ
-    monkeypatch.setattr(coeff, "ZZ", QQ)
-    qq = CoeffContext(n)
-    assert qq.poly_ring.domain == QQ
+def _qq_normal(ctx, frac):
+    """(num, den) of the normal form of a field element over QQ, found
+    in sympy's polynomial ring over QQ alone: r**2 -> sum x_i**2, the
+    denominator made r-free by its conjugate, one cancel, LC(den) > 0."""
+    ring = frac.field.ring
+    num, den = frac.numer, frac.denom
+    if ctx.n >= 2:
+        idx = ctx.n + 1
+        sum_x2 = sum(ring.gens[i] ** 2 for i in range(1, ctx.n + 1))
 
-    def same(got, want, *label):
-        assert _terms(got.num) == _terms(want.num), label
-        assert _terms(got.den) == _terms(want.den), label
+        def reduce(p):
+            out = ring.zero
+            for monom, c in p.items():
+                e = monom[idx]
+                base = ring({monom[:idx] + (e % 2,) + monom[idx + 1:]: c})
+                out += base * sum_x2 ** (e // 2)
+            return out
+
+        num, den = reduce(num), reduce(den)
+        odd = ring({m: c for m, c in den.items() if m[idx]})
+        if odd:
+            conj = den - 2 * odd
+            num, den = reduce(num * conj), reduce(den * conj)
+    num, den = num.cancel(den)
+    return (-num, -den) if den.LC < 0 else (num, den)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coeff_ops_match_rational_ground_field(n):
+    # the same normal forms from sympy's polynomial ring over QQ, whose
+    # cancel clears denominators and returns to QQ around every gcd
+    ctx = CoeffContext(n)
+    qq = _oracle_field(ctx, QQ)
+    assert qq.domain == QQ
+
+    def same(got, frac, *label):
+        num, den = _qq_normal(ctx, frac)
+        assert _terms(got.num) == _terms(num), label
+        assert _terms(got.den) == _terms(den), label
 
     ops = [(lambda a, b: a + b), (lambda a, b: a - b),
            (lambda a, b: a * b), (lambda a, b: a / b)]
-    pairs = list(zip(_sample_coeffs(ctx), _sample_coeffs(qq)))
+    pairs = [(a, _as_frac(qq, a)) for a in _sample_coeffs(ctx)]
     for a, qa in pairs:
         same(a, qa)
-        same(a.dt(), qa.dt(), "dt", a)
+        same(a.dt(), _field_dt(qq, qa), "dt", a)
         for i in range(1, n + 1):
-            same(a.dx(i), qa.dx(i), "dx", i, a)
+            same(a.dx(i), _field_dx(qq, qa, n, i), "dx", i, a)
         for b, qb in pairs:
             for k, op in enumerate(ops):
                 if k == 3 and b.is_zero():
@@ -695,8 +731,8 @@ def test_catalog_gcd_count(monkeypatch):
     # the lcms of the closing span checks
     calls = []
     for name in ("cancel", "lcm"):
-        real = getattr(PolyElement, name)
-        monkeypatch.setattr(PolyElement, name,
+        real = getattr(Poly, name)
+        monkeypatch.setattr(Poly, name,
                             lambda f, g, real=real, name=name:
                             calls.append(name) or real(f, g))
     catalog_verify(2, 2)
@@ -719,7 +755,7 @@ def test_every_method_of_the_algebra_runs_in_the_catalog(monkeypatch):
         return run
 
     methods = set()
-    for cls in (CoeffContext, CoeffExpr, DiffOp):
+    for cls in (CoeffContext, CoeffExpr, DiffOp, PolyRing, Poly):
         for name, member in list(vars(cls).items()):
             key = "%s.%s" % (cls.__name__, name)
             if isinstance(member, classmethod):

@@ -1,9 +1,11 @@
-"""Only opalg/coeff.py knows how an exact coefficient is stored: no other
-module of the package imports sympy, in any form, or touches a
-coefficient's polynomials through the attributes frac, num, den, numer,
-denom or poly_ring.  The operator algebra and the catalog use the API of
-CoeffContext and CoeffExpr alone, so the polynomial ring under them can be
-replaced in that one file.
+"""No module of the package imports sympy, in any form: the exact
+coefficients live on the package's own integer polynomial ring
+(opalg/poly.py), and sympy is a test dependency, the tests' oracle.  Only
+opalg/coeff.py knows how an exact coefficient is stored: no other module
+touches a coefficient's polynomials through the attributes frac, num, den,
+numer, denom or poly_ring.  The operator algebra and the catalog use the
+API of CoeffContext and CoeffExpr alone, so the polynomial ring under them
+can be replaced in that one file.
 
 Like test_fft_confinement, this reads the package's source.  An import
 counts in every spelling: `import sympy[.x] [as y]`, `from sympy[.x] import
@@ -44,9 +46,8 @@ def _first_constant(node, index=0):
     return None
 
 
-def _references(tree):
-    """(line, text) of every sympy import and every use of a polynomial
-    attribute in the module tree."""
+def _sympy_imports(tree):
+    """(line, text) of every sympy import in the module tree."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -55,30 +56,46 @@ def _references(tree):
         elif isinstance(node, ast.ImportFrom):
             if not node.level and node.module and _is_sympy(node.module):
                 found.append((node.lineno, "from " + node.module))
-        elif isinstance(node, ast.Attribute):
-            if node.attr in POLY_ATTRS:
-                found.append((node.lineno, "." + node.attr))
-        elif isinstance(node, ast.Call):
-            callee = _callee(node)
-            if callee in IMPORTERS:
-                name = _first_constant(node)
-                if name and _is_sympy(name):
-                    found.append((node.lineno, "%s(%r)" % (callee, name)))
-            elif callee == "getattr":
-                name = _first_constant(node, 1)
-                if name in POLY_ATTRS:
-                    found.append((node.lineno, "getattr(..., %r)" % name))
+        elif isinstance(node, ast.Call) and _callee(node) in IMPORTERS:
+            name = _first_constant(node)
+            if name and _is_sympy(name):
+                found.append((node.lineno, "%s(%r)" % (_callee(node), name)))
     return found
 
 
+def _poly_attributes(tree):
+    """(line, text) of every use of a polynomial attribute in the module
+    tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in POLY_ATTRS:
+                found.append((node.lineno, "." + node.attr))
+        elif isinstance(node, ast.Call) and _callee(node) == "getattr":
+            name = _first_constant(node, 1)
+            if name in POLY_ATTRS:
+                found.append((node.lineno, "getattr(..., %r)" % name))
+    return found
+
+
+def _references(tree):
+    return _sympy_imports(tree) + _poly_attributes(tree)
+
+
 def test_sympy_and_polynomials_stay_in_the_coefficient_module():
-    modules = {path.relative_to(PACKAGE).as_posix(): path
-               for path in sorted(PACKAGE.rglob("*.py"))}
-    assert COEFF_MODULE in modules
-    assert _references(ast.parse(modules[COEFF_MODULE].read_text()))
+    # sympy stays out of every module, opalg/coeff.py included; the
+    # polynomial attributes stay in opalg/coeff.py
+    trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert COEFF_MODULE in trees
+    imports = ["%s:%d %s" % (module, line, text)
+               for module, tree in trees.items()
+               for line, text in _sympy_imports(tree)]
+    assert imports == []
+    assert _poly_attributes(trees[COEFF_MODULE])
     outside = ["%s:%d %s" % (module, line, text)
-               for module, path in modules.items() if module != COEFF_MODULE
-               for line, text in _references(ast.parse(path.read_text()))]
+               for module, tree in trees.items() if module != COEFF_MODULE
+               for line, text in _poly_attributes(tree)]
     assert outside == []
 
 
