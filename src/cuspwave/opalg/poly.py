@@ -6,14 +6,19 @@ exponent tuples, so the leading term is the one with the largest tuple.
 
 Gcds come from the heuristic GCD (GCDHEU) of Char, Geddes and Gonnet,
 "GCDHEU: Heuristic polynomial GCD algorithm based on integer GCD
-computation", J. Symbolic Comput. 7 (1989): evaluate one variable at a
-large integer xi, take the gcd of the images (recursively, down to
+computation", J. Symbolic Comput. 7 (1989): evaluate one variable x_k at
+a large integer xi, take the gcd of the images (recursively, down to
 integers), rebuild a candidate from its balanced xi-adic digits and
-accept it only when it divides both inputs exactly.  With
-xi >= 2 * min(|f|, |g|) + 2 (max-norms of the integer-primitive inputs)
-an accepted candidate is the gcd.  When the heuristic gives up, the gcd
-comes from the primitive polynomial remainder sequence (Geddes, Czapor
-and Labahn, Algorithms for Computer Algebra, ch. 7).
+accept its primitive part only when it divides both inputs exactly.
+With xi >= 2 * min(|f|, |g|) + 2 (max-norms of the integer-primitive
+inputs) an accepted candidate is the gcd.  The paper gives up after a few
+points; here xi grows until a candidate is accepted, and that happens.
+Take f and g primitive, with gcd G.  Then f / G and g / G are coprime,
+so their ideal holds a nonzero R free of x_k, and the image gcd at
+x_k = xi is G(xi) * Delta(xi), up to sign, with Delta(xi) a divisor of R.
+Except at finitely many xi, Delta(xi) is an integer, so it divides the
+integer content N of R; once xi > 2 * N * |G|, the balanced digits give
+Delta * G, whose primitive part G divides both inputs.
 
 Only what the coefficient field of opalg needs is here: ring operations,
 powers, derivatives, exact division, cancel and lcm.
@@ -26,10 +31,6 @@ from math import gcd as igcd
 from operator import add, floordiv, neg, sub
 
 __all__ = ["Poly", "PolyRing"]
-
-# the heuristic gives up when an evaluation would pass this many bits
-_MAX_BITS = 1 << 18
-
 
 class PolyRing:
     """Z[x_0, .., x_{ngens-1}]: its generators and ground constants."""
@@ -185,14 +186,10 @@ class Poly(dict):
             # exponent of x_k is a multiple of steps[k]
             mf, mg = _low_exponents(f), _low_exponents(g)
             m = tuple(map(min, mf, mg))
-            F, G = _shift(f, mf, sub), _shift(g, mg, sub)
+            F, G = _shift_down(f, mf), _shift_down(g, mg)
             steps = tuple(igcd(*column) or 1 for column in zip(*F, *G))
             F, G = _deflate(F, steps), _deflate(G, steps)
-            found = _heuristic_cofactors(F, G)
-            if found is None:
-                h = _prs_gcd(F, G)
-                found = h, _divide(F, h), _divide(G, h)
-            h, p, q = found
+            h, p, q = _heuristic_cofactors(F, G)
             h = _inflate(h, steps, m)
             p = _inflate(p, steps, tuple(map(sub, mf, m)))
             q = _inflate(q, steps, tuple(map(sub, mg, m)))
@@ -235,11 +232,11 @@ def _low_exponents(f):
     return tuple(min(column) for column in zip(*f))
 
 
-def _shift(f, monom, op):
-    """f times (op is add) or over (op is sub) the monomial x**monom."""
+def _shift_down(f, monom):
+    """f over the monomial x**monom, which divides every term."""
     if not any(monom):
         return f
-    return Poly({tuple(map(op, m, monom)): c for m, c in f.items()})
+    return Poly({tuple(map(sub, m, monom)): c for m, c in f.items()})
 
 
 def _deflate(f, steps):
@@ -313,13 +310,9 @@ def _monomial_cofactors(f, g):
 
 
 def _evaluate(f, k, xi):
-    """f with x_k = xi, its exponents of x_k set to 0; None when the
-    image would be too large to be worth its gcd."""
-    degree = max(m[k] for m in f)
-    if xi.bit_length() * degree > _MAX_BITS:
-        return None
+    """f with x_k = xi, its exponents of x_k set to 0."""
     powers = [1]
-    for _ in range(degree):
+    for _ in range(max(m[k] for m in f)):
         powers.append(powers[-1] * xi)
     out = {}
     get = out.get
@@ -355,7 +348,7 @@ def _interpolate(gamma, k, xi):
 
 def _heuristic_cofactors(f, g):
     """(h, f / h, g / h) for the gcd h of the nonzero f and g, up to sign,
-    by GCDHEU; None when the heuristic gives up."""
+    by GCDHEU, trying larger points until a candidate divides both."""
     if len(f) == 1 or len(g) == 1:
         return _monomial_cofactors(f, g)
     cf, cg = igcd(*f.values()), igcd(*g.values())
@@ -363,15 +356,10 @@ def _heuristic_cofactors(f, g):
     f, g = _scale_down(f, cf), _scale_down(g, cg)
     k = _main_variable(f, g)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
-    for _ in range(6):
+    while True:
         fx, gx = _evaluate(f, k, xi), _evaluate(g, k, xi)
-        if fx is None or gx is None:
-            return None
         if fx and gx:
-            image = _heuristic_cofactors(fx, gx)
-            if image is None:
-                return None
-            gamma = image[0]
+            gamma = _heuristic_cofactors(fx, gx)[0]
         else:
             gamma = fx or gx
         if gamma:
@@ -385,75 +373,6 @@ def _heuristic_cofactors(f, g):
         # the paper's next point, about (1 + sqrt 3) xi, is no simple
         # multiple of xi, so it does not fail for the same reason
         xi = xi * 73794 // 27011
-    return None
-
-
-def _degree(f, k):
-    return max(m[k] for m in f)
-
-
-def _coefficient(f, k, i):
-    """The coefficient of x_k**i in f, a polynomial free of x_k."""
-    return Poly({m[:k] + (0,) + m[k + 1:]: c for m, c in f.items()
-                 if m[k] == i})
-
-
-def _primitive(f, k):
-    """(content, primitive part) of the nonzero f as a polynomial in x_k
-    over the other generators."""
-    coeffs = {}
-    for m, c in f.items():
-        coeffs.setdefault(m[k], {})[m[:k] + (0,) + m[k + 1:]] = c
-    content = None
-    for terms in coeffs.values():
-        terms = Poly(terms)
-        content = terms if content is None else _prs_gcd(content, terms)
-    out = {}
-    for i, terms in coeffs.items():
-        for m, c in _divide(Poly(terms), content).items():
-            out[m[:k] + (i,) + m[k + 1:]] = c
-    return content, Poly(out)
-
-
-def _prem(f, g, k):
-    """The pseudo-remainder of f by g as polynomials in x_k."""
-    dg = _degree(g, k)
-    lc = _coefficient(g, k, dg)
-    r = f
-    e = _degree(f, k) - dg + 1
-    while r and _degree(r, k) >= dg:
-        d = _degree(r, k)
-        step = [0] * len(next(iter(r)))
-        step[k] = d - dg
-        r = lc * r - _shift(_coefficient(r, k, d), tuple(step), add) * g
-        e -= 1
-    return r * lc ** e if r else r
-
-
-def _prs_gcd(f, g):
-    """The gcd of the nonzero f and g, up to sign, by the primitive
-    remainder sequence in the generator of least degree that both have,
-    with the gcd of their contents found the same way, one generator
-    fewer."""
-    if len(f) == 1 or len(g) == 1:
-        return _monomial_cofactors(f, g)[0]
-    mf, mg = _low_exponents(f), _low_exponents(g)
-    f, g = _shift(f, mf, sub), _shift(g, mg, sub)
-    monomial = Poly({tuple(map(min, mf, mg)): igcd(igcd(*f.values()),
-                                                  igcd(*g.values()))})
-    f = _scale_down(f, igcd(*f.values()))
-    g = _scale_down(g, igcd(*g.values()))
-    k = _main_variable(f, g)
-    fc, f = _primitive(f, k)
-    gc, g = _primitive(g, k)
-    content = _prs_gcd(fc, gc)
-    if _degree(f, k) < _degree(g, k):
-        f, g = g, f
-    while True:
-        r = _prem(f, g, k)
-        if not r:
-            return monomial * content * g
-        f, g = g, _primitive(r, k)[1]
 
 
 def _main_variable(f, g):
