@@ -123,7 +123,7 @@ class CoeffContext:
         """The coefficient num/den, for polynomials num and den != 0.
 
         The one gcd of the normal form is the closing cancel, so callers
-        pass the pair uncancelled.
+        pass the pair uncancelled; cancel also leaves LC(den) > 0.
         """
         num = self._reduce_poly(num)
         den = self._reduce_poly(den)
@@ -134,8 +134,6 @@ class CoeffContext:
                 num = self._reduce_poly(num * conj)
                 den = self._reduce_poly(den * conj)
         num, den = num.cancel(den)
-        if den.LC < 0:
-            num, den = -num, -den
         return CoeffExpr(self, num, den)
 
     def axis_image(self, poly, sigma):
