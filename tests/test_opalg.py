@@ -1,5 +1,7 @@
+import ast
 import inspect
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -564,6 +566,109 @@ def test_catalog_span_solutions_are_exact(monkeypatch):
             for v, op in zip(vec, basis):
                 combo = combo + op.scaled(v)
             assert combo.is_zero()
+
+
+# A second checker of the square rows, which shares nothing with the
+# elimination but the operators' term maps: the weights and null vectors
+# are read back from each row's certificate, and every coefficient of
+# target - sum w_j basis_j (and of sum v_j basis_j for a null vector v)
+# is evaluated at a random rational point by Fraction arithmetic, with no
+# normal form, lcm or gcd.  A nonzero rational function vanishes at a
+# random point only with small probability (Schwartz 1980, J. ACM 27;
+# Zippel 1979).
+
+def _rational_point(n, rng):
+    """(h, x1..xn, r) at random rationals, with h > 0, so that t = h**2 is
+    a rational square, and x a rational multiple of the inverse
+    stereographic image of a rational point, so that r = |x| is
+    rational."""
+    def q():
+        return Fraction(rng.randint(1, 60), rng.randint(1, 60))
+
+    u = [rng.choice((-1, 1)) * q() for _ in range(n - 1)]
+    s = 1 + sum(v * v for v in u)
+    scale = q()
+    x = [scale * 2 * v / s for v in u] + [scale * (2 - s) / s]
+    assert sum(v * v for v in x) == scale ** 2
+    return (q(), *x, scale)
+
+
+def _value(num, den, point):
+    """num / den at point, for polynomials given as {exponents: int}, or
+    None where den vanishes."""
+    def at(poly):
+        total = Fraction(0)
+        for monom, c in poly.items():
+            term = Fraction(c)
+            for v, e in zip(point, monom):
+                term *= v ** e
+            total += term
+        return total
+
+    d = at(den)
+    return at(num) / d if d else None
+
+
+def _certified(row):
+    """The weights and the null vectors of a square row's certificate,
+    each coefficient as its (num, den) pair of term maps."""
+    weights, nulls = [], {}
+    for line in row.certificate:
+        label, text = line.split(": ", 1)
+        pair = tuple(ast.literal_eval(side) for side in text.split(" / "))
+        if label.startswith("weight "):
+            weights.append(pair)
+        else:
+            nulls.setdefault(label.split(",")[0], []).append(pair)
+    return weights, list(nulls.values())
+
+
+def _values_at(point, operators, coefficients):
+    """The term maps of operators and the coefficients at point, or None
+    when a denominator vanishes there."""
+    ops = [{index: _value(c.num, c.den, point)
+            for index, c in op.terms.items()} for op in operators]
+    coeffs = [_value(num, den, point) for num, den in coefficients]
+    if any(v is None for op in ops for v in op.values()) \
+            or any(v is None for v in coeffs):
+        return None
+    return ops, coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_square_certificates_hold_at_rational_points(m, n, monkeypatch):
+    systems = {}
+    real = catalog._square_decomp_row
+
+    def recording(name, system, c_expected):
+        systems[name] = system[:2]
+        return real(name, system, c_expected)
+
+    monkeypatch.setattr(catalog, "_square_decomp_row", recording)
+    rows = [row for row in catalog_verify(m, n) if row.name in systems]
+    assert len(rows) == 3 * n
+    rng = random.Random(100 * m + n)
+    for row in rows:
+        assert row.status == "solvable", row.name
+        target, basis = systems[row.name]
+        weights, nulls = _certified(row)
+        assert len(weights) == len(basis)
+        assert all(len(vec) == len(basis) for vec in nulls)
+        values = None
+        while values is None:
+            values = _values_at(_rational_point(n, rng), [target] + basis,
+                                weights + [v for vec in nulls for v in vec])
+        (t, *b), coeffs = values
+        # target = sum w_j basis_j, and 0 = sum v_j basis_j for each v
+        size = len(basis)
+        sums = [(t, coeffs[:size])] + [
+            ({}, coeffs[k:k + size]) for k in range(size, len(coeffs), size)]
+        for lhs, vec in sums:
+            for index in set(t).union(*b):
+                assert lhs.get(index, 0) == sum(
+                    c * op.get(index, 0) for c, op in zip(vec, b)), \
+                    (row.name, index)
 
 
 def _count_eliminations(monkeypatch):
