@@ -44,23 +44,20 @@ class CatalogRow:
     """Outcome of one identity check.
 
     certificate holds the lines of what the check found: for a residual
-    row the normal form of lhs - rhs (no lines when it is zero), for a
+    row the normal form of lhs - rhs (no lines when it is zero), and for a
     square row the weights and null vectors of its span system or the
-    word unsolvable, and nothing for an asserted row.
+    word unsolvable.
     """
 
     name: str
-    status: str           # "zero", "nonzero", "solvable", "unsolvable",
-                          # "asserted"
+    status: str           # "zero", "nonzero", "solvable" or "unsolvable"
     residual_terms: int
-    expected: str         # "zero", "nonzero" or "asserted"
+    expected: str         # "zero" or "nonzero"
     detail: str = ""
     certificate: tuple = ()
 
     @property
     def ok(self):
-        if self.expected == "asserted":
-            return True
         if self.expected == "zero":
             return self.status in ("zero", "solvable")
         return self.status in ("nonzero", "unsolvable")
@@ -564,18 +561,6 @@ def _mixed_row(ctx, m1, m2):
         detail="coefficients carry the exponent gap %d" % (m1 - m2))
 
 
-def _abstract_rows():
-    rows = []
-    for label in ("vertex normal field", "slanted normal field",
-                  "time scaling field", "time-power gradient"):
-        rows.append(CatalogRow(
-            "admissible square decomposition: %s" % label,
-            "asserted", 0, "asserted",
-            "stated with unspecified admissible coefficients; "
-            "only the explicit precursor identities are machine-checked"))
-    return rows
-
-
 def _negative_control(A):
     corrupted = A.Q.scaled(4) + A.dt
     return _residual_row("negative control: corrupted scaling law",
@@ -608,5 +593,5 @@ def catalog_verify(m, n):
     A = _Alphabet(ctx, m)
     rows = _cone_rows(A) + _plane_rows(A) + _plane_square_rows(A)
     if n >= 2:
-        rows += _cone_square_rows(A) + _abstract_rows()
+        rows += _cone_square_rows(A)
     return rows + [_negative_control(A)]

@@ -531,10 +531,10 @@ def test_catalog_row_counts():
     # pinned so that a dropped row fails; n == 3 adds the
     # [Vbar_l, L_ij] = 0 and [L12, L13] = L32 rows
     assert len(catalog_verify(1, 1)) == 16
-    assert len(catalog_verify(2, 2)) == 52
+    assert len(catalog_verify(2, 2)) == 48
     assert len(catalog_verify((3, 1), 2)) == 1
     rows = catalog_verify(1, 3)
-    assert len(rows) == 85
+    assert len(rows) == 81
     for row in rows:
         assert row.ok, row.name
 
@@ -808,14 +808,6 @@ _PINNED_M2_N2 = [
     ("cone square: (t^((m+2)/2)*D2)^2 modulo admissible terms",
      "solvable", 0, "zero"),
     ("cone elimination: Vbar2 via time-power gradient", "zero", 0, "zero"),
-    ("admissible square decomposition: vertex normal field",
-     "asserted", 0, "asserted"),
-    ("admissible square decomposition: slanted normal field",
-     "asserted", 0, "asserted"),
-    ("admissible square decomposition: time scaling field",
-     "asserted", 0, "asserted"),
-    ("admissible square decomposition: time-power gradient",
-     "asserted", 0, "asserted"),
     ("negative control: corrupted scaling law", "nonzero", 1, "nonzero"),
 ]
 _PINNED_PAIR_3_1_N1 = [
