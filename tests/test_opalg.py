@@ -594,8 +594,8 @@ def _rational_point(n, rng):
 
 
 def _value(num, den, point):
-    """num / den at point, for polynomials given as {exponents: int}, or
-    None where den vanishes."""
+    """num / den at point, for polynomials given as {exponents: int};
+    ZeroDivisionError where den vanishes."""
     def at(poly):
         total = Fraction(0)
         for monom, c in poly.items():
@@ -605,8 +605,7 @@ def _value(num, den, point):
             total += term
         return total
 
-    d = at(den)
-    return at(num) / d if d else None
+    return at(num) / at(den)
 
 
 def _certified(row):
@@ -624,15 +623,10 @@ def _certified(row):
 
 
 def _values_at(point, operators, coefficients):
-    """The term maps of operators and the coefficients at point, or None
-    when a denominator vanishes there."""
+    """The term maps of operators and the coefficients at point."""
     ops = [{index: _value(c.num, c.den, point)
             for index, c in op.terms.items()} for op in operators]
-    coeffs = [_value(num, den, point) for num, den in coefficients]
-    if any(v is None for op in ops for v in op.values()) \
-            or any(v is None for v in coeffs):
-        return None
-    return ops, coeffs
+    return ops, [_value(num, den, point) for num, den in coefficients]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -655,11 +649,14 @@ def test_square_certificates_hold_at_rational_points(m, n, monkeypatch):
         weights, nulls = _certified(row)
         assert len(weights) == len(basis)
         assert all(len(vec) == len(basis) for vec in nulls)
-        values = None
-        while values is None:
-            values = _values_at(_rational_point(n, rng), [target] + basis,
-                                weights + [v for vec in nulls for v in vec])
-        (t, *b), coeffs = values
+        while True:
+            try:
+                (t, *b), coeffs = _values_at(
+                    _rational_point(n, rng), [target] + basis,
+                    weights + [v for vec in nulls for v in vec])
+                break
+            except ZeroDivisionError:  # a denominator vanishes: resample
+                pass
         # target = sum w_j basis_j, and 0 = sum v_j basis_j for each v
         size = len(basis)
         sums = [(t, coeffs[:size])] + [
