@@ -27,6 +27,10 @@ from .spectral import (
     spectral_derivative,
 )
 
+# The first time level at which a word is measured and a field singular at
+# t = 0 acts: on a uniform grid of step h, level _FLOOR is t = 4h.
+_FLOOR = 4
+
 # vector fields -------------------------------------------------------------
 
 
@@ -126,8 +130,7 @@ def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
     return levels
 
 
-def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
-                       t_floor: float | None = None
+def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory
                        ) -> SpectralTrajectory | np.ndarray:
     """Z u on the trajectory's own (t, x) grid, as a trajectory of half
     spectra.  Spatial derivatives are spectral and the time derivative is
@@ -145,24 +148,15 @@ def apply_vector_field(fid: VectorFieldId, traj: SpectralTrajectory,
     Given one of conormal_scan's levels instead of a trajectory, Z u
     overwrites the scan's next word, which the call returns as an array.
 
-    Fields with a negative power of t (Vbar) are evaluated only for
-    t >= t_floor (default 4 time steps); earlier snapshots are zeroed.
-    Passing t_floor = 0 for such a field raises a domain error.
+    Fields with a negative power of t (Vbar) act only from time level
+    _FLOOR (t >= 4h) on; the earlier levels are zeroed.
     """
     if isinstance(traj, _Level):
         level = traj
     else:
         level = _levels(traj, [fid], 1)[0]
     grid, times, dest = level.grid, level.times, level.dest
-    if t_floor is None:
-        t_floor = 4.0 * level.h
-    if fid.singular_at_zero and t_floor <= 0:
-        raise DomainError(
-            f"{fid.label()} carries a negative power of t and needs t_floor > 0"
-        )
-
-    # fields singular at t = 0 act only from the first time >= t_floor on
-    start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
+    start = _FLOOR if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
     coords = grid.coords()
     terms = fid.terms(grid.n)
@@ -211,9 +205,9 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float):
     """Sup-in-t H^s norms of Z_1 ... Z_k u over all words up to the depth.
 
     Returns a dict mapping word labels (comma-joined field labels, '' for
-    the empty word) to the sup norm over snapshots with t >= 4h (h the
-    first time step), ordered by word length; fields singular at t = 0
-    act from apply_vector_field's default floor, the same 4h.  Words are
+    the empty word) to the sup norm over the time levels from _FLOOR
+    (t >= 4h) on, ordered by word length; fields singular at t = 0 act
+    from the same level.  Words are
     computed depth first by apply_vector_field, in arrays allocated once
     per scan and overwritten word after word: per depth below the last
     one word (the trajectory itself at depth 0) and its time difference;
@@ -227,11 +221,9 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float):
     if not np.isfinite(s):
         raise ParameterError(f"scan needs a finite Sobolev index, got s={s}")
     grid = traj.grid
-    h = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else 0.0
-    keep = traj.times >= 4.0 * h
 
     def sup_norm(half):
-        return float(np.max(sobolev_norm(half, grid, s)[keep]))
+        return float(np.max(sobolev_norm(half[_FLOOR:], grid, s)))
 
     def label(word):
         return ",".join(f.label() for f in word)

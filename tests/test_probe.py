@@ -163,12 +163,8 @@ def test_vbar_floor_handling():
     tr = make_trajectory(g, times, lambda t, x: np.sin(x) * (1 + t))
     fid = VectorFieldId("Vbar", (0,), m=1)
     out = apply_vector_field(fid, tr)
-    h = times[1] - times[0]
-    assert np.all(out.u[2] == 0)  # below 4 dt
-    assert np.any(out.u[10] != 0)
-    with pytest.raises(DomainError) as ei:
-        apply_vector_field(fid, tr, t_floor=0.0)
-    assert "Vbar" in str(ei.value)
+    assert np.all(out.u[:4] == 0)  # below 4 dt
+    assert np.any(out.u[4] != 0) and np.any(out.u[10] != 0)
 
 
 def test_conormal_scan_depth():
@@ -308,18 +304,17 @@ def _reference_time_derivative(stack, h):
     return out
 
 
-def _reference_apply(fid, traj, t_floor=None, full=None):
+def _reference_apply(fid, traj, full=None):
     """The full spectra of Z u: every term's derivative through its own
     inverse FFT, the t-slot by differencing u in physical space, one
     forward FFT per field.  u is given by full, its full spectra, or else
-    by traj's half spectra completed exactly."""
+    by traj's half spectra completed exactly.  A field singular at t = 0
+    acts from the first time >= 4h on."""
     grid, times = traj.grid, traj.times
     if full is None:
         full = hermitian_completion(traj.u, grid)
     h = float(times[1] - times[0])
-    if t_floor is None:
-        t_floor = 4.0 * h
-    start = int(np.searchsorted(times, t_floor)) if fid.singular_at_zero else 0
+    start = int(np.searchsorted(times, 4.0 * h)) if fid.singular_at_zero else 0
     t = times[start:].reshape((-1,) + (1,) * grid.n)
     coords = grid.coords()
     dt_phys = _reference_time_derivative(dft_inverse(full, grid), h)[start:]
@@ -333,10 +328,9 @@ def _reference_apply(fid, traj, t_floor=None, full=None):
     return dft_forward(out, grid)
 
 
-def _applied(fid, traj, t_floor=None):
+def _applied(fid, traj):
     """The full spectra of apply_vector_field's half word, completed."""
-    return hermitian_completion(apply_vector_field(fid, traj, t_floor=t_floor).u,
-                                traj.grid)
+    return hermitian_completion(apply_vector_field(fid, traj).u, traj.grid)
 
 
 def _busy_trajectory(n, N, n_t):
@@ -372,14 +366,13 @@ def _alphabet(n, m):
 _SIZES = {1: 64, 2: 32, 3: 16}
 
 
-@pytest.mark.parametrize("t_floor", [None, 0.3])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_apply_vector_field_matches_reference(n, t_floor):
+def test_apply_vector_field_matches_reference(n):
     tr = _busy_trajectory(n, _SIZES[n], 17)
     for m in (1, 2):
         for fid in _alphabet(n, m):
-            got = _applied(fid, tr, t_floor=t_floor)
-            ref = _reference_apply(fid, tr, t_floor=t_floor)
+            got = _applied(fid, tr)
+            ref = _reference_apply(fid, tr)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), \
                 (m, fid.label())
 
