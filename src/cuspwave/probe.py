@@ -109,14 +109,24 @@ class _Level:
         return half_inverse(self.spec, self.grid, self.phys, work=self.spec)
 
 
+def _time_step(times: np.ndarray) -> float:
+    """The step h of a scan's time grid, which must be uniform (to 1e-10 h)
+    with at least _FLOOR + 1 levels; otherwise a DomainError."""
+    if len(times) <= _FLOOR:
+        raise DomainError(f"the scan needs at least {_FLOOR + 1} time levels, "
+                          f"got {len(times)}")
+    h = np.diff(times)
+    if np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
+        raise DomainError("the scan needs a uniform time grid; its time steps differ")
+    return float(h[0])
+
+
 def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
     """The levels of a scan of fields to the given depth over traj, each
     array allocated once, with level 0 refreshed.  Level k writes into
     level k+1's word; the last level writes into one more half spectrum."""
     grid = traj.grid
-    h = np.diff(traj.times)
-    if len(h) == 0 or np.max(np.abs(h - h[0])) > 1e-10 * h[0]:
-        raise DomainError("apply_vector_field needs a uniform time grid")
+    h = _time_step(traj.times)
     reads_t = any(slot == "t" for fid in fields for *_, slot in fid.terms(grid.n))
     half_shape = (len(traj.times),) + grid.half_sizes
     words = [traj.u]
@@ -124,8 +134,8 @@ def _levels(traj: SpectralTrajectory, fields, depth: int) -> list[_Level]:
     real_shape = (len(traj.times),) + grid.sizes
     shared = (np.empty(real_shape), np.empty(real_shape),
               np.empty(half_shape, dtype=complex))
-    levels = [_Level(grid, traj.times, words[k], words[k + 1], shared,
-                     float(h[0]), reads_t) for k in range(depth)]
+    levels = [_Level(grid, traj.times, words[k], words[k + 1], shared, h,
+                     reads_t) for k in range(depth)]
     levels[0].refresh()
     return levels
 
@@ -207,19 +217,21 @@ def conormal_scan(traj: SpectralTrajectory, fields, depth: int, s: float):
     Returns a dict mapping word labels (comma-joined field labels, '' for
     the empty word) to the sup norm over the time levels from _FLOOR
     (t >= 4h) on, ordered by word length; fields singular at t = 0 act
-    from the same level.  Words are
-    computed depth first by apply_vector_field, in arrays allocated once
-    per scan and overwritten word after word: per depth below the last
-    one word (the trajectory itself at depth 0) and its time difference;
-    one half spectrum for the last depth's words; and the shared real
-    accumulator, real scratch and half-spectrum scratch.  Each of these
-    is about the size of u, so at depth 2 they add up to about 7 times
-    u's bytes.  They are freed when the call returns.
+    from the same level.  The time grid must be uniform with at least
+    _FLOOR + 1 levels, at every depth.  Words are computed depth first by
+    apply_vector_field, in arrays allocated once per scan and overwritten
+    word after word: per depth below the last one word (the trajectory
+    itself at depth 0) and its time difference; one half spectrum for the
+    last depth's words; and the shared real accumulator, real scratch and
+    half-spectrum scratch.  Each of these is about the size of u, so at
+    depth 2 they add up to about 7 times u's bytes.  They are freed when
+    the call returns.
     """
     if depth < 0 or depth > 2:
         raise ParameterError("scan depth must be 0, 1 or 2")
     if not np.isfinite(s):
         raise ParameterError(f"scan needs a finite Sobolev index, got s={s}")
+    _time_step(traj.times)  # at every depth, before any norm
     grid = traj.grid
 
     def sup_norm(half):

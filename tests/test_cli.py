@@ -273,13 +273,16 @@ class TestProbeAndRates:
         assert os.listdir(probe_dir) == []
 
     @staticmethod
-    def _write_trajectory(directory, n_t):
-        """A hand-written n_t-level 1-D trajectory: save_field + manifest."""
+    def _write_trajectory(directory, n_t, times=None):
+        """A hand-written n_t-level 1-D trajectory: save_field + manifest.
+        The times are 0.1 i unless given."""
         from cuspwave.spectral import Field, Grid, save_field
 
         os.makedirs(directory)
         grid = Grid(1, (16,), 2.0)
         x = grid.coords()[0]
+        if times is None:
+            times = [0.1 * i for i in range(n_t)]
         with open(os.path.join(directory, "manifest.csv"), "w",
                   newline="") as fh:
             w = csv.writer(fh)
@@ -289,7 +292,7 @@ class TestProbeAndRates:
                 values = np.fft.fft(np.exp(-x ** 2) * (1 + 0.1 * i), norm="ortho")
                 save_field(os.path.join(directory, name),
                            Field(grid, values, "spectral"))
-                w.writerow([repr(0.1 * i), name])
+                w.writerow([repr(times[i]), name])
 
     def test_probe_needs_six_time_levels(self, tmp_path, capsys):
         # the one-sided 4th-order rows read six levels
@@ -306,6 +309,24 @@ class TestProbeAndRates:
                 assert os.listdir(probe_dir) == []
             else:
                 assert "TDt" in (probe_dir / "scan.csv").read_text()
+
+    @pytest.mark.parametrize("n_t, depth, times, message", [
+        (3, 0, None, "at least 5 time levels, got 3"),
+        (1, 1, None, "at least 5 time levels, got 1"),
+        (9, 0, [0.1 * i * i for i in range(9)], "time steps differ")])
+    def test_probe_checks_the_time_grid_before_writing(
+            self, tmp_path, capsys, n_t, depth, times, message):
+        # words are measured from level 4 on a uniform grid, at every depth
+        run_dir = str(tmp_path / "run")
+        self._write_trajectory(run_dir, n_t, times)
+        probe_dir = tmp_path / "probe"
+        probe_dir.mkdir()
+        assert main(["probe", "--traj", run_dir, "--out", str(probe_dir),
+                     "--fields", "Rl[0]", "--depth", str(depth)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DomainError"
+        assert message in record["message"]
+        assert os.listdir(probe_dir) == []
 
     def test_probe_rejects_a_complex_trajectory(self, tmp_path, capsys):
         # i u is not a real field; probe reads real trajectories only

@@ -591,6 +591,33 @@ def test_time_derivative_needs_six_levels(n_t, ok):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_scan_checks_its_time_grid_at_every_depth(depth):
+    # words are measured from level 4 on, so a scan needs 5 uniform levels
+    # before it takes any norm, also at depth 0
+    fields = [VectorFieldId("Rl", (0,)), VectorFieldId("Vbar", (0,))]
+    for n_t in (1, 2, 3, 4):
+        with pytest.raises(DomainError, match=f"at least 5 time levels, got {n_t}$"):
+            conormal_scan(_busy_trajectory(1, 16, n_t), fields, depth, s=0.0)
+    tr = _busy_trajectory(1, 16, 9)
+    uneven = SpectralTrajectory(tr.grid, np.linspace(0.0, 1.0, 9) ** 2, tr.u)
+    with pytest.raises(DomainError, match="time steps differ"):
+        conormal_scan(uneven, fields, depth, s=0.0)
+    tr = _busy_trajectory(1, 16, 5)  # too few for Vbar's time difference
+    table = conormal_scan(tr, fields[:1], depth, s=0.0)
+    assert table[""] == pytest.approx(sobolev_norm(tr.u[4], tr.grid, 0.0), rel=1e-15)
+
+
+def test_field_checks_its_time_grid():
+    fid = VectorFieldId("Vbar", (0,))
+    with pytest.raises(DomainError, match="at least 5 time levels, got 3"):
+        apply_vector_field(fid, _busy_trajectory(1, 16, 3))
+    tr = _busy_trajectory(1, 16, 9)
+    uneven = SpectralTrajectory(tr.grid, np.linspace(0.0, 1.0, 9) ** 2, tr.u)
+    with pytest.raises(DomainError, match="time steps differ"):
+        apply_vector_field(fid, uneven)
+
+
 def test_scan_rejects_non_finite_index():
     tr = _busy_trajectory(1, 16, 9)
     for s in (np.nan, np.inf):
