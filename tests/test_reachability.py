@@ -12,6 +12,12 @@ console entry point.
 
 A method or property counts as used by name: through any attribute load
 of that name in the package outside its own body.
+
+A public top-level function's parameter that has a default is passed, by
+keyword or by position, by some call of the package outside the
+function's own body, unless the function is also loaded as a value (such
+as `rat = ctx.rational`, or a reader handed to another function), whose
+callers the check cannot see, or is the console entry point.
 """
 
 import ast
@@ -58,12 +64,14 @@ def _trees():
             for path in sorted(PACKAGE.rglob("*.py"))}
 
 
-def test_every_public_definition_is_used_by_the_package():
-    trees = _trees()
+def _uses(trees):
+    """(the top-level definitions, keyed by (module, name); and a list of
+    (definition, node) for every load of the package that resolves to a
+    definition, outside the definition itself)."""
     files = {_dotted(module): module for module in trees}
-    defined = {(module, node.name) for module, tree in trees.items()
+    defined = {(module, node.name): node for module, tree in trees.items()
                for node in tree.body if isinstance(node, _DEFS)}
-    assert ALLOWED <= defined
+    assert ALLOWED <= defined.keys()
     bindings = {module: _bindings(module, tree, files)
                 for module, tree in trees.items()}
 
@@ -74,7 +82,7 @@ def test_every_public_definition_is_used_by_the_package():
             module, name = bindings[module][0][name]
         return module, name
 
-    used = set()
+    uses = []
     for module, tree in trees.items():
         modules = bindings[module][1]
         for top in tree.body:
@@ -91,10 +99,55 @@ def test_every_public_definition_is_used_by_the_package():
                     continue
                 if owner and not (isinstance(top, _DEFS)
                                   and owner == (module, top.name)):
-                    used.add(owner)
-    unused = sorted(f"{module}:{name}" for module, name in defined - used - ALLOWED
+                    uses.append((owner, node))
+    return defined, uses
+
+
+def test_every_public_definition_is_used_by_the_package():
+    defined, uses = _uses(_trees())
+    used = {owner for owner, _ in uses}
+    unused = sorted(f"{module}:{name}"
+                    for module, name in defined.keys() - used - ALLOWED
                     if not name.startswith("_"))
     assert unused == []
+
+
+def _passes(call, index, name):
+    """Whether call passes the parameter name, at position index (None for
+    a keyword-only one); a *args or **kwargs passes every parameter."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def test_every_optional_parameter_is_passed_by_the_package():
+    trees = _trees()
+    defined, uses = _uses(trees)
+    called = {id(node.func): node for tree in trees.values()
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    calls, values = {}, set()
+    for owner, node in uses:
+        if id(node) in called:
+            calls.setdefault(owner, []).append(called[id(node)])
+        else:
+            values.add(owner)
+    unpassed = []
+    for owner, fn in sorted(defined.items()):
+        if (not isinstance(fn, ast.FunctionDef) or owner[1].startswith("_")
+                or owner in values | ALLOWED):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        optional = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+        optional += [(None, arg.arg) for arg, default
+                     in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        unpassed += [f"{owner[0]}:{owner[1]}({name})" for index, name in optional
+                     if not any(_passes(call, index, name)
+                                for call in calls.get(owner, ()))]
+    assert unpassed == []
 
 
 def test_every_public_method_is_read_by_the_package():
