@@ -172,10 +172,12 @@ def test_argument_validation():
 
 mp.mp.dps = 60
 
-# imaginary-axis arguments z = iy, including both sides of |z| = 8 and 40,
-# where a series/quadrature/asymptotic evaluator switches method
+# imaginary-axis arguments z = iy, including both sides of |z| = 4 and 60,
+# where _j_pair switches method (at phi = |z|/2 = 2 and 30), and of |z| = 8
+# and 40, where a series/quadrature/asymptotic evaluator of Phi would switch
 AXIS = [0.0, 4 / 3, -4 / 3, 5.0, 7.9, 8.1, 12.0, 25.0, 39.9, 40.1, 60.0, 100.0,
-        1e4, -25.0, -100.0, 8 - 1e-6, 8 + 1e-6, 40 - 1e-6, 40 + 1e-6]
+        1e4, -25.0, -100.0, 8 - 1e-6, 8 + 1e-6, 40 - 1e-6, 40 + 1e-6,
+        4 - 1e-6, 4 + 1e-6, 60 - 1e-6, 60 + 1e-6]
 
 
 def _confluent(m, t, rho, y):
@@ -214,6 +216,18 @@ def test_against_mpmath_on_axis(m):
         omega = t ** (m / 2) * rho
         for got, ref in ((s_dt_v1, dt_v1), (s_dt_v2, dt_v2)):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref), omega), (t, rho, got, ref)
+
+
+def test_pinned_value_a_sixth():
+    # Phi(1/6, 1/3; 4i/3) computed with mpmath at 60 digits; V1 at m = 1,
+    # t = 1, rho = 1 is e^(-2i/3) times it
+    ref = complex(mp.hyp1f1(mp.mpf(1) / 6, mp.mpf(1) / 3, mp.mpc(0, mp.mpf(4) / 3)))
+    val = np.exp(-2j / 3) * ref
+    # the e^(-z/2) combination is real on the imaginary axis
+    assert abs(val.imag) < 1e-13
+    v1 = sample_arrays(1, 1.0, 1.0)[0]
+    assert abs(v1 - val.real) < 1e-13
+    assert abs(np.exp(2j / 3) * v1 - ref) < 1e-13
 
 
 def test_pair_is_real_on_axis():
