@@ -11,8 +11,7 @@ from __future__ import annotations
 from math import comb
 from itertools import product
 
-__all__ = ["DiffOp", "compose", "commutator", "verify_identity",
-           "span_decompose"]
+__all__ = ["DiffOp", "compose", "commutator", "span_decompose"]
 
 
 class DiffOp:
@@ -155,12 +154,6 @@ def compose(first, second):
 def commutator(first, second):
     """The bracket first*second - second*first."""
     return compose(first, second) - compose(second, first)
-
-
-def verify_identity(lhs, rhs):
-    """Check lhs == rhs; return (holds, residual, residual term count)."""
-    residual = lhs - rhs
-    return residual.is_zero(), residual, len(residual.terms)
 
 
 def span_decompose(target, basis):
