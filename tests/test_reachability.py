@@ -16,8 +16,8 @@ of that name in the package outside its own body.
 A public top-level function's parameter that has a default is passed, by
 keyword or by position, by some call of the package outside the
 function's own body, unless the function is also loaded as a value (such
-as `rat = ctx.rational`, or a reader handed to another function), whose
-callers the check cannot see, or is the console entry point.
+as `parse_data_spec`, which cli._read is handed and calls), whose calls
+the check cannot see, or is the console entry point.
 """
 
 import ast
